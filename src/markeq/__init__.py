@@ -8,8 +8,8 @@ state, no one-step deviation against the frozen continuation policy
 improves the objective.
 """
 
-from .errors import (BracketError, ConfigError, InfeasibleControlError,
-                     KernelError, MarkeqError, ModelError, SolverError)
+from .errors import (ConfigError, InfeasibleControlError, KernelError,
+                     MarkeqError, ModelError, SolverError)
 from .evaluate import (DeviationReport, MCResult, deviation_report,
                        eval_objective_exact, eval_objective_mc, solve_naive,
                        solve_precommitment, verify_equilibrium)

@@ -3,8 +3,9 @@
 Exit codes: 0 success, 2 config/input error, 3 solver failure,
 4 certification failure.  All outputs are CSV plus a JSON run manifest;
 re-running a command with an identical config reproduces byte-identical
-CSV bodies regardless of --workers (the worker flag only caps BLAS
-threads; reductions are always in node order).
+CSV bodies regardless of --workers (reductions are always in node order).
+--workers and --seed are only recorded in the manifest: no thread cap is
+applied, and nothing in solve, verify or compare is random.
 """
 
 from __future__ import annotations
@@ -133,6 +134,8 @@ def _load_solution(model: Model, solution_dir: Path):
     with open(values_path, newline="") as fh:
         for row in csv.DictReader(fh):
             values[int(row["t"])][int(row["node"])] = float(row["V"])
+    if any(np.any(np.isnan(v)) for v in values):
+        raise ConfigError("values.csv does not cover every (t, node)")
     return Policy(controls=controls), values
 
 
@@ -140,13 +143,15 @@ def cmd_verify(args) -> int:
     try:
         config = load_config(args.config)
         model, dk, options, quad_order = _prepare(config, args)
-        policy, _claimed = _load_solution(model, Path(args.solution))
+        policy, claimed = _load_solution(model, Path(args.solution))
         policy.check_feasible(model)
     except (ConfigError, MarkeqError, json.JSONDecodeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     t0 = time.perf_counter()
-    report = ev.deviation_report(model, dk, policy, tol=args.tol, keep_rows=True)
+    values = ev._policy_values(model, dk, policy)
+    report = ev.deviation_report(model, dk, policy, values=values, tol=args.tol,
+                                 keep_rows=True)
     timings = {"verify": time.perf_counter() - t0}
     out = Path(args.solution)
     report.to_csv(out / "deviation.csv")
@@ -157,6 +162,14 @@ def cmd_verify(args) -> int:
               f"(t={t}, node={i}, control={u:.6g}) exceeds tol {args.tol:.3e}",
               file=sys.stderr)
         return 4
+    # The claimed V must be the policy's own value J_t(x; policy).
+    for t, (v, j) in enumerate(zip(claimed, values)):
+        i = int(np.argmax(np.abs(v - j)))
+        if abs(v[i] - j[i]) > args.tol:
+            print(f"values.csv mismatch: claimed V {v[i]:.17g} at (t={t}, node={i}) "
+                  f"differs from the policy's value {j[i]:.17g} by more than tol "
+                  f"{args.tol:.3e}", file=sys.stderr)
+            return 4
     print(f"certified: worst gap {report.worst_gap:.3e} <= tol {args.tol:.3e} "
           f"(probe resolution {report.probe_resolution})")
     return 0
@@ -219,8 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=1e-6,
                        help="certification tolerance on the deviation gap")
         p.add_argument("--workers", type=int, default=1,
-                       help="worker cap; results are worker-count independent")
-        p.add_argument("--seed", type=int, default=0)
+                       help="recorded in the manifest only; no thread cap is applied")
+        p.add_argument("--seed", type=int, default=0,
+                       help="recorded in the manifest only; nothing here is random")
         p.add_argument("--quad-order", type=int, default=None, dest="quad_order")
         p.add_argument("--controls", type=int, default=None,
                        help="override the control grid node count M_u")

@@ -23,7 +23,3 @@ class KernelError(MarkeqError, ValueError):
 
 class SolverError(MarkeqError, RuntimeError):
     """Backward induction could not complete (non-finite objective, ...)."""
-
-
-class BracketError(MarkeqError, RuntimeError):
-    """A one-dimensional search failed to bracket its target."""

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ModelError
 from .kernels import AdditiveNoise, DiscreteChain, DiscretizedKernel, policy_matrix
 from .model import Model, Policy
-from .solver import EquilibriumSolution, golden_section
+from .solver import EquilibriumSolution, refine_bowls
 
 
 def eval_objective_exact(model: Model, dk: DiscretizedKernel, policy: Policy,
@@ -268,21 +268,17 @@ def _dp_linear(model: Model, dk: DiscretizedKernel, t0: int, s: int, y: float,
         cont = np.einsum("ijm,m->ij", dk.weights[k], V)
         Lk = c + cont
         j = np.argmin(Lk, axis=1)
-        n, M = Lk.shape
+        n = Lk.shape[0]
         uk = U[np.arange(n), j].astype(float)
         vk = Lk[np.arange(n), j].astype(float)
         if refine_tol is not None and not chain:
-            for i in range(n):
-                ji = int(j[i])
-                if 0 < ji < M - 1 and Lk[i, ji - 1] > Lk[i, ji] < Lk[i, ji + 1]:
-                    def f(u, i=i, k=k):
-                        row = dk.row(k, i, u)
-                        return (float(np.asarray(model.costs.running(k, s, y, xk[i], u),
-                                                 dtype=float)) + float(row @ V))
-                    u_ref, v_ref = golden_section(f, U[i, ji - 1], U[i, ji + 1],
-                                                  tol=refine_tol)
-                    if v_ref < vk[i]:
-                        uk[i], vk[i] = u_ref, v_ref
+            def f(idx, u):
+                u2 = u.reshape(idx.size, -1)
+                cu = np.asarray(model.costs.running(k, s, y, xk[idx][:, None], u2), dtype=float)
+                return (cu + dk.node_rows(k, idx, u2) @ V).reshape(u.shape)
+            nodes, u_ref, v_ref = refine_bowls(f, Lk, j, U, refine_tol)
+            better = v_ref < vk[nodes]
+            uk[nodes[better]], vk[nodes[better]] = u_ref[better], v_ref[better]
         controls[k] = uk
         V = vk
     return Policy(controls=controls)

@@ -30,12 +30,6 @@ from .model import ControlConstraint, Costs, Model
 from .solver import golden_section
 
 
-def _zero(*shape_like):
-    def f(*args):
-        return np.zeros(np.broadcast(*(np.asarray(a) for a in args)).shape)
-    return f
-
-
 def _widening_grids(T: int, x_lo: float, x_hi: float, n_x: int, growth: float,
                     scale: float = 1.0) -> List[np.ndarray]:
     """Per-time grids [lo_t, hi_t] with n_x nodes each.

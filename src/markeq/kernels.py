@@ -23,7 +23,7 @@ import numpy as np
 from scipy import special
 
 from .errors import InfeasibleControlError, KernelError
-from .noise import DISCRETIZE_TAIL_MASS, TV_TAIL_MASS, GaussianNoise, Noise
+from .noise import TV_TAIL_MASS, GaussianNoise, Noise
 
 ROW_SUM_TOL = 1e-10
 CHAIN_ROW_TOL = 1e-12
@@ -118,90 +118,68 @@ class DiscretizedKernel:
             if np.any(np.abs(rows - 1.0) > tol) or np.any(W < -tol):
                 raise KernelError(f"discretized rows at t={t} are not stochastic")
 
-    def _check_feasible(self, t: int, i: int, u: float) -> float:
-        U = self.controls[t][i]
-        if u < U[0] - FEAS_TOL or u > U[-1] + FEAS_TOL:
+    def _feasible(self, t: int, nodes: np.ndarray, U: np.ndarray) -> np.ndarray:
+        """Check U (k, P) against each node's control interval; clip within FEAS_TOL."""
+        Uk = self.controls[t][nodes]
+        lo, hi = Uk[:, :1], Uk[:, -1:]
+        bad = (U < lo - FEAS_TOL) | (U > hi + FEAS_TOL)
+        if np.any(bad):
+            r, p = np.argwhere(bad)[0]
             raise InfeasibleControlError(
-                f"control {u} outside [{U[0]}, {U[-1]}] at t={t}, node {i}")
-        return min(max(u, U[0]), U[-1])
+                f"control {U[r, p]} outside [{lo[r, 0]}, {hi[r, 0]}] at t={t}, "
+                f"node {nodes[r]}")
+        return np.clip(U, lo, hi)
+
+    def _blend(self, t: int, nodes: np.ndarray, U: np.ndarray) -> np.ndarray:
+        """Rows blended linearly between bracketing control nodes; exact at nodes."""
+        Uk = self.controls[t][nodes]
+        r = np.arange(nodes.size)[:, None]
+        j = np.sum(Uk[:, None, :] < U[..., None], axis=-1)  # searchsorted, left
+        exact = Uk[r, j] == U
+        jl = np.where(exact, j, j - 1)
+        theta = np.divide(U - Uk[r, jl], Uk[r, j] - Uk[r, jl],
+                          out=np.zeros_like(U), where=~exact)
+        W = self.weights[t]
+        rows = nodes[:, None]
+        return (1.0 - theta)[..., None] * W[rows, jl] + theta[..., None] * W[rows, j]
 
     def blended_row(self, t: int, i: int, u: float) -> np.ndarray:
-        """Row of landing weights at (t, node i, control value u).
+        """Row at (t, node i, control u) blended from the bracketing control nodes."""
+        nodes = np.array([i])
+        return self._blend(t, nodes, self._feasible(t, nodes, np.array([[float(u)]])))[0, 0]
 
-        The control is snapped to its two bracketing control nodes and the
-        rows blended linearly; exact at control nodes.
+    def node_rows(self, t: int, nodes, U) -> np.ndarray:
+        """Landing weights for state nodes ``nodes`` (k,) at controls U, (k,) or (k, P).
+
+        Returns U.shape + (n_{t+1},); row r belongs to node nodes[r].
+        Additive-noise kernels re-discretize at each control exactly (the
+        rule that built the node tensors, so node controls reproduce
+        W[t][i, j]); discrete chains, and caches loaded without a spec,
+        blend between bracketing control nodes.  ``row``, ``rows`` and
+        ``row_block`` are thin wrappers over this one evaluator.
         """
-        u = self._check_feasible(t, i, u)
-        U = self.controls[t][i]
-        j = int(np.searchsorted(U, u))
-        if j == 0 or U[j] == u:
-            return self.weights[t][i, j]
-        theta = (u - U[j - 1]) / (U[j] - U[j - 1])
-        return (1.0 - theta) * self.weights[t][i, j - 1] + theta * self.weights[t][i, j]
+        nodes = np.asarray(nodes, dtype=np.intp).reshape(-1)
+        U = np.asarray(U, dtype=float)
+        shape = U.shape + (self.grids[t + 1].size,)
+        U = self._feasible(t, nodes, U.reshape(nodes.size, -1))
+        if self.spec is None or isinstance(self.spec, DiscreteChain):
+            return self._blend(t, nodes, U).reshape(shape)
+        mu, sc = self.spec.landing_params(t, self.grids[t][nodes][:, None], U)
+        W, _ = _landing_rows(self.grids[t + 1], mu, sc, U.shape, self.spec.noise,
+                             self.build_method == "exact", self.quad_order)
+        return W.reshape(shape)
 
     def row(self, t: int, i: int, u: float) -> np.ndarray:
-        """Landing weights at an arbitrary feasible control.
-
-        Additive-noise kernels re-discretize at u exactly (same rule that
-        built the node tensors, so node controls reproduce W[t][i, j]);
-        discrete chains blend between bracketing control nodes.
-        """
-        if self.spec is None or isinstance(self.spec, DiscreteChain):
-            return self.blended_row(t, i, u)
-        u = self._check_feasible(t, i, u)
-        x = float(self.grids[t][i])
-        mu, sc = self.spec.landing_params(t, x, u)
-        mu, sc = float(mu), float(sc)
-        if self.build_method == "exact":
-            nz = self.spec.noise
-            W, _ = _gaussian_tent_masses(self.grids[t + 1],
-                                         np.array([mu + sc * nz.mean]),
-                                         np.array([sc * nz.std]))
-            row = W[0]
-        else:
-            wq, omega = self.spec.noise.quadrature(self.quad_order)
-            row = spread_mass(self.grids[t + 1], mu + sc * wq, omega)
-        row = np.maximum(row, 0.0)
-        return row / row.sum()
+        """Landing weights at node i and an arbitrary feasible control."""
+        return self.node_rows(t, [i], [u])[0]
 
     def row_block(self, t: int, U: np.ndarray) -> np.ndarray:
-        """row() vectorized over a (n, P) array of controls -> (n, P, nn)."""
-        U = np.asarray(U, dtype=float)
-        n, P = U.shape
-        lo = self.controls[t][:, :1]
-        hi = self.controls[t][:, -1:]
-        if np.any(U < lo - FEAS_TOL) or np.any(U > hi + FEAS_TOL):
-            raise InfeasibleControlError(f"control outside feasible interval at t={t}")
-        U = np.clip(U, lo, hi)
-        if self.spec is None or isinstance(self.spec, DiscreteChain):
-            out = np.empty((n, P, self.grids[t + 1].size))
-            for i in range(n):
-                for p in range(P):
-                    out[i, p] = self.blended_row(t, i, U[i, p])
-            return out
-        x = self.grids[t][:, None]
-        mu, sc = self.spec.landing_params(t, x, U)
-        mu = np.broadcast_to(np.asarray(mu, dtype=float), U.shape)
-        sc = np.broadcast_to(np.asarray(sc, dtype=float), U.shape)
-        nz = self.spec.noise
-        nn = self.grids[t + 1].size
-        if self.build_method == "exact":
-            W = np.empty((n, P, nn))
-            chunk = max(1, int(4e6 // (P * nn)))
-            for i0 in range(0, n, chunk):
-                sl = slice(i0, i0 + chunk)
-                W[sl], _ = _gaussian_tent_masses(
-                    self.grids[t + 1], mu[sl] + sc[sl] * nz.mean, sc[sl] * nz.std)
-        else:
-            wq, omega = nz.quadrature(self.quad_order)
-            W = spread_mass(self.grids[t + 1], mu[..., None] + sc[..., None] * wq, omega)
-        W = np.maximum(W, 0.0)
-        return W / W.sum(axis=-1, keepdims=True)
+        """Rows for every state node over a (n, P) array of controls -> (n, P, nn)."""
+        return self.node_rows(t, np.arange(len(U)), U)
 
     def rows(self, t: int, controls: np.ndarray) -> np.ndarray:
-        """row() per state node; controls has one value per node."""
-        controls = np.asarray(controls, dtype=float)
-        return self.row_block(t, controls[:, None])[:, 0, :]
+        """One row per state node; controls has one value per node."""
+        return self.node_rows(t, np.arange(len(controls)), controls)
 
 
 def spread_mass(grid: np.ndarray, points: np.ndarray, masses: np.ndarray) -> np.ndarray:
@@ -256,6 +234,36 @@ def _gaussian_tent_masses(grid: np.ndarray, mean: np.ndarray, std: np.ndarray):
     return out, lo_tail + hi_tail
 
 
+def _landing_rows(grid: np.ndarray, mu, sc, shape, noise: Noise, exact: bool,
+                  quad_order: int):
+    """Landing rows shape + (len(grid),) for the laws mu + sc * W, and their clamped mass.
+
+    ``exact`` integrates the hat functions against Gaussian noise in closed
+    form; otherwise the noise quadrature's points are spread onto the grid.
+    """
+    mu, sc = (np.broadcast_to(np.asarray(v, dtype=float), shape) for v in (mu, sc))
+    if exact:
+        W = np.empty(mu.shape + grid.shape)
+        clamp = np.empty(mu.shape)
+        # Chunk over the leading axis to bound temporary allocations.
+        chunk = max(1, int(4e6 // max(W[0].size, 1)))
+        for i0 in range(0, mu.shape[0], chunk):
+            sl = slice(i0, i0 + chunk)
+            W[sl], clamp[sl] = _gaussian_tent_masses(grid, mu[sl] + sc[sl] * noise.mean,
+                                                     sc[sl] * noise.std)
+    else:
+        wq, omega = noise.quadrature(quad_order)
+        if not (np.all(np.isfinite(wq)) and np.all(np.isfinite(omega))):
+            raise KernelError("non-finite quadrature rule")
+        landing = mu[..., None] + sc[..., None] * wq
+        inside = (landing >= grid[0]) & (landing <= grid[-1])
+        clamp = np.sum(np.where(inside, 0.0, omega), axis=-1)
+        W = spread_mass(grid, landing, omega)
+    np.maximum(W, 0.0, out=W)
+    W /= W.sum(axis=-1, keepdims=True)
+    return W, clamp
+
+
 def discretize(kernel: KernelSpec, grids: Sequence[np.ndarray], constraints,
                quad_order: int = 41, method: str = "auto") -> DiscretizedKernel:
     """Tabulate landing weights for every (time, state node, control node).
@@ -292,30 +300,8 @@ def discretize(kernel: KernelSpec, grids: Sequence[np.ndarray], constraints,
         x = grids[t]
         U = constraints[t].nodes(x)  # (n, M)
         mu, sc = kernel.landing_params(t, x[:, None], U)
-        mu = np.broadcast_to(mu, U.shape)
-        sc = np.broadcast_to(sc, U.shape)
-        if use_exact:
-            nz = kernel.noise
-            mean = mu + sc * nz.mean
-            std = sc * nz.std
-            # Chunk over state nodes to bound temporary allocations.
-            nn = grids[t + 1].size
-            W = np.empty(U.shape + (nn,))
-            clamp = np.empty(U.shape)
-            chunk = max(1, int(4e6 // (U.shape[1] * nn)) or 1)
-            for i0 in range(0, U.shape[0], chunk):
-                sl = slice(i0, i0 + chunk)
-                W[sl], clamp[sl] = _gaussian_tent_masses(grids[t + 1], mean[sl], std[sl])
-        else:
-            wq, omega = kernel.noise.quadrature(quad_order)
-            if not (np.all(np.isfinite(wq)) and np.all(np.isfinite(omega))):
-                raise KernelError("non-finite quadrature rule")
-            landing = mu[..., None] + sc[..., None] * wq
-            inside = (landing >= grids[t + 1][0]) & (landing <= grids[t + 1][-1])
-            clamp = np.sum(np.where(inside, 0.0, omega), axis=-1)
-            W = spread_mass(grids[t + 1], landing, omega)
-        W = np.maximum(W, 0.0)
-        W /= W.sum(axis=-1, keepdims=True)
+        W, clamp = _landing_rows(grids[t + 1], mu, sc, U.shape, kernel.noise, use_exact,
+                                 quad_order)
         weights.append(W)
         controls.append(U)
         clamped.append(clamp)
@@ -347,14 +333,6 @@ def expectation(dk: DiscretizedKernel, t: int, i: int, u: float, g) -> float:
 # Continuity diagnostics (additive-noise kernels only)
 # ---------------------------------------------------------------------------
 
-def _one_step_density_params(kernel: AdditiveNoise, t, x, u):
-    mu = float(np.asarray(kernel.drift(t, x, u), dtype=float))
-    sc = float(np.asarray(kernel.scale(t, x, u), dtype=float))
-    if sc < kernel.sigma_floor or sc <= 0:
-        raise KernelError("scale fell below sigma_floor")
-    return mu, sc
-
-
 def tv_distance(kernel: AdditiveNoise, t: int, x: float, u1: float, u2: float,
                 panels: int = 4096) -> float:
     """Numeric total variation distance between the laws of x' at u1 and u2.
@@ -364,8 +342,8 @@ def tv_distance(kernel: AdditiveNoise, t: int, x: float, u1: float, u2: float,
     """
     if isinstance(kernel, DiscreteChain):
         raise KernelError("tv_distance requires an additive-noise kernel")
-    mu1, s1 = _one_step_density_params(kernel, t, x, u1)
-    mu2, s2 = _one_step_density_params(kernel, t, x, u2)
+    mu1, s1 = (float(v) for v in kernel.landing_params(t, x, u1))
+    mu2, s2 = (float(v) for v in kernel.landing_params(t, x, u2))
     r = kernel.noise.support_radius(TV_TAIL_MASS)
     lo = min(mu1 - s1 * r, mu2 - s2 * r)
     hi = max(mu1 + s1 * r, mu2 + s2 * r)
@@ -535,24 +513,38 @@ def save_kernel_cache(dk: DiscretizedKernel, path):
         fh.write(np.ascontiguousarray(dk.grids[-1], dtype="<f8").tobytes())
 
 
+def _read(fh, path, size: int, what: str) -> bytes:
+    data = fh.read(size)
+    if len(data) < size:
+        raise KernelError(f"truncated kernel cache {path}: {what} needs {size} bytes, "
+                          f"found {len(data)}")
+    return data
+
+
 def load_kernel_cache(path, spec: Optional[KernelSpec] = None,
                       build_method: str = "blend",
                       quad_order: int = 41) -> DiscretizedKernel:
     """Load a cached kernel; pass the original spec to restore exact rows."""
+
+    def floats(shape, what):
+        data = _read(fh, path, 8 * int(np.prod(shape)), what)
+        return np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+
     with open(path, "rb") as fh:
         if fh.read(8) != _MAGIC:
             raise KernelError("not a kernel cache file")
-        (T,) = struct.unpack("<I", fh.read(4))
+        (T,) = struct.unpack("<I", _read(fh, path, 4, "horizon"))
+        if T < 2:
+            raise KernelError(f"kernel cache {path} declares horizon {T} < 2")
         weights, controls, grids, clamped = [], [], [], []
         nn = None
-        for _ in range(T - 1):
-            n, M, nn = struct.unpack("<III", fh.read(12))
-            grids.append(np.frombuffer(fh.read(8 * n), dtype="<f8").copy())
-            controls.append(np.frombuffer(fh.read(8 * n * M), dtype="<f8").reshape(n, M).copy())
-            weights.append(np.frombuffer(fh.read(8 * n * M * nn), dtype="<f8")
-                           .reshape(n, M, nn).copy())
-            clamped.append(np.frombuffer(fh.read(8 * n * M), dtype="<f8").reshape(n, M).copy())
-        grids.append(np.frombuffer(fh.read(8 * nn), dtype="<f8").copy())
+        for t in range(T - 1):
+            n, M, nn = struct.unpack("<III", _read(fh, path, 12, f"shape header at t={t}"))
+            grids.append(floats((n,), f"state grid at t={t}"))
+            controls.append(floats((n, M), f"control nodes at t={t}"))
+            weights.append(floats((n, M, nn), f"weights at t={t}"))
+            clamped.append(floats((n, M), f"clamped mass at t={t}"))
+        grids.append(floats((nn,), "terminal state grid"))
     dk = DiscretizedKernel(weights, controls, grids, clamped, spec=spec,
                            build_method=build_method, quad_order=quad_order)
     dk.check_rows()

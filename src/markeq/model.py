@@ -131,9 +131,6 @@ class Model:
         for t, c in enumerate(self.constraints):
             c.bounds(self.grids[t])  # raises on empty intervals
 
-    def control_grid(self, t: int) -> np.ndarray:
-        return self.constraints[t].nodes(self.grids[t])
-
     def clamp_diagnostic(self, dk, interior_frac: float = 0.25,
                          mid_frac: float = 0.25) -> float:
         """Worst clamped kernel mass over grid-interior states and mid-range controls."""
@@ -284,9 +281,8 @@ def build_model(config: dict) -> Model:
                 families.ExpUtilityParams(**_pick(params, "gamma", "beta", "R", "mu",
                                                   "sigma", "u_lo", "u_hi", "T")),
                 **_windows(config))
-        if family == "discrete_chain":
-            return _chain_from_config(config)
-        return _tabulated_from_config(config)
+        # "tabulated" names the same tabulated-cost chain as "discrete_chain".
+        return _chain_from_config(config)
     except (TypeError, KeyError) as exc:
         raise ConfigError(f"bad parameters for family {family!r}: {exc}") from exc
 
@@ -328,11 +324,6 @@ def _chain_from_config(config: dict) -> Model:
     costs = _tabulated_costs(config.get("costs", {}), grids, control_values)
     return Model(T=len(grids), grids=grids, constraints=constraints,
                  kernel=chain, costs=costs)
-
-
-def _tabulated_from_config(config: dict) -> Model:
-    # Tabulated costs over a discrete chain; (s, y)-independent by construction.
-    return _chain_from_config(config)
 
 
 def _tabulated_costs(doc: dict, grids, control_values) -> Costs:

@@ -15,7 +15,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy import special
-from scipy.integrate import quad as _scipy_quad
 
 from .errors import KernelError
 
@@ -44,14 +43,6 @@ class Noise:
 
     def sample(self, rng: np.random.Generator, size):
         raise KernelError("noise distribution has no sampler")
-
-    def mass_check(self, tol: float = 1e-8) -> float:
-        """Numerically verify the density integrates to 1; return the integral."""
-        r = self.support_radius(tol * 1e-2)
-        total, _ = _scipy_quad(self.pdf, -r, r, limit=200)
-        if abs(total - 1.0) > tol:
-            raise KernelError(f"noise density mass {total!r} deviates from 1 beyond {tol}")
-        return total
 
 
 @dataclass(frozen=True)

@@ -28,44 +28,64 @@ from .model import Model, Policy
 GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))  # interior fraction of golden-section search
 
 
-def golden_section(f, lo: float, hi: float, tol: float = 1e-9,
-                   max_iter: int = 200):
-    """Minimize f on [lo, hi]; returns (argmin, min).  Deterministic."""
-    a, b = float(lo), float(hi)
+def golden_section(f, lo, hi, tol: float = 1e-9, max_iter: int = 200):
+    """Minimize f on [lo, hi]; returns (argmin, min).  Deterministic.
+
+    ``lo`` and ``hi`` are floats, or arrays of shape (k,) holding k
+    independent brackets.  In the batched form f maps an array of
+    controls of shape (k,) or (k, P) to values of the same shape, row r
+    belonging to bracket r; all brackets advance in lockstep and each is
+    frozen once its width is within ``tol``.  A scalar call takes a scalar
+    f and returns floats.
+    """
+    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
+    if scalar:
+        f = np.vectorize(f, otypes=[float])
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    a, b = lo, hi
     x1 = a + GOLDEN * (b - a)
     x2 = b - GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    it = 0
-    while b - a > tol and it < max_iter:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = a + GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = b - GOLDEN * (b - a)
-            f2 = f(x2)
-        it += 1
-    x0, f0 = (x1, f1) if f1 <= f2 else (x2, f2)
+    f12 = f(np.stack([x1, x2], axis=1))
+    f1, f2 = f12[:, 0], f12[:, 1]
+    for _ in range(max_iter):
+        active = b - a > tol
+        if not np.any(active):
+            break
+        left = f1 <= f2
+        na, nb = np.where(left, a, x1), np.where(left, x2, b)
+        xn = np.where(left, na + GOLDEN * (nb - na), nb - GOLDEN * (nb - na))
+        xn = np.where(active, xn, x1)  # frozen brackets re-evaluate a held point
+        fn = f(xn)
+        new = (na, nb, np.where(left, xn, x2), np.where(left, fn, f2),
+               np.where(left, x1, xn), np.where(left, f1, fn))
+        a, b, x1, f1, x2, f2 = (np.where(active, v, old) for v, old in
+                                zip(new, (a, b, x1, f1, x2, f2)))
+    x0, f0 = np.where(f1 <= f2, x1, x2), np.where(f1 <= f2, f1, f2)
     # Parabolic polish: near the minimum the objective differences sit at
     # the floating-point noise floor, so golden section alone wanders by
     # ~sqrt(eps/curvature).  A least-squares parabola over the whole
     # bracket averages that noise out and is exact for quadratic
     # objectives; its vertex is kept only if it does not raise the value.
-    xs = np.linspace(float(lo), float(hi), 9)
-    fs = np.array([f(x) for x in xs])
-    coef = np.polyfit(xs - xs[4], fs, 2)
-    c2, c1 = coef[0], coef[1]
-    if c2 > 0.0:
-        xv = min(max(xs[4] - 0.5 * c1 / c2, float(lo)), float(hi))
-        fv = f(xv)
-        # Golden's value can sit spuriously below the true minimum by the
-        # evaluation noise floor; allow the vertex that much slack, and
-        # always return the value actually evaluated at the returned point.
-        slack = 64.0 * np.finfo(float).eps * (float(np.max(np.abs(fs))) + 1.0)
-        if fv <= f0 + slack:
-            return xv, fv
-    return x0, f0
+    # The 9 points sit at offsets z * h, z = -4..4, so the fit of
+    # f ~ c0 + c1 z + c2 z^2 has a closed form.
+    xs = np.linspace(lo, hi, 9, axis=-1)
+    fs = f(xs)
+    d = fs - fs[:, 4:5]  # drop the common level before summing
+    z = np.arange(-4.0, 5.0)
+    c1 = d @ z / 60.0
+    c2 = (9.0 * (d @ (z * z)) - 60.0 * d.sum(axis=1)) / 2772.0
+    curved = c2 > 0.0
+    xv = xs[:, 4] - 0.5 * (hi - lo) / 8.0 * c1 / np.where(curved, c2, 1.0)
+    xv = np.where(curved, np.clip(xv, lo, hi), x0)
+    fv = f(xv)
+    # Golden's value can sit spuriously below the true minimum by the
+    # evaluation noise floor; allow the vertex that much slack, and
+    # always return the value actually evaluated at the returned point.
+    slack = 64.0 * np.finfo(float).eps * (np.max(np.abs(fs), axis=1) + 1.0)
+    take = curved & (fv <= f0 + slack)
+    x, fx = np.where(take, xv, x0), np.where(take, fv, f0)
+    return (float(x[0]), float(fx[0])) if scalar else (x, fx)
 
 
 @dataclass
@@ -96,20 +116,6 @@ class AuxiliaryBundle:
     btot: np.ndarray
     model: Model
     tail_policy: Optional[Policy]
-
-    def bk_eval(self, k: int, y: float, n: int) -> float:
-        """b_k(eval_time, y, x_n) for a single evaluation state y and next-node n."""
-        Mk = self.flows.to_time(k)
-        xk = self.model.grids[k]
-        uk = self.tail_policy.controls[k]
-        ck = np.asarray(self.model.costs.running(k, self.eval_time, y, xk, uk), dtype=float)
-        return float(Mk[n] @ ck)
-
-    def f_eval(self, y: float, n: int) -> float:
-        MT = self.flows.to_time(self.model.T - 1)
-        xT = self.model.grids[-1]
-        fv = np.asarray(self.model.costs.terminal(self.eval_time, y, xT), dtype=float)
-        return float(MT[n] @ fv)
 
 
 def build_aux(model: Model, dk: DiscretizedKernel, tail_policy: Optional[Policy],
@@ -157,36 +163,70 @@ def build_aux(model: Model, dk: DiscretizedKernel, tail_policy: Optional[Policy]
                            tail_policy=tail_policy)
 
 
+def _assemble(model: Model, aux: AuxiliaryBundle, t: int, nodes: np.ndarray,
+              U: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """L = C + E[sum b_k + f] + G(E[h]) at controls U (k, P) with landing rows (k, P, nn)."""
+    x = model.grids[t][nodes][:, None]
+    y_idx = nodes if aux.eval_states.size == model.grids[t].size else np.zeros_like(nodes)
+    c = np.asarray(model.costs.running(t, aux.eval_time, x, x, U), dtype=float)
+    e_b = np.einsum("kpm,km->kp", rows, aux.btot[y_idx])
+    e_h = rows @ aux.h_next
+    g = np.asarray(model.costs.mixer(aux.eval_time, x, e_h), dtype=float)
+    return c + e_b + g
+
+
 def objective_grid(model: Model, dk: DiscretizedKernel, aux: AuxiliaryBundle,
                    t: int) -> np.ndarray:
     """L on the full control grid: shape (n_t, M_u).
 
     Requires aux built with eval_states = the time-t grid (the Bellman case).
     """
-    x = model.grids[t]
-    W = dk.weights[t]
-    U = dk.controls[t]
-    c = np.asarray(model.costs.running(t, t, x[:, None], x[:, None], U), dtype=float)
-    e_b = np.einsum("ijm,im->ij", W, aux.btot)
-    e_h = W @ aux.h_next
-    g = np.asarray(model.costs.mixer(t, x[:, None], e_h), dtype=float)
-    return c + e_b + g
+    nodes = np.arange(model.grids[t].size)
+    return _assemble(model, aux, t, nodes, dk.controls[t], dk.weights[t])
+
+
+def objective_nodes(model: Model, dk: DiscretizedKernel, aux: AuxiliaryBundle,
+                    t: int, nodes, u) -> np.ndarray:
+    """L(t, x_i, x_i, u) for node indices ``nodes`` (k,) and controls u, (k,) or (k, P).
+
+    Controls may be off the grid; row r of u belongs to node nodes[r].
+    """
+    nodes = np.asarray(nodes, dtype=np.intp).reshape(-1)
+    u = np.asarray(u, dtype=float)
+    U = u.reshape(nodes.size, -1)
+    val = _assemble(model, aux, t, nodes, U, dk.node_rows(t, nodes, U))
+    if not np.all(np.isfinite(val)):
+        r, p = np.argwhere(~np.isfinite(val))[0]
+        raise SolverError(f"non-finite objective at t={t}, node {nodes[r]}, u={U[r, p]}")
+    return val.reshape(u.shape)
 
 
 def objective_L(model: Model, dk: DiscretizedKernel, aux: AuxiliaryBundle,
                 t: int, i: int, u: float) -> float:
     """L(t, x_i, x_i, u) for one node and a (possibly off-grid) control value."""
-    x = model.grids[t][i]
-    row = dk.row(t, i, u)
-    y_idx = i if aux.eval_states.size == model.grids[t].size else 0
-    c = float(np.asarray(model.costs.running(t, aux.eval_time, x, x, u), dtype=float))
-    e_b = float(row @ aux.btot[y_idx])
-    e_h = float(row @ aux.h_next)
-    g = float(np.asarray(model.costs.mixer(aux.eval_time, x, e_h), dtype=float))
-    val = c + e_b + g
-    if not np.isfinite(val):
-        raise SolverError(f"non-finite objective at t={t}, node {i}, u={u}")
-    return val
+    return float(objective_nodes(model, dk, aux, t, [i], [u])[0])
+
+
+def refine_bowls(objective, L: np.ndarray, jstar: np.ndarray, U: np.ndarray,
+                 tol: float):
+    """Golden-section refinement of every node whose grid argmin is a strict interior minimum.
+
+    L is (n, M) on the control nodes U (n, M), jstar its per-node argmin;
+    ``objective(nodes, u)`` evaluates the nodes' objectives at controls u,
+    (k,) or (k, P).  One batched search covers all such nodes, each inside
+    its bracket [U[i, j-1], U[i, j+1]].  Returns (nodes, u_ref, v_ref),
+    nodes ascending; no search runs when there is nothing to refine.
+    """
+    rows = np.arange(L.shape[0])
+    Lp = np.pad(L, ((0, 0), (1, 1)), constant_values=-np.inf)
+    v = L[rows, jstar]
+    nodes = np.flatnonzero((Lp[rows, jstar] > v) & (v < Lp[rows, jstar + 2]))
+    if nodes.size == 0:
+        return nodes, np.empty(0), np.empty(0)
+    j = jstar[nodes]
+    u_ref, v_ref = golden_section(lambda u: objective(nodes, u),
+                                  U[nodes, j - 1], U[nodes, j + 1], tol=tol)
+    return nodes, u_ref, v_ref
 
 
 @dataclass
@@ -221,26 +261,18 @@ def bellman_step(model: Model, dk: DiscretizedKernel, aux: AuxiliaryBundle,
     n, M = L.shape
     controls = dk.controls[t][np.arange(n), jstar].astype(float)
     values = L[np.arange(n), jstar].astype(float)
-    diag = StepDiagnostics()
+    diag = StepDiagnostics(
+        boundary_nodes=np.flatnonzero((jstar == 0) | (jstar == M - 1)).tolist())
     if refine is None:
         refine = RefinementPolicy(enabled=not isinstance(model.kernel, DiscreteChain))
-    for i in range(n):
-        j = int(jstar[i])
-        if j == 0 or j == M - 1:
-            diag.boundary_nodes.append(i)
-            continue
-        if not refine.enabled:
-            continue
-        if not (L[i, j - 1] > L[i, j] < L[i, j + 1]):
-            continue
-        u_lo, u_hi = dk.controls[t][i, j - 1], dk.controls[t][i, j + 1]
-        u_ref, v_ref = golden_section(
-            lambda u: objective_L(model, dk, aux, t, i, u), u_lo, u_hi,
-            tol=refine.u_tol)
-        if v_ref <= values[i]:
-            controls[i] = u_ref
-            values[i] = v_ref
-            diag.refined_nodes.append(i)
+    if refine.enabled:
+        nodes, u_ref, v_ref = refine_bowls(
+            lambda idx, u: objective_nodes(model, dk, aux, t, idx, u),
+            L, jstar, dk.controls[t], refine.u_tol)
+        keep = v_ref <= values[nodes]
+        nodes = nodes[keep]
+        controls[nodes], values[nodes] = u_ref[keep], v_ref[keep]
+        diag.refined_nodes = nodes.tolist()
     return controls, values, diag
 
 
@@ -340,30 +372,17 @@ def levelset_probe(model: Model, dk: DiscretizedKernel, aux: AuxiliaryBundle,
     evaluated at the raw u, which is exactly what exposes objectives whose
     minimum escapes the modeled window.
     """
-    x = model.grids[t][i]
     U = dk.controls[t][i]
     lo, hi = (float(U[0]), float(U[-1])) if window is None else (float(window[0]),
                                                                  float(window[1]))
     us = np.linspace(lo, hi, num)
-    row_u = np.clip(us, U[0], U[-1])
-    vals = np.empty(num)
-    for q, (u_raw, u_row) in enumerate(zip(us, row_u)):
-        row = dk.row(t, i, u_row)
-        c = float(np.asarray(model.costs.running(t, aux.eval_time, x, x, u_raw),
-                             dtype=float))
-        e_h = float(row @ aux.h_next)
-        vals[q] = c + float(row @ aux.btot[i]) \
-            + float(np.asarray(model.costs.mixer(aux.eval_time, x, e_h), dtype=float))
+    nodes = np.full(num, i)
+    rows = dk.node_rows(t, nodes, np.clip(us, U[0], U[-1]))
+    vals = _assemble(model, aux, t, nodes, us[:, None], rows[:, None])[:, 0]
     inside = vals <= r
-    intervals: List[tuple] = []
-    start = None
-    for q in range(num):
-        if inside[q] and start is None:
-            start = q
-        if start is not None and (not inside[q] or q == num - 1):
-            end = q if inside[q] else q - 1
-            intervals.append((float(us[start]), float(us[end])))
-            start = None
+    # Runs of probes inside the set start at the +1 and end at the -1 edges.
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], inside.astype(int), [0]))))
+    intervals = [(float(us[a]), float(us[b - 1])) for a, b in zip(edges[::2], edges[1::2])]
     touches = bool(inside[0] or inside[-1])
     return LevelSetReport(r=r, probe_window=(lo, hi), intervals=intervals,
                           touches_boundary=touches, min_value=float(vals.min()),

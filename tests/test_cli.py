@@ -132,6 +132,22 @@ def test_verify_corrupted_policy_fails_with_location(tmp_path, capsys):
     assert "(t=0, node=9" in err
 
 
+def test_verify_corrupted_values_fails_with_location(tmp_path, capsys):
+    cfg = write_config(tmp_path, LQ_CONFIG)
+    out = tmp_path / "run"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    rows = read_rows(out / "values.csv")
+    rows[61 + 9]["V"] = repr(float(rows[61 + 9]["V"]) + 1e-3)  # t=1, node 9
+    with open(out / "values.csv", "w", newline="") as fh:
+        w = csv.DictWriter(fh, fieldnames=["t", "node", "state", "V"])
+        w.writeheader()
+        w.writerows(rows)
+    assert main(["verify", "--config", cfg, "--solution", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "values.csv mismatch" in err
+    assert "(t=1, node=9)" in err
+
+
 def test_verify_missing_values_csv(tmp_path, capsys):
     cfg = write_config(tmp_path, LQ_CONFIG)
     out = tmp_path / "run"

@@ -283,6 +283,37 @@ def test_kernel_cache_rejects_wrong_magic(tmp_path):
         load_kernel_cache(path)
 
 
+# Offsets into a saved T=3, 31x7 cache: magic + horizon take 12 bytes, then
+# per t a 12-byte shape header, the state grid, controls, weights, clamp.
+@pytest.mark.parametrize("keep, section", [
+    (10, "horizon"),
+    (12 + 12 + 8 * 31 + 8 * 31 * 7 + 100, "weights at t=0"),
+    (-3, "terminal state grid"),
+])
+def test_kernel_cache_truncated_names_file_and_section(tmp_path, keep, section):
+    dk = discretize(_gauss_kernel(), _grids(3, -6, 6, 31), _constraints(3, -2, 2, 7))
+    path = tmp_path / "kernel.bin"
+    save_kernel_cache(dk, path)
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(KernelError, match="truncated kernel cache") as info:
+        load_kernel_cache(path)
+    assert str(path) in str(info.value)
+    assert section in str(info.value)
+
+
+def test_node_rows_match_row_per_node():
+    k = _gauss_kernel(a=0.9, b=1.3, sigma=0.7)
+    dk = discretize(k, _grids(2, -8, 8, 81), _constraints(2, -2, 2, 9))
+    nodes = np.array([3, 40, 40, 77])
+    U = np.array([[-2.0, 0.1], [0.37, 2.0], [-1.5, 1.25], [1.9, -0.3]])
+    rows = dk.node_rows(0, nodes, U)
+    assert rows.shape == (4, 2, 81)
+    for r, i in enumerate(nodes):
+        for p in range(2):
+            np.testing.assert_allclose(rows[r, p], dk.row(0, i, U[r, p]), atol=1e-15)
+    np.testing.assert_allclose(dk.node_rows(0, nodes, U[:, 0]), rows[:, 0], atol=0)
+
+
 # ---------------------------------------------------------------------------
 # properties
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from markeq import (ControlConstraint, Costs, GaussianNoise, LQParams,
                     levelset_probe, lq_model, mv_chain_model, mv_closed_form,
                     mv_model, objective_L, solve, value_identity_check)
 from markeq.kernels import AdditiveNoise, policy_matrix
+from markeq.solver import objective_grid
 
 from _oracles import brute_force_equilibrium, chain_config, path_objective
 
@@ -54,6 +55,29 @@ def test_golden_section_random_quadratics(c, a):
 def test_golden_section_boundary_minimum():
     x, _ = golden_section(lambda u: u, 0.0, 1.0)
     assert x < 1e-6
+
+
+def test_golden_section_batched_matches_scalar():
+    # Mixed bracket widths; a third of the minima lie outside their bracket.
+    rng = np.random.default_rng(11)
+    k = 30
+    lo = rng.uniform(-2.0, 0.0, k)
+    hi = lo + np.geomspace(1e-4, 3.0, k)
+    c = lo + (hi - lo) * rng.uniform(0.0, 1.0, k)
+    c[::3] = np.where(rng.uniform(size=c[::3].size) < 0.5, lo[::3] - 1.0, hi[::3] + 1.0)
+    a = rng.uniform(0.1, 10.0, k)
+
+    def batched(u):
+        return (a[:, None] * (u.reshape(k, -1) - c[:, None]) ** 2).reshape(u.shape)
+
+    tol = 1e-10
+    x, fx = golden_section(batched, lo, hi, tol=tol)
+    assert x.shape == fx.shape == (k,)
+    for r in range(k):
+        xs, fs = golden_section(lambda u: a[r] * (u - c[r]) ** 2, lo[r], hi[r], tol=tol)
+        assert abs(x[r] - xs) <= tol
+        assert fx[r] == pytest.approx(fs, abs=1e-14)
+        assert abs(x[r] - min(max(c[r], lo[r]), hi[r])) <= 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +200,33 @@ def test_bellman_step_mv_last_period_unit_control():
     controls, values, _ = bellman_step(model, dk, aux, 0,
                                        RefinementPolicy(enabled=True))
     np.testing.assert_allclose(controls, 1.0, atol=1e-7)
+
+
+def test_bellman_step_batched_refinement_matches_scalar():
+    # Reference: one scalar golden_section per interior strict grid minimum.
+    # With a = 0.5 the optimum is state dependent and off the control grid.
+    model = lq_model(LQParams(a=0.5, T=3), n_x=61, n_u=41)
+    dk = discretize(model.kernel, model.grids, model.constraints)
+    solution = solve(model, dk)
+    for t in range(model.T - 1):
+        aux = build_aux(model, dk, solution.policy if t < model.T - 2 else None, t)
+        controls, values, diag = bellman_step(model, dk, aux, t,
+                                              RefinementPolicy(enabled=True))
+        refined = diag.refined_nodes
+        assert refined and refined == sorted(refined)
+        L = objective_grid(model, dk, aux, t)
+        U = dk.controls[t]
+        for i, j in enumerate(np.argmin(L, axis=1)):
+            if not (0 < j < L.shape[1] - 1 and L[i, j - 1] > L[i, j] < L[i, j + 1]):
+                assert i not in refined
+                continue
+            u_ref, v_ref = golden_section(
+                lambda u: objective_L(model, dk, aux, t, i, u), U[i, j - 1], U[i, j + 1])
+            if v_ref < L[i, j] - 1e-12:
+                assert i in refined
+            if i in refined:
+                assert abs(controls[i] - u_ref) <= 1e-8
+                assert values[i] == pytest.approx(v_ref, abs=1e-12)
 
 
 def test_bellman_grid_argmin_property(chain_small):
