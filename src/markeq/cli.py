@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--controls", type=int, default=None,
                        help="override the control grid node count M_u")
         p.add_argument("--u-tol", type=float, default=1e-9, dest="u_tol",
-                       help="golden-section refinement tolerance")
+                       help="refinement tolerance of the equilibrium solve (baselines: 1e-9)")
 
     p = sub.add_parser("solve", help="solve and write policy/value/diagnostic tables")
     common(p)

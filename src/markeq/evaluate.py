@@ -21,33 +21,44 @@ from .model import Model, Policy
 from .solver import EquilibriumSolution, refine_bowls
 
 
+def _plan_objective(model: Model, dk: DiscretizedKernel, t: int, nodes,
+                    controls) -> tuple:
+    """J_t and E[H(x_T)] of the plans that start at the time-t nodes ``nodes`` (P,).
+
+    The (s, y) cost arguments stay frozen at (t, x_node) throughout -- the
+    source of state dependence.  ``controls[k]`` (k = t..T-2) has shape
+    (1, n_k), one policy shared by every plan, or (P, n_k), one per plan;
+    a 1-d array is one shared row.  Node distributions propagate forward
+    by one broadcast matmul per step.
+    """
+    nodes = np.asarray(nodes, dtype=np.intp)
+    y = model.grids[t][nodes]
+    d = np.eye(model.grids[t].size)[nodes][:, None, :]  # (P, 1, n_t)
+    J = np.zeros((nodes.size, 1, 1))
+    for k in range(t, model.T - 1):
+        if controls[k] is None:
+            raise ModelError(f"policy missing controls at time {k}")
+        uk = np.atleast_2d(np.asarray(controls[k], dtype=float))
+        xk = model.grids[k]
+        ck = np.asarray(model.costs.running(k, t, y[:, None], xk, uk), dtype=float)
+        J += d @ ck[..., None]
+        d = d @ dk.node_rows(k, np.arange(xk.size), uk.T).transpose(1, 0, 2)
+    xT = model.grids[-1]
+    J += d @ np.asarray(model.costs.terminal(t, y[:, None], xT), dtype=float)[..., None]
+    m = (d @ np.asarray(model.costs.terminal_stat(xT), dtype=float)[:, None])[:, 0, 0]
+    return J[:, 0, 0] + np.asarray(model.costs.mixer(t, y, m), dtype=float), m
+
+
 def eval_objective_exact(model: Model, dk: DiscretizedKernel, policy: Policy,
                          t: int, i: int) -> float:
     """J_t(x_i; policy) by forward propagation of the node distribution.
 
-    The (s, y) cost arguments stay frozen at (t, x_i) throughout -- the
-    source of state dependence.  The policy must supply controls for
-    times t..T-2.
+    The policy must supply controls for times t..T-2.
     """
-    T = model.T
-    y = float(model.grids[t][i])
-    d = np.zeros(model.grids[t].size)
-    d[i] = 1.0
-    total = 0.0
-    for k in range(t, T - 1):
-        uk = policy.controls[k]
-        if uk is None:
-            raise ModelError(f"policy missing controls at time {k}")
-        ck = np.asarray(model.costs.running(k, t, y, model.grids[k], uk), dtype=float)
-        total += float(d @ ck)
-        d = d @ policy_matrix(dk, k, uk)
-    xT = model.grids[-1]
-    total += float(d @ np.asarray(model.costs.terminal(t, y, xT), dtype=float))
-    m = float(d @ np.asarray(model.costs.terminal_stat(xT), dtype=float))
-    total += float(np.asarray(model.costs.mixer(t, y, m), dtype=float))
-    if not np.isfinite(total):
+    J, _ = _plan_objective(model, dk, t, [i], policy.controls)
+    if not np.isfinite(J[0]):
         raise ModelError("objective accumulation is non-finite")
-    return total
+    return float(J[0])
 
 
 @dataclass
@@ -133,26 +144,8 @@ class DeviationReport:
 
 def _policy_values(model: Model, dk: DiscretizedKernel, policy: Policy) -> List[np.ndarray]:
     """J_t(x_i; policy) for every node, by batched forward propagation."""
-    T = model.T
-    values = []
-    for t in range(T - 1):
-        n = model.grids[t].size
-        D = np.eye(n)
-        ys = model.grids[t]
-        tot = np.zeros(n)
-        for k in range(t, T - 1):
-            ck = np.asarray(model.costs.running(k, t, ys[:, None],
-                                                model.grids[k][None, :],
-                                                policy.controls[k][None, :]), dtype=float)
-            tot += np.einsum("im,im->i", D, ck)
-            D = D @ policy_matrix(dk, k, policy.controls[k])
-        xT = model.grids[-1]
-        fmat = np.asarray(model.costs.terminal(t, ys[:, None], xT[None, :]), dtype=float)
-        tot += np.einsum("im,im->i", D, fmat)
-        m = D @ np.asarray(model.costs.terminal_stat(xT), dtype=float)
-        tot += np.asarray(model.costs.mixer(t, ys, m), dtype=float)
-        values.append(tot)
-    return values
+    return [_plan_objective(model, dk, t, np.arange(model.grids[t].size), policy.controls)[0]
+            for t in range(model.T - 1)]
 
 
 def deviation_report(model: Model, dk: DiscretizedKernel, policy: Policy,
@@ -243,54 +236,120 @@ def verify_equilibrium(model: Model, dk: DiscretizedKernel,
 # Time-consistent baselines
 # ---------------------------------------------------------------------------
 
-def _mixer_depends_on_h(model: Model, s: int, y: float) -> bool:
+def _mixer_depends_on_h(model: Model, s: int, ys: np.ndarray) -> np.ndarray:
+    """Per frozen state y in ``ys``: whether G(s, y, h) varies with h."""
     hs = np.linspace(-1.0, 1.0, 7)
-    g = np.asarray(model.costs.mixer(s, y, hs), dtype=float)
-    return bool(np.ptp(g) > 1e-12 * (1.0 + np.max(np.abs(g))))
+    g = np.broadcast_to(np.asarray(model.costs.mixer(s, ys[:, None], hs), dtype=float),
+                        (ys.size, hs.size))
+    return np.ptp(g, axis=1) > 1e-12 * (1.0 + np.max(np.abs(g), axis=1))
 
 
-def _dp_linear(model: Model, dk: DiscretizedKernel, t0: int, s: int, y: float,
-               lam: float, refine_tol: Optional[float] = 1e-9) -> Policy:
-    """Plain backward DP on E[sum C_k(s, y, ...) + F(s, y, x_T) + lam * H(x_T)].
+def _dp_linear(model: Model, dk: DiscretizedKernel, t0: int, nodes: np.ndarray,
+               lam: np.ndarray) -> List[Optional[np.ndarray]]:
+    """Backward DP on E[sum C_k(t0, y, ...) + F(t0, y, x_T) + lam * H(x_T)], one plan per (y, lam).
 
-    Returns the minimizing Markov policy for times t0..T-2.
+    Plan p starts at the time-t0 node nodes[p] (y = x_{nodes[p]}) with
+    slope lam[p].  Returns the minimizing Markov plans as controls[k] of
+    shape (P, n_k), k = t0..T-2 (None before t0).  On additive-noise
+    kernels one batched search per time step refines the interior grid
+    minima of every plan wherever it can be: at every node after t0, and
+    at its start node at t0 (its other t0 controls are never played).
     """
-    T = model.T
+    ys = model.grids[t0][nodes]
     xT = model.grids[-1]
-    V = (np.asarray(model.costs.terminal(s, y, xT), dtype=float)
-         + lam * np.asarray(model.costs.terminal_stat(xT), dtype=float))
-    controls: List[Optional[np.ndarray]] = [None] * (T - 1)
-    chain = isinstance(model.kernel, DiscreteChain)
-    for k in range(T - 2, t0 - 1, -1):
-        xk = model.grids[k]
-        U = dk.controls[k]
-        c = np.asarray(model.costs.running(k, s, y, xk[:, None], U), dtype=float)
-        cont = np.einsum("ijm,m->ij", dk.weights[k], V)
-        Lk = c + cont
-        j = np.argmin(Lk, axis=1)
-        n = Lk.shape[0]
-        uk = U[np.arange(n), j].astype(float)
-        vk = Lk[np.arange(n), j].astype(float)
-        if refine_tol is not None and not chain:
-            def f(idx, u):
-                u2 = u.reshape(idx.size, -1)
-                cu = np.asarray(model.costs.running(k, s, y, xk[idx][:, None], u2), dtype=float)
-                return (cu + dk.node_rows(k, idx, u2) @ V).reshape(u.shape)
-            nodes, u_ref, v_ref = refine_bowls(f, Lk, j, U, refine_tol)
-            better = v_ref < vk[nodes]
-            uk[nodes[better]], vk[nodes[better]] = u_ref[better], v_ref[better]
+    V = np.broadcast_to(np.asarray(model.costs.terminal(t0, ys[:, None], xT), dtype=float)
+                        + lam[:, None] * np.asarray(model.costs.terminal_stat(xT), dtype=float),
+                        (ys.size, xT.size))
+    controls: List[Optional[np.ndarray]] = [None] * (model.T - 1)
+    for k in range(model.T - 2, t0 - 1, -1):
+        xk, U, W = model.grids[k], dk.controls[k], dk.weights[k]
+        n, M, nn = W.shape
+        c = np.asarray(model.costs.running(k, t0, ys[:, None, None], xk[:, None], U), dtype=float)
+        Lk = c + (W.reshape(n * M, nn) @ V.T).T.reshape(ys.size, n, M)
+        j = np.argmin(Lk, axis=2)
+        uk = U[np.arange(n), j]
+        vk = np.take_along_axis(Lk, j[..., None], axis=2)[..., 0]
+        if not isinstance(model.kernel, DiscreteChain):
+            def f(r, u):
+                p, i = np.divmod(flat[r], n)
+                u2 = u.reshape(r.size, -1)
+                cu = np.asarray(model.costs.running(k, t0, ys[p][:, None], xk[i][:, None], u2),
+                                dtype=float)
+                return (cu + np.einsum("kqm,km->kq", dk.node_rows(k, i, u2), V[p])
+                        ).reshape(u.shape)
+            # Flat index p * n + i: plan p at node i.
+            flat = np.arange(ys.size * n) if k > t0 else np.arange(ys.size) * n + nodes
+            r, u_ref, v_ref = refine_bowls(f, j.reshape(-1)[flat], U[flat % n], 1e-9)
+            better = v_ref < vk.reshape(-1)[flat[r]]
+            np.put(uk, flat[r[better]], u_ref[better])
+            np.put(vk, flat[r[better]], v_ref[better])
         controls[k] = uk
         V = vk
-    return Policy(controls=controls)
+    return controls
 
 
-def _mean_terminal_stat(model: Model, dk: DiscretizedKernel, policy: Policy,
-                        t0: int, i0: int) -> float:
-    d = np.zeros(model.grids[t0].size)
-    d[i0] = 1.0
-    for k in range(t0, model.T - 1):
-        d = d @ policy_matrix(dk, k, policy.controls[k])
-    return float(d @ np.asarray(model.costs.terminal_stat(model.grids[-1]), dtype=float))
+def _precommit(model: Model, dk: DiscretizedKernel, t0: int, nodes,
+               m_tol: float = 1e-10, max_expand: int = 60):
+    """Precommitment plans from the time-t0 nodes ``nodes`` (P,), searched in lockstep.
+
+    Every plan runs the sequence of the search described in
+    ``solve_precommitment``; plans sit out the DPs their own search no
+    longer needs, so each batched DP covers only the plans still at that
+    step.  Returns (controls, J): controls[k] of shape (P, n_k) for
+    k = t0..T-2 and each plan's true objective.
+    """
+    nodes = np.asarray(nodes, dtype=np.intp)
+    ys = model.grids[t0][nodes]
+    h_scale = max(1.0, float(np.max(np.abs(
+        np.asarray(model.costs.terminal_stat(model.grids[-1]), dtype=float)))))
+    dm = 1e-6 * h_scale
+
+    def run(idx, m):
+        """One DP for plans idx at the tangent slopes G'(m); keeps each plan's best candidate."""
+        y = ys[idx]
+        lam = (np.asarray(model.costs.mixer(t0, y, m + dm), dtype=float)
+               - np.asarray(model.costs.mixer(t0, y, m - dm), dtype=float)) / (2 * dm)
+        ctrl = _dp_linear(model, dk, t0, nodes[idx], np.broadcast_to(lam, idx.shape))
+        J, mean = _plan_objective(model, dk, t0, nodes[idx], ctrl)
+        win = J < best_J[idx]  # strict: a tie keeps the earlier candidate
+        for bk, ck in zip(best[t0:], ctrl[t0:]):
+            bk[idx[win]] = ck[win]
+        best_J[idx[win]] = J[win]
+        return mean
+
+    best = _dp_linear(model, dk, t0, nodes, np.zeros(ys.size))
+    best_J, m0 = _plan_objective(model, dk, t0, nodes, best)
+    act = np.flatnonzero(_mixer_depends_on_h(model, t0, ys))
+    if act.size == 0:
+        return best, best_J
+    # Bracket the fixed point of m -> achieved mean, growing geometrically
+    # around the unpenalized DP's mean.
+    m0 = m0[act]
+    ra = run(act, m0) - m0
+    a, b, rb = m0.copy(), m0.copy(), ra.copy()
+    step = np.full(act.size, max(0.25 * h_scale, 1e-3))
+    for _ in range(max_expand):
+        g = np.flatnonzero(~((ra * rb <= 0) & (a < b)))
+        if g.size == 0:
+            break
+        step[g] *= 1.6
+        a[g], b[g] = m0[g] - step[g], m0[g] + step[g]
+        ra[g] = run(act[g], a[g]) - a[g]
+        rb[g] = run(act[g], b[g]) - b[g]
+    bracketed = np.flatnonzero((ra * rb <= 0) & (a < b))
+    live = bracketed
+    for _ in range(200):
+        live = live[~(b[live] - a[live] < m_tol * h_scale)]
+        if live.size == 0:
+            break
+        mid = 0.5 * (a[live] + b[live])
+        rm = run(act[live], mid) - mid
+        left = ra[live] * rm <= 0
+        b[live[left]] = mid[left]
+        a[live[~left]], ra[live[~left]] = mid[~left], rm[~left]
+    if bracketed.size:
+        run(act[bracketed], 0.5 * (a[bracketed] + b[bracketed]))
+    return best, best_J
 
 
 def solve_precommitment(model: Model, dk: DiscretizedKernel, t0: int, i0: int,
@@ -307,96 +366,19 @@ def solve_precommitment(model: Model, dk: DiscretizedKernel, t0: int, i0: int,
     the best one is returned, so non-concave G still yields the best
     tangent-family policy.
     """
-    y = float(model.grids[t0][i0])
-    candidates = []  # (true J, policy)
-
-    def dp_at(lam: float) -> Policy:
-        pol = _dp_linear(model, dk, t0, t0, y, lam)
-        candidates.append((eval_objective_exact(model, dk, pol, t0, i0), pol))
-        return pol
-
-    if not _mixer_depends_on_h(model, t0, y):
-        pol = dp_at(0.0)
-        return pol, candidates[0][0]
-
-    h_scale = max(1.0, float(np.max(np.abs(
-        np.asarray(model.costs.terminal_stat(model.grids[-1]), dtype=float)))))
-    dm = 1e-6 * h_scale
-
-    def gprime(m: float) -> float:
-        return (float(np.asarray(model.costs.mixer(t0, y, m + dm), dtype=float))
-                - float(np.asarray(model.costs.mixer(t0, y, m - dm), dtype=float))) / (2 * dm)
-
-    def residual(m: float) -> float:
-        pol = dp_at(gprime(m))
-        return _mean_terminal_stat(model, dk, pol, t0, i0) - m
-
-    # Bracket the fixed point of m -> achieved mean, growing geometrically
-    # around the unpenalized DP's mean.
-    m0 = _mean_terminal_stat(model, dk, dp_at(0.0), t0, i0)
-    r0 = residual(m0)
-    a = b = m0
-    ra = rb = r0
-    step = max(0.25 * h_scale, 1e-3)
-    for _ in range(max_expand):
-        if ra * rb <= 0 and a < b:
-            break
-        step *= 1.6
-        a, b = m0 - step, m0 + step
-        ra, rb = residual(a), residual(b)
-    if ra * rb <= 0 and a < b:
-        for _ in range(200):
-            if b - a < m_tol * h_scale:
-                break
-            mid = 0.5 * (a + b)
-            rm = residual(mid)
-            if ra * rm <= 0:
-                b = mid
-            else:
-                a, ra = mid, rm
-        residual(0.5 * (a + b))
-    # Whatever the search path, return the candidate with the best true
-    # objective (for concave G the optimum lies on the tangent family).
-    best = min(candidates, key=lambda c: c[0])
-    return best[1], best[0]
+    controls, J = _precommit(model, dk, t0, [i0], m_tol, max_expand)
+    return Policy(controls=[None if c is None else c[0] for c in controls]), float(J[0])
 
 
 def solve_naive(model: Model, dk: DiscretizedKernel) -> Policy:
     """At each (t, node), apply the first action of the precommitment plan from there.
 
-    When G is h-independent the inner precommitment solves are plain DPs
-    and are batched over the frozen evaluation states; otherwise each
-    node runs its own scalar search (slow; intended for small grids).
+    One lockstep search per t covers the plans from every node; node i
+    keeps its own plan's (refined) control at (t, i).
     """
-    T = model.T
-    controls: List[Optional[np.ndarray]] = [None] * (T - 1)
-    for t in range(T - 1):
-        xs = model.grids[t]
-        n = xs.size
-        if not any(_mixer_depends_on_h(model, t, float(v)) for v in
-                   (xs[0], xs[n // 2], xs[-1])):
-            # Batched plain DP over all frozen y simultaneously.
-            xT = model.grids[-1]
-            V = np.asarray(model.costs.terminal(t, xs[:, None], xT[None, :]), dtype=float)
-            for k in range(T - 2, t - 1, -1):
-                xk = model.grids[k]
-                U = dk.controls[k]
-                c = np.asarray(model.costs.running(k, t, xs[:, None, None],
-                                                   xk[None, :, None], U[None, :, :]),
-                               dtype=float)
-                cont = np.einsum("njm,ym->ynj", dk.weights[k], V)
-                Lk = c + cont
-                j = np.argmin(Lk, axis=2)
-                V = np.take_along_axis(Lk, j[:, :, None], axis=2)[:, :, 0]
-                if k == t:
-                    # Diagonal read: each frozen y is its own node's state,
-                    # and only the first action of each plan is kept.
-                    ji = j[np.arange(n), np.arange(n)]
-                    controls[t] = U[np.arange(n), ji].astype(float)
-        else:
-            uk = np.empty(n)
-            for i in range(n):
-                pol, _ = solve_precommitment(model, dk, t, i)
-                uk[i] = pol.controls[t][i]
-            controls[t] = uk
+    controls: List[Optional[np.ndarray]] = []
+    for t in range(model.T - 1):
+        n = model.grids[t].size
+        plans, _ = _precommit(model, dk, t, np.arange(n))
+        controls.append(plans[t][np.arange(n), np.arange(n)])
     return Policy(controls=controls)

@@ -155,8 +155,8 @@ class DiscretizedKernel:
         Additive-noise kernels re-discretize at each control exactly (the
         rule that built the node tensors, so node controls reproduce
         W[t][i, j]); discrete chains, and caches loaded without a spec,
-        blend between bracketing control nodes.  ``row``, ``rows`` and
-        ``row_block`` are thin wrappers over this one evaluator.
+        blend between bracketing control nodes.  ``row`` and ``row_block``
+        are thin wrappers over this one evaluator.
         """
         nodes = np.asarray(nodes, dtype=np.intp).reshape(-1)
         U = np.asarray(U, dtype=float)
@@ -176,10 +176,6 @@ class DiscretizedKernel:
     def row_block(self, t: int, U: np.ndarray) -> np.ndarray:
         """Rows for every state node over a (n, P) array of controls -> (n, P, nn)."""
         return self.node_rows(t, np.arange(len(U)), U)
-
-    def rows(self, t: int, controls: np.ndarray) -> np.ndarray:
-        """One row per state node; controls has one value per node."""
-        return self.node_rows(t, np.arange(len(controls)), controls)
 
 
 def spread_mass(grid: np.ndarray, points: np.ndarray, masses: np.ndarray) -> np.ndarray:
@@ -291,25 +287,31 @@ def discretize(kernel: KernelSpec, grids: Sequence[np.ndarray], constraints,
 
     if quad_order < 2:
         raise KernelError("quad_order must be >= 2")
-    use_exact = method == "auto" and isinstance(kernel.noise, GaussianNoise)
     if method not in ("auto", "quadrature"):
         raise KernelError(f"unknown discretization method {method!r}")
+    build_method = _auto_method(kernel) if method == "auto" else "quadrature"
 
     weights, controls, clamped = [], [], []
     for t in range(T - 1):
         x = grids[t]
         U = constraints[t].nodes(x)  # (n, M)
         mu, sc = kernel.landing_params(t, x[:, None], U)
-        W, clamp = _landing_rows(grids[t + 1], mu, sc, U.shape, kernel.noise, use_exact,
-                                 quad_order)
+        W, clamp = _landing_rows(grids[t + 1], mu, sc, U.shape, kernel.noise,
+                                 build_method == "exact", quad_order)
         weights.append(W)
         controls.append(U)
         clamped.append(clamp)
     dk = DiscretizedKernel(weights, controls, grids, clamped, spec=kernel,
-                           build_method="exact" if use_exact else "quadrature",
-                           quad_order=quad_order)
+                           build_method=build_method, quad_order=quad_order)
     dk.check_rows()
     return dk
+
+
+def _auto_method(kernel: Optional[KernelSpec]) -> str:
+    """Build method of ``discretize(method="auto")``: closed form for Gaussian noise."""
+    if not isinstance(kernel, AdditiveNoise):
+        return "blend"
+    return "exact" if isinstance(kernel.noise, GaussianNoise) else "quadrature"
 
 
 def policy_matrix(dk: DiscretizedKernel, t: int, controls: np.ndarray) -> np.ndarray:
@@ -318,7 +320,7 @@ def policy_matrix(dk: DiscretizedKernel, t: int, controls: np.ndarray) -> np.nda
     n = dk.grids[t].size
     if controls.shape != (n,):
         raise InfeasibleControlError(f"policy at t={t} must give one control per node")
-    return dk.rows(t, controls)
+    return dk.node_rows(t, np.arange(n), controls)
 
 
 def expectation(dk: DiscretizedKernel, t: int, i: int, u: float, g) -> float:
@@ -483,8 +485,10 @@ def setwise_continuity_probe(kernel: AdditiveNoise, t: int, x: float, u: float,
 # ---------------------------------------------------------------------------
 #
 # Layout (little-endian):
-#   magic b"MKEQDK01"
+#   magic b"MKEQDK02"
 #   uint32 T
+#   uint32 build method: 0 blend, 1 exact, 2 quadrature
+#   uint32 quadrature order
 #   per t in 0..T-2:
 #     uint32 n_t, uint32 M_u, uint32 n_next
 #     float64[n_t]                 state grid at t
@@ -492,14 +496,17 @@ def setwise_continuity_probe(kernel: AdditiveNoise, t: int, x: float, u: float,
 #     float64[n_t * M_u * n_next]  weights, row-major
 #     float64[n_t * M_u]           clamped mass, row-major
 #   float64[n_T]                   terminal state grid
+# Version 1 (magic b"MKEQDK01") has no build fields: see load_kernel_cache.
 
-_MAGIC = b"MKEQDK01"
+_MAGIC = b"MKEQDK02"
+_METHODS = ("blend", "exact", "quadrature")
 
 
 def save_kernel_cache(dk: DiscretizedKernel, path):
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<I", dk.horizon))
+        fh.write(struct.pack("<III", dk.horizon, _METHODS.index(dk.build_method),
+                             dk.quad_order))
         for t in range(dk.horizon - 1):
             W = np.ascontiguousarray(dk.weights[t], dtype="<f8")
             U = np.ascontiguousarray(dk.controls[t], dtype="<f8")
@@ -521,21 +528,31 @@ def _read(fh, path, size: int, what: str) -> bytes:
     return data
 
 
-def load_kernel_cache(path, spec: Optional[KernelSpec] = None,
-                      build_method: str = "blend",
-                      quad_order: int = 41) -> DiscretizedKernel:
-    """Load a cached kernel; pass the original spec to restore exact rows."""
+def load_kernel_cache(path, spec: Optional[KernelSpec] = None) -> DiscretizedKernel:
+    """Load a cached kernel; pass the original spec to restore exact off-node rows.
+
+    Off-node rows are rebuilt with the recorded build method and order, so
+    they match the cached node rows.  Version-1 files record neither and
+    take the method ``discretize(method="auto")`` picks for ``spec``, order 41.
+    """
 
     def floats(shape, what):
         data = _read(fh, path, 8 * int(np.prod(shape)), what)
         return np.frombuffer(data, dtype="<f8").reshape(shape).copy()
 
     with open(path, "rb") as fh:
-        if fh.read(8) != _MAGIC:
+        magic = fh.read(8)
+        if magic not in (_MAGIC, b"MKEQDK01"):
             raise KernelError("not a kernel cache file")
         (T,) = struct.unpack("<I", _read(fh, path, 4, "horizon"))
         if T < 2:
             raise KernelError(f"kernel cache {path} declares horizon {T} < 2")
+        build_method, quad_order = _auto_method(spec), 41
+        if magic == _MAGIC:
+            code, quad_order = struct.unpack("<II", _read(fh, path, 8, "build header"))
+            if code >= len(_METHODS):
+                raise KernelError(f"kernel cache {path} names unknown build method {code}")
+            build_method = _METHODS[code]
         weights, controls, grids, clamped = [], [], [], []
         nn = None
         for t in range(T - 1):

@@ -207,34 +207,34 @@ def objective_L(model: Model, dk: DiscretizedKernel, aux: AuxiliaryBundle,
     return float(objective_nodes(model, dk, aux, t, [i], [u])[0])
 
 
-def refine_bowls(objective, L: np.ndarray, jstar: np.ndarray, U: np.ndarray,
-                 tol: float):
-    """Golden-section refinement of every node whose grid argmin is a strict interior minimum.
+def refine_bowls(objective, jstar: np.ndarray, U: np.ndarray, tol: float):
+    """Golden-section refinement of every node whose grid argmin is interior.
 
-    L is (n, M) on the control nodes U (n, M), jstar its per-node argmin;
-    ``objective(nodes, u)`` evaluates the nodes' objectives at controls u,
-    (k,) or (k, P).  One batched search covers all such nodes, each inside
-    its bracket [U[i, j-1], U[i, j+1]].  Returns (nodes, u_ref, v_ref),
-    nodes ascending; no search runs when there is nothing to refine.
+    jstar is the per-node first argmin over the control nodes U (n, M), so
+    L[j-1] > L[j] <= L[j+1]: a tie on the right, decided by rounding, is
+    refined too.  ``objective(nodes, u)`` evaluates the nodes' objectives
+    at controls u, (k,) or (k, P).  One batched search covers all such
+    nodes, each inside its bracket [U[i, j-1], U[i, j+1]].  Returns
+    (nodes, u_ref, v_ref), nodes ascending, for the searches that moved
+    more than ``tol`` from the grid control; within ``tol`` the grid node
+    is the optimum.
     """
-    rows = np.arange(L.shape[0])
-    Lp = np.pad(L, ((0, 0), (1, 1)), constant_values=-np.inf)
-    v = L[rows, jstar]
-    nodes = np.flatnonzero((Lp[rows, jstar] > v) & (v < Lp[rows, jstar + 2]))
+    nodes = np.flatnonzero((jstar > 0) & (jstar < U.shape[1] - 1))
     if nodes.size == 0:
         return nodes, np.empty(0), np.empty(0)
     j = jstar[nodes]
     u_ref, v_ref = golden_section(lambda u: objective(nodes, u),
                                   U[nodes, j - 1], U[nodes, j + 1], tol=tol)
-    return nodes, u_ref, v_ref
+    moved = np.abs(u_ref - U[nodes, j]) > tol
+    return nodes[moved], u_ref[moved], v_ref[moved]
 
 
 @dataclass
 class RefinementPolicy:
     """Golden-section refinement of the grid argmin inside its bracket.
 
-    Applied only when the three-point pattern L[j-1] > L[j] < L[j+1]
-    suggests local unimodality; otherwise the grid minimizer stands.
+    Applied only when the grid argmin is an interior node, so that its
+    bracket holds a local minimum; otherwise the grid minimizer stands.
     """
 
     enabled: bool = True
@@ -268,7 +268,7 @@ def bellman_step(model: Model, dk: DiscretizedKernel, aux: AuxiliaryBundle,
     if refine.enabled:
         nodes, u_ref, v_ref = refine_bowls(
             lambda idx, u: objective_nodes(model, dk, aux, t, idx, u),
-            L, jstar, dk.controls[t], refine.u_tol)
+            jstar, dk.controls[t], refine.u_tol)
         keep = v_ref <= values[nodes]
         nodes = nodes[keep]
         controls[nodes], values[nodes] = u_ref[keep], v_ref[keep]

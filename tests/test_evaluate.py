@@ -6,7 +6,8 @@ import pytest
 from markeq import (LQParams, MeanVarianceParams, Policy, build_model,
                     deviation_report, discretize, eval_objective_exact,
                     eval_objective_mc, lq_model, mv_chain_model, mv_model,
-                    solve, solve_naive, solve_precommitment, verify_equilibrium)
+                    nonlinear_lq_variant, solve, solve_naive, solve_precommitment,
+                    verify_equilibrium)
 
 from _oracles import brute_force_equilibrium, chain_config
 
@@ -217,3 +218,17 @@ def test_naive_collapse_when_time_consistent(rng):
     for t in range(model.T - 1):
         np.testing.assert_array_equal(naive.controls[t],
                                       solution.policy.controls[t])
+
+
+@pytest.mark.parametrize("model, nodes, atol", [
+    (lq_model(LQParams(T=3, a=0.5), n_x=41, n_u=21), lambda n: range(n), 1e-9),
+    # h-dependent G: the lockstep fixed-point search
+    (nonlinear_lq_variant(LQParams(), n_x=15, n_u=11), lambda n: (0, n // 2, n - 1), 1e-6),
+], ids=["lq", "nonlinear_lq"])
+def test_naive_is_first_action_of_precommitment(model, nodes, atol):
+    dk = discretize(model.kernel, model.grids, model.constraints)
+    naive = solve_naive(model, dk)
+    for t in range(model.T - 1):
+        for i in nodes(model.grids[t].size):
+            pre, _ = solve_precommitment(model, dk, t, i)
+            assert naive.controls[t][i] == pytest.approx(pre.controls[t][i], abs=atol)

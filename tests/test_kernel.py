@@ -1,5 +1,7 @@
 """Kernel discretization, expectations, TV distance, continuity probe, cache."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from scipy.stats import norm
 from markeq import (AdditiveNoise, ControlConstraint, DiscreteChain,
                     GaussianNoise, InfeasibleControlError, KernelError,
                     PointIndicator, StepFunction, discretize, exact_expectation,
-                    expectation, load_kernel_cache, policy_matrix,
+                    exp_utility_model, expectation, load_kernel_cache, policy_matrix,
                     save_kernel_cache, setwise_continuity_probe, tv_distance)
 
 
@@ -266,7 +268,7 @@ def test_kernel_cache_roundtrip(tmp_path):
     dk = discretize(k, _grids(3, -6, 6, 31), _constraints(3, -2, 2, 7))
     path = tmp_path / "kernel.bin"
     save_kernel_cache(dk, path)
-    back = load_kernel_cache(path, spec=k, build_method=dk.build_method)
+    back = load_kernel_cache(path, spec=k)
     assert back.horizon == dk.horizon
     for t in range(dk.horizon - 1):
         np.testing.assert_array_equal(back.weights[t], dk.weights[t])
@@ -274,6 +276,31 @@ def test_kernel_cache_roundtrip(tmp_path):
         np.testing.assert_array_equal(back.grids[t], dk.grids[t])
         np.testing.assert_array_equal(back.clamped[t], dk.clamped[t])
     np.testing.assert_array_equal(back.grids[-1], dk.grids[-1])
+
+
+def test_kernel_cache_reload_rebuilds_rows_like_the_saved_kernel(tmp_path):
+    model = exp_utility_model()
+    dk = discretize(model.kernel, model.grids, model.constraints)
+    path = tmp_path / "kernel.bin"
+    save_kernel_cache(dk, path)
+    u = dk.controls[0][60, 50]
+    back = load_kernel_cache(path, spec=model.kernel)
+    np.testing.assert_allclose(back.row(0, 60, u), dk.weights[0][60, 50], rtol=0, atol=1e-12)
+    # version 1 (no build fields) takes the method discretize(method="auto") picks
+    data = path.read_bytes()
+    path.write_bytes(b"MKEQDK01" + data[8:12] + data[20:])
+    v1 = load_kernel_cache(path, spec=model.kernel)
+    assert (v1.build_method, v1.quad_order) == ("exact", 41)
+    np.testing.assert_allclose(v1.row(0, 60, u), dk.weights[0][60, 50], rtol=0, atol=1e-12)
+    quad = discretize(_gauss_kernel(), _grids(2, -6, 6, 31), _constraints(2, -2, 2, 7),
+                      quad_order=81, method="quadrature")
+    save_kernel_cache(quad, path)
+    back = load_kernel_cache(path, spec=_gauss_kernel())
+    assert (back.build_method, back.quad_order) == ("quadrature", 81)
+    data = path.read_bytes()
+    path.write_bytes(data[:12] + struct.pack("<I", 7) + data[16:])
+    with pytest.raises(KernelError, match="unknown build method 7"):
+        load_kernel_cache(path)
 
 
 def test_kernel_cache_rejects_wrong_magic(tmp_path):

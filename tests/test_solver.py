@@ -229,6 +229,16 @@ def test_bellman_step_batched_refinement_matches_scalar():
                 assert values[i] == pytest.approx(v_ref, abs=1e-12)
 
 
+def test_refinement_leaves_grid_optimum_alone():
+    # MV T=5: the t=3 optimum u* = 2.5 is a control node; searches that end
+    # within u_tol of it must not replace the node or count as refined
+    model = mv_model(MeanVarianceParams(T=5), n_x=201, n_u=41)
+    dk = discretize(model.kernel, model.grids, model.constraints)
+    solution = solve(model, dk)
+    assert not [ti for ti in solution.diagnostics.refined if ti[0] == 3]
+    assert np.all(solution.policy.controls[3] == 2.5)
+
+
 def test_bellman_grid_argmin_property(chain_small):
     model, dk, _ = chain_small
     solution = solve(model, dk)
