@@ -24,9 +24,8 @@ from .model import (AssumptionReport, ControlConstraint, Costs, Model, Policy,
                     build_model, config_hash, validate_assumptions)
 from .noise import DensityNoise, GaussianNoise
 from .solver import (AuxiliaryBundle, EquilibriumSolution, LevelSetReport,
-                     RefinementPolicy, SolveOptions, bellman_step, build_aux,
-                     golden_section, levelset_probe, objective_L, solve,
-                     value_identity_check)
+                     SolveOptions, bellman_step, build_aux, golden_section,
+                     levelset_probe, objective_L, solve, value_identity_check)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -149,9 +149,7 @@ def cmd_verify(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     t0 = time.perf_counter()
-    values = ev._policy_values(model, dk, policy)
-    report = ev.deviation_report(model, dk, policy, values=values, tol=args.tol,
-                                 keep_rows=True)
+    report = ev.deviation_report(model, dk, policy, tol=args.tol, keep_rows=True)
     timings = {"verify": time.perf_counter() - t0}
     out = Path(args.solution)
     report.to_csv(out / "deviation.csv")
@@ -163,7 +161,7 @@ def cmd_verify(args) -> int:
               file=sys.stderr)
         return 4
     # The claimed V must be the policy's own value J_t(x; policy).
-    for t, (v, j) in enumerate(zip(claimed, values)):
+    for t, (v, j) in enumerate(zip(claimed, report.values)):
         i = int(np.argmax(np.abs(v - j)))
         if abs(v[i] - j[i]) > args.tol:
             print(f"values.csv mismatch: claimed V {v[i]:.17g} at (t={t}, node={i}) "

@@ -16,37 +16,47 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import ModelError
-from .kernels import AdditiveNoise, DiscreteChain, DiscretizedKernel, policy_matrix
+from .kernels import AdditiveNoise, DiscreteChain, DiscretizedKernel
 from .model import Model, Policy
 from .solver import EquilibriumSolution, refine_bowls
 
 
 def _plan_objective(model: Model, dk: DiscretizedKernel, t: int, nodes,
-                    controls) -> tuple:
-    """J_t and E[H(x_T)] of the plans that start at the time-t nodes ``nodes`` (P,).
+                    controls, probes=None) -> tuple:
+    """J_t and E[H(x_T)], each (P, Q), of plans from the time-t nodes ``nodes`` (P,).
 
-    The (s, y) cost arguments stay frozen at (t, x_node) throughout -- the
-    source of state dependence.  ``controls[k]`` (k = t..T-2) has shape
-    (1, n_k), one policy shared by every plan, or (P, n_k), one per plan;
-    a 1-d array is one shared row.  Node distributions propagate forward
-    by one broadcast matmul per step.
+    Plan p plays ``probes[p, q]`` (shape (P, Q)) at time t and ``controls``
+    afterwards: the one-step deviations of the equilibrium test.  Without
+    ``probes`` it plays its own ``controls[t]``, and Q = 1.  The (s, y)
+    cost arguments stay frozen at (t, x_node) throughout -- the source of
+    state dependence.  ``controls[k]`` has shape (1, n_k), one policy
+    shared by every plan, or (P, n_k), one per plan; a 1-d array is one
+    shared row.  The first-step rows come from ``dk.node_rows`` at the
+    plans' own nodes; node distributions then propagate forward by one
+    broadcast matmul per step.
     """
-    nodes = np.asarray(nodes, dtype=np.intp)
-    y = model.grids[t][nodes]
-    d = np.eye(model.grids[t].size)[nodes][:, None, :]  # (P, 1, n_t)
-    J = np.zeros((nodes.size, 1, 1))
-    for k in range(t, model.T - 1):
+    def at(k):
         if controls[k] is None:
             raise ModelError(f"policy missing controls at time {k}")
-        uk = np.atleast_2d(np.asarray(controls[k], dtype=float))
-        xk = model.grids[k]
-        ck = np.asarray(model.costs.running(k, t, y[:, None], xk, uk), dtype=float)
-        J += d @ ck[..., None]
-        d = d @ dk.node_rows(k, np.arange(xk.size), uk.T).transpose(1, 0, 2)
+        return np.atleast_2d(np.asarray(controls[k], dtype=float))
+
+    nodes = np.asarray(nodes, dtype=np.intp)
+    y = model.grids[t][nodes][:, None]
+    if probes is None:
+        probes = np.broadcast_to(at(t), (nodes.size, model.grids[t].size))[
+            np.arange(nodes.size), nodes][:, None]
+    probes = np.asarray(probes, dtype=float)
+    J = np.asarray(model.costs.running(t, t, y, y, probes), dtype=float)[..., None]
+    d = dk.node_rows(t, nodes, probes)  # (P, Q, n_{t+1})
+    for k in range(t + 1, model.T - 1):
+        uk = at(k)
+        ck = np.asarray(model.costs.running(k, t, y, model.grids[k], uk), dtype=float)
+        J = J + d @ ck[..., None]
+        d = d @ dk.node_rows(k, np.arange(uk.shape[1]), uk.T).transpose(1, 0, 2)
     xT = model.grids[-1]
-    J += d @ np.asarray(model.costs.terminal(t, y[:, None], xT), dtype=float)[..., None]
-    m = (d @ np.asarray(model.costs.terminal_stat(xT), dtype=float)[:, None])[:, 0, 0]
-    return J[:, 0, 0] + np.asarray(model.costs.mixer(t, y, m), dtype=float), m
+    J = J + d @ np.asarray(model.costs.terminal(t, y, xT), dtype=float)[..., None]
+    m = d @ np.asarray(model.costs.terminal_stat(xT), dtype=float)
+    return J[..., 0] + np.asarray(model.costs.mixer(t, y, m), dtype=float), m
 
 
 def eval_objective_exact(model: Model, dk: DiscretizedKernel, policy: Policy,
@@ -56,9 +66,9 @@ def eval_objective_exact(model: Model, dk: DiscretizedKernel, policy: Policy,
     The policy must supply controls for times t..T-2.
     """
     J, _ = _plan_objective(model, dk, t, [i], policy.controls)
-    if not np.isfinite(J[0]):
+    if not np.isfinite(J[0, 0]):
         raise ModelError("objective accumulation is non-finite")
-    return float(J[0])
+    return float(J[0, 0])
 
 
 @dataclass
@@ -132,6 +142,7 @@ class DeviationReport:
     probe_resolution: List[int]          # number of probe controls per time
     tol: float
     certified: bool
+    values: List[np.ndarray]             # V_t per node that the gaps were taken against
     rows: List[tuple] = field(default_factory=list)  # (t, node, state, u, J_dev, V, gap)
 
     def to_csv(self, path):
@@ -142,12 +153,6 @@ class DeviationReport:
                 w.writerow([row[0], row[1]] + [f"{v:.17g}" for v in row[2:]])
 
 
-def _policy_values(model: Model, dk: DiscretizedKernel, policy: Policy) -> List[np.ndarray]:
-    """J_t(x_i; policy) for every node, by batched forward propagation."""
-    return [_plan_objective(model, dk, t, np.arange(model.grids[t].size), policy.controls)[0]
-            for t in range(model.T - 1)]
-
-
 def deviation_report(model: Model, dk: DiscretizedKernel, policy: Policy,
                      values: Optional[List[np.ndarray]] = None,
                      probe_controls_per_node: Optional[int] = None,
@@ -156,66 +161,48 @@ def deviation_report(model: Model, dk: DiscretizedKernel, policy: Policy,
     """Probe one-step deviations (u, tail) at every (t, node).
 
     Default probes are the full control grid plus the policy's own control
-    (so refined off-grid controls are always included).  ``values`` are
-    the claimed J_t(x; policy) per node; recomputed when omitted.  The
+    (so refined off-grid controls are always included);
+    ``probe_controls_per_node`` replaces the grid by that many evenly
+    spaced controls per node.  ``values`` are the claimed J_t(x; policy)
+    per node; when omitted, the policy's own probe supplies them.  The
     gap at (t, i, u) is V_t(x_i) - J_t(x_i; (u, tail)); positive gaps mean
     a profitable deviation.  Certification holds at the probe resolution
     only.
     """
     policy.check_feasible(model)
-    if values is None:
-        values = _policy_values(model, dk, policy)
-    T = model.T
     worst = -np.inf
     argmax = None
-    per_time = []
-    resolutions = []
+    per_time, resolutions, used = [], [], []
     rows: List[tuple] = []
-    for t in range(T - 1):
+    for t in range(model.T - 1):
         n = model.grids[t].size
-        U = dk.controls[t]
         if probe_controls_per_node is None:
-            probes = np.concatenate([U, policy.controls[t][:, None]], axis=1)
+            grid = dk.controls[t]
         else:
             lo, hi = model.constraints[t].bounds(model.grids[t])
             frac = np.linspace(0.0, 1.0, probe_controls_per_node)
-            probes = np.concatenate([lo[:, None] + (hi - lo)[:, None] * frac,
-                                     policy.controls[t][:, None]], axis=1)
+            grid = lo[:, None] + (hi - lo)[:, None] * frac
+        probes = np.concatenate([grid, policy.controls[t][:, None]], axis=1)
         P = probes.shape[1]
         resolutions.append(P)
-        # First step under each probe control, then the frozen tail.
-        D = dk.row_block(t, probes)
-        ys = model.grids[t]
-        J = np.asarray(model.costs.running(t, t, ys[:, None], ys[:, None], probes),
-                       dtype=float).copy()
-        for k in range(t + 1, T - 1):
-            ck = np.asarray(model.costs.running(k, t, ys[:, None],
-                                                model.grids[k][None, :],
-                                                policy.controls[k][None, :]), dtype=float)
-            J += np.einsum("ipm,im->ip", D, ck)
-            Q = policy_matrix(dk, k, policy.controls[k])
-            D = np.einsum("ipm,mq->ipq", D, Q)
-        xT = model.grids[-1]
-        fmat = np.asarray(model.costs.terminal(t, ys[:, None], xT[None, :]), dtype=float)
-        J += np.einsum("ipm,im->ip", D, fmat)
-        m = D @ np.asarray(model.costs.terminal_stat(xT), dtype=float)
-        J += np.asarray(model.costs.mixer(t, ys[:, None], m), dtype=float)
-
-        gaps = values[t][:, None] - J
+        J, _ = _plan_objective(model, dk, t, np.arange(n), policy.controls, probes)
+        v = J[:, -1].copy() if values is None else np.asarray(values[t], dtype=float)
+        used.append(v)
+        gaps = v[:, None] - J
         per_time.append(float(gaps.max()))
         idx = np.unravel_index(np.argmax(gaps), gaps.shape)
         if gaps[idx] > worst:
             worst = float(gaps[idx])
             argmax = (t, int(idx[0]), float(probes[idx]))
         if keep_rows:
+            ys = model.grids[t]
             for i in range(n):
                 for p in range(P):
                     rows.append((t, i, float(ys[i]), float(probes[i, p]),
-                                 float(J[i, p]), float(values[t][i]),
-                                 float(gaps[i, p])))
+                                 float(J[i, p]), float(v[i]), float(gaps[i, p])))
     return DeviationReport(worst_gap=worst, argmax=argmax, per_time_gap=per_time,
                            probe_resolution=resolutions, tol=tol,
-                           certified=worst <= tol, rows=rows)
+                           certified=worst <= tol, values=used, rows=rows)
 
 
 def verify_equilibrium(model: Model, dk: DiscretizedKernel,
@@ -310,7 +297,7 @@ def _precommit(model: Model, dk: DiscretizedKernel, t0: int, nodes,
         lam = (np.asarray(model.costs.mixer(t0, y, m + dm), dtype=float)
                - np.asarray(model.costs.mixer(t0, y, m - dm), dtype=float)) / (2 * dm)
         ctrl = _dp_linear(model, dk, t0, nodes[idx], np.broadcast_to(lam, idx.shape))
-        J, mean = _plan_objective(model, dk, t0, nodes[idx], ctrl)
+        J, mean = (v[:, 0] for v in _plan_objective(model, dk, t0, nodes[idx], ctrl))
         win = J < best_J[idx]  # strict: a tie keeps the earlier candidate
         for bk, ck in zip(best[t0:], ctrl[t0:]):
             bk[idx[win]] = ck[win]
@@ -318,7 +305,7 @@ def _precommit(model: Model, dk: DiscretizedKernel, t0: int, nodes,
         return mean
 
     best = _dp_linear(model, dk, t0, nodes, np.zeros(ys.size))
-    best_J, m0 = _plan_objective(model, dk, t0, nodes, best)
+    best_J, m0 = (v[:, 0] for v in _plan_objective(model, dk, t0, nodes, best))
     act = np.flatnonzero(_mixer_depends_on_h(model, t0, ys))
     if act.size == 0:
         return best, best_J

@@ -92,7 +92,7 @@ def lq_model(params: LQParams = LQParams(), x_lo: float = -6.0, x_hi: float = 6.
         terminal_stat=lambda xT: np.zeros_like(np.asarray(xT, dtype=float)),
         mixer=lambda s, y, h: np.zeros(np.broadcast(np.asarray(s), np.asarray(y),
                                                     np.asarray(h)).shape),
-        assume_nonneg=True, mixer_nondecreasing=True)
+        assume_nonneg=True)
     constraints = [ControlConstraint.interval(u_lo, u_hi, n_u) for _ in range(p.T - 1)]
     return Model(T=p.T, grids=grids, constraints=constraints,
                  kernel=_lq_kernel(p), costs=costs)
@@ -108,7 +108,7 @@ def nonlinear_lq_variant(params: LQParams = LQParams(), **windows) -> Model:
         terminal_stat=lambda xT: np.maximum(np.asarray(xT, dtype=float), 0.0),
         mixer=lambda s, y, h: np.square(np.asarray(h, dtype=float))
         + 0.0 * (np.asarray(s) + np.asarray(y)),
-        assume_nonneg=True, mixer_nondecreasing=True)
+        assume_nonneg=True)
     return Model(T=base.T, grids=base.grids, constraints=base.constraints,
                  kernel=base.kernel, costs=costs)
 
@@ -147,7 +147,7 @@ def _mv_costs(p: MeanVarianceParams) -> Costs:
         terminal_stat=lambda xT: np.asarray(xT, dtype=float),
         mixer=lambda s, y, h: -np.square(np.asarray(h, dtype=float))
         + 0.0 * (np.asarray(s) + np.asarray(y)),
-        assume_nonneg=False, mixer_nondecreasing=False)
+        assume_nonneg=False)
 
 
 def mv_model(params: MeanVarianceParams = MeanVarianceParams(),
@@ -330,7 +330,7 @@ def exp_utility_model(params: ExpUtilityParams = ExpUtilityParams(),
         terminal_stat=lambda xT: np.zeros_like(np.asarray(xT, dtype=float)),
         mixer=lambda s, y, h: np.zeros(np.broadcast(np.asarray(s), np.asarray(y),
                                                     np.asarray(h)).shape),
-        assume_nonneg=True, mixer_nondecreasing=True)
+        assume_nonneg=True)
     constraints = [ControlConstraint.interval(lo, hi, n_u) for _ in range(p.T - 1)]
     return Model(T=p.T, grids=grids, constraints=constraints, kernel=kernel,
                  costs=costs)

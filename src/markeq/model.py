@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -75,7 +75,6 @@ class Costs:
     terminal_stat: Callable
     mixer: Callable
     assume_nonneg: bool = True
-    mixer_nondecreasing: Optional[bool] = None
 
 
 @dataclass
@@ -340,12 +339,12 @@ def _tabulated_costs(doc: dict, grids, control_values) -> Costs:
     term_tab = np.asarray(doc.get("terminal", np.zeros(grids[-1].size)), dtype=float)
     stat_tab = np.asarray(doc.get("terminal_stat", np.zeros(grids[-1].size)), dtype=float)
     mixer_name = doc.get("mixer", "zero")
-    mixers = {"zero": (lambda s, y, h: np.zeros_like(np.asarray(h, dtype=float)), True),
-              "square": (lambda s, y, h: np.square(np.asarray(h, dtype=float)), None),
-              "neg_square": (lambda s, y, h: -np.square(np.asarray(h, dtype=float)), False)}
+    mixers = {"zero": lambda s, y, h: np.zeros_like(np.asarray(h, dtype=float)),
+              "square": lambda s, y, h: np.square(np.asarray(h, dtype=float)),
+              "neg_square": lambda s, y, h: -np.square(np.asarray(h, dtype=float))}
     if mixer_name not in mixers:
         raise ConfigError(f"unknown mixer {mixer_name!r}")
-    mixer, mono = mixers[mixer_name]
+    mixer = mixers[mixer_name]
 
     def running(t, s, y, x, u):
         t_arr = np.asarray(t)
@@ -374,7 +373,7 @@ def _tabulated_costs(doc: dict, grids, control_values) -> Costs:
     nonneg = (all(tab.min() >= 0 for tab in running_tabs)
               and term_tab.min() >= 0 and mixer_name != "neg_square")
     return Costs(running=running, terminal=terminal, terminal_stat=terminal_stat,
-                 mixer=mixer, assume_nonneg=nonneg, mixer_nondecreasing=mono)
+                 mixer=mixer, assume_nonneg=nonneg)
 
 
 def _nearest(grid: np.ndarray, x) -> np.ndarray:

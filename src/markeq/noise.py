@@ -18,8 +18,7 @@ from scipy import special
 
 from .errors import KernelError
 
-# Default truncation tail masses (one per use: discretization vs TV integrals).
-DISCRETIZE_TAIL_MASS = 1e-10
+# Tail mass left outside the truncated support of TV integrals.
 TV_TAIL_MASS = 1e-8
 
 
@@ -81,9 +80,9 @@ class GaussianNoise(Noise):
 class DensityNoise(Noise):
     """Generic noise given by a density on a truncated support [-radius, radius].
 
-    Expectations use composite trapezoid panels on the truncated support.
-    The density must carry all but ``DISCRETIZE_TAIL_MASS`` of its mass
-    inside the stated radius.
+    Expectations use composite trapezoid panels on the truncated support,
+    renormalised to unit mass, so mass outside the radius is dropped: the
+    radius should hold all but a negligible tail of the density.
     """
 
     density: Callable[[np.ndarray], np.ndarray]

@@ -17,11 +17,11 @@ is a cheap re-contraction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
-from .errors import InfeasibleControlError, SolverError
+from .errors import SolverError
 from .kernels import DiscreteChain, DiscretizedKernel, policy_matrix
 from .model import Model, Policy
 
@@ -120,14 +120,13 @@ class AuxiliaryBundle:
 
 def build_aux(model: Model, dk: DiscretizedKernel, tail_policy: Optional[Policy],
               t: int, eval_time: Optional[int] = None,
-              eval_states: Optional[np.ndarray] = None,
-              flows: Optional[FlowMatrices] = None) -> AuxiliaryBundle:
+              eval_states: Optional[np.ndarray] = None) -> AuxiliaryBundle:
     """Tabulate the auxiliary functions for decision time t.
 
     ``tail_policy`` must be feasible at times t+1..T-2 (None allowed when
     t = T-2, where the bundle degenerates to terminal costs).  Flow
     matrices are built by successive left multiplication of the
-    policy-conditioned one-step matrices unless supplied.
+    policy-conditioned one-step matrices.
     """
     T = model.T
     if not 0 <= t <= T - 2:
@@ -135,13 +134,12 @@ def build_aux(model: Model, dk: DiscretizedKernel, tail_policy: Optional[Policy]
     s = t if eval_time is None else eval_time
     ys = model.grids[s] if eval_states is None else np.asarray(eval_states, dtype=float)
 
-    if flows is None:
-        mats = [np.eye(model.grids[t + 1].size)]
-        for k in range(t + 1, T - 1):
-            if tail_policy is None or tail_policy.controls[k] is None:
-                raise SolverError(f"tail policy missing controls at time {k}")
-            mats.append(mats[-1] @ policy_matrix(dk, k, tail_policy.controls[k]))
-        flows = FlowMatrices(t=t, mats=mats)
+    mats = [np.eye(model.grids[t + 1].size)]
+    for k in range(t + 1, T - 1):
+        if tail_policy is None or tail_policy.controls[k] is None:
+            raise SolverError(f"tail policy missing controls at time {k}")
+        mats.append(mats[-1] @ policy_matrix(dk, k, tail_policy.controls[k]))
+    flows = FlowMatrices(t=t, mats=mats)
 
     MT = flows.to_time(T - 1)
     xT = model.grids[-1]
@@ -230,28 +228,19 @@ def refine_bowls(objective, jstar: np.ndarray, U: np.ndarray, tol: float):
 
 
 @dataclass
-class RefinementPolicy:
-    """Golden-section refinement of the grid argmin inside its bracket.
-
-    Applied only when the grid argmin is an interior node, so that its
-    bracket holds a local minimum; otherwise the grid minimizer stands.
-    """
-
-    enabled: bool = True
-    u_tol: float = 1e-9
-
-
-@dataclass
 class StepDiagnostics:
     boundary_nodes: List[int] = field(default_factory=list)
     refined_nodes: List[int] = field(default_factory=list)
 
 
 def bellman_step(model: Model, dk: DiscretizedKernel, aux: AuxiliaryBundle,
-                 t: int, refine: Optional[RefinementPolicy] = None):
+                 t: int, u_tol: float = 1e-9):
     """Minimize L per node over the control grid (tie-break: smallest control).
 
-    Returns (controls, values, StepDiagnostics).
+    Unless the kernel is a ``DiscreteChain`` (whose rows exist only at the
+    control nodes), every interior grid argmin is then refined by golden
+    section to ``u_tol`` inside its bracket.  Returns (controls, values,
+    StepDiagnostics).
     """
     L = objective_grid(model, dk, aux, t)
     if np.any(np.all(~np.isfinite(L), axis=1)):
@@ -263,12 +252,10 @@ def bellman_step(model: Model, dk: DiscretizedKernel, aux: AuxiliaryBundle,
     values = L[np.arange(n), jstar].astype(float)
     diag = StepDiagnostics(
         boundary_nodes=np.flatnonzero((jstar == 0) | (jstar == M - 1)).tolist())
-    if refine is None:
-        refine = RefinementPolicy(enabled=not isinstance(model.kernel, DiscreteChain))
-    if refine.enabled:
+    if not isinstance(model.kernel, DiscreteChain):
         nodes, u_ref, v_ref = refine_bowls(
             lambda idx, u: objective_nodes(model, dk, aux, t, idx, u),
-            jstar, dk.controls[t], refine.u_tol)
+            jstar, dk.controls[t], u_tol)
         keep = v_ref <= values[nodes]
         nodes = nodes[keep]
         controls[nodes], values[nodes] = u_ref[keep], v_ref[keep]
@@ -280,7 +267,6 @@ def bellman_step(model: Model, dk: DiscretizedKernel, aux: AuxiliaryBundle,
 class Diagnostics:
     boundary_hits: List[tuple] = field(default_factory=list)   # (t, node)
     refined: List[tuple] = field(default_factory=list)
-    levelset_flags: dict = field(default_factory=dict)
     deviation_gap: Optional[float] = None
     clamped_mass: Optional[float] = None
 
@@ -289,43 +275,32 @@ class Diagnostics:
 class EquilibriumSolution:
     policy: Policy
     values: List[np.ndarray]      # V_t on the time-t grid, t = 0..T-2
-    h_tabs: List[np.ndarray]      # h on the time-t grid, t = 0..T-1
     diagnostics: Diagnostics
 
 
 @dataclass
 class SolveOptions:
-    refine: Optional[bool] = None     # None: refine unless DiscreteChain
-    u_tol: float = 1e-9
+    u_tol: float = 1e-9  # refinement tolerance of bellman_step
 
 
 def solve(model: Model, dk: DiscretizedKernel,
           options: Optional[SolveOptions] = None) -> EquilibriumSolution:
     """Equilibrium policy by backward induction, t = T-2 down to 0."""
     options = options or SolveOptions()
-    refine_enabled = (not isinstance(model.kernel, DiscreteChain)
-                      if options.refine is None else options.refine)
-    refine = RefinementPolicy(enabled=refine_enabled, u_tol=options.u_tol)
     T = model.T
     policy = Policy(controls=[None] * (T - 1))
     values: List[Optional[np.ndarray]] = [None] * (T - 1)
     diag = Diagnostics()
     for t in range(T - 2, -1, -1):
         aux = build_aux(model, dk, policy if t < T - 2 else None, t)
-        controls, vals, step_diag = bellman_step(model, dk, aux, t, refine)
+        controls, vals, step_diag = bellman_step(model, dk, aux, t, options.u_tol)
         policy.controls[t] = controls
         values[t] = vals
         diag.boundary_hits.extend((t, i) for i in step_diag.boundary_nodes)
         diag.refined.extend((t, i) for i in step_diag.refined_nodes)
-    h_tabs: List[Optional[np.ndarray]] = [None] * T
-    h_tabs[T - 1] = np.asarray(model.costs.terminal_stat(model.grids[-1]), dtype=float)
-    for t in range(T - 2, -1, -1):
-        Q = policy_matrix(dk, t, policy.controls[t])
-        h_tabs[t] = Q @ h_tabs[t + 1]
     if dk.clamped:
         diag.clamped_mass = model.clamp_diagnostic(dk)
-    return EquilibriumSolution(policy=policy, values=values, h_tabs=h_tabs,
-                               diagnostics=diag)
+    return EquilibriumSolution(policy=policy, values=values, diagnostics=diag)
 
 
 def value_identity_check(model: Model, dk: DiscretizedKernel,

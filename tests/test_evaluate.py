@@ -161,6 +161,41 @@ def test_deviation_report_csv_roundtrip(lq_small, tmp_path):
     assert worst == pytest.approx(report.worst_gap, abs=1e-15)
 
 
+@pytest.mark.parametrize("instance", ["lq_small", "chain_small"])
+def test_deviation_probes_match_exact_evaluation(instance, request):
+    # J_dev of probe (t, i, u) is the policy with controls[t][i] set to u.
+    model, dk = request.getfixturevalue(instance)[:2]
+    policy = solve(model, dk).policy
+    report = deviation_report(model, dk, policy, keep_rows=True)
+    rows = {}
+    for row in report.rows:
+        rows.setdefault((row[0], row[1]), []).append(row)
+    for t in range(model.T - 1):
+        n = model.grids[t].size
+        for i in sorted({0, n // 2, n - 1}):
+            probes = rows[(t, i)]
+            assert len(probes) == report.probe_resolution[t]
+            for _, _, _, u, j_dev, _, _ in (probes[0], probes[len(probes) // 2], probes[-1]):
+                dev = [c.copy() for c in policy.controls]
+                dev[t][i] = u
+                j = eval_objective_exact(model, dk, Policy(controls=dev), t, i)
+                assert j_dev == pytest.approx(j, abs=1e-12)
+
+
+@pytest.mark.parametrize("instance", ["lq_small", "chain_small"])
+def test_deviation_report_values(instance, request):
+    model, dk = request.getfixturevalue(instance)[:2]
+    solution = solve(model, dk)
+    report = deviation_report(model, dk, solution.policy)
+    for t in range(model.T - 1):
+        exact = [eval_objective_exact(model, dk, solution.policy, t, i)
+                 for i in range(model.grids[t].size)]
+        np.testing.assert_allclose(report.values[t], exact, rtol=0, atol=1e-12)
+    given = deviation_report(model, dk, solution.policy, values=solution.values)
+    for v, w in zip(given.values, solution.values):
+        np.testing.assert_array_equal(v, w)
+
+
 # ---------------------------------------------------------------------------
 # precommitment / naive baselines
 # ---------------------------------------------------------------------------

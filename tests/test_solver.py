@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markeq import (ControlConstraint, Costs, GaussianNoise, LQParams,
-                    MeanVarianceParams, Model, Policy, RefinementPolicy,
-                    SolveOptions, bellman_step, build_aux, build_model,
+                    MeanVarianceParams, Model, Policy, SolveOptions,
+                    bellman_step, build_aux, build_model,
                     discretize, eval_objective_exact, golden_section,
                     levelset_probe, lq_model, mv_chain_model, mv_closed_form,
                     mv_model, objective_L, solve, value_identity_check)
@@ -186,8 +186,7 @@ def test_bellman_step_pure_quadratic():
     dk = discretize(model.kernel, model.grids, model.constraints)
     tail = Policy(controls=[None, np.zeros(model.grids[1].size)])
     aux = build_aux(model, dk, tail, 0)
-    controls, values, diag = bellman_step(model, dk, aux, 0,
-                                          RefinementPolicy(enabled=True))
+    controls, values, diag = bellman_step(model, dk, aux, 0)
     np.testing.assert_allclose(controls, 0.0, atol=1e-9)
     np.testing.assert_allclose(values, 0.0, atol=1e-12)
 
@@ -197,8 +196,7 @@ def test_bellman_step_mv_last_period_unit_control():
     model = mv_model(p, x_lo=-2, x_hi=2, n_x=241, u_lo=0.0, u_hi=3.0, n_u=61)
     dk = discretize(model.kernel, model.grids, model.constraints)
     aux = build_aux(model, dk, None, 0)
-    controls, values, _ = bellman_step(model, dk, aux, 0,
-                                       RefinementPolicy(enabled=True))
+    controls, values, _ = bellman_step(model, dk, aux, 0)
     np.testing.assert_allclose(controls, 1.0, atol=1e-7)
 
 
@@ -210,8 +208,7 @@ def test_bellman_step_batched_refinement_matches_scalar():
     solution = solve(model, dk)
     for t in range(model.T - 1):
         aux = build_aux(model, dk, solution.policy if t < model.T - 2 else None, t)
-        controls, values, diag = bellman_step(model, dk, aux, t,
-                                              RefinementPolicy(enabled=True))
+        controls, values, diag = bellman_step(model, dk, aux, t)
         refined = diag.refined_nodes
         assert refined and refined == sorted(refined)
         L = objective_grid(model, dk, aux, t)
