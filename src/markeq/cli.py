@@ -52,8 +52,7 @@ def _prepare(config: dict, args):
     model = build_model(config)
     quad_order = args.quad_order or int(config.get("kernel", {}).get("quad_order", 41))
     dk = discretize(model.kernel, model.grids, model.constraints, quad_order=quad_order)
-    options = SolveOptions(u_tol=args.u_tol)
-    return model, dk, options, quad_order
+    return model, dk, quad_order
 
 
 def _write_csv(path, header, rows):
@@ -75,7 +74,7 @@ def _manifest(out_dir: Path, config: dict, args, quad_order: int, timings: dict,
               artifacts):
     doc = {
         "config_hash": config_hash(config),
-        "options": {"quad_order": quad_order, "u_tol": args.u_tol,
+        "options": {"quad_order": quad_order, "u_tol": getattr(args, "u_tol", None),
                     "tol": getattr(args, "tol", None),
                     "controls": args.controls, "workers": args.workers},
         "seed": args.seed,
@@ -88,7 +87,7 @@ def _manifest(out_dir: Path, config: dict, args, quad_order: int, timings: dict,
 def cmd_solve(args) -> int:
     try:
         config = load_config(args.config)
-        model, dk, options, quad_order = _prepare(config, args)
+        model, dk, quad_order = _prepare(config, args)
     except (ConfigError, MarkeqError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -96,7 +95,7 @@ def cmd_solve(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     try:
-        solution = solve(model, dk, options)
+        solution = solve(model, dk, SolveOptions(u_tol=args.u_tol))
     except MarkeqError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
@@ -118,31 +117,55 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _cell(row: dict, name: str, where: str, size=None):
+    """row[name] as a float, or as an index in [0, size); else ConfigError naming it."""
+    try:
+        v = float(row[name]) if size is None else int(row[name])
+        if size is None or 0 <= v < size:
+            return v
+    except (TypeError, ValueError):
+        pass
+    expected = "a number" if size is None else f"an index in [0, {size})"
+    raise ConfigError(f"{where}: bad {name} {row[name]!r}, expected {expected}")
+
+
+def _read_node_table(model: Model, path: Path, column: str):
+    """One float per decision (t, node) from a CSV with columns t, node and ``column``.
+
+    A missing column, a malformed field or one out of the model's range,
+    or an uncovered (t, node) raises ConfigError naming the file (and the
+    line and field).
+    """
+    table = [np.full(model.grids[t].size, np.nan) for t in range(model.T - 1)]
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = sorted({"t", "node", column} - set(reader.fieldnames or ()))
+        if missing:
+            raise ConfigError(f"{path}: missing column(s) {', '.join(missing)}")
+        for row in reader:
+            where = f"{path} line {reader.line_num}"
+            t = _cell(row, "t", where, len(table))
+            i = _cell(row, "node", where, table[t].size)
+            table[t][i] = _cell(row, column, where)
+    if any(np.any(np.isnan(c)) for c in table):
+        raise ConfigError(f"{path.name} does not cover every (t, node)")
+    return table
+
+
 def _load_solution(model: Model, solution_dir: Path):
     policy_path = solution_dir / "policy.csv"
     values_path = solution_dir / "values.csv"
     for p in (policy_path, values_path):
         if not p.exists():
             raise ConfigError(f"missing solution artifact: {p}")
-    controls = [np.full(model.grids[t].size, np.nan) for t in range(model.T - 1)]
-    with open(policy_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            controls[int(row["t"])][int(row["node"])] = float(row["control"])
-    if any(np.any(np.isnan(c)) for c in controls):
-        raise ConfigError("policy.csv does not cover every (t, node)")
-    values = [np.full(model.grids[t].size, np.nan) for t in range(model.T - 1)]
-    with open(values_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            values[int(row["t"])][int(row["node"])] = float(row["V"])
-    if any(np.any(np.isnan(v)) for v in values):
-        raise ConfigError("values.csv does not cover every (t, node)")
-    return Policy(controls=controls), values
+    return (Policy(controls=_read_node_table(model, policy_path, "control")),
+            _read_node_table(model, values_path, "V"))
 
 
 def cmd_verify(args) -> int:
     try:
         config = load_config(args.config)
-        model, dk, options, quad_order = _prepare(config, args)
+        model, dk, quad_order = _prepare(config, args)
         policy, claimed = _load_solution(model, Path(args.solution))
         policy.check_feasible(model)
     except (ConfigError, MarkeqError, json.JSONDecodeError, ValueError) as exc:
@@ -176,7 +199,7 @@ def cmd_verify(args) -> int:
 def cmd_compare(args) -> int:
     try:
         config = load_config(args.config)
-        model, dk, options, quad_order = _prepare(config, args)
+        model, dk, quad_order = _prepare(config, args)
     except (ConfigError, MarkeqError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -184,7 +207,7 @@ def cmd_compare(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     try:
-        solution = solve(model, dk, options)
+        solution = solve(model, dk, SolveOptions(u_tol=args.u_tol))
         i0 = model.grids[0].size // 2
         pre_policy, pre_value = ev.solve_precommitment(model, dk, 0, i0)
         naive_policy = ev.solve_naive(model, dk)
@@ -227,8 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", required=True, help="config document (JSON or YAML)")
-        p.add_argument("--tol", type=float, default=1e-6,
-                       help="certification tolerance on the deviation gap")
         p.add_argument("--workers", type=int, default=1,
                        help="recorded in the manifest only; no thread cap is applied")
         p.add_argument("--seed", type=int, default=0,
@@ -236,21 +257,27 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--quad-order", type=int, default=None, dest="quad_order")
         p.add_argument("--controls", type=int, default=None,
                        help="override the control grid node count M_u")
+
+    def u_tol(p):
         p.add_argument("--u-tol", type=float, default=1e-9, dest="u_tol",
                        help="refinement tolerance of the equilibrium solve (baselines: 1e-9)")
 
     p = sub.add_parser("solve", help="solve and write policy/value/diagnostic tables")
     common(p)
+    u_tol(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="deviation-test a solved policy directory")
     common(p)
+    p.add_argument("--tol", type=float, default=1e-6,
+                   help="certification tolerance on the deviation gap and on values.csv")
     p.add_argument("--solution", required=True, help="directory holding policy.csv")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("compare", help="equilibrium vs precommitment vs naive")
     common(p)
+    u_tol(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compare)
     return parser

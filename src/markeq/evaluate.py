@@ -22,7 +22,7 @@ from .solver import EquilibriumSolution, refine_bowls
 
 
 def _plan_objective(model: Model, dk: DiscretizedKernel, t: int, nodes,
-                    controls, probes=None) -> tuple:
+                    controls, probes=None, rows=None) -> tuple:
     """J_t and E[H(x_T)], each (P, Q), of plans from the time-t nodes ``nodes`` (P,).
 
     Plan p plays ``probes[p, q]`` (shape (P, Q)) at time t and ``controls``
@@ -31,9 +31,9 @@ def _plan_objective(model: Model, dk: DiscretizedKernel, t: int, nodes,
     cost arguments stay frozen at (t, x_node) throughout -- the source of
     state dependence.  ``controls[k]`` has shape (1, n_k), one policy
     shared by every plan, or (P, n_k), one per plan; a 1-d array is one
-    shared row.  The first-step rows come from ``dk.node_rows`` at the
-    plans' own nodes; node distributions then propagate forward by one
-    broadcast matmul per step.
+    shared row.  The first-step rows are ``rows`` (P, Q, n_{t+1}) when
+    given, else ``dk.node_rows`` at the plans' own nodes; node
+    distributions then propagate forward by one broadcast matmul per step.
     """
     def at(k):
         if controls[k] is None:
@@ -47,7 +47,7 @@ def _plan_objective(model: Model, dk: DiscretizedKernel, t: int, nodes,
             np.arange(nodes.size), nodes][:, None]
     probes = np.asarray(probes, dtype=float)
     J = np.asarray(model.costs.running(t, t, y, y, probes), dtype=float)[..., None]
-    d = dk.node_rows(t, nodes, probes)  # (P, Q, n_{t+1})
+    d = dk.node_rows(t, nodes, probes) if rows is None else rows  # (P, Q, n_{t+1})
     for k in range(t + 1, model.T - 1):
         uk = at(k)
         ck = np.asarray(model.costs.running(k, t, y, model.grids[k], uk), dtype=float)
@@ -161,13 +161,14 @@ def deviation_report(model: Model, dk: DiscretizedKernel, policy: Policy,
     """Probe one-step deviations (u, tail) at every (t, node).
 
     Default probes are the full control grid plus the policy's own control
-    (so refined off-grid controls are always included);
-    ``probe_controls_per_node`` replaces the grid by that many evenly
-    spaced controls per node.  ``values`` are the claimed J_t(x; policy)
-    per node; when omitted, the policy's own probe supplies them.  The
-    gap at (t, i, u) is V_t(x_i) - J_t(x_i; (u, tail)); positive gaps mean
-    a profitable deviation.  Certification holds at the probe resolution
-    only.
+    (so refined off-grid controls are always included); the grid's landing
+    rows are read from ``dk.weights[t]`` and only the policy's own column
+    is rebuilt.  ``probe_controls_per_node`` replaces the grid by that many
+    evenly spaced controls per node, all rebuilt through ``dk.node_rows``.
+    ``values`` are the claimed J_t(x; policy) per node; when omitted, the
+    policy's own probe supplies them.  The gap at (t, i, u) is
+    V_t(x_i) - J_t(x_i; (u, tail)); positive gaps mean a profitable
+    deviation.  Certification holds at the probe resolution only.
     """
     policy.check_feasible(model)
     worst = -np.inf
@@ -176,16 +177,21 @@ def deviation_report(model: Model, dk: DiscretizedKernel, policy: Policy,
     rows: List[tuple] = []
     for t in range(model.T - 1):
         n = model.grids[t].size
+        nodes = np.arange(n)
+        own = policy.controls[t][:, None]
         if probe_controls_per_node is None:
             grid = dk.controls[t]
+            # Node controls reproduce dk.weights[t] bit for bit (see node_rows).
+            first = np.concatenate([dk.weights[t], dk.node_rows(t, nodes, own)], axis=1)
         else:
             lo, hi = model.constraints[t].bounds(model.grids[t])
             frac = np.linspace(0.0, 1.0, probe_controls_per_node)
             grid = lo[:, None] + (hi - lo)[:, None] * frac
-        probes = np.concatenate([grid, policy.controls[t][:, None]], axis=1)
+            first = None
+        probes = np.concatenate([grid, own], axis=1)
         P = probes.shape[1]
         resolutions.append(P)
-        J, _ = _plan_objective(model, dk, t, np.arange(n), policy.controls, probes)
+        J, _ = _plan_objective(model, dk, t, nodes, policy.controls, probes, first)
         v = J[:, -1].copy() if values is None else np.asarray(values[t], dtype=float)
         used.append(v)
         gaps = v[:, None] - J

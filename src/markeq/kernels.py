@@ -26,6 +26,10 @@ from .errors import InfeasibleControlError, KernelError
 from .noise import TV_TAIL_MASS, GaussianNoise, Noise
 
 ROW_SUM_TOL = 1e-10
+# Landing weights below this are set to 0 (Gaussian tail mass beyond about
+# 11 sigma): subnormal weights, and products of tiny normal ones that
+# underflow, put every propagation matmul on the CPU's slow arithmetic path.
+WEIGHT_FLOOR = 1e-30
 CHAIN_ROW_TOL = 1e-12
 FEAS_TOL = 1e-9
 
@@ -153,10 +157,10 @@ class DiscretizedKernel:
 
         Returns U.shape + (n_{t+1},); row r belongs to node nodes[r].
         Additive-noise kernels re-discretize at each control exactly (the
-        rule that built the node tensors, so node controls reproduce
-        W[t][i, j]); discrete chains, and caches loaded without a spec,
-        blend between bracketing control nodes.  ``row`` and ``row_block``
-        are thin wrappers over this one evaluator.
+        rule that built the node tensors); discrete chains, and caches
+        loaded without a spec, blend between bracketing control nodes.
+        Either way node controls reproduce W[t][i, j] bit for bit.
+        ``row`` and ``row_block`` are thin wrappers over this one evaluator.
         """
         nodes = np.asarray(nodes, dtype=np.intp).reshape(-1)
         U = np.asarray(U, dtype=float)
@@ -236,6 +240,7 @@ def _landing_rows(grid: np.ndarray, mu, sc, shape, noise: Noise, exact: bool,
 
     ``exact`` integrates the hat functions against Gaussian noise in closed
     form; otherwise the noise quadrature's points are spread onto the grid.
+    Normalised weights below ``WEIGHT_FLOOR`` are set to 0.
     """
     mu, sc = (np.broadcast_to(np.asarray(v, dtype=float), shape) for v in (mu, sc))
     if exact:
@@ -257,6 +262,7 @@ def _landing_rows(grid: np.ndarray, mu, sc, shape, noise: Noise, exact: bool,
         W = spread_mass(grid, landing, omega)
     np.maximum(W, 0.0, out=W)
     W /= W.sum(axis=-1, keepdims=True)
+    W *= W >= WEIGHT_FLOOR  # zero the weights below the floor; idempotent
     return W, clamp
 
 
@@ -534,6 +540,7 @@ def load_kernel_cache(path, spec: Optional[KernelSpec] = None) -> DiscretizedKer
     Off-node rows are rebuilt with the recorded build method and order, so
     they match the cached node rows.  Version-1 files record neither and
     take the method ``discretize(method="auto")`` picks for ``spec``, order 41.
+    Weights below ``WEIGHT_FLOOR`` are set to 0, as ``discretize`` does.
     """
 
     def floats(shape, what):
@@ -559,7 +566,9 @@ def load_kernel_cache(path, spec: Optional[KernelSpec] = None) -> DiscretizedKer
             n, M, nn = struct.unpack("<III", _read(fh, path, 12, f"shape header at t={t}"))
             grids.append(floats((n,), f"state grid at t={t}"))
             controls.append(floats((n, M), f"control nodes at t={t}"))
-            weights.append(floats((n, M, nn), f"weights at t={t}"))
+            W = floats((n, M, nn), f"weights at t={t}")
+            W *= W >= WEIGHT_FLOOR
+            weights.append(W)
             clamped.append(floats((n, M), f"clamped mass at t={t}"))
         grids.append(floats((nn,), "terminal state grid"))
     dk = DiscretizedKernel(weights, controls, grids, clamped, spec=spec,

@@ -157,6 +157,51 @@ def test_verify_missing_values_csv(tmp_path, capsys):
     assert "missing solution artifact" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, field, bad", [
+    ("policy.csv", "node", "99"),       # past the last node
+    ("policy.csv", "t", "-1"),          # a negative index would wrap to the end
+    ("values.csv", "node", "-1"),
+    ("values.csv", "V", "high"),
+    ("policy.csv", "control", None),    # column missing
+])
+def test_verify_malformed_solution_csv_exits_2(tmp_path, capsys, name, field, bad):
+    cfg = write_config(tmp_path, CHAIN_CONFIG)
+    out = tmp_path / "run"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    rows = read_rows(out / name)
+    if bad is not None:
+        rows[1][field] = bad
+    with open(out / name, "w", newline="") as fh:
+        w = csv.DictWriter(fh, fieldnames=[f for f in rows[0] if bad or f != field],
+                           extrasaction="ignore")
+        w.writeheader()
+        w.writerows(rows)
+    assert main(["verify", "--config", cfg, "--solution", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert str(out / name) in err and field in err
+    if bad is not None:
+        assert f"line 3: bad {field} {bad!r}" in err
+
+
+def test_flags_only_where_used(tmp_path, capsys):
+    cfg = write_config(tmp_path, CHAIN_CONFIG)
+    out = tmp_path / "run"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    options = json.loads((out / "manifest.json").read_text())["options"]
+    assert options["tol"] is None and options["u_tol"] == 1e-9
+    assert main(["verify", "--config", cfg, "--solution", str(out), "--tol", "1e-7"]) == 0
+    options = json.loads((out / "manifest.json").read_text())["options"]
+    assert options["tol"] == 1e-7 and options["u_tol"] is None
+    for argv in (["solve", "--out", str(out), "--tol", "1e-7"],
+                 ["compare", "--out", str(out), "--tol", "1e-7"],
+                 ["verify", "--solution", str(out), "--u-tol", "1e-7"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--config", cfg])
+        assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # compare
 # ---------------------------------------------------------------------------

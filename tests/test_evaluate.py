@@ -161,12 +161,20 @@ def test_deviation_report_csv_roundtrip(lq_small, tmp_path):
     assert worst == pytest.approx(report.worst_gap, abs=1e-15)
 
 
-@pytest.mark.parametrize("instance", ["lq_small", "chain_small"])
-def test_deviation_probes_match_exact_evaluation(instance, request):
+@pytest.mark.parametrize("instance, per_node", [
+    pytest.param("lq_small", None, id="lq_small"),
+    pytest.param("chain_small", None, id="chain_small"),
+    pytest.param("lq_small", 7, id="lq_small-7"),
+    pytest.param("chain_small", 7, id="chain_small-7"),
+])
+def test_deviation_probes_match_exact_evaluation(instance, per_node, request):
     # J_dev of probe (t, i, u) is the policy with controls[t][i] set to u.
+    # Default probes take their rows from dk.weights[t], K evenly spaced
+    # probes from node_rows; eval_objective_exact always uses node_rows.
     model, dk = request.getfixturevalue(instance)[:2]
     policy = solve(model, dk).policy
-    report = deviation_report(model, dk, policy, keep_rows=True)
+    report = deviation_report(model, dk, policy, probe_controls_per_node=per_node,
+                              keep_rows=True)
     rows = {}
     for row in report.rows:
         rows.setdefault((row[0], row[1]), []).append(row)

@@ -13,6 +13,7 @@ from markeq import (AdditiveNoise, ControlConstraint, DiscreteChain,
                     PointIndicator, StepFunction, discretize, exact_expectation,
                     exp_utility_model, expectation, load_kernel_cache, policy_matrix,
                     save_kernel_cache, setwise_continuity_probe, tv_distance)
+from markeq.kernels import WEIGHT_FLOOR
 
 
 def _gauss_kernel(a=1.0, b=1.0, sigma=1.0, floor_frac=0.5):
@@ -85,6 +86,22 @@ def test_rows_stochastic():
         np.testing.assert_allclose(W.sum(axis=-1), 1.0, atol=1e-12)
 
 
+def _tiny(W):
+    return np.count_nonzero((W > 0) & (W < WEIGHT_FLOOR))
+
+
+@pytest.mark.parametrize("method", ["auto", "quadrature"])
+def test_no_weight_below_floor(method):
+    # sigma 0.3 on [-8, 8]: most tent masses of a row are far beyond 11 sigma
+    k = _gauss_kernel(a=1.0, b=1.0, sigma=0.3)
+    dk = discretize(k, _grids(2, -8, 8, 161), _constraints(2, -2, 2, 9), method=method)
+    assert _tiny(dk.weights[0]) == 0
+    assert np.count_nonzero(dk.weights[0] == 0) > dk.weights[0].size // 2
+    rows = dk.node_rows(0, np.arange(161), np.full((161, 3), [-1.3, 0.01, 1.77]))
+    assert _tiny(rows) == 0
+    assert np.count_nonzero(rows == 0) > rows.size // 2
+
+
 def test_discretize_rejects_bad_quad_order():
     k = _gauss_kernel()
     with pytest.raises(KernelError):
@@ -101,6 +118,22 @@ def test_policy_matrix_at_node_equals_weights():
     controls = dk.controls[0][:, 2].copy()
     Q = policy_matrix(dk, 0, controls)
     np.testing.assert_allclose(Q, dk.weights[0][:, 2], atol=1e-13)
+
+
+@pytest.mark.parametrize("kind", ["exact", "quadrature", "chain_small"])
+def test_node_rows_at_node_controls_reproduce_weights(kind, request):
+    # deviation_report reads the grid probes' rows from dk.weights[t]
+    # in place of node_rows, which is sound only if the two agree bit for bit.
+    if kind == "chain_small":
+        dk = request.getfixturevalue(kind)[1]
+    else:
+        dk = discretize(_gauss_kernel(a=0.9, b=1.3, sigma=0.4), _grids(3, -8, 8, 81),
+                        _constraints(3, -2, 2, 9), quad_order=21,
+                        method="auto" if kind == "exact" else "quadrature")
+        assert dk.build_method == kind
+    for t, W in enumerate(dk.weights):
+        n = dk.grids[t].size
+        assert np.array_equal(dk.node_rows(t, np.arange(n), dk.controls[t]), W)
 
 
 def test_chain_blend_is_linear(chain_small):
@@ -276,6 +309,18 @@ def test_kernel_cache_roundtrip(tmp_path):
         np.testing.assert_array_equal(back.grids[t], dk.grids[t])
         np.testing.assert_array_equal(back.clamped[t], dk.clamped[t])
     np.testing.assert_array_equal(back.grids[-1], dk.grids[-1])
+
+
+def test_kernel_cache_load_floors_tiny_weights(tmp_path):
+    # A cache written before the weight floor may hold subnormal weights.
+    dk = discretize(_gauss_kernel(sigma=0.3), _grids(2, -6, 6, 31), _constraints(2, -2, 2, 7))
+    W = dk.weights[0].copy()
+    dk.weights[0][15, 3, 0] = 1e-310  # 20 sigma below the landing mean
+    path = tmp_path / "kernel.bin"
+    save_kernel_cache(dk, path)
+    back = load_kernel_cache(path)
+    assert back.weights[0][15, 3, 0] == 0.0
+    np.testing.assert_array_equal(back.weights[0], W)
 
 
 def test_kernel_cache_reload_rebuilds_rows_like_the_saved_kernel(tmp_path):
