@@ -133,10 +133,11 @@ def _read_node_table(model: Model, path: Path, column: str):
     """One float per decision (t, node) from a CSV with columns t, node and ``column``.
 
     A missing column, a malformed field or one out of the model's range,
-    or an uncovered (t, node) raises ConfigError naming the file (and the
-    line and field).
+    a (t, node) listed twice, or an uncovered (t, node) raises ConfigError
+    naming the file (and the line and field).
     """
     table = [np.full(model.grids[t].size, np.nan) for t in range(model.T - 1)]
+    seen = set()
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = sorted({"t", "node", column} - set(reader.fieldnames or ()))
@@ -146,6 +147,9 @@ def _read_node_table(model: Model, path: Path, column: str):
             where = f"{path} line {reader.line_num}"
             t = _cell(row, "t", where, len(table))
             i = _cell(row, "node", where, table[t].size)
+            if (t, i) in seen:
+                raise ConfigError(f"{where}: (t={t}, node={i}) is listed twice")
+            seen.add((t, i))
             table[t][i] = _cell(row, column, where)
     if any(np.any(np.isnan(c)) for c in table):
         raise ConfigError(f"{path.name} does not cover every (t, node)")

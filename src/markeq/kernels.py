@@ -6,7 +6,8 @@ discretized onto the state grids by assigning, for each (time, state
 node, control node), the probability mass of the landing distribution to
 the two bracketing next-grid nodes (linear mass interpolation, mass
 beyond the grid clamped to the edge node).  ``DiscreteChain`` carries
-explicit row-stochastic matrices and passes through unchanged.
+explicit row-stochastic matrices and passes through; like every kernel,
+its weights below ``WEIGHT_FLOOR`` are set to 0.
 
 The module also houses the continuity diagnostics: a numeric total
 variation distance between one-step laws at two controls, and a probe
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
 
 from .errors import InfeasibleControlError, KernelError
@@ -30,6 +32,16 @@ ROW_SUM_TOL = 1e-10
 # 11 sigma): subnormal weights, and products of tiny normal ones that
 # underflow, put every propagation matmul on the CPU's slow arithmetic path.
 WEIGHT_FLOOR = 1e-30
+# Half-width, in landing stds, of the window of nodes whose Gaussian tent
+# masses are computed.  Beyond 14 stds a node's mass is below ndtr(-14) ~
+# 8e-45 (above the mean, where ndtr rounds to 1, it is rounding noise of
+# order phi(14) ~ 1e-43 times z or std/spacing), far below WEIGHT_FLOOR,
+# the tail mass beyond 11.3 stds: the floor sets it to 0.  Both cells of
+# the first node past 14 stds on each side are kept, so every weight that
+# can pass the floor is computed as over the whole grid, bit for bit.
+TENT_WINDOW = 14.0
+# Entries per block of tent masses: the block's temporaries stay in cache.
+TENT_BLOCK = 60_000
 CHAIN_ROW_TOL = 1e-12
 FEAS_TOL = 1e-9
 
@@ -209,28 +221,50 @@ def spread_mass(grid: np.ndarray, points: np.ndarray, masses: np.ndarray) -> np.
 def _gaussian_tent_masses(grid: np.ndarray, mean: np.ndarray, std: np.ndarray):
     """Exact integrals of the piecewise-linear hat functions against N(mean, std^2).
 
-    mean/std have shape (..., 1)-broadcastable; returns weights of shape
-    (..., len(grid)) plus the clamped tail mass (...,).  Mass below the
-    first node goes to it untransformed (clamp), same above the last.
+    mean/std have shape (R,); returns weights of shape (R, len(grid)) plus
+    the clamped tail mass (R,).  Mass below the first node goes to it
+    untransformed (clamp), same above the last.  Only the nodes within
+    ``TENT_WINDOW`` stds of each mean are computed, in blocks of about
+    ``TENT_BLOCK`` entries over rows sorted by window width; every other
+    weight is 0.  Each computed weight takes the same arithmetic as over
+    the whole grid, so after the floor the rows are those of the dense form.
     """
-    mean = np.asarray(mean, dtype=float)[..., None]
-    std = np.asarray(std, dtype=float)[..., None]
-    z = (grid - mean) / std
-    Phi = special.ndtr(z)
-    phi = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
-    # Per cell [x_k, x_{k+1}]: mass P_k and first moment M1_k of the landing law.
-    P = Phi[..., 1:] - Phi[..., :-1]
-    M1 = mean * P - std * (phi[..., 1:] - phi[..., :-1])
-    h = np.diff(grid)
-    w_left = (grid[1:] * P - M1) / h
-    w_right = (M1 - grid[:-1] * P) / h
-    out = np.zeros(mean.shape[:-1] + (grid.size,))
-    out[..., :-1] += w_left
-    out[..., 1:] += w_right
-    lo_tail = Phi[..., 0]
-    hi_tail = 1.0 - Phi[..., -1]
-    out[..., 0] += lo_tail
-    out[..., -1] += hi_tail
+    n = grid.size
+    lo_tail = special.ndtr((grid[0] - mean) / std)
+    hi_tail = 1.0 - special.ndtr((grid[-1] - mean) / std)
+    first = np.clip(np.searchsorted(grid, mean - TENT_WINDOW * std) - 2, 0, n)
+    stop = np.clip(np.searchsorted(grid, mean + TENT_WINDOW * std) + 2, 0, n)
+    order = np.argsort(first - stop, kind="stable")  # widest window first
+    out = np.zeros((mean.size, n))
+    flat = out.reshape(-1)
+    i0 = 0
+    while i0 < order.size:
+        width = stop[order[i0]] - first[order[i0]]
+        rows = order[i0:i0 + max(1, TENT_BLOCK // width)]
+        i0 += rows.size
+        start = np.minimum(first[rows], n - width)
+        # Window k of a sliding view starts at node k: g[i] = grid[start[i]:][:width].
+        g = sliding_window_view(grid, width)[start]
+        m = mean[rows, None]
+        s = std[rows, None]
+        z = (g - m) / s
+        Phi = special.ndtr(z)
+        phi = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
+        # Per cell [x_k, x_{k+1}]: mass P_k and first moment M1_k of the landing law.
+        P = Phi[:, 1:] - Phi[:, :-1]
+        M1 = m * P - s * (phi[:, 1:] - phi[:, :-1])
+        h = g[:, 1:] - g[:, :-1]
+        w_left = (g[:, 1:] * P - M1) / h
+        w_right = (M1 - g[:, :-1] * P) / h
+        block = np.zeros(g.shape)
+        block[:, :-1] += w_left
+        block[:, 1:] += w_right
+        low = start == 0
+        block[low, 0] += lo_tail[rows[low]]
+        high = start + width == n
+        block[high, -1] += hi_tail[rows[high]]
+        # Window k of the flat view is flat[k:k + width]; those written lie in distinct rows.
+        sliding_window_view(flat, width, writeable=True)[rows * n + start] = block
     return out, lo_tail + hi_tail
 
 
@@ -244,14 +278,9 @@ def _landing_rows(grid: np.ndarray, mu, sc, shape, noise: Noise, exact: bool,
     """
     mu, sc = (np.broadcast_to(np.asarray(v, dtype=float), shape) for v in (mu, sc))
     if exact:
-        W = np.empty(mu.shape + grid.shape)
-        clamp = np.empty(mu.shape)
-        # Chunk over the leading axis to bound temporary allocations.
-        chunk = max(1, int(4e6 // max(W[0].size, 1)))
-        for i0 in range(0, mu.shape[0], chunk):
-            sl = slice(i0, i0 + chunk)
-            W[sl], clamp[sl] = _gaussian_tent_masses(grid, mu[sl] + sc[sl] * noise.mean,
-                                                     sc[sl] * noise.std)
+        W, clamp = _gaussian_tent_masses(grid, (mu + sc * noise.mean).reshape(-1),
+                                         (sc * noise.std).reshape(-1))
+        W, clamp = W.reshape(shape + grid.shape), clamp.reshape(shape)
     else:
         wq, omega = noise.quadrature(quad_order)
         if not (np.all(np.isfinite(wq)) and np.all(np.isfinite(omega))):
@@ -262,8 +291,13 @@ def _landing_rows(grid: np.ndarray, mu, sc, shape, noise: Noise, exact: bool,
         W = spread_mass(grid, landing, omega)
     np.maximum(W, 0.0, out=W)
     W /= W.sum(axis=-1, keepdims=True)
-    W *= W >= WEIGHT_FLOOR  # zero the weights below the floor; idempotent
-    return W, clamp
+    return _floor(W), clamp
+
+
+def _floor(W: np.ndarray) -> np.ndarray:
+    """Set the weights of W below ``WEIGHT_FLOOR`` to 0, in place; idempotent."""
+    W *= W >= WEIGHT_FLOOR
+    return W
 
 
 def discretize(kernel: KernelSpec, grids: Sequence[np.ndarray], constraints,
@@ -273,7 +307,9 @@ def discretize(kernel: KernelSpec, grids: Sequence[np.ndarray], constraints,
     ``method``: "auto" uses closed-form hat-function masses for Gaussian
     noise (zero quadrature error) and noise quadrature otherwise;
     "quadrature" forces node spreading from the declared quadrature rule.
-    DiscreteChain specs pass through (rows re-verified).
+    DiscreteChain matrices pass through with their rows re-verified.
+    Every weight below ``WEIGHT_FLOOR`` is set to 0, chain weights included,
+    so a kernel reloaded from its cache equals the one saved.
     """
     grids = [np.asarray(g, dtype=float) for g in grids]
     T = len(grids)
@@ -283,7 +319,7 @@ def discretize(kernel: KernelSpec, grids: Sequence[np.ndarray], constraints,
             P = np.asarray(kernel.matrices[t], dtype=float)
             if P.shape[0] != grids[t].size or P.shape[2] != grids[t + 1].size:
                 raise KernelError(f"chain matrix shape mismatch at t={t}")
-            weights.append(P.copy())
+            weights.append(_floor(P.copy()))
             uvals = np.asarray(kernel.control_values[t], dtype=float)
             controls.append(np.tile(uvals, (grids[t].size, 1)))
             clamped.append(np.zeros(P.shape[:2]))
@@ -566,9 +602,7 @@ def load_kernel_cache(path, spec: Optional[KernelSpec] = None) -> DiscretizedKer
             n, M, nn = struct.unpack("<III", _read(fh, path, 12, f"shape header at t={t}"))
             grids.append(floats((n,), f"state grid at t={t}"))
             controls.append(floats((n, M), f"control nodes at t={t}"))
-            W = floats((n, M, nn), f"weights at t={t}")
-            W *= W >= WEIGHT_FLOOR
-            weights.append(W)
+            weights.append(_floor(floats((n, M, nn), f"weights at t={t}")))
             clamped.append(floats((n, M), f"clamped mass at t={t}"))
         grids.append(floats((nn,), "terminal state grid"))
     dk = DiscretizedKernel(weights, controls, grids, clamped, spec=spec,

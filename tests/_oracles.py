@@ -1,13 +1,15 @@
 """Independent reference computations used by the tests.
 
 Everything here is written with plain loops and explicit path
-enumeration, deliberately avoiding the library's vectorized code paths,
-so agreement is meaningful.
+enumeration, or over the whole grid, deliberately avoiding the library's
+vectorized and windowed code paths, so agreement is meaningful.
 """
 
 import numpy as np
+from scipy import special
 
 from markeq import Policy
+from markeq.kernels import WEIGHT_FLOOR
 
 
 def chain_config(rng, T, n_states, n_controls, mixer="zero"):
@@ -92,3 +94,41 @@ def brute_force_equilibrium(model, dk):
         jidx[t] = jt
         controls[t] = ut
     return Policy(controls=controls), jidx
+
+
+def gaussian_tent_masses(grid, mean, std):
+    """Exact integrals of the piecewise-linear hat functions against N(mean, std^2).
+
+    The dense form, over every node of the grid.  mean/std have shape
+    (...,); returns weights of shape (..., len(grid)) plus the clamped tail
+    mass (...,).  Mass below the first node goes to it untransformed
+    (clamp), same above the last.
+    """
+    mean = np.asarray(mean, dtype=float)[..., None]
+    std = np.asarray(std, dtype=float)[..., None]
+    z = (grid - mean) / std
+    Phi = special.ndtr(z)
+    phi = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
+    # Per cell [x_k, x_{k+1}]: mass P_k and first moment M1_k of the landing law.
+    P = Phi[..., 1:] - Phi[..., :-1]
+    M1 = mean * P - std * (phi[..., 1:] - phi[..., :-1])
+    h = np.diff(grid)
+    w_left = (grid[1:] * P - M1) / h
+    w_right = (M1 - grid[:-1] * P) / h
+    out = np.zeros(mean.shape[:-1] + (grid.size,))
+    out[..., :-1] += w_left
+    out[..., 1:] += w_right
+    lo_tail = Phi[..., 0]
+    hi_tail = 1.0 - Phi[..., -1]
+    out[..., 0] += lo_tail
+    out[..., -1] += hi_tail
+    return out, lo_tail + hi_tail
+
+
+def dense_landing_rows(grid, mean, std):
+    """Dense tent masses, clipped at 0, normalised and floored as the library does."""
+    W, clamp = gaussian_tent_masses(grid, mean, std)
+    np.maximum(W, 0.0, out=W)
+    W /= W.sum(axis=-1, keepdims=True)
+    W *= W >= WEIGHT_FLOOR
+    return W, clamp

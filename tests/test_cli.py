@@ -184,6 +184,24 @@ def test_verify_malformed_solution_csv_exits_2(tmp_path, capsys, name, field, ba
         assert f"line 3: bad {field} {bad!r}" in err
 
 
+@pytest.mark.parametrize("name, field", [("policy.csv", "control"), ("values.csv", "V")])
+def test_verify_duplicate_node_row_exits_2(tmp_path, capsys, name, field):
+    cfg = write_config(tmp_path, CHAIN_CONFIG)
+    out = tmp_path / "run"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    rows = read_rows(out / name)
+    # a second claim for (t=0, node=0), listed before the solver's own row
+    rows.insert(0, dict(rows[0], **{field: repr(-float(rows[0][field]) - 1.0)}))
+    with open(out / name, "w", newline="") as fh:
+        w = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        w.writeheader()
+        w.writerows(rows)
+    assert main(["verify", "--config", cfg, "--solution", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert f"{out / name} line 3: (t=0, node=0) is listed twice" in err
+
+
 def test_flags_only_where_used(tmp_path, capsys):
     cfg = write_config(tmp_path, CHAIN_CONFIG)
     out = tmp_path / "run"

@@ -10,10 +10,13 @@ from scipy.stats import norm
 
 from markeq import (AdditiveNoise, ControlConstraint, DiscreteChain,
                     GaussianNoise, InfeasibleControlError, KernelError,
-                    PointIndicator, StepFunction, discretize, exact_expectation,
-                    exp_utility_model, expectation, load_kernel_cache, policy_matrix,
-                    save_kernel_cache, setwise_continuity_probe, tv_distance)
-from markeq.kernels import WEIGHT_FLOOR
+                    MeanVarianceParams, PointIndicator, StepFunction, discretize,
+                    exact_expectation, exp_utility_model, expectation,
+                    load_kernel_cache, mv_model, policy_matrix, save_kernel_cache,
+                    setwise_continuity_probe, tv_distance)
+from markeq.kernels import TENT_BLOCK, WEIGHT_FLOOR, _landing_rows
+
+from _oracles import dense_landing_rows
 
 
 def _gauss_kernel(a=1.0, b=1.0, sigma=1.0, floor_frac=0.5):
@@ -100,6 +103,56 @@ def test_no_weight_below_floor(method):
     rows = dk.node_rows(0, np.arange(161), np.full((161, 3), [-1.3, 0.01, 1.77]))
     assert _tiny(rows) == 0
     assert np.count_nonzero(rows == 0) > rows.size // 2
+
+
+def _tent_rows(grid, mean, std):
+    """Windowed tent masses, asserted equal bit for bit to the dense form."""
+    mean, std = np.broadcast_arrays(np.asarray(mean, dtype=float), std)
+    W, clamp = _landing_rows(grid, mean, std, mean.shape, GaussianNoise(), True, 41)
+    Wd, cd = dense_landing_rows(grid, mean.reshape(-1), std.reshape(-1))
+    assert np.array_equal(W.reshape(Wd.shape), Wd)
+    assert np.array_equal(clamp.reshape(cd.shape), cd)
+    return W
+
+
+def test_tent_masses_narrow_window_equal_dense(rng):
+    grid = np.linspace(-5.0, 5.0, 101)  # spacing 0.1
+    W = _tent_rows(grid, rng.uniform(-5.0, 5.0, 300), 0.005)  # 14 stds < one spacing
+    assert np.count_nonzero(W, axis=-1).max() <= 4
+
+
+def test_tent_masses_window_spanning_grid_equal_dense(rng):
+    grid = np.sort(rng.uniform(-1.0, 1.0, 41))
+    W = _tent_rows(grid, rng.uniform(-2.0, 2.0, 50), 5.0)
+    assert np.all(W > 0)
+
+
+@pytest.mark.parametrize("std", [0.003, 0.3, 3.0])
+def test_tent_masses_means_at_and_beyond_grid_ends_equal_dense(std):
+    grid = np.linspace(-2.0, 2.0, 81)
+    means = [-50.0, -2.0 - 14 * std, -2.0 - std, -2.0, -2.0 + 1e-12, -1.95,
+             1.95, 2.0 - 1e-12, 2.0, 2.0 + std, 2.0 + 14 * std, 50.0]
+    W = _tent_rows(grid, means, std)
+    assert W[0, 0] == 1.0 and W[-1, -1] == 1.0
+
+
+def test_tent_masses_above_mean_rounding_noise_equal_dense():
+    # Past the mean, where ndtr rounds to 1, the dense form's masses are
+    # rounding noise; at std/spacing 0.34 some of it passes the floor near
+    # 11 stds, and a window cut right after 14 stds changes its last bits.
+    model = mv_model(MeanVarianceParams(T=5))
+    x = model.grids[0]
+    mu, sc = model.kernel.landing_params(0, x, model.constraints[0].nodes(x)[:, 18])
+    for m, s in zip(mu, sc):  # one row per call, so no wider row widens its window
+        _tent_rows(model.grids[1], [m], s)
+
+
+def test_tent_masses_mixed_widths_across_blocks_equal_dense(rng):
+    grid = np.linspace(-6.0, 6.0, 301)
+    mean = rng.uniform(-8.0, 8.0, (40, 60))
+    std = np.exp(rng.uniform(np.log(1e-3), np.log(30.0), (40, 60)))
+    assert mean.size * grid.size > 10 * TENT_BLOCK
+    _tent_rows(grid, mean, std)
 
 
 def test_discretize_rejects_bad_quad_order():
@@ -348,6 +401,18 @@ def test_kernel_cache_reload_rebuilds_rows_like_the_saved_kernel(tmp_path):
         load_kernel_cache(path)
 
 
+def test_chain_weight_below_floor_is_zeroed_and_survives_cache(tmp_path):
+    P = np.array([[[1.0, 1e-31], [0.5, 0.5]], [[0.2, 0.8], [0.0, 1.0]]])
+    chain = DiscreteChain(matrices=[P], control_values=[np.array([-1.0, 1.0])])
+    grids = [np.array([0.0, 1.0])] * 2
+    dk = discretize(chain, grids, None)
+    assert dk.weights[0][0, 0, 1] == 0.0
+    path = tmp_path / "kernel.bin"
+    save_kernel_cache(dk, path)
+    back = load_kernel_cache(path, spec=chain)
+    assert np.array_equal(back.weights[0], dk.weights[0])
+
+
 def test_kernel_cache_rejects_wrong_magic(tmp_path):
     path = tmp_path / "bogus.bin"
     path.write_bytes(b"NOTMYFMT" + b"\x00" * 64)
@@ -382,8 +447,8 @@ def test_node_rows_match_row_per_node():
     assert rows.shape == (4, 2, 81)
     for r, i in enumerate(nodes):
         for p in range(2):
-            np.testing.assert_allclose(rows[r, p], dk.row(0, i, U[r, p]), atol=1e-15)
-    np.testing.assert_allclose(dk.node_rows(0, nodes, U[:, 0]), rows[:, 0], atol=0)
+            np.testing.assert_array_equal(rows[r, p], dk.row(0, i, U[r, p]))
+    np.testing.assert_array_equal(dk.node_rows(0, nodes, U[:, 0]), rows[:, 0])
 
 
 # ---------------------------------------------------------------------------
