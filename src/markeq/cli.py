@@ -118,14 +118,14 @@ def cmd_solve(args) -> int:
 
 
 def _cell(row: dict, name: str, where: str, size=None):
-    """row[name] as a float, or as an index in [0, size); else ConfigError naming it."""
+    """row[name] as a finite float, or as an index in [0, size); else ConfigError naming it."""
     try:
         v = float(row[name]) if size is None else int(row[name])
-        if size is None or 0 <= v < size:
+        if (np.isfinite(v) if size is None else 0 <= v < size):
             return v
     except (TypeError, ValueError):
         pass
-    expected = "a number" if size is None else f"an index in [0, {size})"
+    expected = "a finite number" if size is None else f"an index in [0, {size})"
     raise ConfigError(f"{where}: bad {name} {row[name]!r}, expected {expected}")
 
 
@@ -176,7 +176,7 @@ def cmd_verify(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     t0 = time.perf_counter()
-    report = ev.deviation_report(model, dk, policy, tol=args.tol, keep_rows=True)
+    report = ev.deviation_report(model, dk, policy, tol=args.tol)
     timings = {"verify": time.perf_counter() - t0}
     out = Path(args.solution)
     report.to_csv(out / "deviation.csv")

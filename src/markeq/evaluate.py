@@ -2,15 +2,14 @@
 
 Everything here evaluates objectives by *forward* propagation of state
 distributions (or Monte Carlo simulation of the true noise), independent
-of the solver's backward flow-matrix contractions.  It also provides the
-two time-consistent baselines -- precommitment and naive -- used to
-demonstrate the failure of the dynamic-programming principle.
+of the solver's backward tabulation of the auxiliary functions.  It also
+provides the two time-consistent baselines -- precommitment and naive --
+used to demonstrate the failure of the dynamic-programming principle.
 """
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -19,6 +18,12 @@ from .errors import ModelError
 from .kernels import AdditiveNoise, DiscreteChain, DiscretizedKernel
 from .model import Model, Policy
 from .solver import EquilibriumSolution, refine_bowls
+
+# Fixed-point search of the precommitment baselines, in units of h_scale
+# (the largest |H| on the terminal grid): the bracket on m is bisected to
+# width M_TOL, after at most MAX_EXPAND geometric widenings by 1.6.
+M_TOL = 1e-10
+MAX_EXPAND = 60
 
 
 def _plan_objective(model: Model, dk: DiscretizedKernel, t: int, nodes,
@@ -134,30 +139,44 @@ def eval_objective_mc(model: Model, policy: Policy, t: int, x: float,
 
 @dataclass
 class DeviationReport:
-    """Worst one-step deviation improvement over all probed (t, node, control)."""
+    """Worst one-step deviation improvement over all probed (t, node, control).
+
+    Per time t: ``states`` (n_t,), the probe controls ``probes`` and the
+    deviation objectives ``J_dev``, both (n_t, P_t), and ``values`` (n_t,);
+    the gap at (t, i, p) is values[t][i] - J_dev[t][i, p].
+    """
 
     worst_gap: float
     argmax: Optional[tuple]              # (t, node, control)
     per_time_gap: List[float]
-    probe_resolution: List[int]          # number of probe controls per time
     tol: float
     certified: bool
     values: List[np.ndarray]             # V_t per node that the gaps were taken against
-    rows: List[tuple] = field(default_factory=list)  # (t, node, state, u, J_dev, V, gap)
+    states: List[np.ndarray]
+    probes: List[np.ndarray]
+    J_dev: List[np.ndarray]
+
+    @property
+    def probe_resolution(self) -> List[int]:
+        """Number of probe controls per node, per time."""
+        return [u.shape[1] for u in self.probes]
 
     def to_csv(self, path):
+        """One row per (t, node, probe), every float written as %.17g."""
+        fmt = "%d,%d" + ",%.17g" * 5 + "\r\n"
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "node_index", "state", "control", "J_dev", "V", "gap"])
-            for row in self.rows:
-                w.writerow([row[0], row[1]] + [f"{v:.17g}" for v in row[2:]])
+            fh.write("t,node_index,state,control,J_dev,V,gap\r\n")
+            for t, (y, u, J, v) in enumerate(zip(self.states, self.probes,
+                                                  self.J_dev, self.values)):
+                cols = np.broadcast_arrays(t, np.arange(y.size)[:, None], y[:, None], u, J,
+                                           v[:, None], v[:, None] - J)
+                fh.write(fmt * J.size % tuple(np.stack(cols, axis=-1).ravel().tolist()))
 
 
 def deviation_report(model: Model, dk: DiscretizedKernel, policy: Policy,
                      values: Optional[List[np.ndarray]] = None,
                      probe_controls_per_node: Optional[int] = None,
-                     tol: float = 1e-6,
-                     keep_rows: bool = False) -> DeviationReport:
+                     tol: float = 1e-6) -> DeviationReport:
     """Probe one-step deviations (u, tail) at every (t, node).
 
     Default probes are the full control grid plus the policy's own control
@@ -173,8 +192,7 @@ def deviation_report(model: Model, dk: DiscretizedKernel, policy: Policy,
     policy.check_feasible(model)
     worst = -np.inf
     argmax = None
-    per_time, resolutions, used = [], [], []
-    rows: List[tuple] = []
+    per_time, used, all_probes, all_J = [], [], [], []
     for t in range(model.T - 1):
         n = model.grids[t].size
         nodes = np.arange(n)
@@ -189,38 +207,31 @@ def deviation_report(model: Model, dk: DiscretizedKernel, policy: Policy,
             grid = lo[:, None] + (hi - lo)[:, None] * frac
             first = None
         probes = np.concatenate([grid, own], axis=1)
-        P = probes.shape[1]
-        resolutions.append(P)
+        all_probes.append(probes)
         J, _ = _plan_objective(model, dk, t, nodes, policy.controls, probes, first)
         v = J[:, -1].copy() if values is None else np.asarray(values[t], dtype=float)
         used.append(v)
+        all_J.append(J)
         gaps = v[:, None] - J
         per_time.append(float(gaps.max()))
         idx = np.unravel_index(np.argmax(gaps), gaps.shape)
         if gaps[idx] > worst:
             worst = float(gaps[idx])
             argmax = (t, int(idx[0]), float(probes[idx]))
-        if keep_rows:
-            ys = model.grids[t]
-            for i in range(n):
-                for p in range(P):
-                    rows.append((t, i, float(ys[i]), float(probes[i, p]),
-                                 float(J[i, p]), float(v[i]), float(gaps[i, p])))
     return DeviationReport(worst_gap=worst, argmax=argmax, per_time_gap=per_time,
-                           probe_resolution=resolutions, tol=tol,
-                           certified=worst <= tol, values=used, rows=rows)
+                           tol=tol, certified=worst <= tol, values=used,
+                           states=model.grids[:model.T - 1], probes=all_probes, J_dev=all_J)
 
 
 def verify_equilibrium(model: Model, dk: DiscretizedKernel,
                        solution: EquilibriumSolution,
                        probe_controls_per_node: Optional[int] = None,
-                       tol: float = 1e-6,
-                       keep_rows: bool = False) -> DeviationReport:
+                       tol: float = 1e-6) -> DeviationReport:
     """Deviation test for a solved equilibrium, using its reported values."""
     report = deviation_report(model, dk, solution.policy,
                               values=[np.asarray(v) for v in solution.values],
                               probe_controls_per_node=probe_controls_per_node,
-                              tol=tol, keep_rows=keep_rows)
+                              tol=tol)
     solution.diagnostics.deviation_gap = report.worst_gap
     return report
 
@@ -281,8 +292,7 @@ def _dp_linear(model: Model, dk: DiscretizedKernel, t0: int, nodes: np.ndarray,
     return controls
 
 
-def _precommit(model: Model, dk: DiscretizedKernel, t0: int, nodes,
-               m_tol: float = 1e-10, max_expand: int = 60):
+def _precommit(model: Model, dk: DiscretizedKernel, t0: int, nodes):
     """Precommitment plans from the time-t0 nodes ``nodes`` (P,), searched in lockstep.
 
     Every plan runs the sequence of the search described in
@@ -321,7 +331,7 @@ def _precommit(model: Model, dk: DiscretizedKernel, t0: int, nodes,
     ra = run(act, m0) - m0
     a, b, rb = m0.copy(), m0.copy(), ra.copy()
     step = np.full(act.size, max(0.25 * h_scale, 1e-3))
-    for _ in range(max_expand):
+    for _ in range(MAX_EXPAND):
         g = np.flatnonzero(~((ra * rb <= 0) & (a < b)))
         if g.size == 0:
             break
@@ -332,7 +342,7 @@ def _precommit(model: Model, dk: DiscretizedKernel, t0: int, nodes,
     bracketed = np.flatnonzero((ra * rb <= 0) & (a < b))
     live = bracketed
     for _ in range(200):
-        live = live[~(b[live] - a[live] < m_tol * h_scale)]
+        live = live[~(b[live] - a[live] < M_TOL * h_scale)]
         if live.size == 0:
             break
         mid = 0.5 * (a[live] + b[live])
@@ -345,8 +355,7 @@ def _precommit(model: Model, dk: DiscretizedKernel, t0: int, nodes,
     return best, best_J
 
 
-def solve_precommitment(model: Model, dk: DiscretizedKernel, t0: int, i0: int,
-                        m_tol: float = 1e-10, max_expand: int = 60):
+def solve_precommitment(model: Model, dk: DiscretizedKernel, t0: int, i0: int):
     """Policy minimizing J_{t0}(x_{i0}; .) over Markov policies.
 
     With G independent of h this is plain backward DP on the linear terms
@@ -359,7 +368,7 @@ def solve_precommitment(model: Model, dk: DiscretizedKernel, t0: int, i0: int,
     the best one is returned, so non-concave G still yields the best
     tangent-family policy.
     """
-    controls, J = _precommit(model, dk, t0, [i0], m_tol, max_expand)
+    controls, J = _precommit(model, dk, t0, [i0])
     return Policy(controls=[None if c is None else c[0] for c in controls]), float(J[0])
 
 

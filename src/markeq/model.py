@@ -24,6 +24,8 @@ import numpy as np
 from .errors import ConfigError, ModelError
 from .kernels import AdditiveNoise, DiscreteChain, KernelSpec
 
+CLAMP_EDGE_FRAC = 0.25  # share of states and of controls at each end left out of clamp_diagnostic
+
 
 @dataclass(frozen=True)
 class ControlConstraint:
@@ -130,14 +132,14 @@ class Model:
         for t, c in enumerate(self.constraints):
             c.bounds(self.grids[t])  # raises on empty intervals
 
-    def clamp_diagnostic(self, dk, interior_frac: float = 0.25,
-                         mid_frac: float = 0.25) -> float:
+    def clamp_diagnostic(self, dk) -> float:
         """Worst clamped kernel mass over grid-interior states and mid-range controls."""
+        f = CLAMP_EDGE_FRAC
         worst = 0.0
         for t in range(self.T - 1):
             n, M = dk.clamped[t].shape
-            i0, i1 = int(n * interior_frac), max(int(n * (1 - interior_frac)), int(n * interior_frac) + 1)
-            j0, j1 = int(M * mid_frac), max(int(M * (1 - mid_frac)), int(M * mid_frac) + 1)
+            i0, i1 = int(n * f), max(int(n * (1 - f)), int(n * f) + 1)
+            j0, j1 = int(M * f), max(int(M * (1 - f)), int(M * f) + 1)
             worst = max(worst, float(dk.clamped[t][i0:i1, j0:j1].max()))
         return worst
 

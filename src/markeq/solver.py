@@ -9,9 +9,8 @@ already fixed, the per-node objective is
 
 where b_k, f, h are conditional expectations of the running cost at k,
 the terminal cost, and the terminal statistic under the frozen tail.
-They are evaluated through flow matrices (multi-step transition
-matrices under the tail policy), so a change of evaluation point (s, y)
-is a cheap re-contraction.
+``build_aux`` tabulates them on the time-(t+1) grid by one backward sweep
+of the one-step tower recursion under the tail policy.
 """
 
 from __future__ import annotations
@@ -26,9 +25,11 @@ from .kernels import DiscreteChain, DiscretizedKernel, policy_matrix
 from .model import Model, Policy
 
 GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))  # interior fraction of golden-section search
+GOLDEN_MAX_ITER = 200  # cap on golden steps; about 43 shrink a unit bracket to 1e-9
+LEVELSET_PROBES = 2001  # probe controls per levelset_probe window
 
 
-def golden_section(f, lo, hi, tol: float = 1e-9, max_iter: int = 200):
+def golden_section(f, lo, hi, tol: float = 1e-9):
     """Minimize f on [lo, hi]; returns (argmin, min).  Deterministic.
 
     ``lo`` and ``hi`` are floats, or arrays of shape (k,) holding k
@@ -48,7 +49,7 @@ def golden_section(f, lo, hi, tol: float = 1e-9, max_iter: int = 200):
     x2 = b - GOLDEN * (b - a)
     f12 = f(np.stack([x1, x2], axis=1))
     f1, f2 = f12[:, 0], f12[:, 1]
-    for _ in range(max_iter):
+    for _ in range(GOLDEN_MAX_ITER):
         active = b - a > tol
         if not np.any(active):
             break
@@ -89,85 +90,56 @@ def golden_section(f, lo, hi, tol: float = 1e-9, max_iter: int = 200):
 
 
 @dataclass
-class FlowMatrices:
-    """M[t+1 -> k] for k = t+1..T-1: law of x_k given x_{t+1}, under the tail."""
-
-    t: int
-    mats: List[np.ndarray]  # mats[0] = identity at time t+1
-
-    def to_time(self, k: int) -> np.ndarray:
-        return self.mats[k - (self.t + 1)]
-
-
-@dataclass
 class AuxiliaryBundle:
     """Grid tabulations of the auxiliary functions under a frozen tail.
 
-    ``btot[i, n]`` holds sum_k b_k(s, y_i, x_n) + f(s, y_i, x_n) on the
-    time-(t+1) grid, for evaluation states y_i (defaults: the time-s grid
-    with s = t).  ``h_next[n]`` is h on the time-(t+1) grid.
+    ``btot[i, n]`` holds sum_k b_k(s, x_i, x_n) + f(s, x_i, x_n) for x_i on
+    the time-s grid (s = ``eval_time``) and x_n on the time-(t+1) grid;
+    ``h_next[n]`` is h on the time-(t+1) grid.
     """
 
-    t: int
     eval_time: int
-    eval_states: np.ndarray
-    flows: FlowMatrices
     h_next: np.ndarray
     btot: np.ndarray
-    model: Model
-    tail_policy: Optional[Policy]
 
 
 def build_aux(model: Model, dk: DiscretizedKernel, tail_policy: Optional[Policy],
-              t: int, eval_time: Optional[int] = None,
-              eval_states: Optional[np.ndarray] = None) -> AuxiliaryBundle:
+              t: int, eval_time: Optional[int] = None) -> AuxiliaryBundle:
     """Tabulate the auxiliary functions for decision time t.
 
     ``tail_policy`` must be feasible at times t+1..T-2 (None allowed when
-    t = T-2, where the bundle degenerates to terminal costs).  Flow
-    matrices are built by successive left multiplication of the
-    policy-conditioned one-step matrices.
+    t = T-2, where the bundle degenerates to terminal costs).  One backward
+    sweep applies the tower property with P_k, the one-step matrix under
+    the tail at time k: h <- P_k h and btot <- btot P_k^T + C_k for
+    k = T-2 down to t+1, starting from H and F on the terminal grid.
     """
     T = model.T
     if not 0 <= t <= T - 2:
         raise SolverError(f"decision time {t} out of range")
     s = t if eval_time is None else eval_time
-    ys = model.grids[s] if eval_states is None else np.asarray(eval_states, dtype=float)
-
-    mats = [np.eye(model.grids[t + 1].size)]
-    for k in range(t + 1, T - 1):
+    ys = model.grids[s][:, None]
+    xT = model.grids[-1]
+    h_next = np.asarray(model.costs.terminal_stat(xT), dtype=float)
+    btot = np.asarray(model.costs.terminal(s, ys, xT[None, :]), dtype=float)
+    for k in range(T - 2, t, -1):
         if tail_policy is None or tail_policy.controls[k] is None:
             raise SolverError(f"tail policy missing controls at time {k}")
-        mats.append(mats[-1] @ policy_matrix(dk, k, tail_policy.controls[k]))
-    flows = FlowMatrices(t=t, mats=mats)
-
-    MT = flows.to_time(T - 1)
-    xT = model.grids[-1]
-    h_next = MT @ np.asarray(model.costs.terminal_stat(xT), dtype=float)
-
-    fmat = np.asarray(model.costs.terminal(s, ys[:, None], xT[None, :]), dtype=float)
-    btot = fmat @ MT.T
-    for k in range(t + 1, T - 1):
-        Mk = flows.to_time(k)
-        xk = model.grids[k]
         uk = tail_policy.controls[k]
-        cmat = np.asarray(model.costs.running(k, s, ys[:, None], xk[None, :],
-                                              uk[None, :]), dtype=float)
-        btot += cmat @ Mk.T
+        Pk = policy_matrix(dk, k, uk)
+        h_next = Pk @ h_next
+        btot = btot @ Pk.T + np.asarray(
+            model.costs.running(k, s, ys, model.grids[k][None, :], uk[None, :]), dtype=float)
     if not np.all(np.isfinite(btot)) or not np.all(np.isfinite(h_next)):
         raise SolverError("auxiliary tabulation is non-finite")
-    return AuxiliaryBundle(t=t, eval_time=s, eval_states=ys, flows=flows,
-                           h_next=h_next, btot=btot, model=model,
-                           tail_policy=tail_policy)
+    return AuxiliaryBundle(eval_time=s, h_next=h_next, btot=btot)
 
 
 def _assemble(model: Model, aux: AuxiliaryBundle, t: int, nodes: np.ndarray,
               U: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """L = C + E[sum b_k + f] + G(E[h]) at controls U (k, P) with landing rows (k, P, nn)."""
     x = model.grids[t][nodes][:, None]
-    y_idx = nodes if aux.eval_states.size == model.grids[t].size else np.zeros_like(nodes)
     c = np.asarray(model.costs.running(t, aux.eval_time, x, x, U), dtype=float)
-    e_b = np.einsum("kpm,km->kp", rows, aux.btot[y_idx])
+    e_b = np.einsum("kpm,km->kp", rows, aux.btot[nodes])
     e_h = rows @ aux.h_next
     g = np.asarray(model.costs.mixer(aux.eval_time, x, e_h), dtype=float)
     return c + e_b + g
@@ -177,7 +149,7 @@ def objective_grid(model: Model, dk: DiscretizedKernel, aux: AuxiliaryBundle,
                    t: int) -> np.ndarray:
     """L on the full control grid: shape (n_t, M_u).
 
-    Requires aux built with eval_states = the time-t grid (the Bellman case).
+    Requires aux built at eval_time = t (the Bellman case).
     """
     nodes = np.arange(model.grids[t].size)
     return _assemble(model, aux, t, nodes, dk.controls[t], dk.weights[t])
@@ -316,13 +288,13 @@ def value_identity_check(model: Model, dk: DiscretizedKernel,
         raise SolverError("value identity is defined for t <= T-3")
     xs = model.grids[t + 1]
     # Aux for decision time t tabulates b_k, f, h on the time-(t+1) grid;
-    # rebuilding it at (s, y) = (t+1, x) makes the identity a diagonal read.
-    aux = build_aux(model, dk, solution.policy, t, eval_time=t + 1, eval_states=xs)
+    # built at s = t+1 its evaluation states are that same grid, so the
+    # identity is a diagonal read.  The sweep's last step adds C_{t+1} at
+    # the tail's own (possibly refined, off-node) control, which is the
+    # control V_{t+1} was taken at.
+    aux = build_aux(model, dk, solution.policy, t, eval_time=t + 1)
     rhs = np.diag(aux.btot) \
         + np.asarray(model.costs.mixer(t + 1, xs, aux.h_next), dtype=float)
-    # btot includes b_{t+1}(t+1, x, x_n) = C_{t+1} at the chosen control via the
-    # identity flow matrix -- except the tail control at t+1 may be off-node
-    # (refined), in which case the tabulated running cost already used it.
     lhs = solution.values[t + 1]
     return float(np.max(np.abs(lhs - rhs)))
 
@@ -338,8 +310,8 @@ class LevelSetReport:
 
 
 def levelset_probe(model: Model, dk: DiscretizedKernel, aux: AuxiliaryBundle,
-                   t: int, i: int, r: float, window: Optional[tuple] = None,
-                   num: int = 2001) -> LevelSetReport:
+                   t: int, i: int, r: float,
+                   window: Optional[tuple] = None) -> LevelSetReport:
     """Sublevel set {u : L(t, i, u) <= r} on a fine probe grid.
 
     ``window`` may extend past the modeled control interval; the kernel
@@ -350,8 +322,8 @@ def levelset_probe(model: Model, dk: DiscretizedKernel, aux: AuxiliaryBundle,
     U = dk.controls[t][i]
     lo, hi = (float(U[0]), float(U[-1])) if window is None else (float(window[0]),
                                                                  float(window[1]))
-    us = np.linspace(lo, hi, num)
-    nodes = np.full(num, i)
+    us = np.linspace(lo, hi, LEVELSET_PROBES)
+    nodes = np.full(LEVELSET_PROBES, i)
     rows = dk.node_rows(t, nodes, np.clip(us, U[0], U[-1]))
     vals = _assemble(model, aux, t, nodes, us[:, None], rows[:, None])[:, 0]
     inside = vals <= r

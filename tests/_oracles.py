@@ -5,11 +5,14 @@ enumeration, or over the whole grid, deliberately avoiding the library's
 vectorized and windowed code paths, so agreement is meaningful.
 """
 
+import csv
+import io
+
 import numpy as np
 from scipy import special
 
 from markeq import Policy
-from markeq.kernels import WEIGHT_FLOOR
+from markeq.kernels import WEIGHT_FLOOR, policy_matrix
 
 
 def chain_config(rng, T, n_states, n_controls, mixer="zero"):
@@ -132,3 +135,42 @@ def dense_landing_rows(grid, mean, std):
     W /= W.sum(axis=-1, keepdims=True)
     W *= W >= WEIGHT_FLOOR
     return W, clamp
+
+
+def flow_product_aux(model, dk, policy, t, eval_time=None):
+    """``build_aux``'s btot and h_next from multi-step flow matrices.
+
+    M[t+1 -> k], the law of x_k given x_{t+1} under the tail, is formed by
+    successive products of the one-step matrices, and every conditional
+    expectation is contracted against it separately.
+    """
+    T = model.T
+    s = t if eval_time is None else eval_time
+    ys = model.grids[s][:, None]
+    mats = [np.eye(model.grids[t + 1].size)]
+    for k in range(t + 1, T - 1):
+        mats.append(mats[-1] @ policy_matrix(dk, k, policy.controls[k]))
+    xT = model.grids[-1]
+    h_next = mats[-1] @ np.asarray(model.costs.terminal_stat(xT), dtype=float)
+    btot = np.asarray(model.costs.terminal(s, ys, xT[None, :]), dtype=float) @ mats[-1].T
+    for k in range(t + 1, T - 1):
+        uk = policy.controls[k]
+        ck = np.asarray(model.costs.running(k, s, ys, model.grids[k][None, :], uk[None, :]),
+                        dtype=float)
+        btot = btot + ck @ mats[k - (t + 1)].T
+    return btot, h_next
+
+
+def deviation_csv_bytes(report):
+    """``DeviationReport.to_csv``'s file, written one row at a time by ``csv.writer``."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(["t", "node_index", "state", "control", "J_dev", "V", "gap"])
+    for t, (ys, U, J, v) in enumerate(zip(report.states, report.probes, report.J_dev,
+                                          report.values)):
+        for i in range(J.shape[0]):
+            for p in range(J.shape[1]):
+                gap = v[i] - J[i, p]
+                w.writerow([t, i] + [f"{float(c):.17g}"
+                                     for c in (ys[i], U[i, p], J[i, p], v[i], gap)])
+    return buf.getvalue().encode()

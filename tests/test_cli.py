@@ -163,6 +163,9 @@ def test_verify_missing_values_csv(tmp_path, capsys):
     ("values.csv", "node", "-1"),
     ("values.csv", "V", "high"),
     ("policy.csv", "control", None),    # column missing
+    ("values.csv", "V", "nan"),         # parses as a float, but not a finite one
+    ("values.csv", "V", "inf"),
+    ("policy.csv", "control", "nan"),
 ])
 def test_verify_malformed_solution_csv_exits_2(tmp_path, capsys, name, field, bad):
     cfg = write_config(tmp_path, CHAIN_CONFIG)

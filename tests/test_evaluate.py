@@ -9,7 +9,7 @@ from markeq import (LQParams, MeanVarianceParams, Policy, build_model,
                     nonlinear_lq_variant, solve, solve_naive, solve_precommitment,
                     verify_equilibrium)
 
-from _oracles import brute_force_equilibrium, chain_config
+from _oracles import brute_force_equilibrium, chain_config, deviation_csv_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -150,15 +150,34 @@ def test_corrupted_policy_fails_certification(lq_small):
 def test_deviation_report_csv_roundtrip(lq_small, tmp_path):
     import csv
     model, dk, solution = lq_small
-    report = deviation_report(model, dk, solution.policy, keep_rows=True)
+    report = deviation_report(model, dk, solution.policy)
     path = tmp_path / "deviation.csv"
     report.to_csv(path)
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert rows and set(rows[0]) == {"t", "node_index", "state", "control",
                                      "J_dev", "V", "gap"}
+    assert len(rows) == sum(J.size for J in report.J_dev)
     worst = max(float(r["gap"]) for r in rows)
     assert worst == pytest.approx(report.worst_gap, abs=1e-15)
+    r = rows[-1]  # last probe of the last node at the last decision time
+    t, i = model.T - 2, model.grids[model.T - 2].size - 1
+    assert (int(r["t"]), int(r["node_index"])) == (t, i)
+    assert float(r["control"]) == report.probes[t][i, -1]
+    assert float(r["J_dev"]) == report.J_dev[t][i, -1]
+
+
+@pytest.mark.parametrize("instance, per_node", [
+    pytest.param("lq_small", None, id="lq_small"),
+    pytest.param("chain_small", None, id="chain_small"),
+    pytest.param("lq_small", 7, id="lq_small-7"),
+])
+def test_deviation_csv_matches_row_writer(instance, per_node, request, tmp_path):
+    model, dk = request.getfixturevalue(instance)[:2]
+    report = deviation_report(model, dk, solve(model, dk).policy,
+                              probe_controls_per_node=per_node)
+    report.to_csv(tmp_path / "deviation.csv")
+    assert (tmp_path / "deviation.csv").read_bytes() == deviation_csv_bytes(report)
 
 
 @pytest.mark.parametrize("instance, per_node", [
@@ -173,21 +192,18 @@ def test_deviation_probes_match_exact_evaluation(instance, per_node, request):
     # probes from node_rows; eval_objective_exact always uses node_rows.
     model, dk = request.getfixturevalue(instance)[:2]
     policy = solve(model, dk).policy
-    report = deviation_report(model, dk, policy, probe_controls_per_node=per_node,
-                              keep_rows=True)
-    rows = {}
-    for row in report.rows:
-        rows.setdefault((row[0], row[1]), []).append(row)
+    report = deviation_report(model, dk, policy, probe_controls_per_node=per_node)
     for t in range(model.T - 1):
         n = model.grids[t].size
+        P = report.probe_resolution[t]
+        assert report.probes[t].shape == report.J_dev[t].shape == (n, P)
+        np.testing.assert_array_equal(report.states[t], model.grids[t])
         for i in sorted({0, n // 2, n - 1}):
-            probes = rows[(t, i)]
-            assert len(probes) == report.probe_resolution[t]
-            for _, _, _, u, j_dev, _, _ in (probes[0], probes[len(probes) // 2], probes[-1]):
+            for p in (0, P // 2, P - 1):
                 dev = [c.copy() for c in policy.controls]
-                dev[t][i] = u
+                dev[t][i] = report.probes[t][i, p]
                 j = eval_objective_exact(model, dk, Policy(controls=dev), t, i)
-                assert j_dev == pytest.approx(j, abs=1e-12)
+                assert report.J_dev[t][i, p] == pytest.approx(j, abs=1e-12)
 
 
 @pytest.mark.parametrize("instance", ["lq_small", "chain_small"])
@@ -275,3 +291,31 @@ def test_naive_is_first_action_of_precommitment(model, nodes, atol):
         for i in nodes(model.grids[t].size):
             pre, _ = solve_precommitment(model, dk, t, i)
             assert naive.controls[t][i] == pytest.approx(pre.controls[t][i], abs=atol)
+
+
+def test_certificate_independent_of_solver_tabulation():
+    # The certificate and the baselines propagate forward; from the solver
+    # they may take only the solution record and the generic bowl search,
+    # never its backward tabulation or objectives.
+    import ast
+    import markeq.evaluate
+    with open(markeq.evaluate.__file__) as fh:
+        tree = ast.parse(fh.read())
+    from_solver = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            names = {a.name for a in node.names}
+            if module in (".solver", "markeq.solver"):
+                from_solver |= names
+            assert not (module in (".", "markeq") and "solver" in names)
+        elif isinstance(node, ast.Import):
+            assert all(a.name != "markeq.solver" for a in node.names)
+    assert from_solver <= {"EquilibriumSolution", "refine_bowls"}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    used |= {a.name for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))
+             for a in n.names}
+    banned = {"build_aux", "AuxiliaryBundle", "_assemble", "bellman_step"}
+    assert not used & banned
+    assert not [u for u in used if u.startswith("objective_")]

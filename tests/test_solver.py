@@ -11,10 +11,11 @@ from markeq import (ControlConstraint, Costs, GaussianNoise, LQParams,
                     discretize, eval_objective_exact, golden_section,
                     levelset_probe, lq_model, mv_chain_model, mv_closed_form,
                     mv_model, objective_L, solve, value_identity_check)
-from markeq.kernels import AdditiveNoise, policy_matrix
+from markeq.kernels import AdditiveNoise
 from markeq.solver import objective_grid
 
-from _oracles import brute_force_equilibrium, chain_config, path_objective
+from _oracles import (brute_force_equilibrium, chain_config, flow_product_aux,
+                      path_objective)
 
 
 def _pure_control_cost_model(T=3, n_x=11, n_u=21):
@@ -96,11 +97,14 @@ def test_aux_chain_flow_product(chain_small):
     model, dk, _ = chain_small
     tail = Policy(controls=[None, np.array([-1.0, 1.0])])
     aux = build_aux(model, dk, tail, 0)
-    # M[1->2] is the one-step matrix at t=1 under the tail controls
+    # Q is the one-step matrix at t=1 under the tail controls
     Q = np.stack([dk.weights[1][0, 0], dk.weights[1][1, 1]])
-    np.testing.assert_allclose(aux.flows.to_time(2), Q, atol=1e-15)
+    xT, ys = model.grids[-1], model.grids[0]
+    C1 = model.costs.running(1, 0, ys[:, None], model.grids[1][None, :], np.array([[-1.0, 1.0]]))
     np.testing.assert_allclose(
-        aux.h_next, Q @ model.costs.terminal_stat(model.grids[-1]), atol=1e-15)
+        aux.btot, model.costs.terminal(0, ys[:, None], xT[None, :]) @ Q.T + C1, atol=1e-15)
+    np.testing.assert_allclose(
+        aux.h_next, Q @ model.costs.terminal_stat(xT), atol=1e-15)
 
 
 def test_aux_mean_variance_h_is_affine():
@@ -116,18 +120,27 @@ def test_aux_mean_variance_h_is_affine():
         assert np.max(np.abs(aux.h_next - expect)) < 1e-8
 
 
+def _assert_sweep_matches_flow_products(model, dk, policy):
+    for t in range(model.T - 1):
+        cases = [None] + ([t + 1] if t <= model.T - 3 else [])  # + value_identity_check's
+        for eval_time in cases:
+            aux = build_aux(model, dk, policy, t, eval_time=eval_time)
+            btot, h_next = flow_product_aux(model, dk, policy, t, eval_time)
+            np.testing.assert_allclose(aux.btot, btot, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(aux.h_next, h_next, rtol=0, atol=1e-12)
+
+
 def test_incremental_flows_match_scratch(chain_small):
     model, dk, _ = chain_small
+    _assert_sweep_matches_flow_products(model, dk, solve(model, dk).policy)
+
+
+def test_incremental_flows_match_scratch_off_grid_tail():
+    model = lq_model(LQParams(a=0.5, T=4), n_x=61, n_u=41)
+    dk = discretize(model.kernel, model.grids, model.constraints)
     solution = solve(model, dk)
-    for t in range(model.T - 1):
-        aux_scratch = build_aux(model, dk, solution.policy, t)
-        # rebuild flows manually by successive products
-        mats = [np.eye(model.grids[t + 1].size)]
-        for k in range(t + 1, model.T - 1):
-            mats.append(mats[-1] @ policy_matrix(dk, k, solution.policy.controls[k]))
-        for k in range(t + 1, model.T):
-            np.testing.assert_allclose(aux_scratch.flows.to_time(k),
-                                       mats[k - (t + 1)], atol=1e-12)
+    assert any(t >= 1 for t, _ in solution.diagnostics.refined)  # tail controls off the grid
+    _assert_sweep_matches_flow_products(model, dk, solution.policy)
 
 
 # ---------------------------------------------------------------------------
