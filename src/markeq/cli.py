@@ -23,7 +23,7 @@ from . import evaluate as ev
 from .errors import ConfigError, MarkeqError
 from .kernels import discretize
 from .model import Model, Policy, build_model, config_hash
-from .solver import SolveOptions, solve
+from .solver import U_TOL, SolveOptions, solve
 
 _FLOAT_FMT = "{:.17g}"
 
@@ -263,8 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the control grid node count M_u")
 
     def u_tol(p):
-        p.add_argument("--u-tol", type=float, default=1e-9, dest="u_tol",
-                       help="refinement tolerance of the equilibrium solve (baselines: 1e-9)")
+        p.add_argument("--u-tol", type=float, default=U_TOL, dest="u_tol",
+                       help=f"refinement tolerance of the equilibrium solve (default {U_TOL:g}; "
+                       f"the baselines always refine at {U_TOL:g})")
 
     p = sub.add_parser("solve", help="solve and write policy/value/diagnostic tables")
     common(p)

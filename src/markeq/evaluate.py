@@ -15,7 +15,7 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import ModelError
-from .kernels import AdditiveNoise, DiscreteChain, DiscretizedKernel
+from .kernels import AdditiveNoise, DiscretizedKernel
 from .model import Model, Policy
 from .solver import EquilibriumSolution, refine_bowls
 
@@ -254,10 +254,10 @@ def _dp_linear(model: Model, dk: DiscretizedKernel, t0: int, nodes: np.ndarray,
 
     Plan p starts at the time-t0 node nodes[p] (y = x_{nodes[p]}) with
     slope lam[p].  Returns the minimizing Markov plans as controls[k] of
-    shape (P, n_k), k = t0..T-2 (None before t0).  On additive-noise
-    kernels one batched search per time step refines the interior grid
-    minima of every plan wherever it can be: at every node after t0, and
-    at its start node at t0 (its other t0 controls are never played).
+    shape (P, n_k), k = t0..T-2 (None before t0).  Each time step is one
+    ``refine_bowls`` call on the rows p * n + i (plan p at node i).  It
+    refines every node after t0, and at t0 only each plan's start node
+    (its other t0 controls are never played).
     """
     ys = model.grids[t0][nodes]
     xT = model.grids[-1]
@@ -265,30 +265,25 @@ def _dp_linear(model: Model, dk: DiscretizedKernel, t0: int, nodes: np.ndarray,
                         + lam[:, None] * np.asarray(model.costs.terminal_stat(xT), dtype=float),
                         (ys.size, xT.size))
     controls: List[Optional[np.ndarray]] = [None] * (model.T - 1)
+    P = ys.size
     for k in range(model.T - 2, t0 - 1, -1):
         xk, U, W = model.grids[k], dk.controls[k], dk.weights[k]
         n, M, nn = W.shape
         c = np.asarray(model.costs.running(k, t0, ys[:, None, None], xk[:, None], U), dtype=float)
-        Lk = c + (W.reshape(n * M, nn) @ V.T).T.reshape(ys.size, n, M)
-        j = np.argmin(Lk, axis=2)
-        uk = U[np.arange(n), j]
-        vk = np.take_along_axis(Lk, j[..., None], axis=2)[..., 0]
-        if not isinstance(model.kernel, DiscreteChain):
-            def f(r, u):
-                p, i = np.divmod(flat[r], n)
-                u2 = u.reshape(r.size, -1)
-                cu = np.asarray(model.costs.running(k, t0, ys[p][:, None], xk[i][:, None], u2),
-                                dtype=float)
-                return (cu + np.einsum("kqm,km->kq", dk.node_rows(k, i, u2), V[p])
-                        ).reshape(u.shape)
-            # Flat index p * n + i: plan p at node i.
-            flat = np.arange(ys.size * n) if k > t0 else np.arange(ys.size) * n + nodes
-            r, u_ref, v_ref = refine_bowls(f, j.reshape(-1)[flat], U[flat % n], 1e-9)
-            better = v_ref < vk.reshape(-1)[flat[r]]
-            np.put(uk, flat[r[better]], u_ref[better])
-            np.put(vk, flat[r[better]], v_ref[better])
-        controls[k] = uk
-        V = vk
+        Lk = c + (W.reshape(n * M, nn) @ V.T).T.reshape(P, n, M)
+
+        def f(r, u):  # row r = p * n + i: plan p at node i
+            p, i = np.divmod(r, n)
+            u2 = u.reshape(r.size, -1)
+            cu = np.asarray(model.costs.running(k, t0, ys[p][:, None], xk[i][:, None], u2),
+                            dtype=float)
+            return (cu + np.einsum("kqm,km->kq", dk.node_rows(k, i, u2), V[p])
+                    ).reshape(u.shape)
+        _, uk, vk, _ = refine_bowls(model.kernel, Lk.reshape(P * n, M),
+                                    np.broadcast_to(U, (P, n, M)).reshape(P * n, M), f,
+                                    rows=None if k > t0 else np.arange(P) * n + nodes)
+        controls[k] = uk.reshape(P, n)
+        V = vk.reshape(P, n)
     return controls
 
 

@@ -70,8 +70,10 @@ class AdditiveNoise:
         """Mean and std of x' given (t, x, u), folding in the noise moments."""
         mu = np.asarray(self.drift(t, x, u), dtype=float)
         sc = np.asarray(self.scale(t, x, u), dtype=float)
+        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sc))):
+            raise KernelError(f"non-finite landing mean or std at t={t}")
         if np.any(sc < self.sigma_floor) or np.any(sc <= 0):
-            raise KernelError("scale fell below sigma_floor")
+            raise KernelError(f"scale fell below sigma_floor at t={t}")
         return mu, sc
 
 
@@ -130,8 +132,8 @@ class DiscretizedKernel:
 
     def check_rows(self, tol: float = ROW_SUM_TOL):
         for t, W in enumerate(self.weights):
-            rows = W.sum(axis=-1)
-            if np.any(np.abs(rows - 1.0) > tol) or np.any(W < -tol):
+            rows = W.sum(axis=-1)  # a NaN weight fails both comparisons
+            if not (np.all(np.abs(rows - 1.0) <= tol) and np.all(W >= -tol)):
                 raise KernelError(f"discretized rows at t={t} are not stochastic")
 
     def _feasible(self, t: int, nodes: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -581,7 +583,10 @@ def load_kernel_cache(path, spec: Optional[KernelSpec] = None) -> DiscretizedKer
 
     def floats(shape, what):
         data = _read(fh, path, 8 * int(np.prod(shape)), what)
-        return np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+        arr = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+        if not np.all(np.isfinite(arr)):
+            raise KernelError(f"kernel cache {path}: non-finite {what}")
+        return arr
 
     with open(path, "rb") as fh:
         magic = fh.read(8)

@@ -22,7 +22,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .errors import ConfigError, ModelError
-from .kernels import AdditiveNoise, DiscreteChain, KernelSpec
+from .kernels import FEAS_TOL, AdditiveNoise, DiscreteChain, KernelSpec
 
 CLAMP_EDGE_FRAC = 0.25  # share of states and of controls at each end left out of clamp_diagnostic
 
@@ -103,7 +103,7 @@ class Policy:
             lo, hi = model.constraints[t].bounds(model.grids[t])
             if c.shape != model.grids[t].shape:
                 raise ModelError(f"policy shape mismatch at t={t}")
-            if np.any(c < lo - 1e-9) or np.any(c > hi + 1e-9):
+            if np.any(c < lo - FEAS_TOL) or np.any(c > hi + FEAS_TOL):
                 raise ModelError(f"infeasible policy control at t={t}")
 
 
@@ -349,14 +349,8 @@ def _tabulated_costs(doc: dict, grids, control_values) -> Costs:
     mixer = mixers[mixer_name]
 
     def running(t, s, y, x, u):
-        t_arr = np.asarray(t)
-        if t_arr.ndim == 0:
-            tab = running_tabs[int(t_arr)]
-            gi = _nearest(grids[int(t_arr)], x)
-            uj = _nearest(control_values[int(t_arr)], u)
-            return tab[gi, uj]
         x_b, u_b = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(u, dtype=float))
-        t_b = np.broadcast_to(t_arr, x_b.shape)
+        t_b = np.broadcast_to(np.asarray(t), x_b.shape)
         out = np.empty(x_b.shape)
         for ti in np.unique(t_b):
             m = t_b == ti

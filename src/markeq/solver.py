@@ -27,9 +27,10 @@ from .model import Model, Policy
 GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))  # interior fraction of golden-section search
 GOLDEN_MAX_ITER = 200  # cap on golden steps; about 43 shrink a unit bracket to 1e-9
 LEVELSET_PROBES = 2001  # probe controls per levelset_probe window
+U_TOL = 1e-9  # refinement tolerance: a search ending this close to its grid node keeps the node
 
 
-def golden_section(f, lo, hi, tol: float = 1e-9):
+def golden_section(f, lo, hi, tol: float = U_TOL):
     """Minimize f on [lo, hi]; returns (argmin, min).  Deterministic.
 
     ``lo`` and ``hi`` are floats, or arrays of shape (k,) holding k
@@ -164,11 +165,7 @@ def objective_nodes(model: Model, dk: DiscretizedKernel, aux: AuxiliaryBundle,
     nodes = np.asarray(nodes, dtype=np.intp).reshape(-1)
     u = np.asarray(u, dtype=float)
     U = u.reshape(nodes.size, -1)
-    val = _assemble(model, aux, t, nodes, U, dk.node_rows(t, nodes, U))
-    if not np.all(np.isfinite(val)):
-        r, p = np.argwhere(~np.isfinite(val))[0]
-        raise SolverError(f"non-finite objective at t={t}, node {nodes[r]}, u={U[r, p]}")
-    return val.reshape(u.shape)
+    return _assemble(model, aux, t, nodes, U, dk.node_rows(t, nodes, U)).reshape(u.shape)
 
 
 def objective_L(model: Model, dk: DiscretizedKernel, aux: AuxiliaryBundle,
@@ -177,26 +174,46 @@ def objective_L(model: Model, dk: DiscretizedKernel, aux: AuxiliaryBundle,
     return float(objective_nodes(model, dk, aux, t, [i], [u])[0])
 
 
-def refine_bowls(objective, jstar: np.ndarray, U: np.ndarray, tol: float):
-    """Golden-section refinement of every node whose grid argmin is interior.
+def refine_bowls(kernel, L: np.ndarray, U: np.ndarray, objective, tol: float = U_TOL,
+                 rows=None):
+    """The one step minimiser: grid argmin per row, then off-grid refinement.
 
-    jstar is the per-node first argmin over the control nodes U (n, M), so
-    L[j-1] > L[j] <= L[j+1]: a tie on the right, decided by rounding, is
-    refined too.  ``objective(nodes, u)`` evaluates the nodes' objectives
-    at controls u, (k,) or (k, P).  One batched search covers all such
-    nodes, each inside its bracket [U[i, j-1], U[i, j+1]].  Returns
-    (nodes, u_ref, v_ref), nodes ascending, for the searches that moved
-    more than ``tol`` from the grid control; within ``tol`` the grid node
-    is the optimum.
+    ``L`` (R, M) is the objective at the control nodes ``U`` (R, M).  The
+    first argmin over the finite entries (the smallest control) is taken;
+    a row with none raises SolverError.  Unless ``kernel`` is a
+    ``DiscreteChain`` (rows only at the control nodes), the rows of ``rows``
+    (default: all) with interior argmin j get one batched golden section
+    on [U[r, j-1], U[r, j+1]], where ``objective(r, u)`` evaluates rows r
+    (k,) at u, (k,) or (k, P); a non-finite value raises SolverError.  A
+    search replaces its node only if it moved more than ``tol`` and is
+    strictly lower.  Returns (j, u, v, refined): argmin, control and value
+    per row, and the replaced rows in the order of ``rows``.
     """
-    nodes = np.flatnonzero((jstar > 0) & (jstar < U.shape[1] - 1))
-    if nodes.size == 0:
-        return nodes, np.empty(0), np.empty(0)
-    j = jstar[nodes]
-    u_ref, v_ref = golden_section(lambda u: objective(nodes, u),
-                                  U[nodes, j - 1], U[nodes, j + 1], tol=tol)
-    moved = np.abs(u_ref - U[nodes, j]) > tol
-    return nodes[moved], u_ref[moved], v_ref[moved]
+    finite = np.isfinite(L)
+    empty = np.flatnonzero(~finite.any(axis=1))
+    if empty.size:
+        raise SolverError(f"objective non-finite at every control node of row {empty[0]}")
+    R, M = L.shape
+    j = np.argmin(np.where(finite, L, np.inf), axis=1)
+    u = U[np.arange(R), j]
+    v = L[np.arange(R), j]
+    r = np.arange(R) if rows is None else np.asarray(rows, dtype=np.intp)
+    r = r[(j[r] > 0) & (j[r] < M - 1)]
+    if isinstance(kernel, DiscreteChain) or r.size == 0:
+        return j, u, v, r[:0]
+
+    def checked(x):
+        val = objective(r, x)
+        if not np.all(np.isfinite(val)):
+            k = tuple(np.argwhere(~np.isfinite(val))[0])
+            raise SolverError(f"non-finite objective in row {r[k[0]]} at u={x[k]}")
+        return val
+
+    u_ref, v_ref = golden_section(checked, U[r, j[r] - 1], U[r, j[r] + 1], tol=tol)
+    take = (np.abs(u_ref - u[r]) > tol) & (v_ref < v[r])
+    r = r[take]
+    u[r], v[r] = u_ref[take], v_ref[take]
+    return j, u, v, r
 
 
 @dataclass
@@ -206,33 +223,18 @@ class StepDiagnostics:
 
 
 def bellman_step(model: Model, dk: DiscretizedKernel, aux: AuxiliaryBundle,
-                 t: int, u_tol: float = 1e-9):
-    """Minimize L per node over the control grid (tie-break: smallest control).
+                 t: int, u_tol: float = U_TOL):
+    """Minimize L per node over the control grid and refine it off the grid.
 
-    Unless the kernel is a ``DiscreteChain`` (whose rows exist only at the
-    control nodes), every interior grid argmin is then refined by golden
-    section to ``u_tol`` inside its bracket.  Returns (controls, values,
-    StepDiagnostics).
+    ``refine_bowls`` makes every decision of the step, row i being node i.
+    Returns (controls, values, StepDiagnostics).
     """
-    L = objective_grid(model, dk, aux, t)
-    if np.any(np.all(~np.isfinite(L), axis=1)):
-        raise SolverError(f"objective non-finite at every control for some node, t={t}")
-    L = np.where(np.isfinite(L), L, np.inf)
-    jstar = np.argmin(L, axis=1)  # first minimum = smallest control value
-    n, M = L.shape
-    controls = dk.controls[t][np.arange(n), jstar].astype(float)
-    values = L[np.arange(n), jstar].astype(float)
-    diag = StepDiagnostics(
-        boundary_nodes=np.flatnonzero((jstar == 0) | (jstar == M - 1)).tolist())
-    if not isinstance(model.kernel, DiscreteChain):
-        nodes, u_ref, v_ref = refine_bowls(
-            lambda idx, u: objective_nodes(model, dk, aux, t, idx, u),
-            jstar, dk.controls[t], u_tol)
-        keep = v_ref <= values[nodes]
-        nodes = nodes[keep]
-        controls[nodes], values[nodes] = u_ref[keep], v_ref[keep]
-        diag.refined_nodes = nodes.tolist()
-    return controls, values, diag
+    j, controls, values, refined = refine_bowls(
+        model.kernel, objective_grid(model, dk, aux, t), dk.controls[t],
+        lambda r, u: objective_nodes(model, dk, aux, t, r, u), u_tol)
+    edge = (j == 0) | (j == dk.controls[t].shape[1] - 1)
+    return controls, values, StepDiagnostics(boundary_nodes=np.flatnonzero(edge).tolist(),
+                                             refined_nodes=refined.tolist())
 
 
 @dataclass
@@ -252,7 +254,7 @@ class EquilibriumSolution:
 
 @dataclass
 class SolveOptions:
-    u_tol: float = 1e-9  # refinement tolerance of bellman_step
+    u_tol: float = U_TOL  # refinement tolerance of bellman_step
 
 
 def solve(model: Model, dk: DiscretizedKernel,

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from markeq import (LQParams, MeanVarianceParams, Policy, build_model,
+from markeq import (Costs, LQParams, MeanVarianceParams, Model, Policy, SolverError,
+                    build_model,
                     deviation_report, discretize, eval_objective_exact,
                     eval_objective_mc, lq_model, mv_chain_model, mv_model,
                     nonlinear_lq_variant, solve, solve_naive, solve_precommitment,
@@ -236,6 +237,23 @@ def test_precommitment_reduces_to_dp_without_mixer(rng):
         np.testing.assert_array_equal(policy.controls[t],
                                       solution.policy.controls[t])
     assert value == pytest.approx(solution.values[0][1], abs=1e-12)
+
+
+def test_precommitment_rejects_nan_cost_like_solve():
+    # A NaN running cost at the control node u = 0: both the equilibrium
+    # solve and the baselines' DP must stop, not pick the NaN as a minimum.
+    base = lq_model(LQParams(a=0.5), n_x=21, n_u=11)
+    c = base.costs
+    running = lambda t, s, y, x, u: np.where(np.asarray(u) == 0.0, np.nan,
+                                             c.running(t, s, y, x, u))
+    model = Model(T=base.T, grids=base.grids, constraints=base.constraints,
+                  kernel=base.kernel, costs=Costs(running, c.terminal, c.terminal_stat,
+                                                  c.mixer, assume_nonneg=True))
+    dk = discretize(model.kernel, model.grids, model.constraints)
+    with pytest.raises(SolverError):
+        solve(model, dk)
+    with pytest.raises(SolverError):
+        solve_precommitment(model, dk, 0, 10)
 
 
 def test_precommitment_beats_equilibrium_at_origin(lq_small):

@@ -10,7 +10,7 @@ from scipy.stats import norm
 
 from markeq import (AdditiveNoise, ControlConstraint, DiscreteChain,
                     GaussianNoise, InfeasibleControlError, KernelError,
-                    MeanVarianceParams, PointIndicator, StepFunction, discretize,
+                    LQParams, MeanVarianceParams, lq_model, PointIndicator, StepFunction, discretize,
                     exact_expectation, exp_utility_model, expectation,
                     load_kernel_cache, mv_model, policy_matrix, save_kernel_cache,
                     setwise_continuity_probe, tv_distance)
@@ -49,6 +49,20 @@ def test_near_deterministic_kernel_concentrates_mass():
     i = 10  # grid node x = 0
     row = dk.weights[0][i, 0]
     assert row[i] > 1.0 - 1e-6
+
+
+@pytest.mark.parametrize("part", ["drift", "scale"])
+def test_discretize_rejects_nan_landing_law(part):
+    # NaN for u > 0.6, i.e. at the last of the controls -1, -0.5, 0, 0.5, 1.
+    nan = lambda u: np.where(np.asarray(u) > 0.6, np.nan, 0.0)
+    laws = {"drift": lambda t, x, u: np.asarray(x, dtype=float) + np.asarray(u, dtype=float),
+            "scale": lambda t, x, u: np.ones(np.broadcast(np.asarray(x), np.asarray(u)).shape)}
+    bad = laws[part]
+    laws[part] = lambda t, x, u: bad(t, x, u) + nan(u)
+    k = AdditiveNoise(drift=laws["drift"], scale=laws["scale"], noise=GaussianNoise(),
+                      sigma_floor=0.5)
+    with pytest.raises(KernelError, match="non-finite landing mean or std at t=0"):
+        discretize(k, _grids(3, -6, 6, 11), _constraints(3, -1, 1, 5))
 
 
 def test_gaussian_moments_match():
@@ -411,6 +425,19 @@ def test_chain_weight_below_floor_is_zeroed_and_survives_cache(tmp_path):
     save_kernel_cache(dk, path)
     back = load_kernel_cache(path, spec=chain)
     assert np.array_equal(back.weights[0], dk.weights[0])
+
+
+def test_kernel_cache_rejects_nan_weight(tmp_path):
+    model = lq_model(LQParams(), n_x=11, n_u=5)
+    dk = discretize(model.kernel, model.grids, model.constraints)
+    dk.weights[1][4, 2, 5] = np.nan
+    with pytest.raises(KernelError, match="t=1 are not stochastic"):
+        dk.check_rows()
+    path = tmp_path / "kernel.bin"
+    save_kernel_cache(dk, path)
+    with pytest.raises(KernelError, match="non-finite weights at t=1") as info:
+        load_kernel_cache(path, spec=model.kernel)
+    assert str(path) in str(info.value)
 
 
 def test_kernel_cache_rejects_wrong_magic(tmp_path):

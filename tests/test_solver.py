@@ -11,8 +11,9 @@ from markeq import (ControlConstraint, Costs, GaussianNoise, LQParams,
                     discretize, eval_objective_exact, golden_section,
                     levelset_probe, lq_model, mv_chain_model, mv_closed_form,
                     mv_model, objective_L, solve, value_identity_check)
+from markeq import DiscreteChain, SolverError
 from markeq.kernels import AdditiveNoise
-from markeq.solver import objective_grid
+from markeq.solver import objective_grid, refine_bowls
 
 from _oracles import (brute_force_equilibrium, chain_config, flow_product_aux,
                       path_objective)
@@ -79,6 +80,84 @@ def test_golden_section_batched_matches_scalar():
         assert abs(x[r] - xs) <= tol
         assert fx[r] == pytest.approx(fs, abs=1e-14)
         assert abs(x[r] - min(max(c[r], lo[r]), hi[r])) <= 1e-7
+
+
+# ---------------------------------------------------------------------------
+# refine_bowls
+# ---------------------------------------------------------------------------
+
+U3 = np.array([[-1.0, 0.0, 1.0]])
+
+
+def _bowls(c):
+    """Objective of refine_bowls whose row r is (u - c[r])^2, with its rows tallied."""
+    seen = set()
+
+    def f(r, u):
+        seen.update(r.tolist())
+        return (u - c[r].reshape((-1,) + (1,) * (np.ndim(u) - 1))) ** 2
+    return f, seen
+
+
+def test_refine_bowls_tie_keeps_grid_node():
+    # A flat objective: the search ends far from u = 0 at the same value.
+    flat = lambda r, u: np.ones(np.shape(u))
+    j, u, v, refined = refine_bowls(None, np.array([[2.0, 1.0, 2.0]]), U3, flat)
+    assert (j[0], u[0], v[0], refined.size) == (1, 0.0, 1.0, 0)
+
+
+def test_refine_bowls_rows_limit_the_search():
+    c = np.array([0.3, -0.2, 0.1])
+    f, seen = _bowls(c)
+    L = np.array([[1.0, 0.1, 0.5]] * 3)
+    j, u, v, refined = refine_bowls(None, L, np.repeat(U3, 3, axis=0), f, rows=[0, 2])
+    assert seen == {0, 2} and refined.tolist() == [0, 2]
+    np.testing.assert_allclose(u[[0, 2]], c[[0, 2]], atol=1e-8)
+    assert (u[1], v[1]) == (0.0, 0.1)
+    np.testing.assert_array_equal(j, 1)
+
+
+def test_refine_bowls_chain_runs_no_search():
+    chain = DiscreteChain(matrices=[np.full((1, 3, 2), 0.5)],
+                          control_values=[U3[0]])
+    f, seen = _bowls(np.array([0.3]))
+    j, u, v, refined = refine_bowls(chain, np.array([[1.0, 0.1, 0.5]]), U3, f)
+    assert not seen and refined.size == 0 and (u[0], v[0]) == (0.0, 0.1)
+
+
+def test_refine_bowls_non_finite_entries_never_win():
+    L = np.array([[np.nan, 2.0, -np.inf, 1.0], [np.nan, np.inf, np.nan, np.nan]])
+    U = np.tile(np.arange(4.0), (2, 1))
+    f, _ = _bowls(np.zeros(2))
+    with pytest.raises(SolverError, match="every control node of row 1"):
+        refine_bowls(None, L, U, f)
+    j, u, v, _ = refine_bowls(None, L[:1], U[:1], f)
+    assert (j[0], u[0], v[0]) == (3, 3.0, 1.0)
+
+
+def test_refine_bowls_non_finite_search_value_raises():
+    nan = lambda r, u: np.full(np.shape(u), np.nan)
+    with pytest.raises(SolverError, match="non-finite objective in row 0"):
+        refine_bowls(None, np.array([[2.0, 1.0, 2.0]]), U3, nan)
+
+
+def test_step_minimiser_is_not_forked():
+    # The grid argmin and the golden search of a step live in refine_bowls
+    # only, so the Bellman step and the baselines' DP cannot drift apart.
+    import ast
+    import markeq.evaluate
+    import markeq.solver
+    step = {"argmin", "golden_section"}
+    for module in (markeq.solver, markeq.evaluate):
+        with open(module.__file__) as fh:
+            tree = ast.parse(fh.read())
+        for top in tree.body:
+            called = {getattr(n.func, "attr", getattr(n.func, "id", None))
+                      for n in ast.walk(top) if isinstance(n, ast.Call)}
+            if getattr(top, "name", None) == "refine_bowls":
+                assert called >= step
+            else:
+                assert not called & step, (module.__name__, getattr(top, "name", None))
 
 
 # ---------------------------------------------------------------------------
