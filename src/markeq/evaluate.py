@@ -20,8 +20,9 @@ from .model import Model, Policy
 from .solver import EquilibriumSolution, refine_bowls
 
 # Fixed-point search of the precommitment baselines, in units of h_scale
-# (the largest |H| on the terminal grid): the bracket on m is bisected to
-# width M_TOL, after at most MAX_EXPAND geometric widenings by 1.6.
+# (the largest |H| on the terminal grid): after at most MAX_EXPAND geometric
+# widenings by 1.6, safeguarded Illinois steps narrow the bracket on m to
+# width M_TOL in no more DPs than bisection would take.
 M_TOL = 1e-10
 MAX_EXPAND = 60
 
@@ -281,7 +282,9 @@ def _dp_linear(model: Model, dk: DiscretizedKernel, t0: int, nodes: np.ndarray,
                     ).reshape(u.shape)
         _, uk, vk, _ = refine_bowls(model.kernel, Lk.reshape(P * n, M),
                                     np.broadcast_to(U, (P, n, M)).reshape(P * n, M), f,
-                                    rows=None if k > t0 else np.arange(P) * n + nodes)
+                                    rows=None if k > t0 else np.arange(P) * n + nodes,
+                                    where=lambda r: f"node {r % n} at t={k} of the plan "
+                                                    f"from node {nodes[r // n]} at t={t0}")
         controls[k] = uk.reshape(P, n)
         V = vk.reshape(P, n)
     return controls
@@ -323,8 +326,8 @@ def _precommit(model: Model, dk: DiscretizedKernel, t0: int, nodes):
     # Bracket the fixed point of m -> achieved mean, growing geometrically
     # around the unpenalized DP's mean.
     m0 = m0[act]
-    ra = run(act, m0) - m0
-    a, b, rb = m0.copy(), m0.copy(), ra.copy()
+    r0 = run(act, m0) - m0
+    a, b, ra, rb = m0.copy(), m0.copy(), r0.copy(), r0.copy()
     step = np.full(act.size, max(0.25 * h_scale, 1e-3))
     for _ in range(MAX_EXPAND):
         g = np.flatnonzero(~((ra * rb <= 0) & (a < b)))
@@ -335,16 +338,44 @@ def _precommit(model: Model, dk: DiscretizedKernel, t0: int, nodes):
         ra[g] = run(act[g], a[g]) - a[g]
         rb[g] = run(act[g], b[g]) - b[g]
     bracketed = np.flatnonzero((ra * rb <= 0) & (a < b))
+    kept = np.zeros(act.size)  # end kept by the last step: -1 a, 1 b
+
+    def settle(idx, m, rm):
+        """m replaces the end of [a, b] whose residual has rm's sign (Illinois halving)."""
+        left = ra[idx] * rm <= 0  # the fixed point lies in [a, m]
+        lo, hi = idx[left], idx[~left]
+        ra[lo] *= np.where(kept[lo] == -1, 0.5, 1.0)
+        rb[hi] *= np.where(kept[hi] == 1, 0.5, 1.0)
+        b[lo], rb[lo], kept[lo] = m[left], rm[left], -1
+        a[hi], ra[hi], kept[hi] = m[~left], rm[~left], 1
+
+    # Bisection's first DP would repeat m0, the bracket's centre: halve there
+    # for free.  Then Illinois steps (regula falsi on the end residuals,
+    # halving the residual of an end kept twice in a row), moved toward the
+    # midpoint by 0.2 (b - a)^2 / w and projected as in the ITP method
+    # (Oliveira & Takahashi, 2020, ACM TOMS), w being the width after the
+    # free halving: step j leaves a bracket no wider than w / 2^j, which
+    # bisection has after as many DPs, so no search runs more DPs than
+    # bisection.  A step lands at least tol / 2 inside the bracket, so a
+    # fixed point next to an end is straddled.
+    settle(bracketed, m0[bracketed], r0[bracketed])
+    tol = M_TOL * h_scale
+    width = b - a
     live = bracketed
-    for _ in range(200):
-        live = live[~(b[live] - a[live] < M_TOL * h_scale)]
+    for j in range(200):
+        live = live[~(b[live] - a[live] < tol)]
         if live.size == 0:
             break
-        mid = 0.5 * (a[live] + b[live])
-        rm = run(act[live], mid) - mid
-        left = ra[live] * rm <= 0
-        b[live[left]] = mid[left]
-        a[live[~left]], ra[live[~left]] = mid[~left], rm[~left]
+        al, bl, ral, rbl = a[live], b[live], ra[live], rb[live]
+        mid = 0.5 * (al + bl)
+        m = np.where(ral != rbl, bl - rbl * (bl - al) / np.where(ral != rbl, rbl - ral, 1.0),
+                     mid)
+        shift = 0.2 * (bl - al) ** 2 / width[live]
+        m = np.where(shift < np.abs(mid - m), m + np.sign(mid - m) * shift, mid)
+        reach = width[live] * 0.5 ** j
+        m = np.clip(m, np.maximum(al + 0.5 * tol, bl - reach),
+                    np.minimum(bl - 0.5 * tol, al + reach))
+        settle(live, m, run(act[live], m) - m)
     if bracketed.size:
         run(act[bracketed], 0.5 * (a[bracketed] + b[bracketed]))
     return best, best_J
@@ -357,11 +388,15 @@ def solve_precommitment(model: Model, dk: DiscretizedKernel, t0: int, i0: int):
     (with (s, y) frozen at (t0, x_{i0})).  Otherwise the scalar coupling
     m = E[H(x_T)] is resolved by a fixed-point search: a candidate m sets
     the tangent slope lam = G'(t0, y, m), a linear DP under the cost
-    lam * H yields an achieved mean m'; bisection on m' - m over a
-    geometrically grown bracket.  For concave G the optimum lies on this
-    tangent family; every DP candidate's true objective is tracked and
-    the best one is returned, so non-concave G still yields the best
-    tangent-family policy.
+    lam * H yields an achieved mean m', and the root of m' - m is
+    bracketed by geometric growth around the unpenalized mean, then found
+    by Illinois steps (regula falsi that halves the residual of an end
+    kept twice) under a safeguard that never lets the search take more DPs
+    than bisection.  For concave G the optimum lies on this tangent
+    family.  Every DP candidate's true objective is tracked and the best
+    one is returned, so with non-concave G, or where m' - m changes sign
+    more than once (a step-shaped residual on a discrete chain), the
+    result is the best tangent-family policy the search visited.
     """
     controls, J = _precommit(model, dk, t0, [i0])
     return Policy(controls=[None if c is None else c[0] for c in controls]), float(J[0])

@@ -612,5 +612,8 @@ def load_kernel_cache(path, spec: Optional[KernelSpec] = None) -> DiscretizedKer
         grids.append(floats((nn,), "terminal state grid"))
     dk = DiscretizedKernel(weights, controls, grids, clamped, spec=spec,
                            build_method=build_method, quad_order=quad_order)
-    dk.check_rows()
+    try:
+        dk.check_rows()
+    except KernelError as exc:
+        raise KernelError(f"kernel cache {path}: {exc}") from None
     return dk

@@ -25,47 +25,85 @@ from .kernels import DiscreteChain, DiscretizedKernel, policy_matrix
 from .model import Model, Policy
 
 GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))  # interior fraction of golden-section search
-GOLDEN_MAX_ITER = 200  # cap on golden steps; about 43 shrink a unit bracket to 1e-9
+GOLDEN_MAX_ITER = 200  # cap on Brent steps; golden steps alone shrink a unit bracket to 1e-9 in 43
 LEVELSET_PROBES = 2001  # probe controls per levelset_probe window
 U_TOL = 1e-9  # refinement tolerance: a search ending this close to its grid node keeps the node
+NOISE = 64.0 * np.finfo(float).eps  # relative noise floor of objective values
 
 
 def golden_section(f, lo, hi, tol: float = U_TOL):
     """Minimize f on [lo, hi]; returns (argmin, min).  Deterministic.
 
+    Brent's method (Brent, 1973, *Algorithms for Minimization without
+    Derivatives*, ch. 5): a parabola through the three best points so far
+    sets each step, and a golden-section step replaces it whenever it
+    falls outside the bracket or fails to halve the step before last.
+    Steps are at least ``tol / 4`` long.  A 9-point least-squares parabola
+    over [lo, hi] then polishes the result.
+
     ``lo`` and ``hi`` are floats, or arrays of shape (k,) holding k
     independent brackets.  In the batched form f maps an array of
     controls of shape (k,) or (k, P) to values of the same shape, row r
-    belonging to bracket r; all brackets advance in lockstep and each is
-    frozen once its width is within ``tol``.  A scalar call takes a scalar
-    f and returns floats.
+    belonging to bracket r; all brackets advance in lockstep.  A bracket
+    is frozen once its width is within ``tol``, or once the values at its
+    two ends and at its best point agree to the noise floor
+    ``NOISE * (|f| + 1)``: it is then flat, and only the polish can
+    locate its minimum.  A scalar call takes a scalar f and returns
+    floats.
     """
     scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
     if scalar:
         f = np.vectorize(f, otypes=[float])
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    # x is the best point, w the second best and v the previous w; the
+    # bracket ends a and b are always evaluated points, fa and fb their values.
     a, b = lo, hi
-    x1 = a + GOLDEN * (b - a)
-    x2 = b - GOLDEN * (b - a)
-    f12 = f(np.stack([x1, x2], axis=1))
-    f1, f2 = f12[:, 0], f12[:, 1]
+    x = a + GOLDEN * (b - a)
+    fa, fx, fb = f(np.stack([a, x, b], axis=1)).T
+    w, fw, v, fv = x, fx, x, fx
+    d = e = np.zeros_like(x)
+    step = 0.25 * tol
     for _ in range(GOLDEN_MAX_ITER):
-        active = b - a > tol
+        flat = np.ptp(np.stack([fa, fx, fb]), axis=0) <= NOISE * (np.abs(fx) + 1.0)
+        active = (b - a > tol) & ~flat
         if not np.any(active):
             break
-        left = f1 <= f2
-        na, nb = np.where(left, a, x1), np.where(left, x2, b)
-        xn = np.where(left, na + GOLDEN * (nb - na), nb - GOLDEN * (nb - na))
-        xn = np.where(active, xn, x1)  # frozen brackets re-evaluate a held point
-        fn = f(xn)
-        new = (na, nb, np.where(left, xn, x2), np.where(left, fn, f2),
-               np.where(left, x1, xn), np.where(left, f1, fn))
-        a, b, x1, f1, x2, f2 = (np.where(active, v, old) for v, old in
-                                zip(new, (a, b, x1, f1, x2, f2)))
-    x0, f0 = np.where(f1 <= f2, x1, x2), np.where(f1 <= f2, f1, f2)
+        mid = 0.5 * (a + b)
+        r = (x - w) * (fx - fv)
+        q = (x - v) * (fx - fw)
+        p = (x - v) * q - (x - w) * r
+        q = 2.0 * (q - r)
+        p = np.where(q > 0.0, -p, p)
+        q = np.abs(q)
+        para = ((np.abs(e) > step) & (np.abs(p) < np.abs(0.5 * q * e))
+                & (p > q * (a - x)) & (p < q * (b - x)))
+        dp = p / np.where(para, q, 1.0)
+        # A parabolic point within 2 * step of an end moves step toward the middle.
+        toward_mid = np.where(mid >= x, step, -step)
+        dp = np.where((x + dp - a < 2.0 * step) | (b - x - dp < 2.0 * step), toward_mid, dp)
+        eg = np.where(x >= mid, a - x, b - x)
+        d, e = np.where(para, dp, GOLDEN * eg), np.where(para, d, eg)
+        u = x + np.where(np.abs(d) >= step, d, np.where(d >= 0.0, step, -step))
+        u = np.where(active, u, x)  # frozen brackets re-evaluate a held point
+        fu = f(u)
+        better = active & (fu <= fx)
+        worse = active & ~better
+        right = u >= x
+        # The bracket shrinks to the side of x (better) or of u (worse) that holds the minimum.
+        a, fa = (np.where(better & right, x, np.where(worse & ~right, u, a)),
+                 np.where(better & right, fx, np.where(worse & ~right, fu, fa)))
+        b, fb = (np.where(better & ~right, x, np.where(worse & right, u, b)),
+                 np.where(better & ~right, fx, np.where(worse & right, fu, fb)))
+        second = worse & ((fu <= fw) | (w == x))
+        third = worse & ~second & ((fu <= fv) | (v == x) | (v == w))
+        v, fv = (np.where(better | second, w, np.where(third, u, v)),
+                 np.where(better | second, fw, np.where(third, fu, fv)))
+        w, fw = (np.where(better, x, np.where(second, u, w)),
+                 np.where(better, fx, np.where(second, fu, fw)))
+        x, fx = np.where(better, u, x), np.where(better, fu, fx)
     # Parabolic polish: near the minimum the objective differences sit at
-    # the floating-point noise floor, so golden section alone wanders by
+    # the floating-point noise floor, so the steps above alone wander by
     # ~sqrt(eps/curvature).  A least-squares parabola over the whole
     # bracket averages that noise out and is exact for quadratic
     # objectives; its vertex is kept only if it does not raise the value.
@@ -79,14 +117,13 @@ def golden_section(f, lo, hi, tol: float = U_TOL):
     c2 = (9.0 * (d @ (z * z)) - 60.0 * d.sum(axis=1)) / 2772.0
     curved = c2 > 0.0
     xv = xs[:, 4] - 0.5 * (hi - lo) / 8.0 * c1 / np.where(curved, c2, 1.0)
-    xv = np.where(curved, np.clip(xv, lo, hi), x0)
+    xv = np.where(curved, np.clip(xv, lo, hi), x)
     fv = f(xv)
-    # Golden's value can sit spuriously below the true minimum by the
+    # The search's value can sit spuriously below the true minimum by the
     # evaluation noise floor; allow the vertex that much slack, and
     # always return the value actually evaluated at the returned point.
-    slack = 64.0 * np.finfo(float).eps * (np.max(np.abs(fs), axis=1) + 1.0)
-    take = curved & (fv <= f0 + slack)
-    x, fx = np.where(take, xv, x0), np.where(take, fv, f0)
+    take = curved & (fv <= fx + NOISE * (np.max(np.abs(fs), axis=1) + 1.0))
+    x, fx = np.where(take, xv, x), np.where(take, fv, fx)
     return (float(x[0]), float(fx[0])) if scalar else (x, fx)
 
 
@@ -175,7 +212,7 @@ def objective_L(model: Model, dk: DiscretizedKernel, aux: AuxiliaryBundle,
 
 
 def refine_bowls(kernel, L: np.ndarray, U: np.ndarray, objective, tol: float = U_TOL,
-                 rows=None):
+                 rows=None, where=None):
     """The one step minimiser: grid argmin per row, then off-grid refinement.
 
     ``L`` (R, M) is the objective at the control nodes ``U`` (R, M).  The
@@ -186,13 +223,15 @@ def refine_bowls(kernel, L: np.ndarray, U: np.ndarray, objective, tol: float = U
     on [U[r, j-1], U[r, j+1]], where ``objective(r, u)`` evaluates rows r
     (k,) at u, (k,) or (k, P); a non-finite value raises SolverError.  A
     search replaces its node only if it moved more than ``tol`` and is
-    strictly lower.  Returns (j, u, v, refined): argmin, control and value
-    per row, and the replaced rows in the order of ``rows``.
+    strictly lower.  ``where(r)`` names row r in the error messages
+    (default "row r").  Returns (j, u, v, refined): argmin, control and
+    value per row, and the replaced rows in the order of ``rows``.
     """
+    where = where or (lambda r: f"row {r}")
     finite = np.isfinite(L)
     empty = np.flatnonzero(~finite.any(axis=1))
     if empty.size:
-        raise SolverError(f"objective non-finite at every control node of row {empty[0]}")
+        raise SolverError(f"objective non-finite at every control node of {where(empty[0])}")
     R, M = L.shape
     j = np.argmin(np.where(finite, L, np.inf), axis=1)
     u = U[np.arange(R), j]
@@ -206,7 +245,7 @@ def refine_bowls(kernel, L: np.ndarray, U: np.ndarray, objective, tol: float = U
         val = objective(r, x)
         if not np.all(np.isfinite(val)):
             k = tuple(np.argwhere(~np.isfinite(val))[0])
-            raise SolverError(f"non-finite objective in row {r[k[0]]} at u={x[k]}")
+            raise SolverError(f"non-finite objective in {where(r[k[0]])}, u={x[k]}")
         return val
 
     u_ref, v_ref = golden_section(checked, U[r, j[r] - 1], U[r, j[r] + 1], tol=tol)
@@ -231,7 +270,8 @@ def bellman_step(model: Model, dk: DiscretizedKernel, aux: AuxiliaryBundle,
     """
     j, controls, values, refined = refine_bowls(
         model.kernel, objective_grid(model, dk, aux, t), dk.controls[t],
-        lambda r, u: objective_nodes(model, dk, aux, t, r, u), u_tol)
+        lambda r, u: objective_nodes(model, dk, aux, t, r, u), u_tol,
+        where=lambda i: f"node {i} at t={t}")
     edge = (j == 0) | (j == dk.controls[t].shape[1] - 1)
     return controls, values, StepDiagnostics(boundary_nodes=np.flatnonzero(edge).tolist(),
                                              refined_nodes=refined.tolist())

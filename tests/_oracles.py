@@ -174,3 +174,64 @@ def deviation_csv_bytes(report):
                 w.writerow([t, i] + [f"{float(c):.17g}"
                                      for c in (ys[i], U[i, p], J[i, p], v[i], gap)])
     return buf.getvalue().encode()
+
+
+def bisection_precommit(model, dk, t0, nodes):
+    """``evaluate._precommit`` with the fixed point found by plain bisection.
+
+    The same bracket expansion, candidate tracking and final midpoint DP;
+    only the search on m differs.  Every DP goes through
+    ``markeq.evaluate._dp_linear``, looked up at call time, so a test can
+    count them.
+    """
+    from markeq import evaluate as ev
+
+    nodes = np.asarray(nodes, dtype=np.intp)
+    ys = model.grids[t0][nodes]
+    h_scale = max(1.0, float(np.max(np.abs(
+        np.asarray(model.costs.terminal_stat(model.grids[-1]), dtype=float)))))
+    dm = 1e-6 * h_scale
+
+    def run(idx, m):
+        y = ys[idx]
+        lam = (np.asarray(model.costs.mixer(t0, y, m + dm), dtype=float)
+               - np.asarray(model.costs.mixer(t0, y, m - dm), dtype=float)) / (2 * dm)
+        ctrl = ev._dp_linear(model, dk, t0, nodes[idx], np.broadcast_to(lam, idx.shape))
+        J, mean = (v[:, 0] for v in ev._plan_objective(model, dk, t0, nodes[idx], ctrl))
+        win = J < best_J[idx]
+        for bk, ck in zip(best[t0:], ctrl[t0:]):
+            bk[idx[win]] = ck[win]
+        best_J[idx[win]] = J[win]
+        return mean
+
+    best = ev._dp_linear(model, dk, t0, nodes, np.zeros(ys.size))
+    best_J, m0 = (v[:, 0] for v in ev._plan_objective(model, dk, t0, nodes, best))
+    act = np.flatnonzero(ev._mixer_depends_on_h(model, t0, ys))
+    if act.size == 0:
+        return best, best_J
+    m0 = m0[act]
+    ra = run(act, m0) - m0
+    a, b, rb = m0.copy(), m0.copy(), ra.copy()
+    step = np.full(act.size, max(0.25 * h_scale, 1e-3))
+    for _ in range(ev.MAX_EXPAND):
+        g = np.flatnonzero(~((ra * rb <= 0) & (a < b)))
+        if g.size == 0:
+            break
+        step[g] *= 1.6
+        a[g], b[g] = m0[g] - step[g], m0[g] + step[g]
+        ra[g] = run(act[g], a[g]) - a[g]
+        rb[g] = run(act[g], b[g]) - b[g]
+    bracketed = np.flatnonzero((ra * rb <= 0) & (a < b))
+    live = bracketed
+    for _ in range(200):
+        live = live[~(b[live] - a[live] < ev.M_TOL * h_scale)]
+        if live.size == 0:
+            break
+        mid = 0.5 * (a[live] + b[live])
+        rm = run(act[live], mid) - mid
+        left = ra[live] * rm <= 0
+        b[live[left]] = mid[left]
+        a[live[~left]], ra[live[~left]] = mid[~left], rm[~left]
+    if bracketed.size:
+        run(act[bracketed], 0.5 * (a[bracketed] + b[bracketed]))
+    return best, best_J

@@ -10,7 +10,8 @@ from markeq import (Costs, LQParams, MeanVarianceParams, Model, Policy, SolverEr
                     nonlinear_lq_variant, solve, solve_naive, solve_precommitment,
                     verify_equilibrium)
 
-from _oracles import brute_force_equilibrium, chain_config, deviation_csv_bytes
+from _oracles import (bisection_precommit, brute_force_equilibrium, chain_config,
+                      deviation_csv_bytes)
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +255,78 @@ def test_precommitment_rejects_nan_cost_like_solve():
         solve(model, dk)
     with pytest.raises(SolverError):
         solve_precommitment(model, dk, 0, 10)
+
+
+def test_nan_cost_error_names_time_and_node():
+    # The message names the decision time and node, and in the baselines'
+    # DP also the plan's start node, not a flat row index.
+    base = lq_model(LQParams(a=0.5), n_x=21, n_u=11)
+    c = base.costs
+    running = lambda t, s, y, x, u: np.where(np.asarray(u) == 0.0, np.nan,
+                                             c.running(t, s, y, x, u))
+    model = Model(T=base.T, grids=base.grids, constraints=base.constraints,
+                  kernel=base.kernel, costs=Costs(running, c.terminal, c.terminal_stat,
+                                                  c.mixer, assume_nonneg=True))
+    dk = discretize(model.kernel, model.grids, model.constraints)
+    with pytest.raises(SolverError, match=r"in node 6 at t=1, u=0\.0$"):
+        solve(model, dk)
+    with pytest.raises(SolverError,
+                       match=r"in node 6 at t=1 of the plan from node 10 at t=0, u=0\.0$"):
+        solve_precommitment(model, dk, 0, 10)
+    with pytest.raises(SolverError,
+                       match=r"in node 0 at t=1 of the plan from node 0 at t=0, u=0\.0$"):
+        solve_naive(model, dk)
+
+
+def _count_dps(monkeypatch):
+    """Count the baselines' linear DPs (the reference search goes through the same name)."""
+    import markeq.evaluate
+    calls = [0]
+    dp = markeq.evaluate._dp_linear
+
+    def counted(*args):
+        calls[0] += 1
+        return dp(*args)
+
+    monkeypatch.setattr(markeq.evaluate, "_dp_linear", counted)
+    return calls
+
+
+def test_precommit_fixed_point_matches_bisection_in_fewer_dps(monkeypatch):
+    # A smooth residual m -> mean(m) - m: Illinois steps reach the same
+    # plan's value with fewer DPs than bisection.
+    from markeq.evaluate import _precommit
+    model = nonlinear_lq_variant(LQParams(), n_x=31, n_u=21)
+    dk = discretize(model.kernel, model.grids, model.constraints)
+    calls = _count_dps(monkeypatch)
+    n = model.grids[0].size
+    for i in (0, n // 2, n - 1):
+        calls[0] = 0
+        _, J = _precommit(model, dk, 0, [i])
+        ours = calls[0]
+        calls[0] = 0
+        _, J_ref = bisection_precommit(model, dk, 0, [i])
+        assert J[0] == pytest.approx(J_ref[0], rel=0.0, abs=1e-10)
+        assert ours < calls[0], (i, ours, calls[0])
+
+
+def test_precommit_step_residual_runs_no_more_dps_than_bisection(monkeypatch):
+    # On the MV chain the achieved mean is piecewise constant in m, so the
+    # residual is step-shaped; the search may not fall behind bisection.
+    from markeq.evaluate import _precommit
+    chain = build_model({"family": "mean_variance_chain",
+                         "state_grid": {"lo": -2.0, "hi": 4.0, "nodes": 31},
+                         "control": {"lo": 0.0, "hi": 5.0, "nodes": 21}})
+    dk = discretize(chain.kernel, chain.grids, chain.constraints)
+    calls = _count_dps(monkeypatch)
+    n = chain.grids[0].size
+    for nodes in ([0], [n // 2], [n - 1], np.arange(n)):
+        calls[0] = 0
+        _precommit(chain, dk, 0, nodes)
+        ours = calls[0]
+        calls[0] = 0
+        bisection_precommit(chain, dk, 0, nodes)
+        assert ours <= calls[0], (len(nodes), ours, calls[0])
 
 
 def test_precommitment_beats_equilibrium_at_origin(lq_small):

@@ -440,6 +440,17 @@ def test_kernel_cache_rejects_nan_weight(tmp_path):
     assert str(path) in str(info.value)
 
 
+def test_kernel_cache_rejects_non_stochastic_row(tmp_path):
+    model = lq_model(LQParams(), n_x=11, n_u=5)
+    dk = discretize(model.kernel, model.grids, model.constraints)
+    dk.weights[0][3, 1] *= 0.5
+    path = tmp_path / "kernel.bin"
+    save_kernel_cache(dk, path)
+    with pytest.raises(KernelError, match="t=0 are not stochastic") as info:
+        load_kernel_cache(path, spec=model.kernel)
+    assert f"kernel cache {path}" in str(info.value)
+
+
 def test_kernel_cache_rejects_wrong_magic(tmp_path):
     path = tmp_path / "bogus.bin"
     path.write_bytes(b"NOTMYFMT" + b"\x00" * 64)

@@ -15,3 +15,35 @@ def test_spans_install_finds_every_patched_name():
     proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "perfbench")], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+TRACED_SOLVE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import spans
+from markeq import LQParams, discretize, lq_model, solve
+from markeq import solver
+
+model = lq_model(LQParams(a=0.5), n_x=31, n_u=21)
+dk = discretize(model.kernel, model.grids, model.constraints)
+plain = solve(model, dk)
+tracer = spans.Tracer()
+spans.install(tracer)
+traced = solver.solve(model, dk)
+assert traced.diagnostics.refined, "the instance refines no node"
+for a, b in zip(plain.policy.controls, traced.policy.controls):
+    assert np.array_equal(a, b)
+evals = [(attrs or {}).get("evals", 0) for name, _, _, _, attrs in tracer.spans
+         if name == "solver.golden_section"]
+assert evals and min(evals) > 0, evals
+"""
+
+
+def test_traced_solve_counts_objective_evals():
+    # The benchmark counts objective calls by wrapping the single-argument
+    # objective that refine_bowls passes to golden_section.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", TRACED_SOLVE, str(ROOT / "perfbench")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -82,6 +82,116 @@ def test_golden_section_batched_matches_scalar():
         assert abs(x[r] - min(max(c[r], lo[r]), hi[r])) <= 1e-7
 
 
+def _rows(v, u):
+    """Per-bracket parameters v (k,) shaped to broadcast against u, (k,) or (k, P)."""
+    return v.reshape((-1,) + (1,) * (np.ndim(u) - 1))
+
+
+def _random_brackets(seed, k):
+    """Brackets 1e-3..3 wide, each with an interior point c."""
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(-2.0, 0.0, k)
+    hi = lo + np.geomspace(1e-3, 3.0, k)
+    return lo, hi, lo + (hi - lo) * rng.uniform(0.05, 0.95, k), rng
+
+
+def test_golden_section_batched_quadratics_take_few_calls():
+    # Parabolic steps are exact on quadratics, and a bracket whose ends
+    # and best point agree to the noise floor stops.  Golden steps alone
+    # took 49 calls here, and Brent steps without the noise stop 29.
+    k = 40
+    lo, hi, c, rng = _random_brackets(5, k)
+    a = np.geomspace(1e-2, 1e4, k)
+    level = rng.uniform(-5.0, 5.0, k)
+    calls = [0]
+
+    def f(u):
+        calls[0] += 1
+        return _rows(a, u) * (u - _rows(c, u)) ** 2 + _rows(level, u)
+
+    x, fx = golden_section(f, lo, hi)
+    assert calls[0] <= 26
+    np.testing.assert_allclose(x, c, rtol=0.0, atol=1e-11)
+    np.testing.assert_array_equal(fx, f(x))
+
+
+def _quartic(c, u):
+    d = u - c
+    return (d * d) * (d * d) + 1.0
+
+
+def _asymmetric(c, u):
+    d = u - c
+    return np.where(d > 0.0, 9.0 * d * d, d * d) - 2.0
+
+
+def _outside(c, u):
+    # Minimum beyond the bracket's upper end: the search ends at hi.
+    d = u - c - 3.5
+    return 0.5 * d * d
+
+
+@pytest.mark.parametrize("bowl", [_quartic, _asymmetric, _outside],
+                         ids=["quartic", "asymmetric", "boundary"])
+def test_golden_section_batched_equals_scalar(bowl):
+    # Brackets in lockstep follow exactly the steps each takes alone.
+    k = 25
+    lo, hi, c, _ = _random_brackets(17, k)
+    x, fx = golden_section(lambda u: bowl(_rows(c, u), u), lo, hi)
+    for r in range(k):
+        xs, fs = golden_section(lambda u: bowl(c[r], u), lo[r], hi[r])
+        assert (x[r], fx[r]) == (xs, fs)
+    if bowl is _outside:
+        np.testing.assert_array_equal(x, hi)
+
+
+@pytest.mark.parametrize("curvature", [1e5, 1e7])
+def test_golden_section_locates_minimum_above_noise_floor(curvature):
+    # Non-quadratic bowls whose values leave the noise floor 64 eps (|f| + 1)
+    # within tol / 2 of the minimiser: the search must end within tol.
+    k = 20
+    lo, hi, c, _ = _random_brackets(23, k)
+    tol = 1e-9
+
+    def cubic(u):
+        d = u - _rows(c, u)
+        return curvature * d * d * (1.0 + 0.3 * d)
+
+    def log_cosh(u):
+        z = np.sqrt(curvature) * (u - _rows(c, u))
+        return np.logaddexp(z, -z)  # log(2 cosh z): a bowl that turns linear
+
+    for f in (cubic, log_cosh):
+        x, _ = golden_section(f, lo, hi, tol=tol)
+        assert np.max(np.abs(x - c)) <= tol, f.__name__
+
+
+def test_solve_refinement_stops_at_noise_floor(monkeypatch):
+    # On the MV objective some brackets reach the evaluation noise floor
+    # long before their width reaches u_tol; they must stop there, not
+    # creep on in steps of u_tol / 4 (70 calls without the stop, 90 with
+    # golden steps).
+    import markeq.solver
+    calls = [0]
+    search = markeq.solver.golden_section
+
+    def counted(f, lo, hi, tol):
+        def g(u):
+            calls[0] += 1
+            return f(u)
+        return search(g, lo, hi, tol)
+
+    monkeypatch.setattr(markeq.solver, "golden_section", counted)
+    p = MeanVarianceParams(T=3)
+    model = mv_model(p, n_x=101, n_u=21)
+    dk = discretize(model.kernel, model.grids, model.constraints)
+    solution = solve(model, dk)
+    assert calls[0] <= 45
+    cf = mv_closed_form(p)
+    for t in range(model.T - 1):
+        np.testing.assert_allclose(solution.policy.controls[t], cf.controls[t], atol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # refine_bowls
 # ---------------------------------------------------------------------------
