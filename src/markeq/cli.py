@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluate as ev
-from .errors import ConfigError, MarkeqError
+from .errors import ConfigError, MarkeqError, ModelError
 from .kernels import discretize
 from .model import Model, Policy, build_model, config_hash
 from .solver import U_TOL, SolveOptions, solve
@@ -176,7 +176,11 @@ def cmd_verify(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     t0 = time.perf_counter()
-    report = ev.deviation_report(model, dk, policy, tol=args.tol)
+    try:
+        report = ev.deviation_report(model, dk, policy, tol=args.tol)
+    except ModelError as exc:  # a non-finite deviation objective
+        print(f"certification failed: {exc}", file=sys.stderr)
+        return 4
     timings = {"verify": time.perf_counter() - t0}
     out = Path(args.solution)
     report.to_csv(out / "deviation.csv")

@@ -2,9 +2,9 @@
 
 Everything here evaluates objectives by *forward* propagation of state
 distributions (or Monte Carlo simulation of the true noise), independent
-of the solver's backward tabulation of the auxiliary functions.  It also
-provides the two time-consistent baselines -- precommitment and naive --
-used to demonstrate the failure of the dynamic-programming principle.
+of the solver's backward tabulation; the deviation test pushes each
+landing node's law forward once per decision time.  The time-consistent
+baselines, precommitment and naive, show where dynamic programming fails.
 """
 
 from __future__ import annotations
@@ -37,9 +37,13 @@ def _plan_objective(model: Model, dk: DiscretizedKernel, t: int, nodes,
     cost arguments stay frozen at (t, x_node) throughout -- the source of
     state dependence.  ``controls[k]`` has shape (1, n_k), one policy
     shared by every plan, or (P, n_k), one per plan; a 1-d array is one
-    shared row.  The first-step rows are ``rows`` (P, Q, n_{t+1}) when
-    given, else ``dk.node_rows`` at the plans' own nodes; node
-    distributions then propagate forward by one broadcast matmul per step.
+    shared row.  ``rows`` (P, Q', n_{t+1}) are the first-step rows of the
+    first Q' probes when given; the rest come from ``dk.node_rows``.  Rows
+    propagate forward, one matmul per step with the tail's ``node_rows``,
+    starting from whichever is fewer: the P * Q first-step rows, or the
+    identity on the n_{t+1} landing nodes once per distinct tail.  Those
+    yield each plan's tail cost v and the mean h of H per landing node,
+    and the probe with first-step row d costs c_t + d.v, with mean d.h.
     """
     def at(k):
         if controls[k] is None:
@@ -52,16 +56,25 @@ def _plan_objective(model: Model, dk: DiscretizedKernel, t: int, nodes,
         probes = np.broadcast_to(at(t), (nodes.size, model.grids[t].size))[
             np.arange(nodes.size), nodes][:, None]
     probes = np.asarray(probes, dtype=float)
-    J = np.asarray(model.costs.running(t, t, y, y, probes), dtype=float)[..., None]
-    d = dk.node_rows(t, nodes, probes) if rows is None else rows  # (P, Q, n_{t+1})
-    for k in range(t + 1, model.T - 1):
-        uk = at(k)
+    c0 = np.asarray(model.costs.running(t, t, y, y, probes), dtype=float)[..., None]
+    q = 0 if rows is None else rows.shape[1]
+    first = [rows] if q else []  # first-step rows, (P, Q, n_{t+1}) in column blocks
+    if q < probes.shape[1]:
+        first.append(dk.node_rows(t, nodes, probes[:, q:]))
+    tails = [at(k) for k in range(t + 1, model.T - 1)]
+    n1 = model.grids[t + 1].size
+    landing = max((u.shape[0] for u in tails), default=1) * n1 < probes.size
+    d, J = (np.eye(n1)[None], 0.0) if landing else (np.concatenate(first, axis=1), c0)
+    for k, uk in enumerate(tails, start=t + 1):
         ck = np.asarray(model.costs.running(k, t, y, model.grids[k], uk), dtype=float)
         J = J + d @ ck[..., None]
         d = d @ dk.node_rows(k, np.arange(uk.shape[1]), uk.T).transpose(1, 0, 2)
     xT = model.grids[-1]
     J = J + d @ np.asarray(model.costs.terminal(t, y, xT), dtype=float)[..., None]
     m = d @ np.asarray(model.costs.terminal_stat(xT), dtype=float)
+    if landing:
+        J = c0 + np.concatenate([b @ J for b in first], axis=1)
+        m = np.concatenate([b @ m[..., None] for b in first], axis=1)[..., 0]
     return J[..., 0] + np.asarray(model.costs.mixer(t, y, m), dtype=float), m
 
 
@@ -148,8 +161,9 @@ class DeviationReport:
     """
 
     worst_gap: float
-    argmax: Optional[tuple]              # (t, node, control)
+    argmax: tuple                        # (t, node, control)
     per_time_gap: List[float]
+    per_time_argmax: List[tuple]         # (node, control) of per_time_gap
     tol: float
     certified: bool
     values: List[np.ndarray]             # V_t per node that the gaps were taken against
@@ -182,45 +196,46 @@ def deviation_report(model: Model, dk: DiscretizedKernel, policy: Policy,
 
     Default probes are the full control grid plus the policy's own control
     (so refined off-grid controls are always included); the grid's landing
-    rows are read from ``dk.weights[t]`` and only the policy's own column
-    is rebuilt.  ``probe_controls_per_node`` replaces the grid by that many
-    evenly spaced controls per node, all rebuilt through ``dk.node_rows``.
+    rows are read in place from ``dk.weights[t]`` and only the policy's own
+    column is rebuilt.  ``probe_controls_per_node`` replaces the grid by
+    that many evenly spaced controls per node, all rebuilt through
+    ``dk.node_rows``.  All probes at t share the policy's tail, which is
+    pushed forward once from the landing nodes (see ``_plan_objective``).
     ``values`` are the claimed J_t(x; policy) per node; when omitted, the
     policy's own probe supplies them.  The gap at (t, i, u) is
     V_t(x_i) - J_t(x_i; (u, tail)); positive gaps mean a profitable
-    deviation.  Certification holds at the probe resolution only.
+    deviation, and a non-finite J_dev or V raises ModelError naming
+    (t, node, control).  Certification holds at the probe resolution only.
     """
     policy.check_feasible(model)
-    worst = -np.inf
-    argmax = None
-    per_time, used, all_probes, all_J = [], [], [], []
+    per_time, per_arg, used, all_probes, all_J = [], [], [], [], []
     for t in range(model.T - 1):
-        n = model.grids[t].size
-        nodes = np.arange(n)
-        own = policy.controls[t][:, None]
+        nodes = np.arange(model.grids[t].size)
         if probe_controls_per_node is None:
-            grid = dk.controls[t]
-            # Node controls reproduce dk.weights[t] bit for bit (see node_rows).
-            first = np.concatenate([dk.weights[t], dk.node_rows(t, nodes, own)], axis=1)
+            grid, first = dk.controls[t], dk.weights[t]
         else:
             lo, hi = model.constraints[t].bounds(model.grids[t])
             frac = np.linspace(0.0, 1.0, probe_controls_per_node)
-            grid = lo[:, None] + (hi - lo)[:, None] * frac
-            first = None
-        probes = np.concatenate([grid, own], axis=1)
-        all_probes.append(probes)
+            grid, first = lo[:, None] + (hi - lo)[:, None] * frac, None
+        probes = np.concatenate([grid, policy.controls[t][:, None]], axis=1)
         J, _ = _plan_objective(model, dk, t, nodes, policy.controls, probes, first)
         v = J[:, -1].copy() if values is None else np.asarray(values[t], dtype=float)
-        used.append(v)
-        all_J.append(J)
         gaps = v[:, None] - J
-        per_time.append(float(gaps.max()))
-        idx = np.unravel_index(np.argmax(gaps), gaps.shape)
-        if gaps[idx] > worst:
-            worst = float(gaps[idx])
-            argmax = (t, int(idx[0]), float(probes[idx]))
-    return DeviationReport(worst_gap=worst, argmax=argmax, per_time_gap=per_time,
-                           tol=tol, certified=worst <= tol, values=used,
+        bad = np.argwhere(~np.isfinite(gaps))
+        if bad.size:
+            i, p = bad[0]
+            raise ModelError(f"non-finite deviation objective at (t={t}, node={i}, "
+                             f"control={probes[i, p]:.17g}): J_dev {J[i, p]}, V {v[i]}")
+        i, p = np.unravel_index(np.argmax(gaps), gaps.shape)
+        per_time.append(float(gaps[i, p]))
+        per_arg.append((int(i), float(probes[i, p])))
+        used.append(v)
+        all_probes.append(probes)
+        all_J.append(J)
+    t = int(np.argmax(per_time))  # the first t on ties
+    return DeviationReport(worst_gap=per_time[t], argmax=(t, *per_arg[t]),
+                           per_time_gap=per_time, per_time_argmax=per_arg, tol=tol,
+                           certified=per_time[t] <= tol, values=used,
                            states=model.grids[:model.T - 1], probes=all_probes, J_dev=all_J)
 
 

@@ -235,3 +235,36 @@ def bisection_precommit(model, dk, t0, nodes):
     if bracketed.size:
         run(act[bracketed], 0.5 * (a[bracketed] + b[bracketed]))
     return best, best_J
+
+
+def probe_row_plan_objective(model, dk, t, nodes, controls, probes=None, rows=None):
+    """``evaluate._plan_objective`` that always pushes every probe's own row.
+
+    The first-step rows of all P * Q probes are assembled in one array and
+    each is propagated through every later step, one broadcast matmul per
+    step; no landing-node tail is shared between probes.  Same signature
+    and outputs, so it can stand in for the library function.
+    """
+    def at(k):
+        return np.atleast_2d(np.asarray(controls[k], dtype=float))
+
+    nodes = np.asarray(nodes, dtype=np.intp)
+    y = model.grids[t][nodes][:, None]
+    if probes is None:
+        probes = np.broadcast_to(at(t), (nodes.size, model.grids[t].size))[
+            np.arange(nodes.size), nodes][:, None]
+    probes = np.asarray(probes, dtype=float)
+    q = 0 if rows is None else rows.shape[1]
+    d = dk.node_rows(t, nodes, probes[:, q:])
+    if rows is not None:
+        d = np.concatenate([rows, d], axis=1)
+    J = np.asarray(model.costs.running(t, t, y, y, probes), dtype=float)[..., None]
+    for k in range(t + 1, model.T - 1):
+        uk = at(k)
+        ck = np.asarray(model.costs.running(k, t, y, model.grids[k], uk), dtype=float)
+        J = J + d @ ck[..., None]
+        d = d @ dk.node_rows(k, np.arange(uk.shape[1]), uk.T).transpose(1, 0, 2)
+    xT = model.grids[-1]
+    J = J + d @ np.asarray(model.costs.terminal(t, y, xT), dtype=float)[..., None]
+    m = d @ np.asarray(model.costs.terminal_stat(xT), dtype=float)
+    return J[..., 0] + np.asarray(model.costs.mixer(t, y, m), dtype=float), m

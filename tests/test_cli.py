@@ -148,6 +148,29 @@ def test_verify_corrupted_values_fails_with_location(tmp_path, capsys):
     assert "(t=1, node=9)" in err
 
 
+def test_verify_nonfinite_deviation_objective_exits_4(tmp_path, capsys, monkeypatch):
+    import markeq.cli
+    from markeq import Costs, Model
+    cfg = write_config(tmp_path, LQ_CONFIG)
+    out = tmp_path / "run"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    build = markeq.cli.build_model
+
+    def nan_at_t0(config):  # the running cost is NaN at every t=0 probe
+        m = build(config)
+        c = m.costs
+        running = lambda t, s, y, x, u: np.where(np.asarray(t) == 0, np.nan,
+                                                 c.running(t, s, y, x, u))
+        return Model(T=m.T, grids=m.grids, constraints=m.constraints, kernel=m.kernel,
+                     costs=Costs(running, c.terminal, c.terminal_stat, c.mixer))
+
+    monkeypatch.setattr(markeq.cli, "build_model", nan_at_t0)
+    assert main(["verify", "--config", cfg, "--solution", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("certification failed: non-finite deviation objective at "
+                          "(t=0, node=0, control=")
+
+
 def test_verify_missing_values_csv(tmp_path, capsys):
     cfg = write_config(tmp_path, LQ_CONFIG)
     out = tmp_path / "run"

@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from markeq import (Costs, LQParams, MeanVarianceParams, Model, Policy, SolverError,
-                    build_model,
+from markeq import (Costs, ExpUtilityParams, LQParams, MeanVarianceParams, Model,
+                    ModelError, Policy, SolverError, build_model,
                     deviation_report, discretize, eval_objective_exact,
-                    eval_objective_mc, lq_model, mv_chain_model, mv_model,
-                    nonlinear_lq_variant, solve, solve_naive, solve_precommitment,
-                    verify_equilibrium)
+                    eval_objective_mc, exp_utility_model, lq_model, mv_chain_model,
+                    mv_model, nonlinear_lq_variant, solve, solve_naive,
+                    solve_precommitment, verify_equilibrium)
 
 from _oracles import (bisection_precommit, brute_force_equilibrium, chain_config,
-                      deviation_csv_bytes)
+                      deviation_csv_bytes, probe_row_plan_objective)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +220,109 @@ def test_deviation_report_values(instance, request):
     given = deviation_report(model, dk, solution.policy, values=solution.values)
     for v, w in zip(given.values, solution.values):
         np.testing.assert_array_equal(v, w)
+
+
+def _solved(instance, request):
+    """(model, dk, policy) of a fixture instance or of a small MV / exp-utility model."""
+    if instance in ("lq_small", "chain_small"):
+        model, dk = request.getfixturevalue(instance)[:2]
+    else:
+        model = (mv_model(MeanVarianceParams(T=5), n_x=41, n_u=11) if instance == "mv_t5_small"
+                 else exp_utility_model(ExpUtilityParams(), n_x=31, n_u=21))
+        dk = discretize(model.kernel, model.grids, model.constraints)
+    return model, dk, solve(model, dk).policy
+
+
+def _corrupted(dk, policy, t, i):
+    """The policy with controls[t][i] moved to the control node farthest from it."""
+    bad = [c.copy() for c in policy.controls]
+    U = dk.controls[t][i]
+    bad[t][i] = U[np.argmax(np.abs(U - bad[t][i]))]
+    return Policy(controls=bad)
+
+
+@pytest.mark.parametrize("per_node", [None, 7], ids=["grid", "7"])
+@pytest.mark.parametrize("instance", ["lq_small", "chain_small", "mv_t5_small", "exp_small"])
+def test_deviation_report_matches_probe_row_propagation(instance, per_node, request,
+                                                        monkeypatch):
+    # The certificate pushes each landing node's law forward once per t;
+    # the reference pushes every probe's own first-step row.  On the solved
+    # policy the gaps are rounding noise, so only the worst gap's size is
+    # compared; a corrupted control at the last decision time makes a
+    # profitable deviation whose location both must name.
+    import markeq.evaluate as ev
+    model, dk, policy = _solved(instance, request)
+    t = model.T - 2
+    bad = _corrupted(dk, policy, t, model.grids[t].size // 2)
+    for pol in (policy, bad):
+        ours = deviation_report(model, dk, pol, probe_controls_per_node=per_node)
+        with monkeypatch.context() as mp:
+            mp.setattr(ev, "_plan_objective", probe_row_plan_objective)
+            ref = deviation_report(model, dk, pol, probe_controls_per_node=per_node)
+        scale = 1.0 + max(np.max(np.abs(J)) for J in ref.J_dev)
+        for a, b, va, vb in zip(ours.J_dev, ref.J_dev, ours.values, ref.values):
+            assert np.all(np.abs(a - b) <= 1e-12 * (1.0 + np.abs(b)))
+            assert np.all(np.abs(va - vb) <= 1e-12 * (1.0 + np.abs(vb)))
+        assert abs(ours.worst_gap - ref.worst_gap) <= 1e-12 * scale
+    assert ours.worst_gap > 1e-6 and ours.argmax == ref.argmax
+
+
+def _nan_running(base, where):
+    """``base`` with a NaN running cost wherever ``where(t, x, u)`` holds."""
+    c = base.costs
+    running = lambda t, s, y, x, u: np.where(where(t, x, u), np.nan,
+                                             c.running(t, s, y, x, u))
+    return Model(T=base.T, grids=base.grids, constraints=base.constraints,
+                 kernel=base.kernel, costs=Costs(running, c.terminal, c.terminal_stat,
+                                                 c.mixer, assume_nonneg=True))
+
+
+def test_nonfinite_deviation_objective_raises():
+    # A NaN objective must not certify: NaN gaps compare false against tol.
+    base = lq_model(LQParams(T=3), n_x=21, n_u=11)
+    dk = discretize(base.kernel, base.grids, base.constraints)
+    policy = solve(base, dk).policy
+    everywhere = _nan_running(base, lambda t, x, u: np.isfinite(u))
+    with pytest.raises(ModelError, match=r"^non-finite deviation objective at \(t=0, node=0, "):
+        deviation_report(everywhere, dk, policy)
+    x3, u0 = base.grids[0][3], dk.controls[0][3, 2]
+    one = _nan_running(base, lambda t, x, u: (np.asarray(t) == 0) & (np.asarray(x) == x3)
+                       & (np.asarray(u) == u0))
+    with pytest.raises(ModelError, match=rf"\(t=0, node=3, control={u0:.17g}\): J_dev nan"):
+        deviation_report(one, dk, policy)
+    with pytest.raises(ModelError, match=r"\(t=1, node=4, control=.*\): J_dev .*, V nan"):
+        deviation_report(base, dk, policy, values=[np.zeros(21), np.where(
+            np.arange(base.grids[1].size) == 4, np.nan, 0.0)])
+
+
+def test_per_time_argmax_locates_worst_gap(lq_small):
+    model, dk, solution = lq_small
+    report = deviation_report(model, dk, _corrupted(dk, solution.policy, 0, 7))
+    assert len(report.per_time_argmax) == len(report.per_time_gap) == model.T - 1
+    for t, (i, u) in enumerate(report.per_time_argmax):
+        gaps = report.values[t][:, None] - report.J_dev[t]
+        assert gaps.max() == report.per_time_gap[t]
+        assert u in report.probes[t][i] and gaps[i].max() == report.per_time_gap[t]
+    t = int(np.argmax(report.per_time_gap))
+    assert report.argmax == (t, *report.per_time_argmax[t]) and report.argmax[:2] == (0, 7)
+
+
+def test_verify_does_not_copy_weight_tensor():
+    # Grid probes are contracted against dk.weights[t] in place and the
+    # tail is pushed from the landing nodes, so the certificate's peak
+    # allocation stays well below one time step's weight tensor.
+    import tracemalloc
+    model = mv_model(MeanVarianceParams(T=5), n_x=201, n_u=41)
+    dk = discretize(model.kernel, model.grids, model.constraints)
+    solution = solve(model, dk)
+    tracemalloc.start()
+    try:
+        report = verify_equilibrium(model, dk, solution)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.certified
+    assert peak < 0.5 * dk.weights[0].nbytes, (peak, dk.weights[0].nbytes)
 
 
 # ---------------------------------------------------------------------------

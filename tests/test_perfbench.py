@@ -47,3 +47,36 @@ def test_traced_solve_counts_objective_evals():
     proc = subprocess.run([sys.executable, "-c", TRACED_SOLVE, str(ROOT / "perfbench")],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+TRACED_VERIFY = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import spans
+from markeq import MeanVarianceParams, discretize, mv_model, solve
+from markeq import evaluate
+
+model = mv_model(MeanVarianceParams(T=5), n_x=41, n_u=11)
+dk = discretize(model.kernel, model.grids, model.constraints)
+solution = solve(model, dk)
+plain = evaluate.verify_equilibrium(model, dk, solution)
+tracer = spans.Tracer()
+spans.install(tracer)
+traced = evaluate.verify_equilibrium(model, dk, solution)
+for a, b in zip(plain.J_dev, traced.J_dev):
+    assert np.array_equal(a, b)
+probes = [(attrs or {}).get("probes") for name, _, _, _, attrs in tracer.spans
+          if name == "evaluate.deviation_report"]
+expected = sum(model.grids[t].size * (dk.controls[t].shape[1] + 1) for t in range(model.T - 1))
+assert probes == [expected], (probes, expected)
+"""
+
+
+def test_traced_verify_counts_probes():
+    # The benchmark wraps verify_equilibrium and deviation_report and reads
+    # the probe count from the report's probe_resolution.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", TRACED_VERIFY, str(ROOT / "perfbench")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
