@@ -29,17 +29,25 @@ _FLOAT_FMT = "{:.17g}"
 
 
 def load_config(path) -> dict:
+    """The config document at ``path``, YAML by suffix, else JSON.
+
+    A missing, unreadable or malformed file, or one that is not a
+    mapping, raises ConfigError naming the file.
+    """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config not found: {path}")
-    text = path.read_text()
     if path.suffix in (".yaml", ".yml"):
         import yaml
-        doc = yaml.safe_load(text)
+        parse, malformed = yaml.safe_load, yaml.YAMLError
     else:
-        doc = json.loads(text)
+        parse, malformed = json.loads, json.JSONDecodeError
+    try:
+        doc = parse(path.read_text())
+    except (malformed, UnicodeDecodeError) as exc:
+        raise ConfigError(f"malformed config {path}: {exc}") from None
     if not isinstance(doc, dict):
-        raise ConfigError("config document must be a mapping")
+        raise ConfigError(f"config document {path} must be a mapping")
     return doc
 
 
@@ -88,7 +96,7 @@ def cmd_solve(args) -> int:
     try:
         config = load_config(args.config)
         model, dk, quad_order = _prepare(config, args)
-    except (ConfigError, MarkeqError, json.JSONDecodeError) as exc:
+    except MarkeqError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out = Path(args.out)
@@ -172,7 +180,7 @@ def cmd_verify(args) -> int:
         model, dk, quad_order = _prepare(config, args)
         policy, claimed = _load_solution(model, Path(args.solution))
         policy.check_feasible(model)
-    except (ConfigError, MarkeqError, json.JSONDecodeError, ValueError) as exc:
+    except (MarkeqError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     t0 = time.perf_counter()
@@ -208,7 +216,7 @@ def cmd_compare(args) -> int:
     try:
         config = load_config(args.config)
         model, dk, quad_order = _prepare(config, args)
-    except (ConfigError, MarkeqError, json.JSONDecodeError) as exc:
+    except MarkeqError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out = Path(args.out)

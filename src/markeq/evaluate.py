@@ -56,7 +56,7 @@ def _plan_objective(model: Model, dk: DiscretizedKernel, t: int, nodes,
         probes = np.broadcast_to(at(t), (nodes.size, model.grids[t].size))[
             np.arange(nodes.size), nodes][:, None]
     probes = np.asarray(probes, dtype=float)
-    c0 = np.asarray(model.costs.running(t, t, y, y, probes), dtype=float)[..., None]
+    c0 = model.costs.running(t, t, y, y, probes)[..., None]
     q = 0 if rows is None else rows.shape[1]
     first = [rows] if q else []  # first-step rows, (P, Q, n_{t+1}) in column blocks
     if q < probes.shape[1]:
@@ -66,16 +66,15 @@ def _plan_objective(model: Model, dk: DiscretizedKernel, t: int, nodes,
     landing = max((u.shape[0] for u in tails), default=1) * n1 < probes.size
     d, J = (np.eye(n1)[None], 0.0) if landing else (np.concatenate(first, axis=1), c0)
     for k, uk in enumerate(tails, start=t + 1):
-        ck = np.asarray(model.costs.running(k, t, y, model.grids[k], uk), dtype=float)
-        J = J + d @ ck[..., None]
+        J = J + d @ model.costs.running(k, t, y, model.grids[k], uk)[..., None]
         d = d @ dk.node_rows(k, np.arange(uk.shape[1]), uk.T).transpose(1, 0, 2)
     xT = model.grids[-1]
-    J = J + d @ np.asarray(model.costs.terminal(t, y, xT), dtype=float)[..., None]
-    m = d @ np.asarray(model.costs.terminal_stat(xT), dtype=float)
+    J = J + d @ model.costs.terminal(t, y, xT)[..., None]
+    m = d @ model.costs.terminal_stat(xT)
     if landing:
         J = c0 + np.concatenate([b @ J for b in first], axis=1)
         m = np.concatenate([b @ m[..., None] for b in first], axis=1)[..., 0]
-    return J[..., 0] + np.asarray(model.costs.mixer(t, y, m), dtype=float), m
+    return J[..., 0] + model.costs.mixer(t, y, m), m
 
 
 def eval_objective_exact(model: Model, dk: DiscretizedKernel, policy: Policy,
@@ -128,21 +127,18 @@ def eval_objective_mc(model: Model, policy: Policy, t: int, x: float,
         u_cl = np.clip(u, lo, hi)
         if np.any(u_cl != u):
             clamped = True
-        lin += np.asarray(model.costs.running(k, t, x, states, u_cl), dtype=float)
+        lin += model.costs.running(k, t, x, states, u_cl)
         w = model.kernel.noise.sample(rng, n_paths)
-        mu = np.asarray(model.kernel.drift(k, states, u_cl), dtype=float)
-        sc = np.asarray(model.kernel.scale(k, states, u_cl), dtype=float)
-        states = mu + sc * w
-    lin += np.asarray(model.costs.terminal(t, x, states), dtype=float)
-    hvals = np.asarray(model.costs.terminal_stat(states), dtype=float)
+        states = model.kernel.drift(k, states, u_cl) + model.kernel.scale(k, states, u_cl) * w
+    lin += model.costs.terminal(t, x, states)
+    hvals = model.costs.terminal_stat(states)
     m = float(hvals.mean())
-    est = float(lin.mean()) + float(np.asarray(model.costs.mixer(t, x, m), dtype=float))
+    est = float(lin.mean()) + float(model.costs.mixer(t, x, m))
 
     # Delta method on (mean lin, mean H): gradient (1, G'(m)).
     h_scale = max(1.0, abs(m))
     dm = 1e-5 * h_scale
-    gp = (float(np.asarray(model.costs.mixer(t, x, m + dm), dtype=float))
-          - float(np.asarray(model.costs.mixer(t, x, m - dm), dtype=float))) / (2 * dm)
+    gp = float(model.costs.mixer(t, x, m + dm) - model.costs.mixer(t, x, m - dm)) / (2 * dm)
     var_lin = float(np.var(lin, ddof=1))
     var_h = float(np.var(hvals, ddof=1))
     cov = float(np.cov(lin, hvals, ddof=1)[0, 1])
@@ -259,8 +255,7 @@ def verify_equilibrium(model: Model, dk: DiscretizedKernel,
 def _mixer_depends_on_h(model: Model, s: int, ys: np.ndarray) -> np.ndarray:
     """Per frozen state y in ``ys``: whether G(s, y, h) varies with h."""
     hs = np.linspace(-1.0, 1.0, 7)
-    g = np.broadcast_to(np.asarray(model.costs.mixer(s, ys[:, None], hs), dtype=float),
-                        (ys.size, hs.size))
+    g = model.costs.mixer(s, ys[:, None], hs)
     return np.ptp(g, axis=1) > 1e-12 * (1.0 + np.max(np.abs(g), axis=1))
 
 
@@ -277,22 +272,19 @@ def _dp_linear(model: Model, dk: DiscretizedKernel, t0: int, nodes: np.ndarray,
     """
     ys = model.grids[t0][nodes]
     xT = model.grids[-1]
-    V = np.broadcast_to(np.asarray(model.costs.terminal(t0, ys[:, None], xT), dtype=float)
-                        + lam[:, None] * np.asarray(model.costs.terminal_stat(xT), dtype=float),
-                        (ys.size, xT.size))
+    V = model.costs.terminal(t0, ys[:, None], xT) + lam[:, None] * model.costs.terminal_stat(xT)
     controls: List[Optional[np.ndarray]] = [None] * (model.T - 1)
     P = ys.size
     for k in range(model.T - 2, t0 - 1, -1):
         xk, U, W = model.grids[k], dk.controls[k], dk.weights[k]
         n, M, nn = W.shape
-        c = np.asarray(model.costs.running(k, t0, ys[:, None, None], xk[:, None], U), dtype=float)
+        c = model.costs.running(k, t0, ys[:, None, None], xk[:, None], U)
         Lk = c + (W.reshape(n * M, nn) @ V.T).T.reshape(P, n, M)
 
         def f(r, u):  # row r = p * n + i: plan p at node i
             p, i = np.divmod(r, n)
             u2 = u.reshape(r.size, -1)
-            cu = np.asarray(model.costs.running(k, t0, ys[p][:, None], xk[i][:, None], u2),
-                            dtype=float)
+            cu = model.costs.running(k, t0, ys[p][:, None], xk[i][:, None], u2)
             return (cu + np.einsum("kqm,km->kq", dk.node_rows(k, i, u2), V[p])
                     ).reshape(u.shape)
         _, uk, vk, _ = refine_bowls(model.kernel, Lk.reshape(P * n, M),
@@ -316,16 +308,14 @@ def _precommit(model: Model, dk: DiscretizedKernel, t0: int, nodes):
     """
     nodes = np.asarray(nodes, dtype=np.intp)
     ys = model.grids[t0][nodes]
-    h_scale = max(1.0, float(np.max(np.abs(
-        np.asarray(model.costs.terminal_stat(model.grids[-1]), dtype=float)))))
+    h_scale = max(1.0, float(np.max(np.abs(model.costs.terminal_stat(model.grids[-1])))))
     dm = 1e-6 * h_scale
 
     def run(idx, m):
         """One DP for plans idx at the tangent slopes G'(m); keeps each plan's best candidate."""
         y = ys[idx]
-        lam = (np.asarray(model.costs.mixer(t0, y, m + dm), dtype=float)
-               - np.asarray(model.costs.mixer(t0, y, m - dm), dtype=float)) / (2 * dm)
-        ctrl = _dp_linear(model, dk, t0, nodes[idx], np.broadcast_to(lam, idx.shape))
+        lam = (model.costs.mixer(t0, y, m + dm) - model.costs.mixer(t0, y, m - dm)) / (2 * dm)
+        ctrl = _dp_linear(model, dk, t0, nodes[idx], lam)
         J, mean = (v[:, 0] for v in _plan_objective(model, dk, t0, nodes[idx], ctrl))
         win = J < best_J[idx]  # strict: a tie keeps the earlier candidate
         for bk, ck in zip(best[t0:], ctrl[t0:]):

@@ -67,10 +67,8 @@ class LQParams:
 
 def _lq_kernel(p: LQParams) -> AdditiveNoise:
     from .noise import GaussianNoise
-    return AdditiveNoise(drift=lambda t, x, u: p.a * np.asarray(x, dtype=float)
-                         + p.b * np.asarray(u, dtype=float),
-                         scale=lambda t, x, u: np.full(
-                             np.broadcast(np.asarray(x), np.asarray(u)).shape, p.sigma),
+    return AdditiveNoise(drift=lambda t, x, u: p.a * x + p.b * u,
+                         scale=lambda t, x, u: p.sigma,
                          noise=GaussianNoise(),
                          sigma_floor=0.5 * p.sigma)
 
@@ -83,16 +81,11 @@ def lq_model(params: LQParams = LQParams(), x_lo: float = -6.0, x_hi: float = 6.
     p = params
     growth = abs(p.b) * max(abs(u_lo), abs(u_hi)) + 5.0 * p.sigma
     grids = _widening_grids(p.T, x_lo, x_hi, n_x, growth, scale=abs(p.a))
-    costs = Costs(
-        running=lambda t, s, y, x, u: np.square(np.asarray(u, dtype=float))
-        + 0.0 * (np.asarray(s) + np.asarray(y) + np.asarray(x)),
-        terminal=lambda s, y, xT: np.square(np.asarray(xT, dtype=float)
-                                            - np.asarray(y, dtype=float))
-        + 0.0 * np.asarray(s),
-        terminal_stat=lambda xT: np.zeros_like(np.asarray(xT, dtype=float)),
-        mixer=lambda s, y, h: np.zeros(np.broadcast(np.asarray(s), np.asarray(y),
-                                                    np.asarray(h)).shape),
-        assume_nonneg=True)
+    costs = Costs(running=lambda t, s, y, x, u: np.square(u),
+                  terminal=lambda s, y, xT: np.square(xT - y),
+                  terminal_stat=lambda xT: 0.0,
+                  mixer=lambda s, y, h: 0.0,
+                  assume_nonneg=True)
     constraints = [ControlConstraint.interval(u_lo, u_hi, n_u) for _ in range(p.T - 1)]
     return Model(T=p.T, grids=grids, constraints=constraints,
                  kernel=_lq_kernel(p), costs=costs)
@@ -101,14 +94,11 @@ def lq_model(params: LQParams = LQParams(), x_lo: float = -6.0, x_hi: float = 6.
 def nonlinear_lq_variant(params: LQParams = LQParams(), **windows) -> Model:
     """LQ dynamics with cost u^2 plus (E[max(x_T, 0)])^2."""
     base = lq_model(params, **windows)
-    costs = Costs(
-        running=base.costs.running,
-        terminal=lambda s, y, xT: np.zeros(np.broadcast(np.asarray(s), np.asarray(y),
-                                                        np.asarray(xT)).shape),
-        terminal_stat=lambda xT: np.maximum(np.asarray(xT, dtype=float), 0.0),
-        mixer=lambda s, y, h: np.square(np.asarray(h, dtype=float))
-        + 0.0 * (np.asarray(s) + np.asarray(y)),
-        assume_nonneg=True)
+    costs = Costs(running=base.costs.running,
+                  terminal=lambda s, y, xT: 0.0,
+                  terminal_stat=lambda xT: np.maximum(xT, 0.0),
+                  mixer=lambda s, y, h: np.square(h),
+                  assume_nonneg=True)
     return Model(T=base.T, grids=base.grids, constraints=base.constraints,
                  kernel=base.kernel, costs=costs)
 
@@ -137,17 +127,11 @@ class MeanVarianceParams:
 
 
 def _mv_costs(p: MeanVarianceParams) -> Costs:
-    return Costs(
-        running=lambda t, s, y, x, u: np.zeros(
-            np.broadcast(np.asarray(t), np.asarray(s), np.asarray(y),
-                         np.asarray(x), np.asarray(u)).shape),
-        terminal=lambda s, y, xT: (np.square(np.asarray(xT, dtype=float))
-                                   - p.gamma * np.asarray(xT, dtype=float))
-        + 0.0 * (np.asarray(s) + np.asarray(y)),
-        terminal_stat=lambda xT: np.asarray(xT, dtype=float),
-        mixer=lambda s, y, h: -np.square(np.asarray(h, dtype=float))
-        + 0.0 * (np.asarray(s) + np.asarray(y)),
-        assume_nonneg=False)
+    return Costs(running=lambda t, s, y, x, u: 0.0,
+                 terminal=lambda s, y, xT: np.square(xT) - p.gamma * xT,
+                 terminal_stat=lambda xT: xT,
+                 mixer=lambda s, y, h: -np.square(h),
+                 assume_nonneg=False)
 
 
 def mv_model(params: MeanVarianceParams = MeanVarianceParams(),
@@ -160,11 +144,9 @@ def mv_model(params: MeanVarianceParams = MeanVarianceParams(),
     u_abs = max(abs(u_lo), abs(u_hi))
     growth = u_abs * (abs(p.mu) + 6.5 * sd)
     grids = _widening_grids(p.T, x_lo, x_hi, n_x, growth, scale=p.R)
-    kernel = AdditiveNoise(
-        drift=lambda t, x, u: p.R * np.asarray(x, dtype=float)
-        + p.mu * np.asarray(u, dtype=float),
-        scale=lambda t, x, u: np.maximum(np.abs(np.asarray(u, dtype=float)), 1e-6) * sd,
-        noise=GaussianNoise(), sigma_floor=1e-7 * sd)
+    kernel = AdditiveNoise(drift=lambda t, x, u: p.R * x + p.mu * u,
+                           scale=lambda t, x, u: np.maximum(np.abs(u), 1e-6) * sd,
+                           noise=GaussianNoise(), sigma_floor=1e-7 * sd)
     constraints = [ControlConstraint.interval(u_lo, u_hi, n_u) for _ in range(p.T - 1)]
     return Model(T=p.T, grids=grids, constraints=constraints, kernel=kernel,
                  costs=_mv_costs(p))
@@ -314,23 +296,25 @@ def exp_utility_model(params: ExpUtilityParams = ExpUtilityParams(),
         raise ModelError("need 0 < u_lo <= u_hi")
     growth = hi * (abs(p.mu) + 6.0 * p.sigma)
     grids = _widening_grids(p.T, x_lo, x_hi, n_x, growth, scale=p.R)
-    kernel = AdditiveNoise(
-        drift=lambda t, x, u: p.R * np.asarray(x, dtype=float)
-        + p.mu * np.asarray(u, dtype=float),
-        scale=lambda t, x, u: np.abs(np.asarray(u, dtype=float)) * p.sigma
-        + 0.0 * np.asarray(x, dtype=float),
-        noise=GaussianNoise(), sigma_floor=0.5 * lo * p.sigma)
-    costs = Costs(
-        running=lambda t, s, y, x, u: np.zeros(
-            np.broadcast(np.asarray(t), np.asarray(s), np.asarray(y),
-                         np.asarray(x), np.asarray(u)).shape),
-        terminal=lambda s, y, xT: p.discount(p.T - 1 - np.asarray(s, dtype=float))
-        * np.exp(-p.gamma * np.asarray(xT, dtype=float)) / p.gamma
-        + 0.0 * np.asarray(y, dtype=float),
-        terminal_stat=lambda xT: np.zeros_like(np.asarray(xT, dtype=float)),
-        mixer=lambda s, y, h: np.zeros(np.broadcast(np.asarray(s), np.asarray(y),
-                                                    np.asarray(h)).shape),
-        assume_nonneg=True)
+    kernel = AdditiveNoise(drift=lambda t, x, u: p.R * x + p.mu * u,
+                           scale=lambda t, x, u: np.abs(u) * p.sigma,
+                           noise=GaussianNoise(), sigma_floor=0.5 * lo * p.sigma)
+    costs = Costs(running=lambda t, s, y, x, u: 0.0,
+                  terminal=lambda s, y, xT: p.discount(p.T - 1 - s) * np.exp(-p.gamma * xT)
+                  / p.gamma,
+                  terminal_stat=lambda xT: 0.0,
+                  mixer=lambda s, y, h: 0.0,
+                  assume_nonneg=True)
     constraints = [ControlConstraint.interval(lo, hi, n_u) for _ in range(p.T - 1)]
     return Model(T=p.T, grids=grids, constraints=constraints, kernel=kernel,
                  costs=costs)
+
+
+# Config family name -> (builder, its parameter dataclass), read by ``build_model``.
+CONFIG_FAMILIES = {
+    "lq": (lq_model, LQParams),
+    "nonlinear_lq": (nonlinear_lq_variant, LQParams),
+    "mean_variance": (mv_model, MeanVarianceParams),
+    "mean_variance_chain": (mv_chain_model, MeanVarianceParams),
+    "exp_utility": (exp_utility_model, ExpUtilityParams),
+}

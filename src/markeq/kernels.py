@@ -16,6 +16,7 @@ checking |E_u[V] - E_u'[V]| <= M * TV for bounded measurable V.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Union
@@ -46,13 +47,42 @@ CHAIN_ROW_TOL = 1e-12
 FEAS_TOL = 1e-9
 
 
+def broadcasting(fn: Callable) -> Callable:
+    """``fn`` made to return a float array of the broadcast shape of its arguments.
+
+    ``fn`` may return anything that broadcasts against its arguments: a
+    scalar, say, or an array over some of them.  A value that has to be
+    broadcast is copied into a new array, never returned as a zero-stride
+    view, so matmuls on it stay in BLAS.  Wrapping twice is a no-op.
+    """
+    if getattr(fn, "broadcasts", False):
+        return fn
+
+    @functools.wraps(fn)
+    def wrapped(*args):
+        val = np.asarray(fn(*args), dtype=float)
+        # np.broadcast is several times cheaper per call than np.broadcast_shapes.
+        shape = np.broadcast(val, *args).shape
+        if val.shape == shape:
+            return val
+        out = np.empty(shape)
+        out[...] = val
+        return out
+
+    wrapped.broadcasts = True
+    return wrapped
+
+
 @dataclass(frozen=True)
 class AdditiveNoise:
     """Kernel x' = drift(t, x, u) + scale(t, x, u) * W.
 
-    drift and scale must broadcast over numpy arrays in (x, u).
-    ``sigma_floor`` is the lower bound required of scale; rows violating
-    it are rejected at discretization time.  A zero floor admits
+    drift and scale take numpy arrays and may return anything that
+    broadcasts against their arguments (``scale=lambda t, x, u: 0.5``);
+    the kernel wraps them with ``broadcasting`` once, so ``kernel.drift``
+    and ``kernel.scale`` return float arrays of the arguments' broadcast
+    shape.  ``sigma_floor`` is the lower bound required of scale; rows
+    violating it are rejected at discretization time.  A zero floor admits
     degenerate (point-mass) kernels: those are usable only with the
     exact-expectation and continuity-probe paths, never for solving.
     """
@@ -65,11 +95,12 @@ class AdditiveNoise:
     def __post_init__(self):
         if self.sigma_floor < 0:
             raise KernelError("sigma_floor must be >= 0")
+        object.__setattr__(self, "drift", broadcasting(self.drift))
+        object.__setattr__(self, "scale", broadcasting(self.scale))
 
     def landing_params(self, t, x, u):
         """Mean and std of x' given (t, x, u), folding in the noise moments."""
-        mu = np.asarray(self.drift(t, x, u), dtype=float)
-        sc = np.asarray(self.scale(t, x, u), dtype=float)
+        mu, sc = self.drift(t, x, u), self.scale(t, x, u)
         if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sc))):
             raise KernelError(f"non-finite landing mean or std at t={t}")
         if np.any(sc < self.sigma_floor) or np.any(sc <= 0):
@@ -161,11 +192,6 @@ class DiscretizedKernel:
         rows = nodes[:, None]
         return (1.0 - theta)[..., None] * W[rows, jl] + theta[..., None] * W[rows, j]
 
-    def blended_row(self, t: int, i: int, u: float) -> np.ndarray:
-        """Row at (t, node i, control u) blended from the bracketing control nodes."""
-        nodes = np.array([i])
-        return self._blend(t, nodes, self._feasible(t, nodes, np.array([[float(u)]])))[0, 0]
-
     def node_rows(self, t: int, nodes, U) -> np.ndarray:
         """Landing weights for state nodes ``nodes`` (k,) at controls U, (k,) or (k, P).
 
@@ -183,7 +209,7 @@ class DiscretizedKernel:
         if self.spec is None or isinstance(self.spec, DiscreteChain):
             return self._blend(t, nodes, U).reshape(shape)
         mu, sc = self.spec.landing_params(t, self.grids[t][nodes][:, None], U)
-        W, _ = _landing_rows(self.grids[t + 1], mu, sc, U.shape, self.spec.noise,
+        W, _ = _landing_rows(self.grids[t + 1], mu, sc, self.spec.noise,
                              self.build_method == "exact", self.quad_order)
         return W.reshape(shape)
 
@@ -270,15 +296,16 @@ def _gaussian_tent_masses(grid: np.ndarray, mean: np.ndarray, std: np.ndarray):
     return out, lo_tail + hi_tail
 
 
-def _landing_rows(grid: np.ndarray, mu, sc, shape, noise: Noise, exact: bool,
-                  quad_order: int):
-    """Landing rows shape + (len(grid),) for the laws mu + sc * W, and their clamped mass.
+def _landing_rows(grid: np.ndarray, mu: np.ndarray, sc: np.ndarray, noise: Noise,
+                  exact: bool, quad_order: int):
+    """Landing rows mu.shape + (len(grid),) for the laws mu + sc * W, and their clamped mass.
 
-    ``exact`` integrates the hat functions against Gaussian noise in closed
-    form; otherwise the noise quadrature's points are spread onto the grid.
-    Normalised weights below ``WEIGHT_FLOOR`` are set to 0.
+    ``mu`` and ``sc`` are float arrays of one shape.  ``exact`` integrates
+    the hat functions against Gaussian noise in closed form; otherwise the
+    noise quadrature's points are spread onto the grid.  Normalised
+    weights below ``WEIGHT_FLOOR`` are set to 0.
     """
-    mu, sc = (np.broadcast_to(np.asarray(v, dtype=float), shape) for v in (mu, sc))
+    shape = mu.shape
     if exact:
         W, clamp = _gaussian_tent_masses(grid, (mu + sc * noise.mean).reshape(-1),
                                          (sc * noise.std).reshape(-1))
@@ -340,7 +367,7 @@ def discretize(kernel: KernelSpec, grids: Sequence[np.ndarray], constraints,
         x = grids[t]
         U = constraints[t].nodes(x)  # (n, M)
         mu, sc = kernel.landing_params(t, x[:, None], U)
-        W, clamp = _landing_rows(grids[t + 1], mu, sc, U.shape, kernel.noise,
+        W, clamp = _landing_rows(grids[t + 1], mu, sc, kernel.noise,
                                  build_method == "exact", quad_order)
         weights.append(W)
         controls.append(U)
@@ -447,8 +474,7 @@ def exact_expectation(kernel: AdditiveNoise, t: int, x: float, u: float, V) -> f
     (degenerate kernel) is admitted here, as a point mass at the drift;
     this bypass exists only for the continuity probe.
     """
-    mu = float(np.asarray(kernel.drift(t, x, u), dtype=float))
-    sc = float(np.asarray(kernel.scale(t, x, u), dtype=float))
+    mu, sc = float(kernel.drift(t, x, u)), float(kernel.scale(t, x, u))
     if sc == 0.0:
         return float(np.asarray(V(mu), dtype=float))
     if sc < 0:
@@ -499,8 +525,7 @@ def setwise_continuity_probe(kernel: AdditiveNoise, t: int, x: float, u: float,
     for k, uk in enumerate(u_seq):
         gaps[k] = [abs(exact_expectation(kernel, t, x, uk, V) - limit[j])
                    for j, V in enumerate(V_family)]
-        sc_k = float(np.asarray(kernel.scale(t, x, uk), dtype=float))
-        sc_0 = float(np.asarray(kernel.scale(t, x, u), dtype=float))
+        sc_k, sc_0 = float(kernel.scale(t, x, uk)), float(kernel.scale(t, x, u))
         if min(sc_k, sc_0) > 0.0 and min(sc_k, sc_0) >= kernel.sigma_floor:
             tvb[k] = M * tv_distance(kernel, t, x, uk, u)
 

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, List, Optional
 
 import numpy as np
 
 from .errors import ConfigError, ModelError
-from .kernels import FEAS_TOL, AdditiveNoise, DiscreteChain, KernelSpec
+from .kernels import FEAS_TOL, AdditiveNoise, DiscreteChain, KernelSpec, broadcasting
 
 CLAMP_EDGE_FRAC = 0.25  # share of states and of controls at each end left out of clamp_diagnostic
 
@@ -69,7 +69,11 @@ class Costs:
     terminal(s, y, x_T)    -> F
     terminal_stat(x_T)     -> H
     mixer(s, y, h)         -> G
-    All callables must broadcast over numpy arrays.
+    The callables take numpy arrays and may return anything that
+    broadcasts against their arguments: ``mixer=lambda s, y, h: 0.0``, or
+    a terminal cost that ignores y.  Each is wrapped with ``broadcasting``
+    once, so ``costs.running`` and the others return float arrays of the
+    arguments' broadcast shape.
     """
 
     running: Callable
@@ -77,6 +81,10 @@ class Costs:
     terminal_stat: Callable
     mixer: Callable
     assume_nonneg: bool = True
+
+    def __post_init__(self):
+        for name in ("running", "terminal", "terminal_stat", "mixer"):
+            object.__setattr__(self, name, broadcasting(getattr(self, name)))
 
 
 @dataclass
@@ -185,15 +193,15 @@ def validate_assumptions(model: Model, samples: int = 10_000,
     uhi = np.array([model.constraints[t].bounds(x)[1] for t, x in zip(ts, xs)]).ravel()
     us = ulo + rng.random(samples) * (uhi - ulo)
     xT = draw_states(np.full(samples, T - 1))
-    hprobe = np.asarray(model.costs.terminal_stat(xT), dtype=float)
+    hprobe = model.costs.terminal_stat(xT)
     h_lo, h_hi = float(hprobe.min()), float(hprobe.max())
     if h_hi <= h_lo:
         h_hi = h_lo + 1.0
     hs = h_lo + rng.random(samples) * (h_hi - h_lo)
 
-    cvals = np.asarray(model.costs.running(ts, ss, ys, xs, us), dtype=float)
-    fvals = np.asarray(model.costs.terminal(ss, ys, xT), dtype=float)
-    gvals = np.asarray(model.costs.mixer(ss, ys, hs), dtype=float)
+    cvals = model.costs.running(ts, ss, ys, xs, us)
+    fvals = model.costs.terminal(ss, ys, xT)
+    gvals = model.costs.mixer(ss, ys, hs)
     if not np.all(np.isfinite(cvals)) or not np.all(np.isfinite(fvals)) \
             or not np.all(np.isfinite(gvals)) or not np.all(np.isfinite(hprobe)):
         raise ModelError("cost components returned non-finite values")
@@ -208,14 +216,13 @@ def validate_assumptions(model: Model, samples: int = 10_000,
                      "direct inf-compactness check")
 
     dh = 1e-4 * max(1.0, h_hi - h_lo)
-    g_up = np.asarray(model.costs.mixer(ss, ys, hs + dh), dtype=float)
+    g_up = model.costs.mixer(ss, ys, hs + dh)
     mixer_monotone = "pass" if np.all(g_up >= gvals - 1e-12) else "fail"
     if mixer_monotone == "fail":
         notes.append("mixer G is not nondecreasing in h on sampled range")
 
     if isinstance(model.kernel, AdditiveNoise):
-        sc = np.asarray(model.kernel.scale(ts, xs, us), dtype=float)
-        sc = np.broadcast_to(sc, xs.shape)
+        sc = model.kernel.scale(ts, xs, us)
         sigma_floor = "pass" if np.all(sc >= model.kernel.sigma_floor) else "fail"
     else:
         sigma_floor = "unknown"
@@ -234,8 +241,7 @@ def validate_assumptions(model: Model, samples: int = 10_000,
 # Config-document construction
 # ---------------------------------------------------------------------------
 
-_FAMILIES = ("lq", "nonlinear_lq", "mean_variance", "mean_variance_chain",
-             "exp_utility", "discrete_chain", "tabulated")
+_CHAIN_FAMILIES = ("discrete_chain", "tabulated")  # both name the tabulated-cost chain
 
 
 def config_hash(config: dict) -> str:
@@ -248,53 +254,40 @@ def build_model(config: dict) -> Model:
     """Build a validated Model from a structured config document.
 
     Recognized top-level keys: family, params, horizon, state_grid,
-    control, kernel, costs.  Family-specific builders consume params and
-    the grid/control windows; see the README for the schema.
+    control, kernel, costs.  ``params`` may hold the fields of the
+    family's parameter dataclass (``families.CONFIG_FAMILIES``) other
+    than the callable ``phi``; any other key raises ConfigError.  The
+    family builder also takes the grid/control windows; see the README
+    for the schema.
     """
+    from . import families  # deferred: families builds Model instances
+
     if not isinstance(config, dict):
         raise ConfigError("config must be a mapping")
     family = config.get("family")
-    if family not in _FAMILIES:
-        raise ConfigError(f"unknown or missing family {family!r}; "
-                          f"expected one of {_FAMILIES}")
+    known = (*families.CONFIG_FAMILIES, *_CHAIN_FAMILIES)
+    if family not in known:
+        raise ConfigError(f"unknown or missing family {family!r}; expected one of {known}")
     horizon = config.get("horizon")
     if horizon is not None and (not isinstance(horizon, int) or horizon < 2):
         raise ConfigError("horizon must be >= 2")
-
-    from . import families  # deferred: families builds Model instances
-
-    params = dict(config.get("params", {}))
-    if horizon is not None:
-        params.setdefault("T", horizon)
-    try:
-        if family == "lq":
-            return families.lq_model(families.LQParams(**_pick(params, "a", "b", "sigma", "T")),
-                                     **_windows(config))
-        if family == "nonlinear_lq":
-            return families.nonlinear_lq_variant(
-                families.LQParams(**_pick(params, "a", "b", "sigma", "T")), **_windows(config))
-        if family == "mean_variance":
-            return families.mv_model(_mv_params(families, params), **_windows(config))
-        if family == "mean_variance_chain":
-            return families.mv_chain_model(_mv_params(families, params), **_windows(config))
-        if family == "exp_utility":
-            return families.exp_utility_model(
-                families.ExpUtilityParams(**_pick(params, "gamma", "beta", "R", "mu",
-                                                  "sigma", "u_lo", "u_hi", "T")),
-                **_windows(config))
-        # "tabulated" names the same tabulated-cost chain as "discrete_chain".
+    if family in _CHAIN_FAMILIES:
         return _chain_from_config(config)
+
+    builder, params_type = families.CONFIG_FAMILIES[family]
+    params = config.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"params of family {family!r} must be a mapping")
+    allowed = [f.name for f in fields(params_type) if f.name != "phi"]
+    unknown = [k for k in params if k not in allowed]
+    if unknown:
+        raise ConfigError(f"unknown parameter {unknown[0]!r} for family {family!r}; "
+                          f"expected some of {allowed}")
+    params = {"T": horizon, **params} if horizon is not None else params
+    try:
+        return builder(params_type(**params), **_windows(config))
     except (TypeError, KeyError) as exc:
         raise ConfigError(f"bad parameters for family {family!r}: {exc}") from exc
-
-
-def _pick(params: dict, *names) -> dict:
-    return {k: params[k] for k in names if k in params}
-
-
-def _mv_params(families, params):
-    return families.MeanVarianceParams(
-        **_pick(params, "R", "mu", "sigma2", "gamma", "T"))
 
 
 def _windows(config: dict) -> dict:
@@ -341,9 +334,9 @@ def _tabulated_costs(doc: dict, grids, control_values) -> Costs:
     term_tab = np.asarray(doc.get("terminal", np.zeros(grids[-1].size)), dtype=float)
     stat_tab = np.asarray(doc.get("terminal_stat", np.zeros(grids[-1].size)), dtype=float)
     mixer_name = doc.get("mixer", "zero")
-    mixers = {"zero": lambda s, y, h: np.zeros_like(np.asarray(h, dtype=float)),
-              "square": lambda s, y, h: np.square(np.asarray(h, dtype=float)),
-              "neg_square": lambda s, y, h: -np.square(np.asarray(h, dtype=float))}
+    mixers = {"zero": lambda s, y, h: 0.0,
+              "square": lambda s, y, h: np.square(h),
+              "neg_square": lambda s, y, h: -np.square(h)}
     if mixer_name not in mixers:
         raise ConfigError(f"unknown mixer {mixer_name!r}")
     mixer = mixers[mixer_name]
@@ -358,17 +351,11 @@ def _tabulated_costs(doc: dict, grids, control_values) -> Costs:
                                            _nearest(control_values[int(ti)], u_b[m])]
         return out
 
-    def terminal(s, y, xT):
-        vals = term_tab[_nearest(grids[-1], xT)]
-        return np.broadcast_to(vals, np.broadcast(np.asarray(s), np.asarray(y),
-                                                  np.asarray(xT)).shape).copy()
-
-    def terminal_stat(xT):
-        return stat_tab[_nearest(grids[-1], xT)]
-
     nonneg = (all(tab.min() >= 0 for tab in running_tabs)
               and term_tab.min() >= 0 and mixer_name != "neg_square")
-    return Costs(running=running, terminal=terminal, terminal_stat=terminal_stat,
+    return Costs(running=running,
+                 terminal=lambda s, y, xT: term_tab[_nearest(grids[-1], xT)],
+                 terminal_stat=lambda xT: stat_tab[_nearest(grids[-1], xT)],
                  mixer=mixer, assume_nonneg=nonneg)
 
 

@@ -157,16 +157,15 @@ def build_aux(model: Model, dk: DiscretizedKernel, tail_policy: Optional[Policy]
     s = t if eval_time is None else eval_time
     ys = model.grids[s][:, None]
     xT = model.grids[-1]
-    h_next = np.asarray(model.costs.terminal_stat(xT), dtype=float)
-    btot = np.asarray(model.costs.terminal(s, ys, xT[None, :]), dtype=float)
+    h_next = model.costs.terminal_stat(xT)
+    btot = model.costs.terminal(s, ys, xT[None, :])
     for k in range(T - 2, t, -1):
         if tail_policy is None or tail_policy.controls[k] is None:
             raise SolverError(f"tail policy missing controls at time {k}")
         uk = tail_policy.controls[k]
         Pk = policy_matrix(dk, k, uk)
         h_next = Pk @ h_next
-        btot = btot @ Pk.T + np.asarray(
-            model.costs.running(k, s, ys, model.grids[k][None, :], uk[None, :]), dtype=float)
+        btot = btot @ Pk.T + model.costs.running(k, s, ys, model.grids[k][None, :], uk[None, :])
     if not np.all(np.isfinite(btot)) or not np.all(np.isfinite(h_next)):
         raise SolverError("auxiliary tabulation is non-finite")
     return AuxiliaryBundle(eval_time=s, h_next=h_next, btot=btot)
@@ -176,10 +175,10 @@ def _assemble(model: Model, aux: AuxiliaryBundle, t: int, nodes: np.ndarray,
               U: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """L = C + E[sum b_k + f] + G(E[h]) at controls U (k, P) with landing rows (k, P, nn)."""
     x = model.grids[t][nodes][:, None]
-    c = np.asarray(model.costs.running(t, aux.eval_time, x, x, U), dtype=float)
+    c = model.costs.running(t, aux.eval_time, x, x, U)
     e_b = np.einsum("kpm,km->kp", rows, aux.btot[nodes])
     e_h = rows @ aux.h_next
-    g = np.asarray(model.costs.mixer(aux.eval_time, x, e_h), dtype=float)
+    g = model.costs.mixer(aux.eval_time, x, e_h)
     return c + e_b + g
 
 
@@ -335,8 +334,7 @@ def value_identity_check(model: Model, dk: DiscretizedKernel,
     # the tail's own (possibly refined, off-node) control, which is the
     # control V_{t+1} was taken at.
     aux = build_aux(model, dk, solution.policy, t, eval_time=t + 1)
-    rhs = np.diag(aux.btot) \
-        + np.asarray(model.costs.mixer(t + 1, xs, aux.h_next), dtype=float)
+    rhs = np.diag(aux.btot) + model.costs.mixer(t + 1, xs, aux.h_next)
     lhs = solution.values[t + 1]
     return float(np.max(np.abs(lhs - rhs)))
 

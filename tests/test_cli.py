@@ -76,6 +76,17 @@ def test_solve_bad_horizon_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, text", [("config.yaml", "family: [lq\n"),
+                                        ("config.json", '{"family": "lq",'),
+                                        ("config.json", '\xff{"family": "lq"}')])
+def test_solve_malformed_config_file_exits_2(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_bytes(text.encode("latin-1"))  # \xff is not UTF-8
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: malformed config {path}:")
+
+
 def test_solve_missing_config_file(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")]) == 2

@@ -118,6 +118,31 @@ def test_mc_stderr_scales_like_sqrt_paths(lq_small):
     assert se_large == pytest.approx(se_small / 4.0, rel=0.15)
 
 
+def test_mc_samples_density_noise(lq_small):
+    # The same standard normal draws through DensityNoise's sampler as
+    # through GaussianNoise give the same estimate; without one, MC refuses.
+    from scipy.stats import norm
+
+    from markeq import AdditiveNoise, DensityNoise, KernelError
+    model, _, solution = lq_small
+
+    def with_noise(noise):
+        kernel = AdditiveNoise(drift=model.kernel.drift, scale=model.kernel.scale,
+                               noise=noise, sigma_floor=model.kernel.sigma_floor)
+        return Model(T=model.T, grids=model.grids, constraints=model.constraints,
+                     kernel=kernel, costs=model.costs)
+
+    sampled = with_noise(DensityNoise(density=norm.pdf, radius=9.0,
+                                      sampler=lambda rng, size: rng.standard_normal(size)))
+    a = eval_objective_mc(sampled, solution.policy, 0, 0.3, n_paths=5000, seed=11)
+    b = eval_objective_mc(model, solution.policy, 0, 0.3, n_paths=5000, seed=11)
+    assert a.estimate == pytest.approx(b.estimate, rel=1e-12)
+    assert a.stderr == pytest.approx(b.stderr, rel=1e-12)
+    with pytest.raises(KernelError, match="no sampler"):
+        eval_objective_mc(with_noise(DensityNoise(density=norm.pdf, radius=9.0)),
+                          solution.policy, 0, 0.3, n_paths=5000, seed=11)
+
+
 # ---------------------------------------------------------------------------
 # verify_equilibrium / deviation_report
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 """Built-in model families and the mean-variance closed form."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
-from markeq import (ExpUtilityParams, LQParams, MeanVarianceParams, ModelError,
-                    discretize, exp_utility_model, lq_model, mv_chain_model,
-                    mv_closed_form, mv_model, nonlinear_lq_variant, solve,
-                    validate_assumptions)
+from markeq import (AdditiveNoise, Costs, ExpUtilityParams, GaussianNoise, LQParams,
+                    MeanVarianceParams, Model, ModelError, build_aux, discretize,
+                    eval_objective_exact, eval_objective_mc, exp_utility_model,
+                    levelset_probe, lq_model, mv_chain_model, mv_closed_form, mv_model,
+                    nonlinear_lq_variant, solve, solve_naive, solve_precommitment,
+                    validate_assumptions, value_identity_check, verify_equilibrium)
 
 
 # ---------------------------------------------------------------------------
@@ -205,3 +209,103 @@ def test_expu_bad_params():
     p = ExpUtilityParams(phi=lambda tau: -np.ones_like(np.asarray(tau, float)))
     with pytest.raises(ModelError):
         p.discount(1.0)
+
+
+# ---------------------------------------------------------------------------
+# Callables that return what they compute
+# ---------------------------------------------------------------------------
+
+def _zeros(*args):
+    return np.zeros(np.broadcast(*args).shape)
+
+
+def _pad(*args):
+    """0.0 * (sum of the arguments): the padding a callable once needed for its full shape."""
+    return 0.0 * sum(np.asarray(a, dtype=float) for a in args)
+
+
+def _variants(family):
+    """The shipped model, and the same model built from padded and from bare callables.
+
+    The padded callables return the full broadcast shape of their
+    arguments themselves; the bare ones return what they compute (a
+    scalar 0.0, a terminal cost that ignores y) and leave the broadcast
+    to ``Costs`` and ``AdditiveNoise``.
+    """
+    if family == "mean_variance":
+        p = MeanVarianceParams(T=3)
+        shipped = mv_model(p, n_x=31, n_u=11)
+        sd = float(np.sqrt(p.sigma2))
+        drift = lambda t, x, u: p.R * x + p.mu * u
+        kernels = (AdditiveNoise(drift, lambda t, x, u: np.maximum(np.abs(u), 1e-6) * sd + _pad(x),
+                                 GaussianNoise(), 1e-7 * sd),
+                   AdditiveNoise(drift, lambda t, x, u: np.maximum(np.abs(u), 1e-6) * sd,
+                                 GaussianNoise(), 1e-7 * sd))
+        costs = (Costs(running=lambda t, s, y, x, u: _zeros(t, s, y, x, u),
+                       terminal=lambda s, y, xT: np.square(xT) - p.gamma * xT + _pad(s, y),
+                       terminal_stat=lambda xT: np.asarray(xT, dtype=float),
+                       mixer=lambda s, y, h: -np.square(h) + _pad(s, y), assume_nonneg=False),
+                 Costs(running=lambda t, s, y, x, u: 0.0,
+                       terminal=lambda s, y, xT: np.square(xT) - p.gamma * xT,
+                       terminal_stat=lambda xT: xT,
+                       mixer=lambda s, y, h: -np.square(h), assume_nonneg=False))
+    else:
+        p = LQParams(T=3)
+        build = lq_model if family == "lq" else nonlinear_lq_variant
+        shipped = build(p, n_x=21, n_u=11)
+        drift = lambda t, x, u: p.a * x + p.b * u
+        kernels = (AdditiveNoise(drift, lambda t, x, u: np.full(np.broadcast(x, u).shape, p.sigma),
+                                 GaussianNoise(), 0.5 * p.sigma),
+                   AdditiveNoise(drift, lambda t, x, u: p.sigma, GaussianNoise(), 0.5 * p.sigma))
+        running = (lambda t, s, y, x, u: np.square(u) + _pad(s, y, x),
+                   lambda t, s, y, x, u: np.square(u))
+        if family == "lq":
+            costs = (Costs(running[0], lambda s, y, xT: np.square(xT - y) + _pad(s),
+                           lambda xT: np.zeros_like(xT), lambda s, y, h: _zeros(s, y, h)),
+                     Costs(running[1], lambda s, y, xT: np.square(xT - y),
+                           lambda xT: 0.0, lambda s, y, h: 0.0))
+        else:
+            costs = (Costs(running[0], lambda s, y, xT: _zeros(s, y, xT),
+                           lambda xT: np.maximum(xT, 0.0),
+                           lambda s, y, h: np.square(h) + _pad(s, y)),
+                     Costs(running[1], lambda s, y, xT: 0.0, lambda xT: np.maximum(xT, 0.0),
+                           lambda s, y, h: np.square(h)))
+    return [shipped] + [Model(T=shipped.T, grids=shipped.grids, constraints=shipped.constraints,
+                              kernel=k, costs=c) for k, c in zip(kernels, costs)]
+
+
+def _pipeline(model):
+    """Every output of the pipeline on ``model``, by name."""
+    dk = discretize(model.kernel, model.grids, model.constraints)
+    sol = solve(model, dk)
+    i = model.grids[0].size // 2
+    report = verify_equilibrium(model, dk, sol)
+    aux = build_aux(model, dk, sol.policy, 0)
+    level = levelset_probe(model, dk, aux, 0, i, r=float(sol.values[0][i]) + 0.5,
+                           window=(-10.0, 10.0))
+    pre, pre_J = solve_precommitment(model, dk, 0, i)
+    mc = eval_objective_mc(model, sol.policy, 0, float(model.grids[0][i]), 500, seed=11)
+    return {"solve": (sol.policy.controls, sol.values),
+            "verify": (report.J_dev, report.values, report.worst_gap),
+            "value_identity": [value_identity_check(model, dk, sol, t)
+                               for t in range(model.T - 2)],
+            "levelset": (level.intervals, level.min_value),
+            "precommitment": (pre.controls, pre_J),
+            "naive": solve_naive(model, dk).controls,
+            "exact": eval_objective_exact(model, dk, sol.policy, 0, i),
+            "mc": (mc.estimate, mc.stderr),
+            "assumptions": astuple(validate_assumptions(model, samples=1000, seed=2))}
+
+
+def _same(a, b):
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return np.shape(a) == np.shape(b) and bool(np.all(np.asarray(a) == np.asarray(b)))
+
+
+@pytest.mark.parametrize("family", ["lq", "nonlinear_lq", "mean_variance"])
+def test_bare_callables_match_padded_bit_for_bit(family):
+    shipped, padded, bare = (_pipeline(m) for m in _variants(family))
+    for name in shipped:
+        assert _same(padded[name], shipped[name]), name
+        assert _same(bare[name], shipped[name]), name

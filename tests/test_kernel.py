@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from markeq import (AdditiveNoise, ControlConstraint, DiscreteChain,
+from markeq import (AdditiveNoise, ControlConstraint, DensityNoise, DiscreteChain,
                     GaussianNoise, InfeasibleControlError, KernelError,
                     LQParams, MeanVarianceParams, lq_model, PointIndicator, StepFunction, discretize,
                     exact_expectation, exp_utility_model, expectation,
@@ -88,6 +88,37 @@ def test_quadrature_method_close_to_exact():
     assert np.max(np.abs(exact.weights[0][sl] @ v - quad.weights[0][sl] @ v)) < 2e-3
 
 
+def _density_gauss_kernel(sampler=None):
+    """_gauss_kernel() with its standard normal noise given as a generic density."""
+    k = _gauss_kernel()
+    return AdditiveNoise(drift=k.drift, scale=k.scale,
+                         noise=DensityNoise(density=norm.pdf, radius=9.0, cdf_fn=norm.cdf,
+                                            sampler=sampler),
+                         sigma_floor=k.sigma_floor)
+
+
+def test_density_noise_discretizes_close_to_exact():
+    grids = _grids(2, -8, 8, 201)
+    cons = _constraints(2, -1, 1, 9)
+    exact = discretize(_gauss_kernel(), grids, cons, method="auto")
+    dens = discretize(_density_gauss_kernel(), grids, cons, method="auto")
+    assert dens.build_method == "quadrature"
+    v = grids[1] ** 2
+    sl = slice(88, 114)  # as in test_quadrature_method_close_to_exact
+    assert np.max(np.abs(exact.weights[0][sl] @ v - dens.weights[0][sl] @ v)) < 2e-3
+
+
+def test_density_noise_cdf_gives_exact_step_expectation():
+    V = StepFunction(breaks=[-0.4, 0.0, 1.1], levels=[2.0, 1.0, -1.0, 0.5])
+    for u in (-0.7, 0.3):
+        e = exact_expectation(_density_gauss_kernel(), 0, 0.2, u, V)
+        assert e == pytest.approx(exact_expectation(_gauss_kernel(), 0, 0.2, u, V), abs=1e-12)
+    no_cdf = AdditiveNoise(drift=lambda t, x, u: x + u, scale=lambda t, x, u: 1.0,
+                           noise=DensityNoise(density=norm.pdf, radius=9.0))
+    with pytest.raises(KernelError, match="no CDF"):
+        exact_expectation(no_cdf, 0, 0.2, 0.3, V)
+
+
 def test_chain_passes_through(chain_small):
     model, dk, config = chain_small
     np.testing.assert_array_equal(
@@ -122,7 +153,7 @@ def test_no_weight_below_floor(method):
 def _tent_rows(grid, mean, std):
     """Windowed tent masses, asserted equal bit for bit to the dense form."""
     mean, std = np.broadcast_arrays(np.asarray(mean, dtype=float), std)
-    W, clamp = _landing_rows(grid, mean, std, mean.shape, GaussianNoise(), True, 41)
+    W, clamp = _landing_rows(grid, mean, std, GaussianNoise(), True, 41)
     Wd, cd = dense_landing_rows(grid, mean.reshape(-1), std.reshape(-1))
     assert np.array_equal(W.reshape(Wd.shape), Wd)
     assert np.array_equal(clamp.reshape(cd.shape), cd)
@@ -207,11 +238,9 @@ def test_chain_blend_is_linear(chain_small):
     model, dk, _ = chain_small
     U = dk.controls[0][0]
     mid = 0.5 * (U[0] + U[1])
-    row = dk.blended_row(0, 0, mid)
+    # dk.row on a chain blends the bracketing control nodes' rows
     np.testing.assert_allclose(
-        row, 0.5 * (dk.weights[0][0, 0] + dk.weights[0][0, 1]), atol=1e-14)
-    # dk.row on a chain is the same blend
-    np.testing.assert_allclose(dk.row(0, 0, mid), row, atol=1e-15)
+        dk.row(0, 0, mid), 0.5 * (dk.weights[0][0, 0] + dk.weights[0][0, 1]), atol=1e-14)
 
 
 def test_additive_off_node_row_rediscretizes_exactly():

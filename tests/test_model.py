@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from markeq import (ConfigError, ControlConstraint, LQParams, ModelError,
-                    Policy, build_model, config_hash, discretize, lq_model,
-                    validate_assumptions)
+from markeq import (AdditiveNoise, ConfigError, ControlConstraint, Costs,
+                    GaussianNoise, LQParams, ModelError, Policy, build_model,
+                    config_hash, discretize, lq_model, validate_assumptions)
+from markeq.kernels import broadcasting
 
 
 def test_control_interval_nodes():
@@ -88,6 +89,21 @@ def test_build_model_families():
         build_model({"family": "discrete_chain"})  # no kernel tables
 
 
+@pytest.mark.parametrize("family, key", [("lq", "sigam"), ("mean_variance", "sigma"),
+                                         ("exp_utility", "phi")])
+def test_build_model_rejects_unknown_params(family, key):
+    # phi is a field of ExpUtilityParams, but a callable cannot come from a config
+    with pytest.raises(ConfigError, match=f"unknown parameter '{key}' for family '{family}'"):
+        build_model({"family": family, "params": {key: 2.0}})
+    with pytest.raises(ConfigError, match="params of family 'lq' must be a mapping"):
+        build_model({"family": "lq", "params": [1.0]})
+
+
+def test_build_model_params_override_horizon():
+    assert build_model({"family": "lq", "horizon": 4, "params": {"T": 3}}).T == 3
+    assert build_model({"family": "lq", "horizon": 4, "params": {"sigma": 2.0}}).T == 4
+
+
 def test_build_model_horizon_fills_params():
     model = build_model({"family": "mean_variance", "horizon": 3})
     assert model.T == 3
@@ -101,6 +117,56 @@ def test_tabulated_costs_lookup(chain_small):
     assert model.costs.terminal(0, 0.0, 1.0) == 2.0
     assert model.costs.terminal_stat(1.0) == 1.0
     assert model.costs.mixer(0, 0.0, 3.0) == 9.0
+
+
+def test_costs_and_kernel_return_full_float_arrays():
+    costs = Costs(running=lambda t, s, y, x, u: np.square(u), terminal=lambda s, y, xT: 1,
+                  terminal_stat=lambda xT: xT, mixer=lambda s, y, h: 0.0)
+    kernel = AdditiveNoise(drift=lambda t, x, u: x + u, scale=lambda t, x, u: 0.5,
+                           noise=GaussianNoise())
+    y, x, u = np.arange(3.0)[:, None], np.arange(4.0), np.ones((3, 4))
+    for out, shape in [(costs.running(0, 0, y, x, u[0]), (3, 4)),
+                       (costs.terminal(0, y, x), (3, 4)), (costs.terminal_stat(x), (4,)),
+                       (costs.mixer(0, y, x), (3, 4)), (costs.mixer(0, 1.0, 2.0), ()),
+                       (kernel.scale(0, x, u), (3, 4)), (kernel.drift(0, y, x), (3, 4))]:
+        assert out.shape == shape and out.dtype == float
+        # materialised: a zero-stride broadcast view would push matmuls out of BLAS
+        assert out.flags.writeable and out.flags.c_contiguous
+    assert np.array_equal(costs.terminal(0, y, x), np.ones((3, 4)))
+    assert costs.terminal_stat(x) is x  # a value of the full shape is returned as is
+    assert broadcasting(costs.mixer) is costs.mixer
+    again = Costs(running=costs.running, terminal=costs.terminal,
+                  terminal_stat=costs.terminal_stat, mixer=costs.mixer)
+    assert again.running is costs.running  # wrapping twice is a no-op
+
+
+def test_callable_results_are_wrapped_in_one_place():
+    # Costs and AdditiveNoise broadcast their callables' results once, in
+    # kernels.broadcasting: no module re-wraps a result, and no family pads one.
+    import ast
+    from pathlib import Path
+
+    import markeq
+    callables = {"running", "terminal", "terminal_stat", "mixer", "drift", "scale"}
+    for path in sorted(Path(markeq.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            if getattr(top, "name", None) == "broadcasting":
+                continue
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "attr", None) in ("asarray", "broadcast_to")):
+                    called = {getattr(n.func, "attr", getattr(n.func, "id", None))
+                              for a in node.args for n in ast.walk(a) if isinstance(n, ast.Call)}
+                    assert not called & callables, (path.name, node.lineno)
+    families = ast.parse((Path(markeq.__file__).parent / "families.py").read_text())
+    for node in ast.walk(families):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            assert not any(isinstance(v, ast.Constant) and v.value == 0
+                           for v in (node.left, node.right)), node.lineno
+        if isinstance(node, ast.Call):
+            assert getattr(node.func, "attr", None) not in ("broadcast", "zeros_like",
+                                                            "full"), node.lineno
 
 
 def test_validate_assumptions_lq():
