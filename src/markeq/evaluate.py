@@ -28,7 +28,7 @@ MAX_EXPAND = 60
 
 
 def _plan_objective(model: Model, dk: DiscretizedKernel, t: int, nodes,
-                    controls, probes=None, rows=None) -> tuple:
+                    controls, probes=None, rows=(), steps=None) -> tuple:
     """J_t and E[H(x_T)], each (P, Q), of plans from the time-t nodes ``nodes`` (P,).
 
     Plan p plays ``probes[p, q]`` (shape (P, Q)) at time t and ``controls``
@@ -37,13 +37,13 @@ def _plan_objective(model: Model, dk: DiscretizedKernel, t: int, nodes,
     cost arguments stay frozen at (t, x_node) throughout -- the source of
     state dependence.  ``controls[k]`` has shape (1, n_k), one policy
     shared by every plan, or (P, n_k), one per plan; a 1-d array is one
-    shared row.  ``rows`` (P, Q', n_{t+1}) are the first-step rows of the
-    first Q' probes when given; the rest come from ``dk.node_rows``.  Rows
-    propagate forward, one matmul per step with the tail's ``node_rows``,
-    starting from whichever is fewer: the P * Q first-step rows, or the
-    identity on the n_{t+1} landing nodes once per distinct tail.  Those
-    yield each plan's tail cost v and the mean h of H per landing node,
-    and the probe with first-step row d costs c_t + d.v, with mean d.h.
+    shared row.  ``rows``, column blocks (P, Q_b, n_{t+1}), are the first
+    probes' first-step rows; the rest come from ``dk.node_rows``.  Rows
+    propagate forward, one matmul per step with the tail's ``node_rows``
+    (``steps[k]`` if given), from whichever is fewer: the P * Q first-step
+    rows, or the identity on the n_{t+1} landing nodes once per distinct
+    tail.  Those yield each plan's tail cost v and the mean h of H per
+    landing node; the probe with first-step row d costs c_t + d.v, mean d.h.
     """
     def at(k):
         if controls[k] is None:
@@ -57,8 +57,8 @@ def _plan_objective(model: Model, dk: DiscretizedKernel, t: int, nodes,
             np.arange(nodes.size), nodes][:, None]
     probes = np.asarray(probes, dtype=float)
     c0 = model.costs.running(t, t, y, y, probes)[..., None]
-    q = 0 if rows is None else rows.shape[1]
-    first = [rows] if q else []  # first-step rows, (P, Q, n_{t+1}) in column blocks
+    first = list(rows)  # first-step rows, (P, Q, n_{t+1}) in column blocks
+    q = sum(b.shape[1] for b in first)
     if q < probes.shape[1]:
         first.append(dk.node_rows(t, nodes, probes[:, q:]))
     tails = [at(k) for k in range(t + 1, model.T - 1)]
@@ -67,7 +67,8 @@ def _plan_objective(model: Model, dk: DiscretizedKernel, t: int, nodes,
     d, J = (np.eye(n1)[None], 0.0) if landing else (np.concatenate(first, axis=1), c0)
     for k, uk in enumerate(tails, start=t + 1):
         J = J + d @ model.costs.running(k, t, y, model.grids[k], uk)[..., None]
-        d = d @ dk.node_rows(k, np.arange(uk.shape[1]), uk.T).transpose(1, 0, 2)
+        step = dk.node_rows(k, np.arange(uk.shape[1]), uk.T) if steps is None else steps[k]
+        d = d @ step.transpose(1, 0, 2)
     xT = model.grids[-1]
     J = J + d @ model.costs.terminal(t, y, xT)[..., None]
     m = d @ model.costs.terminal_stat(xT)
@@ -192,11 +193,11 @@ def deviation_report(model: Model, dk: DiscretizedKernel, policy: Policy,
 
     Default probes are the full control grid plus the policy's own control
     (so refined off-grid controls are always included); the grid's landing
-    rows are read in place from ``dk.weights[t]`` and only the policy's own
-    column is rebuilt.  ``probe_controls_per_node`` replaces the grid by
-    that many evenly spaced controls per node, all rebuilt through
-    ``dk.node_rows``.  All probes at t share the policy's tail, which is
-    pushed forward once from the landing nodes (see ``_plan_objective``).
+    rows are read in place from ``dk.weights[t]``, and the policy's own rows are
+    built once per t, for its column and the tails.  ``probe_controls_per_node``
+    replaces the grid by that many evenly spaced controls per node, all
+    rebuilt through ``dk.node_rows``.  All probes at t share the policy's
+    tail, pushed forward once from the landing nodes (``_plan_objective``).
     ``values`` are the claimed J_t(x; policy) per node; when omitted, the
     policy's own probe supplies them.  The gap at (t, i, u) is
     V_t(x_i) - J_t(x_i; (u, tail)); positive gaps mean a profitable
@@ -205,16 +206,17 @@ def deviation_report(model: Model, dk: DiscretizedKernel, policy: Policy,
     """
     policy.check_feasible(model)
     per_time, per_arg, used, all_probes, all_J = [], [], [], [], []
+    own = [dk.node_rows(t, np.arange(u.size), u[:, None]) for t, u in enumerate(policy.controls)]
     for t in range(model.T - 1):
         nodes = np.arange(model.grids[t].size)
         if probe_controls_per_node is None:
-            grid, first = dk.controls[t], dk.weights[t]
+            grid, first = dk.controls[t], [dk.weights[t], own[t]]
         else:
             lo, hi = model.constraints[t].bounds(model.grids[t])
             frac = np.linspace(0.0, 1.0, probe_controls_per_node)
-            grid, first = lo[:, None] + (hi - lo)[:, None] * frac, None
+            grid, first = lo[:, None] + (hi - lo)[:, None] * frac, ()
         probes = np.concatenate([grid, policy.controls[t][:, None]], axis=1)
-        J, _ = _plan_objective(model, dk, t, nodes, policy.controls, probes, first)
+        J, _ = _plan_objective(model, dk, t, nodes, policy.controls, probes, first, own)
         v = J[:, -1].copy() if values is None else np.asarray(values[t], dtype=float)
         gaps = v[:, None] - J
         bad = np.argwhere(~np.isfinite(gaps))

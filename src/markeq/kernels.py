@@ -35,11 +35,11 @@ ROW_SUM_TOL = 1e-10
 WEIGHT_FLOOR = 1e-30
 # Half-width, in landing stds, of the window of nodes whose Gaussian tent
 # masses are computed.  Beyond 14 stds a node's mass is below ndtr(-14) ~
-# 8e-45 (above the mean, where ndtr rounds to 1, it is rounding noise of
-# order phi(14) ~ 1e-43 times z or std/spacing), far below WEIGHT_FLOOR,
-# the tail mass beyond 11.3 stds: the floor sets it to 0.  Both cells of
-# the first node past 14 stds on each side are kept, so every weight that
-# can pass the floor is computed as over the whole grid, bit for bit.
+# 8e-45, far below WEIGHT_FLOOR, the tail mass beyond 11.3 stds: the floor
+# sets it to 0.  Both cells of the first node past 14 stds on each side are
+# kept, so every weight that can pass the floor is computed as over the
+# whole grid, bit for bit; the masses left out vanish in the rounding of
+# the window's left-to-right normalising sum, to which zeros add nothing.
 TENT_WINDOW = 14.0
 # Entries per block of tent masses: the block's temporaries stay in cache.
 TENT_BLOCK = 60_000
@@ -247,19 +247,21 @@ def spread_mass(grid: np.ndarray, points: np.ndarray, masses: np.ndarray) -> np.
 
 
 def _gaussian_tent_masses(grid: np.ndarray, mean: np.ndarray, std: np.ndarray):
-    """Exact integrals of the piecewise-linear hat functions against N(mean, std^2).
+    """Landing rows of N(mean, std^2) on ``grid``: exact hat-function masses.
 
-    mean/std have shape (R,); returns weights of shape (R, len(grid)) plus
-    the clamped tail mass (R,).  Mass below the first node goes to it
-    untransformed (clamp), same above the last.  Only the nodes within
-    ``TENT_WINDOW`` stds of each mean are computed, in blocks of about
-    ``TENT_BLOCK`` entries over rows sorted by window width; every other
-    weight is 0.  Each computed weight takes the same arithmetic as over
-    the whole grid, so after the floor the rows are those of the dense form.
+    mean/std have shape (R,); returns rows (R, len(grid)) and the clamped
+    tail mass (R,), which goes to the end nodes.  In z-units, z_k = (x_k -
+    mean) / std, cell k holds the mass P_k and sends A_k = (z_{k+1} P_k +
+    phi_{k+1} - phi_k) / (z_{k+1} - z_k) to its left node, P_k - A_k to its
+    right.  Only nodes within ``TENT_WINDOW`` stds of each mean are
+    computed, in blocks of about ``TENT_BLOCK`` entries over rows sorted by
+    window width; a block is clipped at 0, normalised by its left-to-right
+    sum and floored, so rows equal the same arithmetic over the whole grid,
+    bit for bit, and do not depend on the batch.
     """
     n = grid.size
     lo_tail = special.ndtr((grid[0] - mean) / std)
-    hi_tail = 1.0 - special.ndtr((grid[-1] - mean) / std)
+    hi_tail = special.ndtr((mean - grid[-1]) / std)
     first = np.clip(np.searchsorted(grid, mean - TENT_WINDOW * std) - 2, 0, n)
     stop = np.clip(np.searchsorted(grid, mean + TENT_WINDOW * std) + 2, 0, n)
     order = np.argsort(first - stop, kind="stable")  # widest window first
@@ -271,28 +273,28 @@ def _gaussian_tent_masses(grid: np.ndarray, mean: np.ndarray, std: np.ndarray):
         rows = order[i0:i0 + max(1, TENT_BLOCK // width)]
         i0 += rows.size
         start = np.minimum(first[rows], n - width)
-        # Window k of a sliding view starts at node k: g[i] = grid[start[i]:][:width].
-        g = sliding_window_view(grid, width)[start]
-        m = mean[rows, None]
-        s = std[rows, None]
-        z = (g - m) / s
-        Phi = special.ndtr(z)
-        phi = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
-        # Per cell [x_k, x_{k+1}]: mass P_k and first moment M1_k of the landing law.
-        P = Phi[:, 1:] - Phi[:, :-1]
-        M1 = m * P - s * (phi[:, 1:] - phi[:, :-1])
-        h = g[:, 1:] - g[:, :-1]
-        w_left = (g[:, 1:] * P - M1) / h
-        w_right = (M1 - g[:, :-1] * P) / h
-        block = np.zeros(g.shape)
-        block[:, :-1] += w_left
-        block[:, 1:] += w_right
+        # Window k of a sliding view starts at node k: row i is grid[start[i]:][:width].
+        z = (sliding_window_view(grid, width)[start] - mean[rows, None]) / std[rows, None]
+        # Cell masses from the smaller tail, so their rounding is relative:
+        # block = -Phi(z) below the mean and 1 - Phi(z) from it on.
+        block = np.copysign(special.ndtr(-np.abs(z)), z)
+        P = block[:, :-1] - block[:, 1:]
+        c = np.searchsorted(grid, mean[rows]) - start  # window nodes below the mean
+        turn = (c > 0) & (c < width)
+        P[turn, c[turn] - 1] += 1.0  # the cell that holds the mean
+        phi = np.exp(np.square(z) * -0.5) / np.sqrt(2.0 * np.pi)
+        A = (z[:, 1:] * P + phi[:, 1:] - phi[:, :-1]) / (z[:, 1:] - z[:, :-1])
+        block[:, :-1] = A
+        block[:, -1] = 0.0
+        block[:, 1:] += P - A
         low = start == 0
         block[low, 0] += lo_tail[rows[low]]
         high = start + width == n
         block[high, -1] += hi_tail[rows[high]]
+        np.maximum(block, 0.0, out=block)
+        block /= np.cumsum(block, axis=-1)[:, -1:]
         # Window k of the flat view is flat[k:k + width]; those written lie in distinct rows.
-        sliding_window_view(flat, width, writeable=True)[rows * n + start] = block
+        sliding_window_view(flat, width, writeable=True)[rows * n + start] = _floor(block)
     return out, lo_tail + hi_tail
 
 
@@ -309,15 +311,14 @@ def _landing_rows(grid: np.ndarray, mu: np.ndarray, sc: np.ndarray, noise: Noise
     if exact:
         W, clamp = _gaussian_tent_masses(grid, (mu + sc * noise.mean).reshape(-1),
                                          (sc * noise.std).reshape(-1))
-        W, clamp = W.reshape(shape + grid.shape), clamp.reshape(shape)
-    else:
-        wq, omega = noise.quadrature(quad_order)
-        if not (np.all(np.isfinite(wq)) and np.all(np.isfinite(omega))):
-            raise KernelError("non-finite quadrature rule")
-        landing = mu[..., None] + sc[..., None] * wq
-        inside = (landing >= grid[0]) & (landing <= grid[-1])
-        clamp = np.sum(np.where(inside, 0.0, omega), axis=-1)
-        W = spread_mass(grid, landing, omega)
+        return W.reshape(shape + grid.shape), clamp.reshape(shape)
+    wq, omega = noise.quadrature(quad_order)
+    if not (np.all(np.isfinite(wq)) and np.all(np.isfinite(omega))):
+        raise KernelError("non-finite quadrature rule")
+    landing = mu[..., None] + sc[..., None] * wq
+    inside = (landing >= grid[0]) & (landing <= grid[-1])
+    clamp = np.sum(np.where(inside, 0.0, omega), axis=-1)
+    W = spread_mass(grid, landing, omega)
     np.maximum(W, 0.0, out=W)
     W /= W.sum(axis=-1, keepdims=True)
     return _floor(W), clamp

@@ -242,6 +242,7 @@ def validate_assumptions(model: Model, samples: int = 10_000,
 # ---------------------------------------------------------------------------
 
 _CHAIN_FAMILIES = ("discrete_chain", "tabulated")  # both name the tabulated-cost chain
+_CONFIG_KEYS = ("params", "family", "horizon", "state_grid", "control", "kernel", "costs")
 
 
 def config_hash(config: dict) -> str:
@@ -253,12 +254,11 @@ def config_hash(config: dict) -> str:
 def build_model(config: dict) -> Model:
     """Build a validated Model from a structured config document.
 
-    Recognized top-level keys: family, params, horizon, state_grid,
-    control, kernel, costs.  ``params`` may hold the fields of the
-    family's parameter dataclass (``families.CONFIG_FAMILIES``) other
-    than the callable ``phi``; any other key raises ConfigError.  The
-    family builder also takes the grid/control windows; see the README
-    for the schema.
+    Top-level keys: family, params, horizon, state_grid, control, kernel,
+    costs; window keys: lo, hi, nodes.  ``params`` may hold the fields of
+    the family's parameter dataclass (``families.CONFIG_FAMILIES``) but the
+    callable ``phi``; a chain family takes none, and its horizon must match
+    its state grids.  Any other key raises ConfigError; see the README.
     """
     from . import families  # deferred: families builds Model instances
 
@@ -268,10 +268,12 @@ def build_model(config: dict) -> Model:
     known = (*families.CONFIG_FAMILIES, *_CHAIN_FAMILIES)
     if family not in known:
         raise ConfigError(f"unknown or missing family {family!r}; expected one of {known}")
+    chain = family in _CHAIN_FAMILIES  # a chain takes no params: skip _CONFIG_KEYS[0]
+    _check_keys(config, _CONFIG_KEYS[chain:], f"config of family {family!r}")
     horizon = config.get("horizon")
     if horizon is not None and (not isinstance(horizon, int) or horizon < 2):
         raise ConfigError("horizon must be >= 2")
-    if family in _CHAIN_FAMILIES:
+    if chain:
         return _chain_from_config(config)
 
     builder, params_type = families.CONFIG_FAMILIES[family]
@@ -290,18 +292,20 @@ def build_model(config: dict) -> Model:
         raise ConfigError(f"bad parameters for family {family!r}: {exc}") from exc
 
 
+def _check_keys(doc: dict, known, where: str):
+    unknown = [k for k in doc if k not in known]
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in {where}; expected some of {list(known)}")
+
+
 def _windows(config: dict) -> dict:
     out = {}
-    sg = config.get("state_grid")
-    if sg:
-        out["x_lo"] = float(sg["lo"])
-        out["x_hi"] = float(sg["hi"])
-        out["n_x"] = int(sg["nodes"])
-    ctl = config.get("control")
-    if ctl:
-        out["u_lo"] = float(ctl["lo"])
-        out["u_hi"] = float(ctl["hi"])
-        out["n_u"] = int(ctl["nodes"])
+    for key, (lo, hi, n) in (("state_grid", ("x_lo", "x_hi", "n_x")),
+                             ("control", ("u_lo", "u_hi", "n_u"))):
+        win = config.get(key)
+        if win:
+            _check_keys(win, ("lo", "hi", "nodes"), key)
+            out[lo], out[hi], out[n] = float(win["lo"]), float(win["hi"]), int(win["nodes"])
     return out
 
 
@@ -310,6 +314,8 @@ def _chain_from_config(config: dict) -> Model:
     if not kernel_doc or "matrices" not in kernel_doc:
         raise ConfigError("discrete_chain config needs kernel.matrices")
     grids = [np.asarray(g, dtype=float) for g in kernel_doc["state_grids"]]
+    if config.get("horizon") not in (None, len(grids)):
+        raise ConfigError(f"horizon {config['horizon']} disagrees with {len(grids)} state grids")
     matrices = [np.asarray(P, dtype=float) for P in kernel_doc["matrices"]]
     control_values = [np.asarray(u, dtype=float) for u in kernel_doc["control_values"]]
     chain = DiscreteChain(matrices=matrices, control_values=control_values)

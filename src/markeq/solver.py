@@ -39,7 +39,7 @@ def golden_section(f, lo, hi, tol: float = U_TOL):
     sets each step, and a golden-section step replaces it whenever it
     falls outside the bracket or fails to halve the step before last.
     Steps are at least ``tol / 4`` long.  A 9-point least-squares parabola
-    over [lo, hi] then polishes the result.
+    over [lo, hi], ends reused from the first call, then polishes the result.
 
     ``lo`` and ``hi`` are floats, or arrays of shape (k,) holding k
     independent brackets.  In the batched form f maps an array of
@@ -48,8 +48,9 @@ def golden_section(f, lo, hi, tol: float = U_TOL):
     is frozen once its width is within ``tol``, or once the values at its
     two ends and at its best point agree to the noise floor
     ``NOISE * (|f| + 1)``: it is then flat, and only the polish can
-    locate its minimum.  A scalar call takes a scalar f and returns
-    floats.
+    locate its minimum.  Frozen brackets and unused polish vertices come
+    to f as NaN rows of u, whose values (and invalid-value warnings) are
+    ignored.  A scalar call takes a scalar f and returns floats.
     """
     scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
     if scalar:
@@ -61,6 +62,7 @@ def golden_section(f, lo, hi, tol: float = U_TOL):
     a, b = lo, hi
     x = a + GOLDEN * (b - a)
     fa, fx, fb = f(np.stack([a, x, b], axis=1)).T
+    f_lo, f_hi = fa, fb
     w, fw, v, fv = x, fx, x, fx
     d = e = np.zeros_like(x)
     step = 0.25 * tol
@@ -85,8 +87,8 @@ def golden_section(f, lo, hi, tol: float = U_TOL):
         eg = np.where(x >= mid, a - x, b - x)
         d, e = np.where(para, dp, GOLDEN * eg), np.where(para, d, eg)
         u = x + np.where(np.abs(d) >= step, d, np.where(d >= 0.0, step, -step))
-        u = np.where(active, u, x)  # frozen brackets re-evaluate a held point
-        fu = f(u)
+        with np.errstate(invalid="ignore"):
+            fu = f(np.where(active, u, np.nan))  # frozen brackets: NaN, not evaluated
         better = active & (fu <= fx)
         worse = active & ~better
         right = u >= x
@@ -110,15 +112,16 @@ def golden_section(f, lo, hi, tol: float = U_TOL):
     # The 9 points sit at offsets z * h, z = -4..4, so the fit of
     # f ~ c0 + c1 z + c2 z^2 has a closed form.
     xs = np.linspace(lo, hi, 9, axis=-1)
-    fs = f(xs)
+    fs = np.column_stack([f_lo, f(xs[:, 1:-1]), f_hi])
     d = fs - fs[:, 4:5]  # drop the common level before summing
     z = np.arange(-4.0, 5.0)
     c1 = d @ z / 60.0
     c2 = (9.0 * (d @ (z * z)) - 60.0 * d.sum(axis=1)) / 2772.0
     curved = c2 > 0.0
     xv = xs[:, 4] - 0.5 * (hi - lo) / 8.0 * c1 / np.where(curved, c2, 1.0)
-    xv = np.where(curved, np.clip(xv, lo, hi), x)
-    fv = f(xv)
+    xv = np.where(curved, np.clip(xv, lo, hi), np.nan)
+    with np.errstate(invalid="ignore"):
+        fv = f(xv) if curved.any() else xv
     # The search's value can sit spuriously below the true minimum by the
     # evaluation noise floor; allow the vertex that much slack, and
     # always return the value actually evaluated at the returned point.
@@ -220,11 +223,11 @@ def refine_bowls(kernel, L: np.ndarray, U: np.ndarray, objective, tol: float = U
     ``DiscreteChain`` (rows only at the control nodes), the rows of ``rows``
     (default: all) with interior argmin j get one batched golden section
     on [U[r, j-1], U[r, j+1]], where ``objective(r, u)`` evaluates rows r
-    (k,) at u, (k,) or (k, P); a non-finite value raises SolverError.  A
-    search replaces its node only if it moved more than ``tol`` and is
-    strictly lower.  ``where(r)`` names row r in the error messages
-    (default "row r").  Returns (j, u, v, refined): argmin, control and
-    value per row, and the replaced rows in the order of ``rows``.
+    (k,) at u, (k,) or (k, P), frozen brackets left out; a non-finite value
+    raises SolverError.  A search replaces its node only if it moved more
+    than ``tol`` and is strictly lower.  ``where(r)`` names row r in the
+    error messages (default "row r").  Returns (j, u, v, refined): argmin,
+    control and value per row, and the replaced rows in the order of ``rows``.
     """
     where = where or (lambda r: f"row {r}")
     finite = np.isfinite(L)
@@ -240,11 +243,13 @@ def refine_bowls(kernel, L: np.ndarray, U: np.ndarray, objective, tol: float = U
     if isinstance(kernel, DiscreteChain) or r.size == 0:
         return j, u, v, r[:0]
 
-    def checked(x):
-        val = objective(r, x)
-        if not np.all(np.isfinite(val)):
-            k = tuple(np.argwhere(~np.isfinite(val))[0])
-            raise SolverError(f"non-finite objective in {where(r[k[0]])}, u={x[k]}")
+    def checked(x):  # golden_section's NaN rows are frozen brackets: not evaluated
+        live = ~np.isnan(x).reshape(r.size, -1).any(axis=1)
+        rl, xl, val = r[live], x[live], np.full(x.shape, np.nan)
+        val[live] = vl = objective(rl, xl)
+        if not np.all(np.isfinite(vl)):
+            k = tuple(np.argwhere(~np.isfinite(vl))[0])
+            raise SolverError(f"non-finite objective in {where(rl[k[0]])}, u={xl[k]}")
         return val
 
     u_ref, v_ref = golden_section(checked, U[r, j[r] - 1], U[r, j[r] + 1], tol=tol)

@@ -102,7 +102,10 @@ def brute_force_equilibrium(model, dk):
 def gaussian_tent_masses(grid, mean, std):
     """Exact integrals of the piecewise-linear hat functions against N(mean, std^2).
 
-    The dense form, over every node of the grid.  mean/std have shape
+    The dense form, over every node of the grid, in the library's z-unit
+    arithmetic: with z = (grid - mean) / std, cell k holds the mass P_k,
+    taken from the smaller tail, and sends A_k = (z_{k+1} P_k + phi_{k+1} - phi_k) / (z_{k+1} - z_k) to
+    its left node and P_k - A_k to its right node.  mean/std have shape
     (...,); returns weights of shape (..., len(grid)) plus the clamped tail
     mass (...,).  Mass below the first node goes to it untransformed
     (clamp), same above the last.
@@ -110,31 +113,81 @@ def gaussian_tent_masses(grid, mean, std):
     mean = np.asarray(mean, dtype=float)[..., None]
     std = np.asarray(std, dtype=float)[..., None]
     z = (grid - mean) / std
-    Phi = special.ndtr(z)
-    phi = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
-    # Per cell [x_k, x_{k+1}]: mass P_k and first moment M1_k of the landing law.
-    P = Phi[..., 1:] - Phi[..., :-1]
-    M1 = mean * P - std * (phi[..., 1:] - phi[..., :-1])
-    h = np.diff(grid)
-    w_left = (grid[1:] * P - M1) / h
-    w_right = (M1 - grid[:-1] * P) / h
-    out = np.zeros(mean.shape[:-1] + (grid.size,))
-    out[..., :-1] += w_left
-    out[..., 1:] += w_right
-    lo_tail = Phi[..., 0]
-    hi_tail = 1.0 - Phi[..., -1]
+    # -Phi(z) below the mean and 1 - Phi(z) from it on, each from the smaller tail.
+    G = np.copysign(special.ndtr(-np.abs(z)), z)
+    P = G[..., :-1] - G[..., 1:] + (np.signbit(z[..., :-1]) & ~np.signbit(z[..., 1:]))
+    phi = np.exp(z * z * -0.5) / np.sqrt(2.0 * np.pi)
+    A = (z[..., 1:] * P + phi[..., 1:] - phi[..., :-1]) / (z[..., 1:] - z[..., :-1])
+    out = np.zeros(z.shape)
+    out[..., :-1] = A
+    out[..., 1:] += P - A
+    lo_tail = special.ndtr(z[..., 0])
+    hi_tail = special.ndtr(-z[..., -1])
     out[..., 0] += lo_tail
     out[..., -1] += hi_tail
     return out, lo_tail + hi_tail
 
 
 def dense_landing_rows(grid, mean, std):
-    """Dense tent masses, clipped at 0, normalised and floored as the library does."""
+    """Dense tent masses, clipped at 0, normalised left to right and floored as the library does."""
     W, clamp = gaussian_tent_masses(grid, mean, std)
+    np.maximum(W, 0.0, out=W)
+    W /= np.cumsum(W, axis=-1)[..., -1:]
+    W *= W >= WEIGHT_FLOOR
+    return W, clamp
+
+
+def moment_landing_rows(grid, mean, std):
+    """Landing rows by the first-moment formula, normalised by a pairwise sum.
+
+    The dense form of the library's arithmetic before the z-unit form:
+    per cell the mass P_k and first moment M1_k of the landing law give
+    (x_{k+1} P_k - M1_k) / h_k to the left node and (M1_k - x_k P_k) / h_k
+    to the right node.  The reference for the tent masses' accuracy.
+    """
+    mean = np.asarray(mean, dtype=float)[..., None]
+    std = np.asarray(std, dtype=float)[..., None]
+    z = (grid - mean) / std
+    Phi = special.ndtr(z)
+    phi = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
+    P = Phi[..., 1:] - Phi[..., :-1]
+    M1 = mean * P - std * (phi[..., 1:] - phi[..., :-1])
+    h = np.diff(grid)
+    W = np.zeros(z.shape)
+    W[..., :-1] += (grid[1:] * P - M1) / h
+    W[..., 1:] += (M1 - grid[:-1] * P) / h
+    W[..., 0] += Phi[..., 0]
+    W[..., -1] += 1.0 - Phi[..., -1]
     np.maximum(W, 0.0, out=W)
     W /= W.sum(axis=-1, keepdims=True)
     W *= W >= WEIGHT_FLOOR
-    return W, clamp
+    return W
+
+
+def exact_tent_masses(grid, mean, std, digits=40):
+    """Hat-function masses of N(mean, std^2) on ``grid``, tails clamped to the ends.
+
+    Evaluated with mpmath at ``digits`` significant digits from the exact
+    float inputs, per cell by its mass and first moment, and rounded to
+    float at the end.
+    """
+    import mpmath
+
+    with mpmath.workdps(digits):
+        m, s = mpmath.mpf(float(mean)), mpmath.mpf(float(std))
+        xs = [mpmath.mpf(float(x)) for x in grid]
+        Phi = [mpmath.ncdf((x - m) / s) for x in xs]
+        phi = [mpmath.npdf((x - m) / s) for x in xs]
+        w = [mpmath.mpf(0)] * len(xs)
+        for k in range(len(xs) - 1):
+            P = Phi[k + 1] - Phi[k]
+            M1 = m * P + s * (phi[k] - phi[k + 1])
+            h = xs[k + 1] - xs[k]
+            w[k] += (xs[k + 1] * P - M1) / h
+            w[k + 1] += (M1 - xs[k] * P) / h
+        w[0] += Phi[0]
+        w[-1] += 1 - Phi[-1]
+        return np.array([float(v) for v in w])
 
 
 def flow_product_aux(model, dk, policy, t, eval_time=None):
@@ -237,13 +290,15 @@ def bisection_precommit(model, dk, t0, nodes):
     return best, best_J
 
 
-def probe_row_plan_objective(model, dk, t, nodes, controls, probes=None, rows=None):
+def probe_row_plan_objective(model, dk, t, nodes, controls, probes=None, rows=(),
+                             steps=None):
     """``evaluate._plan_objective`` that always pushes every probe's own row.
 
     The first-step rows of all P * Q probes are assembled in one array and
     each is propagated through every later step, one broadcast matmul per
-    step; no landing-node tail is shared between probes.  Same signature
-    and outputs, so it can stand in for the library function.
+    step; no landing-node tail is shared between probes, and every step's
+    rows are rebuilt (``steps`` is ignored).  Same signature and outputs,
+    so it can stand in for the library function.
     """
     def at(k):
         return np.atleast_2d(np.asarray(controls[k], dtype=float))
@@ -254,10 +309,8 @@ def probe_row_plan_objective(model, dk, t, nodes, controls, probes=None, rows=No
         probes = np.broadcast_to(at(t), (nodes.size, model.grids[t].size))[
             np.arange(nodes.size), nodes][:, None]
     probes = np.asarray(probes, dtype=float)
-    q = 0 if rows is None else rows.shape[1]
-    d = dk.node_rows(t, nodes, probes[:, q:])
-    if rows is not None:
-        d = np.concatenate([rows, d], axis=1)
+    q = sum(b.shape[1] for b in rows)
+    d = np.concatenate([*rows, dk.node_rows(t, nodes, probes[:, q:])], axis=1)
     J = np.asarray(model.costs.running(t, t, y, y, probes), dtype=float)[..., None]
     for k in range(t + 1, model.T - 1):
         uk = at(k)

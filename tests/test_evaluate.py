@@ -292,6 +292,35 @@ def test_deviation_report_matches_probe_row_propagation(instance, per_node, requ
     assert ours.worst_gap > 1e-6 and ours.argmax == ref.argmax
 
 
+def test_certificate_builds_each_policy_matrix_once(monkeypatch):
+    # The own-control column at t is also the tail step at t of every
+    # earlier decision time: T - 1 node_rows calls where there were 10.
+    # Sharing them leaves J_dev bit for bit as one _plan_objective call per
+    # t that rebuilds its own column and tail computes it.
+    import markeq.evaluate as ev
+    from markeq.kernels import DiscretizedKernel
+    model = mv_model(MeanVarianceParams(T=5), n_x=41, n_u=11)
+    dk = discretize(model.kernel, model.grids, model.constraints)
+    solution = solve(model, dk)
+    calls = [0]
+    node_rows = DiscretizedKernel.node_rows
+
+    def counted(self, *args):
+        calls[0] += 1
+        return node_rows(self, *args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(DiscretizedKernel, "node_rows", counted)
+        report = verify_equilibrium(model, dk, solution)
+    assert calls[0] == model.T - 1
+    for t in range(model.T - 1):
+        nodes = np.arange(model.grids[t].size)
+        probes = np.concatenate([dk.controls[t], solution.policy.controls[t][:, None]], axis=1)
+        J, _ = ev._plan_objective(model, dk, t, nodes, solution.policy.controls, probes,
+                                  [dk.weights[t]])
+        assert np.array_equal(report.J_dev[t], J)
+
+
 def _nan_running(base, where):
     """``base`` with a NaN running cost wherever ``where(t, x, u)`` holds."""
     c = base.costs

@@ -16,7 +16,7 @@ from markeq import (AdditiveNoise, ControlConstraint, DensityNoise, DiscreteChai
                     setwise_continuity_probe, tv_distance)
 from markeq.kernels import TENT_BLOCK, WEIGHT_FLOOR, _landing_rows
 
-from _oracles import dense_landing_rows
+from _oracles import dense_landing_rows, exact_tent_masses, moment_landing_rows
 
 
 def _gauss_kernel(a=1.0, b=1.0, sigma=1.0, floor_frac=0.5):
@@ -198,6 +198,28 @@ def test_tent_masses_mixed_widths_across_blocks_equal_dense(rng):
     std = np.exp(rng.uniform(np.log(1e-3), np.log(30.0), (40, 60)))
     assert mean.size * grid.size > 10 * TENT_BLOCK
     _tent_rows(grid, mean, std)
+
+
+def test_tent_masses_accuracy_against_mpmath():
+    # Uniform and jittered grids, std/spacing 1e-3 to 600, means inside the
+    # grid, near its top end and 3 stds beyond either end, against 40-digit
+    # references.  The worst row error may not exceed that of the first-
+    # moment formula the z-unit form replaced.
+    pytest.importorskip("mpmath")
+    uniform = np.linspace(-2.0, 2.0, 41)
+    jittered = -2.0 + np.concatenate(
+        ([0.0], np.cumsum(np.random.default_rng(0).uniform(0.05, 0.15, 40))))
+    errors = []
+    for grid in (uniform, jittered):
+        for std in 0.1 * np.array([1e-3, 0.3, 3.0, 30.0, 600.0]):
+            for mean in (0.37, 1.98, grid[0] - 3.0 * std, grid[-1] + 3.0 * std):
+                exact = exact_tent_masses(grid, mean, std)
+                W, _ = _landing_rows(grid, np.array(mean), np.array(std), GaussianNoise(), True, 41)
+                errors.append((np.max(np.abs(W - exact)),
+                               np.max(np.abs(moment_landing_rows(grid, mean, std) - exact))))
+    ours, moment = np.array(errors).T
+    assert ours.max() <= 1e-11
+    assert ours.max() <= moment.max()
 
 
 def test_discretize_rejects_bad_quad_order():

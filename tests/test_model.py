@@ -99,6 +99,27 @@ def test_build_model_rejects_unknown_params(family, key):
         build_model({"family": "lq", "params": [1.0]})
 
 
+@pytest.mark.parametrize("config, key", [
+    ({"family": "lq", "contol": {"lo": -1.0, "hi": 1.0, "nodes": 5}}, "contol"),
+    ({"family": "lq", "state_grid": {"lo": -4.0, "hi": 4.0, "nodes": 31, "node": 3}}, "node"),
+    ({"family": "mean_variance", "control": {"lo": 0.0, "hi": 2.0, "nodes": 5, "n": 9}}, "n"),
+])
+def test_build_model_rejects_unknown_keys(config, key):
+    # A misspelt key used to build the default instance silently.
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        build_model(config)
+
+
+def test_chain_config_rejects_horizon_and_params(chain_small):
+    # The chain's horizon is that of its state grids, and it has no params.
+    config = chain_small[2]
+    assert build_model({**config, "horizon": 3}).T == 3
+    with pytest.raises(ConfigError, match="horizon 7 disagrees with 3 state grids"):
+        build_model({**config, "horizon": 7})
+    with pytest.raises(ConfigError, match="unknown key 'params'"):
+        build_model({**config, "params": {"sigam": 2.0}})
+
+
 def test_build_model_params_override_horizon():
     assert build_model({"family": "lq", "horizon": 4, "params": {"T": 3}}).T == 3
     assert build_model({"family": "lq", "horizon": 4, "params": {"sigma": 2.0}}).T == 4
