@@ -22,11 +22,10 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-from scipy import special
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import InfeasibleControlError, KernelError
-from .noise import TV_TAIL_MASS, GaussianNoise, Noise
+from .noise import TV_TAIL_MASS, GaussianNoise, Noise, normal_pdf, normal_tail
 
 ROW_SUM_TOL = 1e-10
 # Landing weights below this are set to 0 (Gaussian tail mass beyond about
@@ -34,7 +33,7 @@ ROW_SUM_TOL = 1e-10
 # underflow, put every propagation matmul on the CPU's slow arithmetic path.
 WEIGHT_FLOOR = 1e-30
 # Half-width, in landing stds, of the window of nodes whose Gaussian tent
-# masses are computed.  Beyond 14 stds a node's mass is below ndtr(-14) ~
+# masses are computed.  Beyond 14 stds a node's mass is below Phi(-14) ~
 # 8e-45, far below WEIGHT_FLOOR, the tail mass beyond 11.3 stds: the floor
 # sets it to 0.  Both cells of the first node past 14 stds on each side are
 # kept, so every weight that can pass the floor is computed as over the
@@ -253,19 +252,21 @@ def _gaussian_tent_masses(grid: np.ndarray, mean: np.ndarray, std: np.ndarray):
     tail mass (R,), which goes to the end nodes.  In z-units, z_k = (x_k -
     mean) / std, cell k holds the mass P_k and sends A_k = (z_{k+1} P_k +
     phi_{k+1} - phi_k) / (z_{k+1} - z_k) to its left node, P_k - A_k to its
-    right.  Only nodes within ``TENT_WINDOW`` stds of each mean are
-    computed, in blocks of about ``TENT_BLOCK`` entries over rows sorted by
-    window width; a block is clipped at 0, normalised by its left-to-right
-    sum and floored, so rows equal the same arithmetic over the whole grid,
-    bit for bit, and do not depend on the batch.
+    right.  One exp per entry gives phi, and the normal tail
+    ``noise.normal_tail`` is phi times a rational in |z|.  Only nodes within
+    ``TENT_WINDOW`` stds of each mean are computed, in blocks of about
+    ``TENT_BLOCK`` entries over rows sorted by window width, which also
+    give the clamped tails at the grid's two ends; a block is clipped at 0,
+    normalised by its left-to-right sum and floored, so rows equal the same
+    arithmetic over the whole grid, bit for bit, and do not depend on the
+    batch.
     """
     n = grid.size
-    lo_tail = special.ndtr((grid[0] - mean) / std)
-    hi_tail = special.ndtr((mean - grid[-1]) / std)
-    first = np.clip(np.searchsorted(grid, mean - TENT_WINDOW * std) - 2, 0, n)
-    stop = np.clip(np.searchsorted(grid, mean + TENT_WINDOW * std) + 2, 0, n)
+    first = np.maximum(np.searchsorted(grid, mean - TENT_WINDOW * std) - 2, 0)
+    stop = np.minimum(np.searchsorted(grid, mean + TENT_WINDOW * std) + 2, n)
     order = np.argsort(first - stop, kind="stable")  # widest window first
     out = np.zeros((mean.size, n))
+    clamp = np.empty(mean.size)
     flat = out.reshape(-1)
     i0 = 0
     while i0 < order.size:
@@ -273,29 +274,50 @@ def _gaussian_tent_masses(grid: np.ndarray, mean: np.ndarray, std: np.ndarray):
         rows = order[i0:i0 + max(1, TENT_BLOCK // width)]
         i0 += rows.size
         start = np.minimum(first[rows], n - width)
-        # Window k of a sliding view starts at node k: row i is grid[start[i]:][:width].
-        z = (sliding_window_view(grid, width)[start] - mean[rows, None]) / std[rows, None]
+        # One array of z for the density and the tail: the windows, row i at
+        # grid[start[i]:][:width], then each row's z at the first and last node.
+        k = rows.size
+        zx = np.empty(k * (width + 2))
+        z, z_end = zx[:k * width].reshape(k, width), zx[k * width:].reshape(2, k)
+        z[...] = _sliding(grid, width)[start]
+        z -= mean[rows, None]
+        z /= std[rows, None]
+        z_end[...] = grid[[0, -1], None]
+        z_end -= mean[rows]
+        z_end /= std[rows]
+        phi = normal_pdf(zx)
+        tails = normal_tail(zx, phi)
+        phi, block = phi[:k * width].reshape(k, width), tails[:k * width].reshape(k, width)
+        lo, hi = tails[k * width:].reshape(2, k)
+        # Phi(z) at the first node and Phi(-z) at the last, each from the smaller tail.
+        lo_tail = np.where(z_end[0] > 0.0, 1.0 - lo, lo)
+        hi_tail = np.where(z_end[1] < 0.0, 1.0 - hi, hi)
+        clamp[rows] = lo_tail + hi_tail
         # Cell masses from the smaller tail, so their rounding is relative:
         # block = -Phi(z) below the mean and 1 - Phi(z) from it on.
-        block = np.copysign(special.ndtr(-np.abs(z)), z)
+        np.copysign(block, z, out=block)
         P = block[:, :-1] - block[:, 1:]
         c = np.searchsorted(grid, mean[rows]) - start  # window nodes below the mean
         turn = (c > 0) & (c < width)
         P[turn, c[turn] - 1] += 1.0  # the cell that holds the mean
-        phi = np.exp(np.square(z) * -0.5) / np.sqrt(2.0 * np.pi)
         A = (z[:, 1:] * P + phi[:, 1:] - phi[:, :-1]) / (z[:, 1:] - z[:, :-1])
         block[:, :-1] = A
         block[:, -1] = 0.0
         block[:, 1:] += P - A
         low = start == 0
-        block[low, 0] += lo_tail[rows[low]]
+        block[low, 0] += lo_tail[low]
         high = start + width == n
-        block[high, -1] += hi_tail[rows[high]]
+        block[high, -1] += hi_tail[high]
         np.maximum(block, 0.0, out=block)
         block /= np.cumsum(block, axis=-1)[:, -1:]
         # Window k of the flat view is flat[k:k + width]; those written lie in distinct rows.
-        sliding_window_view(flat, width, writeable=True)[rows * n + start] = _floor(block)
-    return out, lo_tail + hi_tail
+        _sliding(flat, width, writeable=True)[rows * n + start] = _floor(block)
+    return out, clamp
+
+
+def _sliding(a: np.ndarray, width: int, writeable: bool = False) -> np.ndarray:
+    """``sliding_window_view`` of a contiguous 1-d array, without its slow checks."""
+    return as_strided(a, (a.size - width + 1, width), a.strides * 2, writeable=writeable)
 
 
 def _landing_rows(grid: np.ndarray, mu: np.ndarray, sc: np.ndarray, noise: Noise,

@@ -242,7 +242,8 @@ def validate_assumptions(model: Model, samples: int = 10_000,
 # ---------------------------------------------------------------------------
 
 _CHAIN_FAMILIES = ("discrete_chain", "tabulated")  # both name the tabulated-cost chain
-_CONFIG_KEYS = ("params", "family", "horizon", "state_grid", "control", "kernel", "costs")
+# A chain family takes the first four keys only: no params, and its grids are its kernel's.
+_CONFIG_KEYS = ("family", "horizon", "kernel", "costs", "params", "state_grid", "control")
 
 
 def config_hash(config: dict) -> str:
@@ -257,8 +258,9 @@ def build_model(config: dict) -> Model:
     Top-level keys: family, params, horizon, state_grid, control, kernel,
     costs; window keys: lo, hi, nodes.  ``params`` may hold the fields of
     the family's parameter dataclass (``families.CONFIG_FAMILIES``) but the
-    callable ``phi``; a chain family takes none, and its horizon must match
-    its state grids.  Any other key raises ConfigError; see the README.
+    callable ``phi``; a chain family takes no params, state_grid or
+    control, and its horizon must match its state grids.  Any other key
+    raises ConfigError; see the README.
     """
     from . import families  # deferred: families builds Model instances
 
@@ -268,8 +270,8 @@ def build_model(config: dict) -> Model:
     known = (*families.CONFIG_FAMILIES, *_CHAIN_FAMILIES)
     if family not in known:
         raise ConfigError(f"unknown or missing family {family!r}; expected one of {known}")
-    chain = family in _CHAIN_FAMILIES  # a chain takes no params: skip _CONFIG_KEYS[0]
-    _check_keys(config, _CONFIG_KEYS[chain:], f"config of family {family!r}")
+    chain = family in _CHAIN_FAMILIES
+    _check_keys(config, _CONFIG_KEYS[:4] if chain else _CONFIG_KEYS, f"config of family {family!r}")
     horizon = config.get("horizon")
     if horizon is not None and (not isinstance(horizon, int) or horizon < 2):
         raise ConfigError("horizon must be >= 2")

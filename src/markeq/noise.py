@@ -6,20 +6,84 @@ quadrature rule for expectations against that density, and the radius of
 a truncated support carrying all but a prescribed tail mass.  A sampler
 is optional (needed only for Monte Carlo evaluation) and a CDF is
 optional (enables exact expectations of step functions).
+
+The module also holds the standard normal density, tail and CDF that the
+Gaussian tent masses and ``GaussianNoise`` use, in numpy alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special
 
 from .errors import KernelError
 
 # Tail mass left outside the truncated support of TV integrals.
 TV_TAIL_MASS = 1e-8
+
+_SQRT_2PI = np.sqrt(2.0 * np.pi)
+
+# The Mills ratio M(a) = Phi(-a) / phi(a), a >= 0, as one rational
+# P(t) / Q(t) of degree 10/10 in t = a / (a + 6) on a in [0, 40], Q monic;
+# coefficients lowest degree first, fitted in relative error by
+# tools/fit_normal_tail.py: within 2.7e-17 of M at 50 digits, and within
+# 6.4 ulps of it as evaluated below in doubles.  Past a = 40, phi(a) is 0.
+_MILLS_A_MAX = 40.0
+_MILLS_NUM = (
+    0.46490384930727496, -0.37606432324149547, 1.9184489692096294, -1.316636519160282,
+    2.3067370904363673, -1.4785127695872644, 0.524305876349067, -0.9787267411351078,
+    -0.4831139921502802, -0.420804857767008, -0.16053658225091877,
+)
+_MILLS_DEN = (  # the leading 1 left out
+    0.3709396036200966, 1.4757459789296792, 3.6944394379034984, 6.868914073461063,
+    10.208525354679791, 12.483029590481745, 12.659130094769175, 10.544573179609026,
+    6.987133505150844, 3.4123582120609406,
+)
+
+# Horner columns (P's coefficient, Q's) from the leading one down.
+_MILLS_LEAD, *_MILLS_STEPS, _MILLS_LAST = np.array(
+    [_MILLS_NUM[::-1], (1.0,) + _MILLS_DEN[::-1]]).T[:, :, None]
+
+
+def normal_pdf(z):
+    """Standard normal density exp(-z^2 / 2) / sqrt(2 pi), elementwise."""
+    with np.errstate(over="ignore"):  # z^2 = inf: the density is 0
+        phi = np.exp(np.square(z) * -0.5)
+    phi /= _SQRT_2PI
+    return phi
+
+
+def normal_tail(z, phi=None):
+    """Phi(-|z|) elementwise, as phi(z) * M(|z|); ``phi``, if given, is ``normal_pdf(z)``.
+
+    P and Q advance together by Horner's rule, in place on one (2, z.size)
+    array.
+    """
+    z = np.asarray(z, dtype=float)
+    t = np.abs(z).reshape(-1)
+    np.minimum(t, _MILLS_A_MAX, out=t)
+    acc = np.empty((2, t.size))
+    num, den = acc
+    np.add(t, 6.0, out=den)
+    np.divide(t, den, out=t)
+    np.multiply(_MILLS_LEAD, t, out=acc)
+    for c in _MILLS_STEPS:
+        acc += c
+        acc *= t
+    acc += _MILLS_LAST
+    num /= den
+    num *= (normal_pdf(z) if phi is None else phi).reshape(-1)
+    return num.reshape(z.shape)
+
+
+def ndtr(z):
+    """Standard normal CDF Phi(z) elementwise, from the smaller tail."""
+    z = np.asarray(z, dtype=float)
+    tail = normal_tail(z)
+    return np.where(z > 0.0, 1.0 - tail, tail)
 
 
 class Noise:
@@ -46,6 +110,8 @@ class Noise:
 
 @dataclass(frozen=True)
 class GaussianNoise(Noise):
+    """N(mean, std^2) noise: CDF from ``ndtr``, support radius from ``statistics.NormalDist``."""
+
     mean: float = 0.0
     std: float = 1.0
 
@@ -59,7 +125,7 @@ class GaussianNoise(Noise):
 
     def cdf(self, w):
         z = (np.asarray(w, dtype=float) - self.mean) / self.std
-        return special.ndtr(z)
+        return ndtr(z)
 
     def quadrature(self, order: int):
         if order < 2:
@@ -69,7 +135,7 @@ class GaussianNoise(Noise):
         return self.mean + np.sqrt(2.0) * self.std * nodes, weights / np.sqrt(np.pi)
 
     def support_radius(self, tail_mass: float) -> float:
-        z = -special.ndtri(tail_mass / 2.0)
+        z = -NormalDist().inv_cdf(tail_mass / 2.0)
         return abs(self.mean) + z * self.std
 
     def sample(self, rng: np.random.Generator, size):

@@ -31,7 +31,7 @@ U_TOL = 1e-9  # refinement tolerance: a search ending this close to its grid nod
 NOISE = 64.0 * np.finfo(float).eps  # relative noise floor of objective values
 
 
-def golden_section(f, lo, hi, tol: float = U_TOL):
+def golden_section(f, lo, hi, tol: float = U_TOL, ends=None):
     """Minimize f on [lo, hi]; returns (argmin, min).  Deterministic.
 
     Brent's method (Brent, 1973, *Algorithms for Minimization without
@@ -40,6 +40,8 @@ def golden_section(f, lo, hi, tol: float = U_TOL):
     falls outside the bracket or fails to halve the step before last.
     Steps are at least ``tol / 4`` long.  A 9-point least-squares parabola
     over [lo, hi], ends reused from the first call, then polishes the result.
+    ``ends`` = (f(lo), f(hi)), if the caller holds them: the first call
+    then evaluates only the first interior point.
 
     ``lo`` and ``hi`` are floats, or arrays of shape (k,) holding k
     independent brackets.  In the batched form f maps an array of
@@ -61,7 +63,11 @@ def golden_section(f, lo, hi, tol: float = U_TOL):
     # bracket ends a and b are always evaluated points, fa and fb their values.
     a, b = lo, hi
     x = a + GOLDEN * (b - a)
-    fa, fx, fb = f(np.stack([a, x, b], axis=1)).T
+    if ends is None:
+        fa, fx, fb = f(np.stack([a, x, b], axis=1)).T
+    else:
+        fa, fb = (np.atleast_1d(np.asarray(e, dtype=float)) for e in ends)
+        fx = f(x)
     f_lo, f_hi = fa, fb
     w, fw, v, fv = x, fx, x, fx
     d = e = np.zeros_like(x)
@@ -179,10 +185,21 @@ def _assemble(model: Model, aux: AuxiliaryBundle, t: int, nodes: np.ndarray,
     """L = C + E[sum b_k + f] + G(E[h]) at controls U (k, P) with landing rows (k, P, nn)."""
     x = model.grids[t][nodes][:, None]
     c = model.costs.running(t, aux.eval_time, x, x, U)
-    e_b = np.einsum("kpm,km->kp", rows, aux.btot[nodes])
-    e_h = rows @ aux.h_next
+    e_b = _row_dot(rows, aux.btot[nodes][:, None])
+    e_h = _row_dot(rows, aux.h_next)
     g = model.costs.mixer(aux.eval_time, x, e_h)
     return c + e_b + g
+
+
+def _row_dot(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Each landing row (..., m) dotted with v (m,) or its own v (..., m).
+
+    Each value is the dot of two vectors alone, whatever the batch (a
+    stacked matmul or einsum may sum in another order for another batch
+    shape), so L on the grid is objective_nodes at the same controls, bit
+    for bit.
+    """
+    return (rows[..., None, :] @ v[..., None])[..., 0, 0]
 
 
 def objective_grid(model: Model, dk: DiscretizedKernel, aux: AuxiliaryBundle,
@@ -222,8 +239,9 @@ def refine_bowls(kernel, L: np.ndarray, U: np.ndarray, objective, tol: float = U
     a row with none raises SolverError.  Unless ``kernel`` is a
     ``DiscreteChain`` (rows only at the control nodes), the rows of ``rows``
     (default: all) with interior argmin j get one batched golden section
-    on [U[r, j-1], U[r, j+1]], where ``objective(r, u)`` evaluates rows r
-    (k,) at u, (k,) or (k, P), frozen brackets left out; a non-finite value
+    on [U[r, j-1], U[r, j+1]], its end values taken from L, where
+    ``objective(r, u)`` evaluates rows r (k,) at u, (k,) or (k, P), frozen
+    brackets left out; a non-finite value there or at a bracket end
     raises SolverError.  A search replaces its node only if it moved more
     than ``tol`` and is strictly lower.  ``where(r)`` names row r in the
     error messages (default "row r").  Returns (j, u, v, refined): argmin,
@@ -243,16 +261,21 @@ def refine_bowls(kernel, L: np.ndarray, U: np.ndarray, objective, tol: float = U
     if isinstance(kernel, DiscreteChain) or r.size == 0:
         return j, u, v, r[:0]
 
+    def check(rs, x, val):
+        if not np.all(np.isfinite(val)):
+            k = tuple(np.argwhere(~np.isfinite(val))[0])
+            raise SolverError(f"non-finite objective in {where(rs[k[0]])}, u={x[k]}")
+
     def checked(x):  # golden_section's NaN rows are frozen brackets: not evaluated
         live = ~np.isnan(x).reshape(r.size, -1).any(axis=1)
         rl, xl, val = r[live], x[live], np.full(x.shape, np.nan)
         val[live] = vl = objective(rl, xl)
-        if not np.all(np.isfinite(vl)):
-            k = tuple(np.argwhere(~np.isfinite(vl))[0])
-            raise SolverError(f"non-finite objective in {where(rl[k[0]])}, u={xl[k]}")
+        check(rl, xl, vl)
         return val
 
-    u_ref, v_ref = golden_section(checked, U[r, j[r] - 1], U[r, j[r] + 1], tol=tol)
+    sides = r[:, None], np.stack([j[r] - 1, j[r] + 1], axis=1)  # each bracket's two ends
+    check(r, U[sides], L[sides])
+    u_ref, v_ref = golden_section(checked, *U[sides].T, tol=tol, ends=L[sides].T)
     take = (np.abs(u_ref - u[r]) > tol) & (v_ref < v[r])
     r = r[take]
     u[r], v[r] = u_ref[take], v_ref[take]

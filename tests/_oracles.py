@@ -13,6 +13,7 @@ from scipy import special
 
 from markeq import Policy
 from markeq.kernels import WEIGHT_FLOOR, policy_matrix
+from markeq.noise import ndtr, normal_pdf, normal_tail
 
 
 def chain_config(rng, T, n_states, n_controls, mixer="zero"):
@@ -103,9 +104,11 @@ def gaussian_tent_masses(grid, mean, std):
     """Exact integrals of the piecewise-linear hat functions against N(mean, std^2).
 
     The dense form, over every node of the grid, in the library's z-unit
-    arithmetic: with z = (grid - mean) / std, cell k holds the mass P_k,
-    taken from the smaller tail, and sends A_k = (z_{k+1} P_k + phi_{k+1} - phi_k) / (z_{k+1} - z_k) to
-    its left node and P_k - A_k to its right node.  mean/std have shape
+    arithmetic and with its normal density and tail (``markeq.noise``), so
+    that it equals the windowed form bit for bit: with z = (grid - mean) /
+    std, cell k holds the mass P_k, taken from the smaller tail, and sends
+    A_k = (z_{k+1} P_k + phi_{k+1} - phi_k) / (z_{k+1} - z_k) to its left
+    node and P_k - A_k to its right node.  mean/std have shape
     (...,); returns weights of shape (..., len(grid)) plus the clamped tail
     mass (...,).  Mass below the first node goes to it untransformed
     (clamp), same above the last.
@@ -113,16 +116,16 @@ def gaussian_tent_masses(grid, mean, std):
     mean = np.asarray(mean, dtype=float)[..., None]
     std = np.asarray(std, dtype=float)[..., None]
     z = (grid - mean) / std
+    phi = normal_pdf(z)
     # -Phi(z) below the mean and 1 - Phi(z) from it on, each from the smaller tail.
-    G = np.copysign(special.ndtr(-np.abs(z)), z)
+    G = np.copysign(normal_tail(z, phi), z)
     P = G[..., :-1] - G[..., 1:] + (np.signbit(z[..., :-1]) & ~np.signbit(z[..., 1:]))
-    phi = np.exp(z * z * -0.5) / np.sqrt(2.0 * np.pi)
     A = (z[..., 1:] * P + phi[..., 1:] - phi[..., :-1]) / (z[..., 1:] - z[..., :-1])
     out = np.zeros(z.shape)
     out[..., :-1] = A
     out[..., 1:] += P - A
-    lo_tail = special.ndtr(z[..., 0])
-    hi_tail = special.ndtr(-z[..., -1])
+    lo_tail = ndtr(z[..., 0])
+    hi_tail = ndtr(-z[..., -1])
     out[..., 0] += lo_tail
     out[..., -1] += hi_tail
     return out, lo_tail + hi_tail
@@ -143,7 +146,8 @@ def moment_landing_rows(grid, mean, std):
     The dense form of the library's arithmetic before the z-unit form:
     per cell the mass P_k and first moment M1_k of the landing law give
     (x_{k+1} P_k - M1_k) / h_k to the left node and (M1_k - x_k P_k) / h_k
-    to the right node.  The reference for the tent masses' accuracy.
+    to the right node.  The reference for the tent masses' accuracy; its
+    normal CDF is scipy's, independent of the library's.
     """
     mean = np.asarray(mean, dtype=float)[..., None]
     std = np.asarray(std, dtype=float)[..., None]

@@ -120,6 +120,15 @@ def test_chain_config_rejects_horizon_and_params(chain_small):
         build_model({**config, "params": {"sigam": 2.0}})
 
 
+@pytest.mark.parametrize("key", ["state_grid", "control"])
+def test_chain_config_rejects_grid_windows(chain_small, key):
+    # A chain's grids and controls are those of its kernel; a window used
+    # to be accepted and ignored, building the 2-node model.
+    window = {"lo": 0.0, "hi": 1.0, "nodes": 3}
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        build_model({**chain_small[2], key: window})
+
+
 def test_build_model_params_override_horizon():
     assert build_model({"family": "lq", "horizon": 4, "params": {"T": 3}}).T == 3
     assert build_model({"family": "lq", "horizon": 4, "params": {"sigma": 2.0}}).T == 4

@@ -13,7 +13,7 @@ from markeq import (ControlConstraint, Costs, GaussianNoise, LQParams,
                     mv_model, objective_L, solve, value_identity_check)
 from markeq import DiscreteChain, SolverError
 from markeq.kernels import AdditiveNoise
-from markeq.solver import objective_grid, refine_bowls
+from markeq.solver import objective_grid, objective_nodes, refine_bowls
 
 from _oracles import (brute_force_equilibrium, chain_config, flow_product_aux,
                       path_objective)
@@ -147,6 +147,44 @@ def test_golden_section_evaluates_only_live_brackets():
         np.testing.assert_array_equal(steps[:, r], np.arange(len(steps)) < len(alone))
 
 
+def test_refinement_takes_bracket_ends_from_the_grid(monkeypatch):
+    # refine_bowls hands each search the grid values at its bracket ends,
+    # so an mv_t5-shaped solve (MV T=5, 201x41) evaluates two points fewer
+    # per bracket than when the search evaluates its own ends, and the
+    # search path is the same: L on the grid is bit for bit the objective.
+    import markeq.solver
+    from markeq.kernels import DiscretizedKernel
+    model = mv_model(MeanVarianceParams(T=5), n_x=201, n_u=41)
+    dk = discretize(model.kernel, model.grids, model.constraints)
+    points, brackets = [0], [0]
+    node_rows = DiscretizedKernel.node_rows
+    search = markeq.solver.golden_section
+
+    def counted(self, t, nodes, U):
+        points[0] += np.size(U)
+        return node_rows(self, t, nodes, U)
+
+    monkeypatch.setattr(DiscretizedKernel, "node_rows", counted)
+
+    def run(pass_ends):
+        def golden(f, lo, hi, tol, ends=None):
+            brackets[0] += np.size(lo)
+            return search(f, lo, hi, tol, ends if pass_ends else None)
+
+        monkeypatch.setattr(markeq.solver, "golden_section", golden)
+        points[0] = brackets[0] = 0
+        solution = solve(model, dk)
+        return solution, points[0], brackets[0]
+
+    solution, n, k = run(True)
+    own, n_own, k_own = run(False)
+    assert k == k_own == 804
+    assert n_own - n == 2 * k == 1608
+    for t in range(model.T - 1):
+        assert np.array_equal(solution.policy.controls[t], own.policy.controls[t])
+        assert np.array_equal(solution.values[t], own.values[t])
+
+
 def _quartic(c, u):
     d = u - c
     return (d * d) * (d * d) + 1.0
@@ -207,11 +245,11 @@ def test_solve_refinement_stops_at_noise_floor(monkeypatch):
     calls = [0]
     search = markeq.solver.golden_section
 
-    def counted(f, lo, hi, tol):
+    def counted(f, lo, hi, tol, ends=None):
         def g(u):
             calls[0] += 1
             return f(u)
-        return search(g, lo, hi, tol)
+        return search(g, lo, hi, tol, ends)
 
     monkeypatch.setattr(markeq.solver, "golden_section", counted)
     p = MeanVarianceParams(T=3)
@@ -270,6 +308,19 @@ def test_refine_bowls_tie_keeps_grid_node():
     assert (j[0], u[0], v[0], refined.size) == (1, 0.0, 1.0, 0)
 
 
+def test_refine_bowls_refines_a_tied_grid_minimum():
+    # L ties at u = 0 and u = 1 and the optimum 0.5 lies between them: the
+    # first argmin's bracket [-1, 1] holds it, and the batched search finds
+    # what a scalar golden_section on that bracket finds.
+    f, _ = _bowls(np.array([0.5]))
+    U = np.array([[-1.0, 0.0, 1.0, 2.0]])
+    j, u, v, refined = refine_bowls(None, (U - 0.5) ** 2, U, f)
+    u_ref, v_ref = golden_section(lambda x: (x - 0.5) ** 2, -1.0, 1.0)
+    assert (j[0], refined.tolist()) == (1, [0])
+    assert (u[0], v[0]) == (u_ref, v_ref)
+    assert abs(u_ref - 0.5) <= 1e-9
+
+
 def test_refine_bowls_rows_limit_the_search():
     c = np.array([0.3, -0.2, 0.1])
     f, seen = _bowls(c)
@@ -303,6 +354,15 @@ def test_refine_bowls_non_finite_search_value_raises():
     nan = lambda r, u: np.full(np.shape(u), np.nan)
     with pytest.raises(SolverError, match="non-finite objective in row 0"):
         refine_bowls(None, np.array([[2.0, 1.0, 2.0]]), U3, nan)
+
+
+def test_refine_bowls_non_finite_bracket_end_raises():
+    # The bracket ends' values come from L, so a non-finite one raises as
+    # the objective's own value there would.
+    f, seen = _bowls(np.zeros(1))
+    with pytest.raises(SolverError, match=r"non-finite objective in row 0, u=-1.0"):
+        refine_bowls(None, np.array([[np.nan, 1.0, 2.0]]), U3, f)
+    assert not seen
 
 
 def test_step_minimiser_is_not_forked():
@@ -390,6 +450,22 @@ def test_incremental_flows_match_scratch_off_grid_tail():
 # objective_L / bellman_step
 # ---------------------------------------------------------------------------
 
+def test_objective_grid_equals_objective_nodes_bit_for_bit(lq_small):
+    # The bracket ends refine_bowls takes from L are the values a search
+    # would compute there, whatever the batch.
+    model, dk, solution = lq_small
+    for t in range(model.T - 1):
+        aux = build_aux(model, dk, solution.policy if t < model.T - 2 else None, t)
+        L = objective_grid(model, dk, aux, t)
+        U = dk.controls[t]
+        nodes = np.arange(U.shape[0])
+        assert np.array_equal(objective_nodes(model, dk, aux, t, nodes, U), L)
+        assert np.array_equal(objective_nodes(model, dk, aux, t, nodes[::7], U[::7, 3]),
+                              L[::7, 3])
+        assert np.array_equal(objective_nodes(model, dk, aux, t, nodes[5:9], U[5:9, 10:17]),
+                              L[5:9, 10:17])
+
+
 def test_objective_pure_control_cost():
     model = _pure_control_cost_model()
     dk = discretize(model.kernel, model.grids, model.constraints)
@@ -457,8 +533,10 @@ def test_bellman_step_mv_last_period_unit_control():
 
 
 def test_bellman_step_batched_refinement_matches_scalar():
-    # Reference: one scalar golden_section per interior strict grid minimum.
-    # With a = 0.5 the optimum is state dependent and off the control grid.
+    # Reference: one scalar golden_section per interior first grid argmin,
+    # ties included, as refine_bowls documents: a tie of two nodes can hide
+    # an optimum between them.  With a = 0.5 the optimum is state dependent
+    # and off the control grid.
     model = lq_model(LQParams(a=0.5, T=3), n_x=61, n_u=41)
     dk = discretize(model.kernel, model.grids, model.constraints)
     solution = solve(model, dk)
@@ -470,7 +548,7 @@ def test_bellman_step_batched_refinement_matches_scalar():
         L = objective_grid(model, dk, aux, t)
         U = dk.controls[t]
         for i, j in enumerate(np.argmin(L, axis=1)):
-            if not (0 < j < L.shape[1] - 1 and L[i, j - 1] > L[i, j] < L[i, j + 1]):
+            if not 0 < j < L.shape[1] - 1:
                 assert i not in refined
                 continue
             u_ref, v_ref = golden_section(
