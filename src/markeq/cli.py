@@ -258,6 +258,20 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _tolerance(zero_ok: bool):
+    """argparse type: a finite number above 0, or at or above 0 if ``zero_ok``."""
+    def parse(text: str) -> float:
+        try:
+            v = float(text)
+        except ValueError:
+            v = float("nan")
+        if np.isfinite(v) and (v > 0.0 or (zero_ok and v == 0.0)):
+            return v
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number {'>=' if zero_ok else '>'} 0, got {text!r}")
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="markeq",
@@ -275,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the control grid node count M_u")
 
     def u_tol(p):
-        p.add_argument("--u-tol", type=float, default=U_TOL, dest="u_tol",
+        p.add_argument("--u-tol", type=_tolerance(zero_ok=False), default=U_TOL, dest="u_tol",
                        help=f"refinement tolerance of the equilibrium solve (default {U_TOL:g}; "
                        f"the baselines always refine at {U_TOL:g})")
 
@@ -287,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="deviation-test a solved policy directory")
     common(p)
-    p.add_argument("--tol", type=float, default=1e-6,
+    p.add_argument("--tol", type=_tolerance(zero_ok=True), default=1e-6,
                    help="certification tolerance on the deviation gap and on values.csv")
     p.add_argument("--solution", required=True, help="directory holding policy.csv")
     p.set_defaults(func=cmd_verify)

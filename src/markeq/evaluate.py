@@ -203,7 +203,10 @@ def deviation_report(model: Model, dk: DiscretizedKernel, policy: Policy,
     V_t(x_i) - J_t(x_i; (u, tail)); positive gaps mean a profitable
     deviation, and a non-finite J_dev or V raises ModelError naming
     (t, node, control).  Certification holds at the probe resolution only.
+    ``tol`` must be a finite number >= 0; otherwise ModelError.
     """
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ModelError(f"certification tolerance must be a finite number >= 0, got {tol!r}")
     policy.check_feasible(model)
     per_time, per_arg, used, all_probes, all_J = [], [], [], [], []
     own = [dk.node_rows(t, np.arange(u.size), u[:, None]) for t, u in enumerate(policy.controls)]

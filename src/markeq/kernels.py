@@ -17,6 +17,7 @@ checking |E_u[V] - E_u'[V]| <= M * TV for bounded measurable V.
 from __future__ import annotations
 
 import functools
+import operator
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Union
@@ -33,16 +34,20 @@ ROW_SUM_TOL = 1e-10
 # underflow, put every propagation matmul on the CPU's slow arithmetic path.
 WEIGHT_FLOOR = 1e-30
 # Half-width, in landing stds, of the window of nodes whose Gaussian tent
-# masses are computed.  Beyond 14 stds a node's mass is below Phi(-14) ~
-# 8e-45, far below WEIGHT_FLOOR, the tail mass beyond 11.3 stds: the floor
-# sets it to 0.  Both cells of the first node past 14 stds on each side are
-# kept, so every weight that can pass the floor is computed as over the
-# whole grid, bit for bit; the masses left out vanish in the rounding of
-# the window's left-to-right normalising sum, to which zeros add nothing.
-TENT_WINDOW = 14.0
+# masses are computed.  A node more than 12 stds from the mean carries less
+# than Phi(-12) ~ 1.8e-33, 560 times below WEIGHT_FLOOR, so the floor zeroes
+# it over the whole grid as well.  Both cells of the first node past 12 stds
+# on each side are kept, so every weight that can pass the floor is computed
+# as over the whole grid, bit for bit; what the window leaves out of the
+# left-to-right normalising sum (under 4e-33 in all) sits 17 orders below
+# that sum's last bit.
+TENT_WINDOW = 12.0
 # Entries per block of tent masses: the block's temporaries stay in cache.
 TENT_BLOCK = 60_000
 CHAIN_ROW_TOL = 1e-12
+# Largest difference between a cached row and the same row rebuilt from the
+# spec passed to ``load_kernel_cache``; a cache from this spec rebuilds exactly.
+CACHE_SPEC_TOL = 1e-12
 FEAS_TOL = 1e-9
 
 
@@ -256,10 +261,13 @@ def _gaussian_tent_masses(grid: np.ndarray, mean: np.ndarray, std: np.ndarray):
     ``noise.normal_tail`` is phi times a rational in |z|.  Only nodes within
     ``TENT_WINDOW`` stds of each mean are computed, in blocks of about
     ``TENT_BLOCK`` entries over rows sorted by window width, which also
-    give the clamped tails at the grid's two ends; a block is clipped at 0,
-    normalised by its left-to-right sum and floored, so rows equal the same
-    arithmetic over the whole grid, bit for bit, and do not depend on the
-    batch.
+    give the clamped tails at the grid's two ends.  A block is node-major,
+    (width, rows), so each step is a pass over contiguous lines.  It is
+    clipped at 0, normalised by each row's sum taken left to right (line
+    by line, or by ``np.add.accumulate`` down the block when it holds
+    fewer rows than nodes; ``np.add.reduce`` would sum a lone row
+    pairwise) and floored, so rows equal the same arithmetic over the
+    whole grid, bit for bit, and do not depend on the batch.
     """
     n = grid.size
     first = np.maximum(np.searchsorted(grid, mean - TENT_WINDOW * std) - 2, 0)
@@ -274,50 +282,43 @@ def _gaussian_tent_masses(grid: np.ndarray, mean: np.ndarray, std: np.ndarray):
         rows = order[i0:i0 + max(1, TENT_BLOCK // width)]
         i0 += rows.size
         start = np.minimum(first[rows], n - width)
-        # One array of z for the density and the tail: the windows, row i at
-        # grid[start[i]:][:width], then each row's z at the first and last node.
-        k = rows.size
-        zx = np.empty(k * (width + 2))
-        z, z_end = zx[:k * width].reshape(k, width), zx[k * width:].reshape(2, k)
-        z[...] = _sliding(grid, width)[start]
-        z -= mean[rows, None]
-        z /= std[rows, None]
-        z_end[...] = grid[[0, -1], None]
-        z_end -= mean[rows]
-        z_end /= std[rows]
-        phi = normal_pdf(zx)
-        tails = normal_tail(zx, phi)
-        phi, block = phi[:k * width].reshape(k, width), tails[:k * width].reshape(k, width)
-        lo, hi = tails[k * width:].reshape(2, k)
+        # One array of z for the density and the tail: line j holds node j of
+        # every row's window, the last two lines each row's first and last node.
+        zx = np.empty((width + 2, rows.size))
+        zx[:width] = _sliding(grid, width)[start].T
+        zx[width:] = grid[[0, -1], None]
+        zx -= mean[rows]
+        zx /= std[rows]
+        z, phi = zx[:width], normal_pdf(zx)
+        block, (lo, hi) = np.split(normal_tail(zx, phi), [width])
         # Phi(z) at the first node and Phi(-z) at the last, each from the smaller tail.
-        lo_tail = np.where(z_end[0] > 0.0, 1.0 - lo, lo)
-        hi_tail = np.where(z_end[1] < 0.0, 1.0 - hi, hi)
+        lo_tail = np.where(zx[width] > 0.0, 1.0 - lo, lo)
+        hi_tail = np.where(zx[width + 1] < 0.0, 1.0 - hi, hi)
         clamp[rows] = lo_tail + hi_tail
         # Cell masses from the smaller tail, so their rounding is relative:
         # block = -Phi(z) below the mean and 1 - Phi(z) from it on.
         np.copysign(block, z, out=block)
-        P = block[:, :-1] - block[:, 1:]
+        P = block[:-1] - block[1:]
         c = np.searchsorted(grid, mean[rows]) - start  # window nodes below the mean
         turn = (c > 0) & (c < width)
-        P[turn, c[turn] - 1] += 1.0  # the cell that holds the mean
-        A = (z[:, 1:] * P + phi[:, 1:] - phi[:, :-1]) / (z[:, 1:] - z[:, :-1])
-        block[:, :-1] = A
-        block[:, -1] = 0.0
-        block[:, 1:] += P - A
-        low = start == 0
-        block[low, 0] += lo_tail[low]
-        high = start + width == n
-        block[high, -1] += hi_tail[high]
+        P[c[turn] - 1, turn] += 1.0  # the cell that holds the mean
+        A = (z[1:] * P + phi[1:width] - phi[:width - 1]) / (z[1:] - z[:-1])
+        P -= A
+        block[0], block[-1] = A[0], P[-1]
+        np.add(A[1:], P[:-1], out=block[1:-1])
+        block[0] += np.where(start == 0, lo_tail, 0.0)
+        block[-1] += np.where(start + width == n, hi_tail, 0.0)
         np.maximum(block, 0.0, out=block)
-        block /= np.cumsum(block, axis=-1)[:, -1:]
+        block /= (functools.reduce(operator.iadd, block[1:], block[0].copy())
+                  if rows.size > width else np.add.accumulate(block, axis=0)[-1])
         # Window k of the flat view is flat[k:k + width]; those written lie in distinct rows.
-        _sliding(flat, width, writeable=True)[rows * n + start] = _floor(block)
+        _sliding(flat, width)[rows * n + start] = _floor(block).T
     return out, clamp
 
 
-def _sliding(a: np.ndarray, width: int, writeable: bool = False) -> np.ndarray:
-    """``sliding_window_view`` of a contiguous 1-d array, without its slow checks."""
-    return as_strided(a, (a.size - width + 1, width), a.strides * 2, writeable=writeable)
+def _sliding(a: np.ndarray, width: int) -> np.ndarray:
+    """``sliding_window_view`` of a contiguous 1-d array, writeable if it is, without its checks."""
+    return as_strided(a, (a.size - width + 1, width), a.strides * 2)
 
 
 def _landing_rows(grid: np.ndarray, mu: np.ndarray, sc: np.ndarray, noise: Noise,
@@ -627,6 +628,10 @@ def load_kernel_cache(path, spec: Optional[KernelSpec] = None) -> DiscretizedKer
     they match the cached node rows.  Version-1 files record neither and
     take the method ``discretize(method="auto")`` picks for ``spec``, order 41.
     Weights below ``WEIGHT_FLOOR`` are set to 0, as ``discretize`` does.
+    With an ``AdditiveNoise`` spec, the rows of the first and last state
+    node at every cached control are rebuilt from it; rows off by more
+    than ``CACHE_SPEC_TOL`` mean the cache came from another kernel, and
+    raise KernelError rather than mix the two.
     """
 
     def floats(shape, what):
@@ -664,4 +669,11 @@ def load_kernel_cache(path, spec: Optional[KernelSpec] = None) -> DiscretizedKer
         dk.check_rows()
     except KernelError as exc:
         raise KernelError(f"kernel cache {path}: {exc}") from None
+    if isinstance(spec, AdditiveNoise):
+        for t, W in enumerate(weights):
+            ends = [0, W.shape[0] - 1]
+            d = np.max(np.abs(dk.node_rows(t, ends, controls[t][ends]) - W[ends]))
+            if not d <= CACHE_SPEC_TOL:
+                raise KernelError(f"kernel cache {path} was not built from this kernel: "
+                                  f"rows at t={t} differ by {d:.3e}")
     return dk

@@ -43,10 +43,6 @@ _MILLS_DEN = (  # the leading 1 left out
     6.987133505150844, 3.4123582120609406,
 )
 
-# Horner columns (P's coefficient, Q's) from the leading one down.
-_MILLS_LEAD, *_MILLS_STEPS, _MILLS_LAST = np.array(
-    [_MILLS_NUM[::-1], (1.0,) + _MILLS_DEN[::-1]]).T[:, :, None]
-
 
 def normal_pdf(z):
     """Standard normal density exp(-z^2 / 2) / sqrt(2 pi), elementwise."""
@@ -59,21 +55,22 @@ def normal_pdf(z):
 def normal_tail(z, phi=None):
     """Phi(-|z|) elementwise, as phi(z) * M(|z|); ``phi``, if given, is ``normal_pdf(z)``.
 
-    P and Q advance together by Horner's rule, in place on one (2, z.size)
-    array.
+    P and Q advance by Horner's rule, each in place on its own contiguous
+    array with scalar coefficients; Q's leading 1 makes its first step t + q_9.
     """
     z = np.asarray(z, dtype=float)
     t = np.abs(z).reshape(-1)
     np.minimum(t, _MILLS_A_MAX, out=t)
-    acc = np.empty((2, t.size))
-    num, den = acc
-    np.add(t, 6.0, out=den)
-    np.divide(t, den, out=t)
-    np.multiply(_MILLS_LEAD, t, out=acc)
-    for c in _MILLS_STEPS:
-        acc += c
-        acc *= t
-    acc += _MILLS_LAST
+    den = t + 6.0
+    t /= den
+    num = t * _MILLS_NUM[-1]
+    np.add(t, _MILLS_DEN[-1], out=den)
+    for p, q in zip(_MILLS_NUM[-2:0:-1], _MILLS_DEN[-2::-1]):
+        num += p
+        num *= t
+        den *= t
+        den += q
+    num += _MILLS_NUM[0]
     num /= den
     num *= (normal_pdf(z) if phi is None else phi).reshape(-1)
     return num.reshape(z.shape)

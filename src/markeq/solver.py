@@ -151,7 +151,8 @@ class AuxiliaryBundle:
 
 
 def build_aux(model: Model, dk: DiscretizedKernel, tail_policy: Optional[Policy],
-              t: int, eval_time: Optional[int] = None) -> AuxiliaryBundle:
+              t: int, eval_time: Optional[int] = None,
+              steps: Optional[List[Optional[np.ndarray]]] = None) -> AuxiliaryBundle:
     """Tabulate the auxiliary functions for decision time t.
 
     ``tail_policy`` must be feasible at times t+1..T-2 (None allowed when
@@ -159,6 +160,7 @@ def build_aux(model: Model, dk: DiscretizedKernel, tail_policy: Optional[Policy]
     sweep applies the tower property with P_k, the one-step matrix under
     the tail at time k: h <- P_k h and btot <- btot P_k^T + C_k for
     k = T-2 down to t+1, starting from H and F on the terminal grid.
+    ``steps[k]``, if given, is P_k, already built; otherwise it is built here.
     """
     T = model.T
     if not 0 <= t <= T - 2:
@@ -172,7 +174,7 @@ def build_aux(model: Model, dk: DiscretizedKernel, tail_policy: Optional[Policy]
         if tail_policy is None or tail_policy.controls[k] is None:
             raise SolverError(f"tail policy missing controls at time {k}")
         uk = tail_policy.controls[k]
-        Pk = policy_matrix(dk, k, uk)
+        Pk = policy_matrix(dk, k, uk) if steps is None else steps[k]
         h_next = Pk @ h_next
         btot = btot @ Pk.T + model.costs.running(k, s, ys, model.grids[k][None, :], uk[None, :])
     if not np.all(np.isfinite(btot)) or not np.all(np.isfinite(h_next)):
@@ -246,7 +248,10 @@ def refine_bowls(kernel, L: np.ndarray, U: np.ndarray, objective, tol: float = U
     than ``tol`` and is strictly lower.  ``where(r)`` names row r in the
     error messages (default "row r").  Returns (j, u, v, refined): argmin,
     control and value per row, and the replaced rows in the order of ``rows``.
+    ``tol`` must be a finite number > 0; otherwise SolverError.
     """
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise SolverError(f"refinement tolerance must be a finite number > 0, got {tol!r}")
     where = where or (lambda r: f"row {r}")
     finite = np.isfinite(L)
     empty = np.flatnonzero(~finite.any(axis=1))
@@ -326,15 +331,21 @@ class SolveOptions:
 
 def solve(model: Model, dk: DiscretizedKernel,
           options: Optional[SolveOptions] = None) -> EquilibriumSolution:
-    """Equilibrium policy by backward induction, t = T-2 down to 0."""
+    """Equilibrium policy by backward induction, t = T-2 down to 0.
+
+    Each tail step matrix P_t is built once, when the policy at t is set.
+    """
     options = options or SolveOptions()
     T = model.T
     policy = Policy(controls=[None] * (T - 1))
     values: List[Optional[np.ndarray]] = [None] * (T - 1)
+    steps: List[Optional[np.ndarray]] = [None] * (T - 1)  # P_t, once the policy at t is set
     diag = Diagnostics()
     for t in range(T - 2, -1, -1):
-        aux = build_aux(model, dk, policy if t < T - 2 else None, t)
+        aux = build_aux(model, dk, policy if t < T - 2 else None, t, steps=steps)
         controls, vals, step_diag = bellman_step(model, dk, aux, t, options.u_tol)
+        if t > 0:
+            steps[t] = policy_matrix(dk, t, controls)
         policy.controls[t] = controls
         values[t] = vals
         diag.boundary_hits.extend((t, i) for i in step_diag.boundary_nodes)

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from markeq.cli import main
+from markeq.cli import build_parser, main
 
 
 LQ_CONFIG = {
@@ -255,6 +255,28 @@ def test_flags_only_where_used(tmp_path, capsys):
             main(argv + ["--config", cfg])
         assert info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["solve", "--u-tol=nan"], ["solve", "--u-tol=-1"],
+                                  ["solve", "--u-tol=0"], ["solve", "--u-tol=inf"],
+                                  ["compare", "--u-tol=nan"], ["verify", "--tol=nan"],
+                                  ["verify", "--tol=-1"], ["verify", "--tol=inf"]])
+def test_tolerance_that_disables_a_check_exits_2(tmp_path, capsys, argv):
+    # These ran: a NaN u-tol refined no node, and a NaN or negative tol
+    # failed certification (exit 4) though the input was at fault.
+    cfg = write_config(tmp_path, LQ_CONFIG)
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--config", cfg, "--solution" if argv[0] == "verify" else "--out", str(out)])
+    assert info.value.code == 2
+    flag, value = argv[1].split("=")
+    assert f"argument {flag}: expected a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_zero_tol_is_accepted():
+    args = build_parser().parse_args(["verify", "--config", "c", "--solution", "s", "--tol", "0"])
+    assert args.tol == 0.0
 
 
 # ---------------------------------------------------------------------------

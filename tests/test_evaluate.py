@@ -72,6 +72,16 @@ def test_exact_eval_mean_variance_moments():
     assert abs(got - direct) < h * h
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+def test_deviation_report_rejects_a_tolerance_that_disables_the_check(chain_small, tol):
+    # A NaN or negative tol failed every policy as "not certified".
+    model, dk, _ = chain_small
+    policy = solve(model, dk).policy
+    with pytest.raises(ModelError, match="certification tolerance must be a finite number >= 0"):
+        deviation_report(model, dk, policy, tol=tol)
+    assert deviation_report(model, dk, policy, tol=0.0).tol == 0.0
+
+
 def test_exact_eval_infeasible_policy_rejected(lq_small):
     model, dk, _ = lq_small
     from markeq import MarkeqError

@@ -197,7 +197,15 @@ def test_tent_masses_mixed_widths_across_blocks_equal_dense(rng):
     mean = rng.uniform(-8.0, 8.0, (40, 60))
     std = np.exp(rng.uniform(np.log(1e-3), np.log(30.0), (40, 60)))
     assert mean.size * grid.size > 10 * TENT_BLOCK
-    _tent_rows(grid, mean, std)
+    W = _tent_rows(grid, mean, std).reshape(mean.size, -1)
+    # Each row computed alone equals it in the batch, bit for bit, for windows
+    # from a few nodes to the whole grid: a lone row's sum must run left to
+    # right too (np.add.reduce sums a one-row block pairwise).
+    widths = np.count_nonzero(W, axis=1)
+    assert widths.min() <= 4 and widths.max() == grid.size
+    for m, s, w in zip(mean.ravel(), std.ravel(), W):
+        alone, _ = _landing_rows(grid, np.array([m]), np.array([s]), GaussianNoise(), True, 41)
+        assert np.array_equal(alone[0], w)
 
 
 def test_tent_masses_accuracy_against_mpmath():
@@ -464,6 +472,20 @@ def test_kernel_cache_reload_rebuilds_rows_like_the_saved_kernel(tmp_path):
     path.write_bytes(data[:12] + struct.pack("<I", 7) + data[16:])
     with pytest.raises(KernelError, match="unknown build method 7"):
         load_kernel_cache(path)
+
+
+def test_kernel_cache_loaded_with_another_spec_raises(tmp_path):
+    # Loaded with the default LQ kernel, an exp_utility cache gave rows at
+    # its own node controls 0.19 away from its weights.
+    model = exp_utility_model()
+    dk = discretize(model.kernel, model.grids, model.constraints)
+    path = tmp_path / "kernel.bin"
+    save_kernel_cache(dk, path)
+    with pytest.raises(KernelError, match="was not built from this kernel: rows at t=0 differ by"
+                       ) as info:
+        load_kernel_cache(path, spec=lq_model().kernel)
+    assert str(path) in str(info.value)
+    load_kernel_cache(path)  # without a spec there is nothing to compare
 
 
 def test_chain_weight_below_floor_is_zeroed_and_survives_cache(tmp_path):

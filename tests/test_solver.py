@@ -284,6 +284,27 @@ def test_solve_rebuilds_few_landing_rows(monkeypatch):
         np.testing.assert_allclose(solution.policy.controls[t], cf.controls[t], atol=1e-9)
 
 
+def test_solve_builds_each_tail_step_matrix_once(monkeypatch):
+    # A T=5 solve needs the tail steps P_3, P_2 and P_1 once each; built
+    # inside every build_aux, they took (T-1)(T-2)/2 = 6 policy_matrix calls.
+    import markeq.solver
+    model = mv_model(MeanVarianceParams(T=5), n_x=61, n_u=21)
+    dk = discretize(model.kernel, model.grids, model.constraints)
+    policy, values = Policy(controls=[None] * 4), [None] * 4
+    for t in range(3, -1, -1):  # the sweep that rebuilds every tail step
+        aux = build_aux(model, dk, policy if t < 3 else None, t)
+        policy.controls[t], values[t], _ = bellman_step(model, dk, aux, t)
+    built = []
+    policy_matrix = markeq.solver.policy_matrix
+    monkeypatch.setattr(markeq.solver, "policy_matrix",
+                        lambda dk, t, u: built.append(t) or policy_matrix(dk, t, u))
+    solution = solve(model, dk)
+    assert sorted(built) == [1, 2, 3]
+    for t in range(4):
+        assert np.array_equal(solution.policy.controls[t], policy.controls[t])
+        assert np.array_equal(solution.values[t], values[t])
+
+
 # ---------------------------------------------------------------------------
 # refine_bowls
 # ---------------------------------------------------------------------------
@@ -354,6 +375,19 @@ def test_refine_bowls_non_finite_search_value_raises():
     nan = lambda r, u: np.full(np.shape(u), np.nan)
     with pytest.raises(SolverError, match="non-finite objective in row 0"):
         refine_bowls(None, np.array([[2.0, 1.0, 2.0]]), U3, nan)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, 0.0])
+def test_refine_bowls_rejects_a_tolerance_that_disables_refinement(tol):
+    # NaN refined nothing and 0 or less refined every interior node.
+    f, seen = _bowls(np.array([0.3]))
+    with pytest.raises(SolverError, match="refinement tolerance must be a finite number > 0"):
+        refine_bowls(None, np.array([[1.0, 0.1, 0.5]]), U3, f, tol=tol)
+    assert not seen
+    model = _pure_control_cost_model(n_x=5, n_u=5)
+    dk = discretize(model.kernel, model.grids, model.constraints)
+    with pytest.raises(SolverError, match="got " + repr(tol)):
+        solve(model, dk, SolveOptions(u_tol=tol))
 
 
 def test_refine_bowls_non_finite_bracket_end_raises():
