@@ -1,16 +1,19 @@
 """Batch front-end: solve, verify, and compare from a config document.
 
-Exit codes: 0 success, 2 config/input error, 3 solver failure,
-4 certification failure.  All outputs are CSV plus a JSON run manifest;
-re-running a command with an identical config reproduces byte-identical
-CSV bodies regardless of --workers (reductions are always in node order).
---workers and --seed are only recorded in the manifest: no thread cap is
-applied, and nothing in solve, verify or compare is random.
+Each command loads and discretizes its config (a failure exits 2, "config
+error"), runs (3, "solver failure"; verify exits 4, "certification
+failed"), and writes CSVs through one writer, ``evaluate.write_csv``, plus
+a JSON run manifest.  Re-running a command with an identical config
+reproduces byte-identical CSV bodies regardless of --workers (reductions
+are always in node order).  --workers and --seed are only recorded in the
+manifest: no thread cap is applied, and nothing in solve, verify or
+compare is random.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -21,11 +24,23 @@ import numpy as np
 
 from . import evaluate as ev
 from .errors import ConfigError, MarkeqError, ModelError
+from .evaluate import write_csv as _write_csv
 from .kernels import discretize
 from .model import Model, Policy, build_model, config_hash
 from .solver import U_TOL, SolveOptions, solve
 
-_FLOAT_FMT = "{:.17g}"
+
+class _Exit(Exception):
+    """A failed phase as (exit code, stderr line); ``main`` reports it."""
+
+
+@contextlib.contextmanager
+def _phase(code: int, label: str, errors=MarkeqError):
+    """Turn ``errors`` raised in the block into ``_Exit(code, "label: error")``."""
+    try:
+        yield
+    except errors as exc:
+        raise _Exit(code, f"{label}: {exc}") from exc
 
 
 def load_config(path) -> dict:
@@ -51,39 +66,27 @@ def load_config(path) -> dict:
     return doc
 
 
-def _prepare(config: dict, args):
+def _prepare(args):
+    """The config (with --controls applied), its model and discretized kernel."""
+    config = load_config(args.config)
     if args.controls is not None:
-        config.setdefault("control", {})
-        if "lo" not in config.get("control", {}):
+        if "lo" not in config.setdefault("control", {}):
             raise ConfigError("--controls needs a control window in the config")
         config["control"]["nodes"] = args.controls
     model = build_model(config)
-    quad_order = args.quad_order or int(config.get("kernel", {}).get("quad_order", 41))
-    dk = discretize(model.kernel, model.grids, model.constraints, quad_order=quad_order)
-    return model, dk, quad_order
+    return config, model, discretize(model.kernel, model.grids, model.constraints)
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([c if isinstance(c, (int, str)) else _FLOAT_FMT.format(c)
-                        for c in row])
+def _node_blocks(model: Model, *tables):
+    """One block per decision time t: columns t, node index, state and each table's row t."""
+    return [(t, np.arange(x.size), x, *(tab[t] for tab in tables))
+            for t, x in enumerate(model.grids[:-1])]
 
 
-def _policy_rows(model: Model, policy: Policy):
-    for t in range(model.T - 1):
-        for i, x in enumerate(model.grids[t]):
-            yield (t, i, float(x), float(policy.controls[t][i]))
-
-
-def _manifest(out_dir: Path, config: dict, args, quad_order: int, timings: dict,
-              artifacts):
+def _manifest(out_dir: Path, config: dict, args, timings: dict, artifacts):
     doc = {
         "config_hash": config_hash(config),
-        "options": {"quad_order": quad_order, "u_tol": getattr(args, "u_tol", None),
-                    "tol": getattr(args, "tol", None),
+        "options": {"u_tol": getattr(args, "u_tol", None), "tol": getattr(args, "tol", None),
                     "controls": args.controls, "workers": args.workers},
         "seed": args.seed,
         "timings_s": timings,
@@ -93,35 +96,27 @@ def _manifest(out_dir: Path, config: dict, args, quad_order: int, timings: dict,
 
 
 def cmd_solve(args) -> int:
-    try:
-        config = load_config(args.config)
-        model, dk, quad_order = _prepare(config, args)
-    except MarkeqError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    with _phase(2, "config error"):
+        config, model, dk = _prepare(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    try:
+    with _phase(3, "solver failure"):
         solution = solve(model, dk, SolveOptions(u_tol=args.u_tol))
-    except MarkeqError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 3
     timings = {"solve": time.perf_counter() - t0}
 
-    _write_csv(out / "policy.csv", ["t", "node", "state", "control"],
-               _policy_rows(model, solution.policy))
-    _write_csv(out / "values.csv", ["t", "node", "state", "V"],
-               ((t, i, float(model.grids[t][i]), float(solution.values[t][i]))
-                for t in range(model.T - 1) for i in range(model.grids[t].size)))
-    diag_rows = [("boundary_hit", t, i, "") for t, i in solution.diagnostics.boundary_hits]
-    diag_rows += [("refined", t, i, "") for t, i in solution.diagnostics.refined]
-    if solution.diagnostics.clamped_mass is not None:
-        diag_rows.append(("clamped_mass", "", "",
-                          _FLOAT_FMT.format(solution.diagnostics.clamped_mass)))
-    _write_csv(out / "diagnostics.csv", ["kind", "t", "node", "value"], diag_rows)
+    _write_csv(out / "policy.csv", ["t", "node", "state", "control"], "%d,%d,%.17g,%.17g",
+               _node_blocks(model, solution.policy.controls))
+    _write_csv(out / "values.csv", ["t", "node", "state", "V"], "%d,%d,%.17g,%.17g",
+               _node_blocks(model, solution.values))
+    diag = solution.diagnostics
+    blocks = [(kind, *np.reshape(np.array(hits, dtype=int), (-1, 2)).T, "")
+              for kind, hits in (("boundary_hit", diag.boundary_hits), ("refined", diag.refined))]
+    if diag.clamped_mass is not None:
+        blocks.append(("clamped_mass", "", "", "%.17g" % diag.clamped_mass))
+    _write_csv(out / "diagnostics.csv", ["kind", "t", "node", "value"], "%s,%s,%s,%s", blocks)
     artifacts = [out / n for n in ("policy.csv", "values.csv", "diagnostics.csv")]
-    _manifest(out, config, args, quad_order, timings, artifacts)
+    _manifest(out, config, args, timings, artifacts)
     return 0
 
 
@@ -140,10 +135,12 @@ def _cell(row: dict, name: str, where: str, size=None):
 def _read_node_table(model: Model, path: Path, column: str):
     """One float per decision (t, node) from a CSV with columns t, node and ``column``.
 
-    A missing column, a malformed field or one out of the model's range,
-    a (t, node) listed twice, or an uncovered (t, node) raises ConfigError
-    naming the file (and the line and field).
+    A missing file or column, a malformed field or one out of the model's
+    range, a (t, node) listed twice, or an uncovered (t, node) raises
+    ConfigError naming the file (and the line and field).
     """
+    if not path.exists():
+        raise ConfigError(f"missing solution artifact: {path}")
     table = [np.full(model.grids[t].size, np.nan) for t in range(model.T - 1)]
     seen = set()
     with open(path, newline="") as fh:
@@ -164,97 +161,62 @@ def _read_node_table(model: Model, path: Path, column: str):
     return table
 
 
-def _load_solution(model: Model, solution_dir: Path):
-    policy_path = solution_dir / "policy.csv"
-    values_path = solution_dir / "values.csv"
-    for p in (policy_path, values_path):
-        if not p.exists():
-            raise ConfigError(f"missing solution artifact: {p}")
-    return (Policy(controls=_read_node_table(model, policy_path, "control")),
-            _read_node_table(model, values_path, "V"))
-
-
 def cmd_verify(args) -> int:
-    try:
-        config = load_config(args.config)
-        model, dk, quad_order = _prepare(config, args)
-        policy, claimed = _load_solution(model, Path(args.solution))
-        policy.check_feasible(model)
-    except (MarkeqError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    t0 = time.perf_counter()
-    try:
-        report = ev.deviation_report(model, dk, policy, tol=args.tol)
-    except ModelError as exc:  # a non-finite deviation objective
-        print(f"certification failed: {exc}", file=sys.stderr)
-        return 4
-    timings = {"verify": time.perf_counter() - t0}
     out = Path(args.solution)
+    with _phase(2, "config error", (MarkeqError, ValueError)):
+        config, model, dk = _prepare(args)
+        policy = Policy(controls=_read_node_table(model, out / "policy.csv", "control"))
+        claimed = _read_node_table(model, out / "values.csv", "V")
+        policy.check_feasible(model)
+    t0 = time.perf_counter()
+    with _phase(4, "certification failed", ModelError):  # a non-finite deviation objective
+        report = ev.deviation_report(model, dk, policy, tol=args.tol)
+    timings = {"verify": time.perf_counter() - t0}
     report.to_csv(out / "deviation.csv")
-    _manifest(out, config, args, quad_order, timings, [out / "deviation.csv"])
+    _manifest(out, config, args, timings, [out / "deviation.csv"])
     if not report.certified:
         t, i, u = report.argmax
-        print(f"certification failed: worst gap {report.worst_gap:.3e} at "
-              f"(t={t}, node={i}, control={u:.6g}) exceeds tol {args.tol:.3e}",
-              file=sys.stderr)
-        return 4
+        raise _Exit(4, f"certification failed: worst gap {report.worst_gap:.3e} at "
+                       f"(t={t}, node={i}, control={u:.6g}) exceeds tol {args.tol:.3e}")
     # The claimed V must be the policy's own value J_t(x; policy).
     for t, (v, j) in enumerate(zip(claimed, report.values)):
         i = int(np.argmax(np.abs(v - j)))
         if abs(v[i] - j[i]) > args.tol:
-            print(f"values.csv mismatch: claimed V {v[i]:.17g} at (t={t}, node={i}) "
-                  f"differs from the policy's value {j[i]:.17g} by more than tol "
-                  f"{args.tol:.3e}", file=sys.stderr)
-            return 4
+            raise _Exit(4, f"values.csv mismatch: claimed V {v[i]:.17g} at (t={t}, node={i}) "
+                           f"differs from the policy's value {j[i]:.17g} by more than tol "
+                           f"{args.tol:.3e}")
     print(f"certified: worst gap {report.worst_gap:.3e} <= tol {args.tol:.3e} "
           f"(probe resolution {report.probe_resolution})")
     return 0
 
 
 def cmd_compare(args) -> int:
-    try:
-        config = load_config(args.config)
-        model, dk, quad_order = _prepare(config, args)
-    except MarkeqError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    with _phase(2, "config error"):
+        config, model, dk = _prepare(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    try:
-        solution = solve(model, dk, SolveOptions(u_tol=args.u_tol))
+    with _phase(3, "solver failure"):
+        equilibrium = solve(model, dk, SolveOptions(u_tol=args.u_tol)).policy
         i0 = model.grids[0].size // 2
-        pre_policy, pre_value = ev.solve_precommitment(model, dk, 0, i0)
-        naive_policy = ev.solve_naive(model, dk)
-    except MarkeqError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 3
+        precommitment, _ = ev.solve_precommitment(model, dk, 0, i0)
+        naive = ev.solve_naive(model, dk)
     timings = {"compare": time.perf_counter() - t0}
 
-    j1_eq = ev.eval_objective_exact(model, dk, solution.policy, 0, i0)
-    j1_pre = ev.eval_objective_exact(model, dk, pre_policy, 0, i0)
-    j1_naive = ev.eval_objective_exact(model, dk, naive_policy, 0, i0)
-
-    rows = []
-    first_diff = None
-    for t in range(model.T - 1):
-        step = float(np.max(np.diff(dk.controls[t], axis=1), initial=0.0))
-        for i, x in enumerate(model.grids[t]):
-            ue = float(solution.policy.controls[t][i])
-            up = float(pre_policy.controls[t][i])
-            un = float(naive_policy.controls[t][i])
-            rows.append((t, i, float(x), ue, up, un, j1_eq, j1_pre, j1_naive))
-            if first_diff is None and abs(ue - up) > step:
-                first_diff = (t, i)
+    policies = (equilibrium, precommitment, naive)
+    j1 = [ev.eval_objective_exact(model, dk, p, 0, i0) for p in policies]
     _write_csv(out / "compare.csv",
                ["t", "node", "state", "u_equilibrium", "u_precommitment", "u_naive",
-                "J1_equilibrium", "J1_precommitment", "J1_naive"], rows)
-    _manifest(out, config, args, quad_order, timings, [out / "compare.csv"])
-    if first_diff is None:
+                "J1_equilibrium", "J1_precommitment", "J1_naive"], "%d,%d" + ",%.17g" * 7,
+               [(*cols, *j1) for cols in _node_blocks(model, *(p.controls for p in policies))])
+    _manifest(out, config, args, timings, [out / "compare.csv"])
+    differ = [np.flatnonzero(np.abs(ue - up) > np.max(np.diff(U, axis=1), initial=0.0))
+              for ue, up, U in zip(equilibrium.controls, precommitment.controls, dk.controls)]
+    first = next(((t, d[0]) for t, d in enumerate(differ) if d.size), None)
+    if first is None:
         print("policies identical (equilibrium = precommitment at grid resolution)")
     else:
-        print(f"policies differ: first at (t={first_diff[0]}, node={first_diff[1]})")
+        print(f"policies differ: first at (t={first[0]}, node={first[1]})")
     return 0
 
 
@@ -284,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="recorded in the manifest only; no thread cap is applied")
         p.add_argument("--seed", type=int, default=0,
                        help="recorded in the manifest only; nothing here is random")
-        p.add_argument("--quad-order", type=int, default=None, dest="quad_order")
         p.add_argument("--controls", type=int, default=None,
                        help="override the control grid node count M_u")
 
@@ -296,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve and write policy/value/diagnostic tables")
     common(p)
     u_tol(p)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help="directory for the policy, value and "
+                   "diagnostic tables and the manifest")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="deviation-test a solved policy directory")
@@ -309,14 +271,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="equilibrium vs precommitment vs naive")
     common(p)
     u_tol(p)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help="directory for compare.csv and the manifest")
     p.set_defaults(func=cmd_compare)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Exit as exc:
+        code, message = exc.args
+        print(message, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

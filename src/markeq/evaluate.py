@@ -175,14 +175,27 @@ class DeviationReport:
 
     def to_csv(self, path):
         """One row per (t, node, probe), every float written as %.17g."""
-        fmt = "%d,%d" + ",%.17g" * 5 + "\r\n"
-        with open(path, "w", newline="") as fh:
-            fh.write("t,node_index,state,control,J_dev,V,gap\r\n")
-            for t, (y, u, J, v) in enumerate(zip(self.states, self.probes,
-                                                  self.J_dev, self.values)):
-                cols = np.broadcast_arrays(t, np.arange(y.size)[:, None], y[:, None], u, J,
-                                           v[:, None], v[:, None] - J)
-                fh.write(fmt * J.size % tuple(np.stack(cols, axis=-1).ravel().tolist()))
+        write_csv(path, ["t", "node_index", "state", "control", "J_dev", "V", "gap"],
+                  "%d,%d" + ",%.17g" * 5,
+                  ((t, np.arange(y.size)[:, None], y[:, None], u, J, v[:, None], v[:, None] - J)
+                   for t, (y, u, J, v) in enumerate(zip(self.states, self.probes,
+                                                        self.J_dev, self.values))))
+
+
+def write_csv(path, header, fmt, blocks):
+    """Write ``header``, then one CRLF-ended ``fmt`` row per element of each block.
+
+    A block is a tuple of columns that broadcast together; its rows are
+    formatted by one ``%`` over the columns' interleaved ``tolist()``s.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for block in blocks:
+            cols = [c.ravel().tolist() for c in np.broadcast_arrays(*block)]
+            flat = [None] * (len(cols) * len(cols[0]))
+            for j, col in enumerate(cols):
+                flat[j::len(cols)] = col
+            fh.write((fmt + "\r\n") * len(cols[0]) % tuple(flat))
 
 
 def deviation_report(model: Model, dk: DiscretizedKernel, policy: Policy,

@@ -14,7 +14,6 @@ together with the nonlinear mixer G.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field, fields
 from typing import Callable, List, Optional
@@ -242,12 +241,17 @@ def validate_assumptions(model: Model, samples: int = 10_000,
 # ---------------------------------------------------------------------------
 
 _CHAIN_FAMILIES = ("discrete_chain", "tabulated")  # both name the tabulated-cost chain
-# A chain family takes the first four keys only: no params, and its grids are its kernel's.
-_CONFIG_KEYS = ("family", "horizon", "kernel", "costs", "params", "state_grid", "control")
+# A chain family's grids, controls and costs are its kernel and cost tables;
+# the other families build theirs from params and windows.
+_CHAIN_BLOCKS = {"kernel": ("state_grids", "matrices", "control_values"),
+                 "costs": ("running", "terminal", "terminal_stat", "mixer")}
+_FAMILY_KEYS = ("family", "horizon", "params", "state_grid", "control")
 
 
 def config_hash(config: dict) -> str:
     """Hash of the config document, stable under key reordering."""
+    import hashlib  # deferred: only the CLI manifest hashes a config
+
     return hashlib.sha256(
         json.dumps(config, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
@@ -258,9 +262,10 @@ def build_model(config: dict) -> Model:
     Top-level keys: family, params, horizon, state_grid, control, kernel,
     costs; window keys: lo, hi, nodes.  ``params`` may hold the fields of
     the family's parameter dataclass (``families.CONFIG_FAMILIES``) but the
-    callable ``phi``; a chain family takes no params, state_grid or
-    control, and its horizon must match its state grids.  Any other key
-    raises ConfigError; see the README.
+    callable ``phi``.  kernel and costs are for a chain family only, and
+    it takes no params, state_grid or control; its horizon must match its
+    state grids.  Any other key, at the top level, in a window or in a
+    chain's kernel or costs, raises ConfigError; see the README.
     """
     from . import families  # deferred: families builds Model instances
 
@@ -271,7 +276,8 @@ def build_model(config: dict) -> Model:
     if family not in known:
         raise ConfigError(f"unknown or missing family {family!r}; expected one of {known}")
     chain = family in _CHAIN_FAMILIES
-    _check_keys(config, _CONFIG_KEYS[:4] if chain else _CONFIG_KEYS, f"config of family {family!r}")
+    _check_keys(config, ("family", "horizon", *_CHAIN_BLOCKS) if chain else _FAMILY_KEYS,
+                f"config of family {family!r}")
     horizon = config.get("horizon")
     if horizon is not None and (not isinstance(horizon, int) or horizon < 2):
         raise ConfigError("horizon must be >= 2")
@@ -315,6 +321,8 @@ def _chain_from_config(config: dict) -> Model:
     kernel_doc = config.get("kernel")
     if not kernel_doc or "matrices" not in kernel_doc:
         raise ConfigError("discrete_chain config needs kernel.matrices")
+    for key, known in _CHAIN_BLOCKS.items():
+        _check_keys(config.get(key, {}), known, key)
     grids = [np.asarray(g, dtype=float) for g in kernel_doc["state_grids"]]
     if config.get("horizon") not in (None, len(grids)):
         raise ConfigError(f"horizon {config['horizon']} disagrees with {len(grids)} state grids")

@@ -14,7 +14,6 @@ Gaussian tent masses and ``GaussianNoise`` use, in numpy alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import Callable, Optional
 
 import numpy as np
@@ -132,6 +131,8 @@ class GaussianNoise(Noise):
         return self.mean + np.sqrt(2.0) * self.std * nodes, weights / np.sqrt(np.pi)
 
     def support_radius(self, tail_mass: float) -> float:
+        from statistics import NormalDist  # deferred: only tv_distance asks for a radius
+
         z = -NormalDist().inv_cdf(tail_mass / 2.0)
         return abs(self.mean) + z * self.std
 

@@ -129,6 +129,24 @@ def test_chain_config_rejects_grid_windows(chain_small, key):
         build_model({**chain_small[2], key: window})
 
 
+@pytest.mark.parametrize("block", [{"costs": {"mixer": "square"}},
+                                   {"kernel": {"quad_order": 3}}])
+def test_family_config_rejects_chain_blocks(block):
+    # Only a chain reads kernel and costs; an lq config with a costs block
+    # used to build, and its mixer returned 0.0.
+    key = next(iter(block))
+    with pytest.raises(ConfigError, match=f"unknown key '{key}' in config of family 'lq'"):
+        build_model({"family": "lq", **block})
+
+
+@pytest.mark.parametrize("block, typo", [("costs", "mixr"), ("kernel", "typo")])
+def test_chain_config_rejects_unknown_block_keys(chain_small, block, typo):
+    # A misspelt "mixr" used to build the chain with the zero mixer.
+    config = chain_small[2]
+    with pytest.raises(ConfigError, match=f"unknown key '{typo}' in {block}"):
+        build_model({**config, block: {**config[block], typo: "square"}})
+
+
 def test_build_model_params_override_horizon():
     assert build_model({"family": "lq", "horizon": 4, "params": {"T": 3}}).T == 3
     assert build_model({"family": "lq", "horizon": 4, "params": {"sigma": 2.0}}).T == 4

@@ -73,7 +73,8 @@ def test_support_radius_against_mpmath():
 SCIPY_FREE = """
 import sys
 import markeq, markeq.cli
-assert "scipy" not in sys.modules, "import markeq, markeq.cli"
+for name in ("scipy", "statistics", "hashlib"):
+    assert name not in sys.modules, f"import markeq, markeq.cli loads {name}"
 from markeq import LQParams, discretize, lq_model, solve, verify_equilibrium
 model = lq_model(LQParams(T=3), n_x=21, n_u=11)
 dk = discretize(model.kernel, model.grids, model.constraints)
