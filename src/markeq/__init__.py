@@ -18,8 +18,8 @@ from .families import (ExpUtilityParams, LQParams, MeanVarianceParams,
                        mv_closed_form, mv_model, nonlinear_lq_variant)
 from .kernels import (AdditiveNoise, DiscreteChain, DiscretizedKernel,
                       PointIndicator, StepFunction, discretize, exact_expectation,
-                      expectation, load_kernel_cache, policy_matrix,
-                      save_kernel_cache, setwise_continuity_probe, tv_distance)
+                      load_kernel_cache, policy_matrix, save_kernel_cache,
+                      setwise_continuity_probe, tv_distance)
 from .model import (AssumptionReport, ControlConstraint, Costs, Model, Policy,
                     build_model, config_hash, validate_assumptions)
 from .noise import DensityNoise, GaussianNoise

@@ -15,7 +15,7 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import ModelError
-from .kernels import AdditiveNoise, DiscretizedKernel
+from .kernels import AdditiveNoise, DiscretizedKernel, derivative
 from .model import Model, Policy
 from .solver import EquilibriumSolution, refine_bowls
 
@@ -299,12 +299,11 @@ def _dp_linear(model: Model, dk: DiscretizedKernel, t0: int, nodes: np.ndarray,
         c = model.costs.running(k, t0, ys[:, None, None], xk[:, None], U)
         Lk = c + (W.reshape(n * M, nn) @ V.T).T.reshape(P, n, M)
 
-        def f(r, u):  # row r = p * n + i: plan p at node i
+        def f(r, u):  # row r = p * n + i: plan p at node i; (value, slope) at u (k,)
             p, i = np.divmod(r, n)
-            u2 = u.reshape(r.size, -1)
-            cu = model.costs.running(k, t0, ys[p][:, None], xk[i][:, None], u2)
-            return (cu + np.einsum("kqm,km->kq", dk.node_rows(k, i, u2), V[p])
-                    ).reshape(u.shape)
+            cost = lambda w: model.costs.running(k, t0, ys[p], xk[i], w)
+            return (cost(u) + np.einsum("km,km->k", dk.node_rows(k, i, u), V[p]),
+                    derivative(cost, u) + dk.node_slopes(k, i, u, V[p]))
         _, uk, vk, _ = refine_bowls(model.kernel, Lk.reshape(P * n, M),
                                     np.broadcast_to(U, (P, n, M)).reshape(P * n, M), f,
                                     rows=None if k > t0 else np.arange(P) * n + nodes,

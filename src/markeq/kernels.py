@@ -217,6 +217,35 @@ class DiscretizedKernel:
                              self.build_method == "exact", self.quad_order)
         return W.reshape(shape)
 
+    def node_slopes(self, t: int, nodes, U, g) -> np.ndarray:
+        """d/du of ``node_rows(t, nodes, U) @ g``, shape U.shape; g broadcasts to the rows.
+
+        Drift and scale slopes from ``derivative`` move the tent block or the
+        quadrature landings; blended rows are linear between control nodes.
+        """
+        nodes, shape, grid = np.asarray(nodes, np.intp).reshape(-1), np.shape(U), self.grids[t + 1]
+        U = self._feasible(t, nodes, np.asarray(U, dtype=float).reshape(nodes.size, -1))
+        nodes, u = np.repeat(nodes, U.shape[1]), U.reshape(-1)  # one row per control
+        g = np.broadcast_to(g, shape + grid.shape).reshape(u.size, grid.size)
+        if self.spec is None or isinstance(self.spec, DiscreteChain):
+            Uk, k = self.controls[t][nodes], np.arange(u.size)
+            j = np.clip(np.sum(Uk < u[:, None], axis=-1), 1, Uk.shape[1] - 1)
+            W = self.weights[t][nodes, np.stack([j - 1, j])]
+            return (np.einsum("kn,kn->k", W[1] - W[0], g)
+                    / (Uk[k, j] - Uk[k, j - 1])).reshape(shape)
+        spec, x, noise = self.spec, self.grids[t][nodes], self.spec.noise
+        mu, sc = spec.landing_params(t, x, u)
+        mu_u, sc_u = (derivative(lambda v: f(t, x, v), u) for f in (spec.drift, spec.scale))
+        if self.build_method == "exact":
+            dm, ds = _gaussian_tent_masses(grid, mu + sc * noise.mean, sc * noise.std, g)
+            return ((mu_u + sc_u * noise.mean) * dm + sc_u * noise.std * ds).reshape(shape)
+        wq, omega = noise.quadrature(self.quad_order)
+        landing = mu[:, None] + sc[:, None] * wq  # g' is 0 off the grid
+        j = np.clip(np.searchsorted(grid, landing, side="right"), 1, grid.size - 1)
+        dg = np.take_along_axis(g, j, -1) - np.take_along_axis(g, j - 1, -1)
+        dg *= ((landing > grid[0]) & (landing < grid[-1])) / (grid[j] - grid[j - 1])
+        return ((mu_u[:, None] + sc_u[:, None] * wq) * dg @ omega / omega.sum()).reshape(shape)
+
     def row(self, t: int, i: int, u: float) -> np.ndarray:
         """Landing weights at node i and an arbitrary feasible control."""
         return self.node_rows(t, [i], [u])[0]
@@ -224,6 +253,13 @@ class DiscretizedKernel:
     def row_block(self, t: int, U: np.ndarray) -> np.ndarray:
         """Rows for every state node over a (n, P) array of controls -> (n, P, nn)."""
         return self.node_rows(t, np.arange(len(U)), U)
+
+
+def derivative(f, u):
+    """df/du by the 5-point central stencil at step 1e-3 (1 + |u|); f maps (4,) + u.shape."""
+    d = 1e-3 * (1.0 + np.abs(u))
+    y = f(u + d * np.array([-2.0, -1.0, 1.0, 2.0]).reshape((4,) + (1,) * np.ndim(u)))
+    return ((y[0] - y[3]) + 8.0 * (y[2] - y[1])) / (12.0 * d)
 
 
 def spread_mass(grid: np.ndarray, points: np.ndarray, masses: np.ndarray) -> np.ndarray:
@@ -250,7 +286,7 @@ def spread_mass(grid: np.ndarray, points: np.ndarray, masses: np.ndarray) -> np.
     return out
 
 
-def _gaussian_tent_masses(grid: np.ndarray, mean: np.ndarray, std: np.ndarray):
+def _gaussian_tent_masses(grid: np.ndarray, mean: np.ndarray, std: np.ndarray, g=None):
     """Landing rows of N(mean, std^2) on ``grid``: exact hat-function masses.
 
     mean/std have shape (R,); returns rows (R, len(grid)) and the clamped
@@ -268,12 +304,15 @@ def _gaussian_tent_masses(grid: np.ndarray, mean: np.ndarray, std: np.ndarray):
     fewer rows than nodes; ``np.add.reduce`` would sum a lone row
     pairwise) and floored, so rows equal the same arithmetic over the
     whole grid, bit for bit, and do not depend on the batch.
+    Given per-row ``g`` (R, len(grid)), it returns d/dmean and d/dstd of
+    each row @ g instead, (2, R): sum_k P_k dg_k and sum_k (phi_k -
+    phi_{k+1}) dg_k, dg_k the slope of g on cell k, P_k the mass of cell k.
     """
     n = grid.size
     first = np.maximum(np.searchsorted(grid, mean - TENT_WINDOW * std) - 2, 0)
     stop = np.minimum(np.searchsorted(grid, mean + TENT_WINDOW * std) + 2, n)
     order = np.argsort(first - stop, kind="stable")  # widest window first
-    out = np.zeros((mean.size, n))
+    out = np.zeros((mean.size, n)) if g is None else np.empty((2, mean.size))
     clamp = np.empty(mean.size)
     flat = out.reshape(-1)
     i0 = 0
@@ -302,6 +341,12 @@ def _gaussian_tent_masses(grid: np.ndarray, mean: np.ndarray, std: np.ndarray):
         c = np.searchsorted(grid, mean[rows]) - start  # window nodes below the mean
         turn = (c > 0) & (c < width)
         P[c[turn] - 1, turn] += 1.0  # the cell that holds the mean
+        if g is not None:
+            dg = np.diff(_sliding(g.reshape(-1), width)[rows * n + start].T, axis=0)
+            dg /= _sliding(np.diff(grid), width - 1)[start].T
+            out[:, rows] = (np.einsum("kr,kr->r", P, dg),
+                            np.einsum("kr,kr->r", phi[:width - 1] - phi[1:width], dg))
+            continue
         A = (z[1:] * P + phi[1:width] - phi[:width - 1]) / (z[1:] - z[:-1])
         P -= A
         block[0], block[-1] = A[0], P[-1]
@@ -313,7 +358,7 @@ def _gaussian_tent_masses(grid: np.ndarray, mean: np.ndarray, std: np.ndarray):
                   if rows.size > width else np.add.accumulate(block, axis=0)[-1])
         # Window k of the flat view is flat[k:k + width]; those written lie in distinct rows.
         _sliding(flat, width)[rows * n + start] = _floor(block).T
-    return out, clamp
+    return (out, clamp) if g is None else out
 
 
 def _sliding(a: np.ndarray, width: int) -> np.ndarray:
@@ -416,14 +461,6 @@ def policy_matrix(dk: DiscretizedKernel, t: int, controls: np.ndarray) -> np.nda
     if controls.shape != (n,):
         raise InfeasibleControlError(f"policy at t={t} must give one control per node")
     return dk.node_rows(t, np.arange(n), controls)
-
-
-def expectation(dk: DiscretizedKernel, t: int, i: int, u: float, g) -> float:
-    """E[g(x_{t+1}) | x_t = node i, control u] under discrete landing weights."""
-    g = np.asarray(g, dtype=float)
-    if not np.all(np.isfinite(g)):
-        raise ValueError("g must be finite on the next grid")
-    return float(dk.row(t, i, u) @ g)
 
 
 # ---------------------------------------------------------------------------

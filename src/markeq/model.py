@@ -161,12 +161,6 @@ class AssumptionReport:
     compact_controls: str
     notes: List[str] = field(default_factory=list)
 
-    @property
-    def all_pass(self) -> bool:
-        return all(v == "pass" for v in
-                   (self.nonnegativity, self.mixer_monotone,
-                    self.sigma_floor, self.compact_controls))
-
 
 def validate_assumptions(model: Model, samples: int = 10_000,
                          seed: int = 0) -> AssumptionReport:
@@ -318,9 +312,10 @@ def _windows(config: dict) -> dict:
 
 
 def _chain_from_config(config: dict) -> Model:
-    kernel_doc = config.get("kernel")
-    if not kernel_doc or "matrices" not in kernel_doc:
-        raise ConfigError("discrete_chain config needs kernel.matrices")
+    kernel_doc = config.get("kernel") or {}
+    missing = [k for k in _CHAIN_BLOCKS["kernel"] if k not in kernel_doc]
+    if missing:
+        raise ConfigError(f"discrete_chain config needs kernel.{missing[0]}")
     for key, known in _CHAIN_BLOCKS.items():
         _check_keys(config.get(key, {}), known, key)
     grids = [np.asarray(g, dtype=float) for g in kernel_doc["state_grids"]]

@@ -21,17 +21,18 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import SolverError
-from .kernels import DiscreteChain, DiscretizedKernel, policy_matrix
+from .kernels import DiscreteChain, DiscretizedKernel, derivative, policy_matrix
 from .model import Model, Policy
 
 GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))  # interior fraction of golden-section search
 GOLDEN_MAX_ITER = 200  # cap on Brent steps; golden steps alone shrink a unit bracket to 1e-9 in 43
+SEARCH_MAX_ITER = 100  # cap on slope-search steps; bisection narrows 1 to 1e-9 in 30
 LEVELSET_PROBES = 2001  # probe controls per levelset_probe window
 U_TOL = 1e-9  # refinement tolerance: a search ending this close to its grid node keeps the node
 NOISE = 64.0 * np.finfo(float).eps  # relative noise floor of objective values
 
 
-def golden_section(f, lo, hi, tol: float = U_TOL, ends=None):
+def golden_section(f, lo, hi, tol: float = U_TOL):
     """Minimize f on [lo, hi]; returns (argmin, min).  Deterministic.
 
     Brent's method (Brent, 1973, *Algorithms for Minimization without
@@ -40,8 +41,6 @@ def golden_section(f, lo, hi, tol: float = U_TOL, ends=None):
     falls outside the bracket or fails to halve the step before last.
     Steps are at least ``tol / 4`` long.  A 9-point least-squares parabola
     over [lo, hi], ends reused from the first call, then polishes the result.
-    ``ends`` = (f(lo), f(hi)), if the caller holds them: the first call
-    then evaluates only the first interior point.
 
     ``lo`` and ``hi`` are floats, or arrays of shape (k,) holding k
     independent brackets.  In the batched form f maps an array of
@@ -63,11 +62,7 @@ def golden_section(f, lo, hi, tol: float = U_TOL, ends=None):
     # bracket ends a and b are always evaluated points, fa and fb their values.
     a, b = lo, hi
     x = a + GOLDEN * (b - a)
-    if ends is None:
-        fa, fx, fb = f(np.stack([a, x, b], axis=1)).T
-    else:
-        fa, fb = (np.atleast_1d(np.asarray(e, dtype=float)) for e in ends)
-        fx = f(x)
+    fa, fx, fb = f(np.stack([a, x, b], axis=1)).T
     f_lo, f_hi = fa, fb
     w, fw, v, fv = x, fx, x, fx
     d = e = np.zeros_like(x)
@@ -134,6 +129,32 @@ def golden_section(f, lo, hi, tol: float = U_TOL, ends=None):
     take = curved & (fv <= fx + NOISE * (np.max(np.abs(fs), axis=1) + 1.0))
     x, fx = np.where(take, xv, x), np.where(take, fv, fx)
     return (float(x[0]), float(fx[0])) if scalar else (x, fx)
+
+
+def slope_search(f, U3: np.ndarray, L3: np.ndarray, tol: float = U_TOL):
+    """Minimize k objectives on [a, b] from x; U3 (k, 3) holds (a, x, b), L3 the values there.
+
+    ``f(i, u)`` gives (L, L') of objectives i at u (m,).  A Newton step on
+    L' at x and the curvature of the three values, then secant steps on L';
+    a step that would leave the sign bracket bisects it.  An objective stops
+    once a step or its bracket is under ``tol``, at its last point (or x).
+    """
+    (lo, u, hi), (fa, v, fb) = U3.T.copy(), L3.T.copy()  # u and v start at x
+    _, d = f(np.arange(u.size), u)
+    c2 = 2.0 * ((fb - v) / (hi - u) - (v - fa) / (u - lo)) / (hi - lo)
+    step = -d / np.where(c2 > 0.0, c2, np.nan)  # no curvature: bisect
+    for _ in range(SEARCH_MAX_ITER):
+        lo, hi = np.where(d < 0.0, u, lo), np.where(d > 0.0, u, hi)
+        live = np.flatnonzero(~(np.abs(step) < tol) & (hi - lo >= tol))
+        if live.size == 0:
+            break
+        nxt = u[live] + step[live]
+        nxt = np.where((nxt > lo[live]) & (nxt < hi[live]), nxt, 0.5 * (lo[live] + hi[live]))
+        v[live], dn = f(live, nxt)
+        with np.errstate(divide="ignore", invalid="ignore"):  # equal slopes: bisect
+            step[live] = -dn * (nxt - u[live]) / (dn - d[live])
+        u[live], d[live] = nxt, dn
+    return u, v
 
 
 @dataclass
@@ -226,6 +247,17 @@ def objective_nodes(model: Model, dk: DiscretizedKernel, aux: AuxiliaryBundle,
     return _assemble(model, aux, t, nodes, U, dk.node_rows(t, nodes, U)).reshape(u.shape)
 
 
+def _objective_slope(model: Model, dk: DiscretizedKernel, aux: AuxiliaryBundle,
+                     t: int, nodes: np.ndarray, u: np.ndarray) -> tuple:
+    """(L, dL/du) at nodes (k,), controls u (k,); dL/du = c_u + rows_u . (btot_i + G' h)."""
+    x, s = model.grids[t][nodes], aux.eval_time
+    rows = dk.node_rows(t, nodes, u)
+    g_h = derivative(lambda h: model.costs.mixer(s, x, h), _row_dot(rows, aux.h_next))
+    return (_assemble(model, aux, t, nodes, u[:, None], rows[:, None])[:, 0],
+            derivative(lambda w: model.costs.running(t, s, x, x, w), u)
+            + dk.node_slopes(t, nodes, u, aux.btot[nodes] + g_h[:, None] * aux.h_next))
+
+
 def objective_L(model: Model, dk: DiscretizedKernel, aux: AuxiliaryBundle,
                 t: int, i: int, u: float) -> float:
     """L(t, x_i, x_i, u) for one node and a (possibly off-grid) control value."""
@@ -237,18 +269,17 @@ def refine_bowls(kernel, L: np.ndarray, U: np.ndarray, objective, tol: float = U
     """The one step minimiser: grid argmin per row, then off-grid refinement.
 
     ``L`` (R, M) is the objective at the control nodes ``U`` (R, M).  The
-    first argmin over the finite entries (the smallest control) is taken;
+    first argmin j over the finite entries (the smallest control) is taken;
     a row with none raises SolverError.  Unless ``kernel`` is a
-    ``DiscreteChain`` (rows only at the control nodes), the rows of ``rows``
-    (default: all) with interior argmin j get one batched golden section
-    on [U[r, j-1], U[r, j+1]], its end values taken from L, where
-    ``objective(r, u)`` evaluates rows r (k,) at u, (k,) or (k, P), frozen
-    brackets left out; a non-finite value there or at a bracket end
-    raises SolverError.  A search replaces its node only if it moved more
-    than ``tol`` and is strictly lower.  ``where(r)`` names row r in the
-    error messages (default "row r").  Returns (j, u, v, refined): argmin,
+    ``DiscreteChain`` (rows only at the control nodes), each row r of
+    ``rows`` (default: all) with interior j gets a ``slope_search`` on
+    [U[r, j-1], U[r, j+1]] from its three grid values, batched, where
+    ``objective(r, u)`` gives (L, L') of rows r at u, both (k,).  A
+    non-finite value or slope, or bracket end in L, raises SolverError.
+    A search replaces its node only if it moved more than ``tol`` (a finite
+    number > 0, else SolverError) and is strictly lower.  ``where(r)`` names
+    row r in errors (default "row r").  Returns (j, u, v, refined): argmin,
     control and value per row, and the replaced rows in the order of ``rows``.
-    ``tol`` must be a finite number > 0; otherwise SolverError.
     """
     if not (np.isfinite(tol) and tol > 0.0):
         raise SolverError(f"refinement tolerance must be a finite number > 0, got {tol!r}")
@@ -259,28 +290,26 @@ def refine_bowls(kernel, L: np.ndarray, U: np.ndarray, objective, tol: float = U
         raise SolverError(f"objective non-finite at every control node of {where(empty[0])}")
     R, M = L.shape
     j = np.argmin(np.where(finite, L, np.inf), axis=1)
-    u = U[np.arange(R), j]
-    v = L[np.arange(R), j]
+    u, v = U[np.arange(R), j], L[np.arange(R), j]
     r = np.arange(R) if rows is None else np.asarray(rows, dtype=np.intp)
     r = r[(j[r] > 0) & (j[r] < M - 1)]
     if isinstance(kernel, DiscreteChain) or r.size == 0:
         return j, u, v, r[:0]
 
-    def check(rs, x, val):
+    def check(rs, x, val, what="objective"):
         if not np.all(np.isfinite(val)):
             k = tuple(np.argwhere(~np.isfinite(val))[0])
-            raise SolverError(f"non-finite objective in {where(rs[k[0]])}, u={x[k]}")
+            raise SolverError(f"non-finite {what} in {where(rs[k[0]])}, u={x[k]}")
 
-    def checked(x):  # golden_section's NaN rows are frozen brackets: not evaluated
-        live = ~np.isnan(x).reshape(r.size, -1).any(axis=1)
-        rl, xl, val = r[live], x[live], np.full(x.shape, np.nan)
-        val[live] = vl = objective(rl, xl)
-        check(rl, xl, vl)
-        return val
+    def checked(i, x):
+        val, slope = objective(r[i], x)
+        check(r[i], x, val)
+        check(r[i], x, slope, "objective slope")
+        return val, slope
 
-    sides = r[:, None], np.stack([j[r] - 1, j[r] + 1], axis=1)  # each bracket's two ends
-    check(r, U[sides], L[sides])
-    u_ref, v_ref = golden_section(checked, *U[sides].T, tol=tol, ends=L[sides].T)
+    three = r[:, None], j[r, None] + np.arange(-1, 2)  # each bracket's ends and node
+    check(r, U[three], L[three])
+    u_ref, v_ref = slope_search(checked, U[three], L[three], tol)
     take = (np.abs(u_ref - u[r]) > tol) & (v_ref < v[r])
     r = r[take]
     u[r], v[r] = u_ref[take], v_ref[take]
@@ -302,7 +331,7 @@ def bellman_step(model: Model, dk: DiscretizedKernel, aux: AuxiliaryBundle,
     """
     j, controls, values, refined = refine_bowls(
         model.kernel, objective_grid(model, dk, aux, t), dk.controls[t],
-        lambda r, u: objective_nodes(model, dk, aux, t, r, u), u_tol,
+        lambda r, u: _objective_slope(model, dk, aux, t, r, u), u_tol,
         where=lambda i: f"node {i} at t={t}")
     edge = (j == 0) | (j == dk.controls[t].shape[1] - 1)
     return controls, values, StepDiagnostics(boundary_nodes=np.flatnonzero(edge).tolist(),

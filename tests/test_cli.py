@@ -87,6 +87,15 @@ def test_solve_malformed_config_file_exits_2(tmp_path, capsys, name, text):
     assert err.startswith(f"config error: malformed config {path}:")
 
 
+@pytest.mark.parametrize("missing", ["state_grids", "matrices", "control_values"])
+def test_solve_chain_config_missing_kernel_key_exits_2(tmp_path, capsys, missing):
+    kernel = {k: v for k, v in CHAIN_CONFIG["kernel"].items() if k != missing}
+    cfg = write_config(tmp_path, {**CHAIN_CONFIG, "kernel": kernel})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"kernel.{missing}" in err
+
+
 def test_solve_missing_config_file(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")]) == 2

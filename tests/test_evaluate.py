@@ -407,6 +407,34 @@ def test_precommitment_reduces_to_dp_without_mixer(rng):
     assert value == pytest.approx(solution.values[0][1], abs=1e-12)
 
 
+def test_linear_dp_objective_slope_matches_differences(monkeypatch):
+    # The objective each DP step hands refine_bowls gives (value, slope):
+    # the value matches the step's grid objective at the control nodes,
+    # and the slope c_u + rows_u . V is within 1e-7 of 5-point differences
+    # at h = 1e-4, whose own error (h against 2h) is under 1e-9 here.
+    import markeq.evaluate
+    refine, rng, checked = markeq.evaluate.refine_bowls, np.random.default_rng(4), []
+
+    def spy(kernel, L, U, objective, *args, **kwargs):
+        r = np.arange(L.shape[0])
+        np.testing.assert_allclose(objective(r, U[:, 7])[0], L[:, 7], rtol=1e-12, atol=1e-12)
+        u = rng.uniform(U[:, 1], U[:, -2])
+        F = lambda v: objective(r, v)[0]
+        fd, fd2 = ((F(u - 2 * h) - 8 * F(u - h) + 8 * F(u + h) - F(u + 2 * h)) / (12 * h)
+                   for h in (1e-4, 2e-4))
+        scale = 1.0 + np.abs(fd)
+        assert np.max(np.abs(fd2 - fd) / scale) < 1e-9
+        assert np.max(np.abs(objective(r, u)[1] - fd) / scale) < 1e-7
+        checked.append(L.shape)
+        return refine(kernel, L, U, objective, *args, **kwargs)
+
+    monkeypatch.setattr(markeq.evaluate, "refine_bowls", spy)
+    model = nonlinear_lq_variant(LQParams(T=3), n_x=31, n_u=21)
+    dk = discretize(model.kernel, model.grids, model.constraints)
+    markeq.evaluate._dp_linear(model, dk, 0, np.array([4, 20]), np.array([0.7, -1.3]))
+    assert len(checked) == model.T - 1
+
+
 def test_precommitment_rejects_nan_cost_like_solve():
     # A NaN running cost at the control node u = 0: both the equilibrium
     # solve and the baselines' DP must stop, not pick the NaN as a minimum.

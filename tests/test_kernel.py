@@ -11,9 +11,9 @@ from scipy.stats import norm
 from markeq import (AdditiveNoise, ControlConstraint, DensityNoise, DiscreteChain,
                     GaussianNoise, InfeasibleControlError, KernelError,
                     LQParams, MeanVarianceParams, lq_model, PointIndicator, StepFunction, discretize,
-                    exact_expectation, exp_utility_model, expectation,
-                    load_kernel_cache, mv_model, policy_matrix, save_kernel_cache,
-                    setwise_continuity_probe, tv_distance)
+                    exact_expectation, exp_utility_model,
+                    load_kernel_cache, mv_chain_model, mv_model, nonlinear_lq_variant,
+                    policy_matrix, save_kernel_cache, setwise_continuity_probe, tv_distance)
 from markeq.kernels import TENT_BLOCK, WEIGHT_FLOOR, _landing_rows
 
 from _oracles import dense_landing_rows, exact_tent_masses, moment_landing_rows
@@ -294,10 +294,10 @@ def test_expectation_normalization_and_affine():
     grids = _grids(2, -12, 12, 401)
     dk = discretize(k, grids, _constraints(2, -2, 2, 9))
     i = 200  # x = 0
-    assert expectation(dk, 0, i, 0.5, np.ones(401)) == pytest.approx(1.0, abs=1e-10)
+    assert dk.row(0, i, 0.5) @ np.ones(401) == pytest.approx(1.0, abs=1e-10)
     x = float(grids[0][i])
     for u in (-1.0, 0.3, 2.0):
-        e = expectation(dk, 0, i, u, grids[1])
+        e = dk.row(0, i, u) @ grids[1]
         assert abs(e - (1.1 * x + 0.7 * u)) < 1e-8
 
 
@@ -308,7 +308,7 @@ def test_expectation_halfline_matches_normal_cdf():
     i = 2000
     thresh = 0.5025  # mid-cell: worst case for the step interpolant
     g = (grids[1] >= thresh).astype(float)
-    e = expectation(dk, 0, i, 1.0, g)
+    e = dk.row(0, i, 1.0) @ g
     assert abs(e - (1.0 - norm.cdf(thresh - 1.0))) < 2e-3
 
 
@@ -560,6 +560,94 @@ def test_node_rows_match_row_per_node():
         for p in range(2):
             np.testing.assert_array_equal(rows[r, p], dk.row(0, i, U[r, p]))
     np.testing.assert_array_equal(dk.node_rows(0, nodes, U[:, 0]), rows[:, 0])
+
+
+# ---------------------------------------------------------------------------
+# node_slopes
+# ---------------------------------------------------------------------------
+
+def _dotted(dk, t, nodes, g):
+    """u -> node_rows(t, nodes, u) @ g, row by row."""
+    return lambda U: np.einsum("...n,...n->...", dk.node_rows(t, nodes, U), g)
+
+
+def _five_point(F, U, h):
+    """Fourth-order central difference of F at U with step h."""
+    return (F(U - 2.0 * h) - 8.0 * F(U - h) + 8.0 * F(U + h) - F(U + 2.0 * h)) / (12.0 * h)
+
+
+def _assert_slopes(dk, t, nodes, U, g, diff, step, diff_err):
+    """node_slopes within 1e-7 of ``diff`` at ``step``, whose own error is under ``diff_err``.
+
+    A difference's own error is taken as its change from ``step`` to 2 ``step``;
+    errors are relative to 1 + |slope|.
+    """
+    F = _dotted(dk, t, nodes, g)
+    fd, fd2 = diff(F, U, step), diff(F, U, 2.0 * step)
+    scale = 1.0 + np.abs(fd)
+    assert np.max(np.abs(fd2 - fd) / scale) < diff_err
+    assert np.max(np.abs(dk.node_slopes(t, nodes, U, g) - fd) / scale) < 1e-7
+
+
+@pytest.mark.parametrize("build", [
+    lambda: mv_model(MeanVarianceParams(T=3), n_x=81, n_u=21),
+    lambda: lq_model(LQParams(a=0.5), n_x=61, n_u=41),
+    nonlinear_lq_variant], ids=["mean_variance", "lq_a05", "nonlinear_lq"])
+def test_node_slopes_match_differences_of_tent_rows(build):
+    # Tent rows are smooth in u, so 5-point differences at h = 1e-4 err by
+    # h^4 terms and rounding, under 1e-10 here (the slopes agree as well).  The first and last state
+    # nodes' 12-std windows are clipped at the ends of the next grid.
+    model = build()
+    dk = discretize(model.kernel, model.grids, model.constraints)
+    rng = np.random.default_rng(7)
+    for t in range(model.T - 1):
+        n, grid = model.grids[t].size, model.grids[t + 1]
+        nodes = np.r_[0, rng.choice(np.arange(1, n - 1), 6, replace=False), n - 1]
+        lo, hi = dk.controls[t][0, [0, -1]]
+        U = rng.uniform(lo + 0.05 * (hi - lo), hi - 1e-3, (nodes.size, 3))
+        for g in (grid ** 2, np.maximum(grid, 0.0), rng.normal(size=(nodes.size, 1, grid.size))):
+            _assert_slopes(dk, t, nodes, U, g, _five_point, 1e-4, 2e-10)
+
+
+def _central(F, U, h):
+    return (F(U + h) - F(U - h)) / (2.0 * h)
+
+
+def test_node_slopes_match_differences_of_quadrature_rows():
+    # Quadrature rows move each landing point along a grid cell, and kink
+    # where one crosses a node; no node lies within 2h = 2e-6 of a landing
+    # point here, so central differences err by rounding and h^2 terms,
+    # under 1e-9.  Drift and scale both vary with u.
+    k = AdditiveNoise(drift=lambda t, x, u: 0.8 * x + np.sin(u),
+                      scale=lambda t, x, u: 0.5 + 0.3 * u * u,
+                      noise=DensityNoise(density=norm.pdf, radius=9.0), sigma_floor=0.4)
+    grids = _grids(2, -8, 8, 161)
+    dk = discretize(k, grids, _constraints(2, -1, 1, 9))
+    assert dk.build_method == "quadrature"
+    rng = np.random.default_rng(5)
+    nodes = np.r_[0, rng.choice(np.arange(1, 160), 8, replace=False), 160]
+    U = rng.uniform(-0.99, 0.99, (nodes.size, 2))
+    for g in (grids[1] ** 2, np.cos(grids[1]), rng.normal(size=(nodes.size, 1, 161))):
+        _assert_slopes(dk, 0, nodes, U, g, _central, 1e-6, 2e-9)
+
+
+def test_node_slopes_of_blended_rows_are_their_segments_slopes(tmp_path):
+    # Blended rows are linear in u between control nodes, so central
+    # differences at h = 1e-3 inside a segment err by rounding only, under
+    # 1e-10.  A
+    # control at a node takes the slope of the segment to its left.
+    chain = mv_chain_model(MeanVarianceParams(T=3), n_x=21, n_u=11)
+    lq = lq_model(LQParams(), n_x=31, n_u=11)
+    save_kernel_cache(discretize(lq.kernel, lq.grids, lq.constraints), tmp_path / "k.bin")
+    for model, dk in ((chain, discretize(chain.kernel, chain.grids, chain.constraints)),
+                      (lq, load_kernel_cache(tmp_path / "k.bin"))):
+        assert dk.spec is None or dk.spec is chain.kernel  # rows blend between nodes
+        Uk, W, n, g = dk.controls[0], dk.weights[0], model.grids[0].size, model.grids[1] ** 2
+        nodes = np.arange(n)
+        U = Uk[:, 2:4] + np.array([0.3, 0.8]) * (Uk[:, 3:5] - Uk[:, 2:4])
+        _assert_slopes(dk, 0, nodes, U, g, _central, 1e-3, 1e-10)
+        left = (W[:, 4] - W[:, 3]) @ g / (Uk[:, 4] - Uk[:, 3])
+        np.testing.assert_allclose(dk.node_slopes(0, nodes, Uk[:, 4], g), left, rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------

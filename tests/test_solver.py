@@ -10,7 +10,8 @@ from markeq import (ControlConstraint, Costs, GaussianNoise, LQParams,
                     bellman_step, build_aux, build_model,
                     discretize, eval_objective_exact, golden_section,
                     levelset_probe, lq_model, mv_chain_model, mv_closed_form,
-                    mv_model, objective_L, solve, value_identity_check)
+                    mv_model, nonlinear_lq_variant, objective_L, solve,
+                    value_identity_check)
 from markeq import DiscreteChain, SolverError
 from markeq.kernels import AdditiveNoise
 from markeq.solver import objective_grid, objective_nodes, refine_bowls
@@ -147,42 +148,40 @@ def test_golden_section_evaluates_only_live_brackets():
         np.testing.assert_array_equal(steps[:, r], np.arange(len(steps)) < len(alone))
 
 
-def test_refinement_takes_bracket_ends_from_the_grid(monkeypatch):
-    # refine_bowls hands each search the grid values at its bracket ends,
-    # so an mv_t5-shaped solve (MV T=5, 201x41) evaluates two points fewer
-    # per bracket than when the search evaluates its own ends, and the
-    # search path is the same: L on the grid is bit for bit the objective.
+@pytest.mark.parametrize("build, per_bracket", [
+    (lambda: mv_model(MeanVarianceParams(T=5), n_x=201, n_u=41), 4.0),
+    (lambda: lq_model(LQParams(a=0.5), n_x=61, n_u=41), 8.0),
+    (lambda: nonlinear_lq_variant(), 8.0)], ids=["mv_t5", "lq_a05", "nonlinear_lq"])
+def test_refinement_builds_few_landing_rows_per_bracket(monkeypatch, build, per_bracket):
+    # The slope search takes L' at the grid node, one Newton step on the
+    # grid parabola's curvature and secant steps after: an mv_t5-shaped
+    # solve (MV T=5, 201x41) built 21.2 landing rows per searched bracket
+    # with golden-section searches.  Every node_rows call counts, the tail
+    # step matrices' included.
     import markeq.solver
     from markeq.kernels import DiscretizedKernel
-    model = mv_model(MeanVarianceParams(T=5), n_x=201, n_u=41)
+    model = build()
     dk = discretize(model.kernel, model.grids, model.constraints)
-    points, brackets = [0], [0]
-    node_rows = DiscretizedKernel.node_rows
-    search = markeq.solver.golden_section
+    rows, brackets = [0], [0]
+    node_rows, search = DiscretizedKernel.node_rows, markeq.solver.slope_search
 
     def counted(self, t, nodes, U):
-        points[0] += np.size(U)
+        rows[0] += np.size(U)
         return node_rows(self, t, nodes, U)
 
+    def searched(f, U3, L3, tol):
+        brackets[0] += len(U3)
+        return search(f, U3, L3, tol)
+
     monkeypatch.setattr(DiscretizedKernel, "node_rows", counted)
-
-    def run(pass_ends):
-        def golden(f, lo, hi, tol, ends=None):
-            brackets[0] += np.size(lo)
-            return search(f, lo, hi, tol, ends if pass_ends else None)
-
-        monkeypatch.setattr(markeq.solver, "golden_section", golden)
-        points[0] = brackets[0] = 0
-        solution = solve(model, dk)
-        return solution, points[0], brackets[0]
-
-    solution, n, k = run(True)
-    own, n_own, k_own = run(False)
-    assert k == k_own == 804
-    assert n_own - n == 2 * k == 1608
-    for t in range(model.T - 1):
-        assert np.array_equal(solution.policy.controls[t], own.policy.controls[t])
-        assert np.array_equal(solution.values[t], own.values[t])
+    monkeypatch.setattr(markeq.solver, "slope_search", searched)
+    solution = solve(model, dk)
+    assert brackets[0] > 0 and rows[0] <= per_bracket * brackets[0]
+    if isinstance(model.kernel.noise, GaussianNoise) and model.T == 5:
+        cf = mv_closed_form(MeanVarianceParams(T=5))
+        for t in range(model.T - 1):
+            np.testing.assert_allclose(solution.policy.controls[t], cf.controls[t],
+                                       rtol=0.0, atol=1e-10)
 
 
 def _quartic(c, u):
@@ -237,26 +236,26 @@ def test_golden_section_locates_minimum_above_noise_floor(curvature):
 
 
 def test_solve_refinement_stops_at_noise_floor(monkeypatch):
-    # On the MV objective some brackets reach the evaluation noise floor
-    # long before their width reaches u_tol; they must stop there, not
-    # creep on in steps of u_tol / 4 (70 calls without the stop, 90 with
-    # golden steps).
+    # On the MV objective L' reaches its rounding floor within a Newton
+    # step of most roots; a bracket must stop once its step falls under
+    # u_tol, not bisect on down to a u_tol-wide bracket (30 more calls).
+    # The value-only golden-section search took up to 45 calls here.
     import markeq.solver
     calls = [0]
-    search = markeq.solver.golden_section
+    search = markeq.solver.slope_search
 
-    def counted(f, lo, hi, tol, ends=None):
-        def g(u):
+    def counted(f, U3, L3, tol):
+        def g(i, u):
             calls[0] += 1
-            return f(u)
-        return search(g, lo, hi, tol, ends)
+            return f(i, u)
+        return search(g, U3, L3, tol)
 
-    monkeypatch.setattr(markeq.solver, "golden_section", counted)
+    monkeypatch.setattr(markeq.solver, "slope_search", counted)
     p = MeanVarianceParams(T=3)
     model = mv_model(p, n_x=101, n_u=21)
     dk = discretize(model.kernel, model.grids, model.constraints)
     solution = solve(model, dk)
-    assert calls[0] <= 45
+    assert calls[0] <= 8
     cf = mv_closed_form(p)
     for t in range(model.T - 1):
         np.testing.assert_allclose(solution.policy.controls[t], cf.controls[t], atol=1e-9)
@@ -313,33 +312,32 @@ U3 = np.array([[-1.0, 0.0, 1.0]])
 
 
 def _bowls(c):
-    """Objective of refine_bowls whose row r is (u - c[r])^2, with its rows tallied."""
+    """Objective of refine_bowls whose row r is (u - c[r])^2 and its slope, rows tallied."""
     seen = set()
 
     def f(r, u):
         seen.update(r.tolist())
-        return (u - c[r].reshape((-1,) + (1,) * (np.ndim(u) - 1))) ** 2
+        return (u - c[r]) ** 2, 2.0 * (u - c[r])
     return f, seen
 
 
 def test_refine_bowls_tie_keeps_grid_node():
-    # A flat objective: the search ends far from u = 0 at the same value.
-    flat = lambda r, u: np.ones(np.shape(u))
+    # A flat objective: its slope is 0 at u = 0, so the search stays there.
+    flat = lambda r, u: (np.ones(np.shape(u)), np.zeros(np.shape(u)))
     j, u, v, refined = refine_bowls(None, np.array([[2.0, 1.0, 2.0]]), U3, flat)
     assert (j[0], u[0], v[0], refined.size) == (1, 0.0, 1.0, 0)
 
 
 def test_refine_bowls_refines_a_tied_grid_minimum():
     # L ties at u = 0 and u = 1 and the optimum 0.5 lies between them: the
-    # first argmin's bracket [-1, 1] holds it, and the batched search finds
-    # what a scalar golden_section on that bracket finds.
+    # first argmin's bracket [-1, 1] holds it, and the slope search finds
+    # it at least as well as a scalar golden_section on that bracket.
     f, _ = _bowls(np.array([0.5]))
     U = np.array([[-1.0, 0.0, 1.0, 2.0]])
     j, u, v, refined = refine_bowls(None, (U - 0.5) ** 2, U, f)
-    u_ref, v_ref = golden_section(lambda x: (x - 0.5) ** 2, -1.0, 1.0)
+    _, v_golden = golden_section(lambda x: (x - 0.5) ** 2, -1.0, 1.0)
     assert (j[0], refined.tolist()) == (1, [0])
-    assert (u[0], v[0]) == (u_ref, v_ref)
-    assert abs(u_ref - 0.5) <= 1e-9
+    assert abs(u[0] - 0.5) <= 1e-9 and v[0] <= v_golden
 
 
 def test_refine_bowls_rows_limit_the_search():
@@ -372,9 +370,54 @@ def test_refine_bowls_non_finite_entries_never_win():
 
 
 def test_refine_bowls_non_finite_search_value_raises():
-    nan = lambda r, u: np.full(np.shape(u), np.nan)
+    nan = lambda r, u: (np.full(np.shape(u), np.nan),) * 2
     with pytest.raises(SolverError, match="non-finite objective in row 0"):
         refine_bowls(None, np.array([[2.0, 1.0, 2.0]]), U3, nan)
+
+
+def test_refine_bowls_non_finite_search_slope_raises():
+    nan_slope = lambda r, u: (np.ones(np.shape(u)), np.full(np.shape(u), np.nan))
+    with pytest.raises(SolverError, match=r"non-finite objective slope in row 0, u=0.0"):
+        refine_bowls(None, np.array([[2.0, 1.0, 2.0]]), U3, nan_slope)
+
+
+def test_refine_bowls_ends_by_bisection_on_a_kink():
+    # |u - c| + (u - c)^2: L' jumps from below -1 to above 1 at c, so the
+    # secant steps leave the sign bracket and it is bisected onto c.  The
+    # search must not raise, and no value rises above its grid node's.
+    c = np.array([0.3, -0.2, 0.05, 0.0])
+    calls = [0]
+
+    def kink(r, u):
+        calls[0] += 1
+        d = u - c[r]
+        return np.abs(d) + d * d, np.sign(d) + 2.0 * d
+
+    U = np.repeat(U3, c.size, axis=0)
+    L = np.abs(U - c[:, None]) + (U - c[:, None]) ** 2
+    j, u, v, refined = refine_bowls(None, L, U, kink)
+    assert np.all(v <= L[np.arange(c.size), j])
+    # It stops once a step is under tol = 1e-9: at most 2 tol from the kink.
+    np.testing.assert_allclose(u, c, rtol=0.0, atol=2e-9)
+    assert refined.tolist() == [0, 1, 2] and calls[0] >= 25  # bisection, not secant steps
+
+
+def test_solve_refines_across_the_mean_variance_scale_kink():
+    # MV's scale max(|u|, 1e-6) sd has a kink at u = 0, and with gamma near 0
+    # the grid argmin of some nodes is u = 0: their searches on [-0.1, 0.1]
+    # start on the kink, whose u-slopes come from a stencil across it.  No
+    # search may raise, and no value may rise above its node's grid minimum.
+    model = mv_model(MeanVarianceParams(T=3, gamma=1e-9), n_x=41, n_u=21, u_lo=-1.0, u_hi=1.0)
+    dk = discretize(model.kernel, model.grids, model.constraints)
+    solution = solve(model, dk)
+    for t in range(model.T - 1):
+        aux = build_aux(model, dk, solution.policy if t < model.T - 2 else None, t)
+        L = objective_grid(model, dk, aux, t)
+        assert np.any(dk.controls[t][0, L.argmin(axis=1)] == 0.0)
+        assert np.all(solution.values[t] <= L.min(axis=1))
+        np.testing.assert_array_equal(
+            solution.values[t],
+            objective_nodes(model, dk, aux, t, np.arange(L.shape[0]), solution.policy.controls[t]))
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, 0.0])
@@ -400,18 +443,20 @@ def test_refine_bowls_non_finite_bracket_end_raises():
 
 
 def test_step_minimiser_is_not_forked():
-    # The grid argmin and the golden search of a step live in refine_bowls
-    # only, so the Bellman step and the baselines' DP cannot drift apart.
+    # The grid argmin and the slope search of a step live in refine_bowls
+    # only, so the Bellman step and the baselines' DP cannot drift apart;
+    # golden_section is no step's search.
     import ast
     import markeq.evaluate
     import markeq.solver
-    step = {"argmin", "golden_section"}
+    step = {"argmin", "slope_search"}
     for module in (markeq.solver, markeq.evaluate):
         with open(module.__file__) as fh:
             tree = ast.parse(fh.read())
         for top in tree.body:
             called = {getattr(n.func, "attr", getattr(n.func, "id", None))
                       for n in ast.walk(top) if isinstance(n, ast.Call)}
+            assert "golden_section" not in called, (module.__name__, getattr(top, "name", None))
             if getattr(top, "name", None) == "refine_bowls":
                 assert called >= step
             else:
@@ -498,6 +543,35 @@ def test_objective_grid_equals_objective_nodes_bit_for_bit(lq_small):
                               L[::7, 3])
         assert np.array_equal(objective_nodes(model, dk, aux, t, nodes[5:9], U[5:9, 10:17]),
                               L[5:9, 10:17])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: mv_model(MeanVarianceParams(T=4), n_x=61, n_u=21),
+    lambda: nonlinear_lq_variant(LQParams(T=4), n_x=61, n_u=41)],
+    ids=["mean_variance", "nonlinear_lq"])
+def test_refinement_objective_slope_matches_differences(build):
+    # The objective refine_bowls searches gives L as objective_nodes does,
+    # bit for bit, and L' = c_u + rows_u . (btot_i + G'(E[h]) h) within
+    # 1e-7 of 5-point differences of objective_nodes at h = 1e-4, whose
+    # own error (h against 2h) is under 1e-9 here.
+    from markeq.solver import _objective_slope
+    model = build()
+    dk = discretize(model.kernel, model.grids, model.constraints)
+    solution = solve(model, dk)
+    rng = np.random.default_rng(2)
+    for t in range(model.T - 1):
+        aux = build_aux(model, dk, solution.policy if t < model.T - 2 else None, t)
+        nodes = np.arange(model.grids[t].size)
+        lo, hi = dk.controls[t][0, [0, -1]]
+        u = rng.uniform(lo + 0.05 * (hi - lo), hi - 1e-3, nodes.size)
+        L, slope = _objective_slope(model, dk, aux, t, nodes, u)
+        F = lambda v: objective_nodes(model, dk, aux, t, nodes, v)
+        assert np.array_equal(L, F(u))
+        fd, fd2 = ((F(u - 2 * h) - 8 * F(u - h) + 8 * F(u + h) - F(u + 2 * h)) / (12 * h)
+                   for h in (1e-4, 2e-4))
+        scale = 1.0 + np.abs(fd)
+        assert np.max(np.abs(fd2 - fd) / scale) < 1e-9
+        assert np.max(np.abs(slope - fd) / scale) < 1e-7
 
 
 def test_objective_pure_control_cost():
