@@ -303,7 +303,7 @@ def _dp_linear(model: Model, dk: DiscretizedKernel, t0: int, nodes: np.ndarray,
             p, i = np.divmod(r, n)
             cost = lambda w: model.costs.running(k, t0, ys[p], xk[i], w)
             return (cost(u) + np.einsum("km,km->k", dk.node_rows(k, i, u), V[p]),
-                    derivative(cost, u) + dk.node_slopes(k, i, u, V[p]))
+                    derivative(cost, u, *U[i][:, [0, -1]].T) + dk.node_slopes(k, i, u, V[p]))
         _, uk, vk, _ = refine_bowls(model.kernel, Lk.reshape(P * n, M),
                                     np.broadcast_to(U, (P, n, M)).reshape(P * n, M), f,
                                     rows=None if k > t0 else np.arange(P) * n + nodes,

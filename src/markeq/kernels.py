@@ -89,6 +89,7 @@ class AdditiveNoise:
     violating it are rejected at discretization time.  A zero floor admits
     degenerate (point-mass) kernels: those are usable only with the
     exact-expectation and continuity-probe paths, never for solving.
+    Refinement differentiates them in u (``derivative``): make them smooth there.
     """
 
     drift: Callable
@@ -220,8 +221,9 @@ class DiscretizedKernel:
     def node_slopes(self, t: int, nodes, U, g) -> np.ndarray:
         """d/du of ``node_rows(t, nodes, U) @ g``, shape U.shape; g broadcasts to the rows.
 
-        Drift and scale slopes from ``derivative`` move the tent block or the
-        quadrature landings; blended rows are linear between control nodes.
+        Drift and scale slopes from ``derivative`` within each node's control
+        interval move the tent block or the quadrature landings; blended rows
+        are linear between control nodes.
         """
         nodes, shape, grid = np.asarray(nodes, np.intp).reshape(-1), np.shape(U), self.grids[t + 1]
         U = self._feasible(t, nodes, np.asarray(U, dtype=float).reshape(nodes.size, -1))
@@ -235,9 +237,17 @@ class DiscretizedKernel:
                     / (Uk[k, j] - Uk[k, j - 1])).reshape(shape)
         spec, x, noise = self.spec, self.grids[t][nodes], self.spec.noise
         mu, sc = spec.landing_params(t, x, u)
-        mu_u, sc_u = (derivative(lambda v: f(t, x, v), u) for f in (spec.drift, spec.scale))
-        if self.build_method == "exact":
-            dm, ds = _gaussian_tent_masses(grid, mu + sc * noise.mean, sc * noise.std, g)
+        ends = self.controls[t][nodes][:, [0, -1]].T  # the stencils stay in each interval
+        mu_u, sc_u = (derivative(lambda v: f(t, x, v), u, *ends)
+                      for f in (spec.drift, spec.scale))
+        if self.build_method == "exact":  # d/dmean, d/dstd: sum_k (P_k, phi_k - phi_k+1) dg_k
+            dm, ds = np.empty((2, u.size))
+            for rows, start, z, phi, P, *_ in _tent_blocks(grid, mu + sc * noise.mean,
+                                                           sc * noise.std):
+                dg = np.diff(_sliding(g.reshape(-1), len(z))[rows * grid.size + start].T, axis=0)
+                dg /= _sliding(np.diff(grid), len(z) - 1)[start].T  # the slope of g on cell k
+                dm[rows] = np.einsum("kr,kr->r", P, dg)
+                ds[rows] = np.einsum("kr,kr->r", phi[:-1] - phi[1:], dg)
             return ((mu_u + sc_u * noise.mean) * dm + sc_u * noise.std * ds).reshape(shape)
         wq, omega = noise.quadrature(self.quad_order)
         landing = mu[:, None] + sc[:, None] * wq  # g' is 0 off the grid
@@ -255,11 +265,21 @@ class DiscretizedKernel:
         return self.node_rows(t, np.arange(len(U)), U)
 
 
-def derivative(f, u):
-    """df/du by the 5-point central stencil at step 1e-3 (1 + |u|); f maps (4,) + u.shape."""
-    d = 1e-3 * (1.0 + np.abs(u))
-    y = f(u + d * np.array([-2.0, -1.0, 1.0, 2.0]).reshape((4,) + (1,) * np.ndim(u)))
-    return ((y[0] - y[3]) + 8.0 * (y[2] - y[1])) / (12.0 * d)
+# 4th-order first-derivative weights at offsets -2..2 steps, shifted by -2, 0 or 2 steps.
+_STENCILS = np.array([[3.0, -16.0, 36.0, -48.0, 25.0], [1.0, -8.0, 0.0, 8.0, -1.0],
+                      [-25.0, 48.0, -36.0, 16.0, -3.0]]) / 12.0
+
+
+def derivative(f, u, lo=-np.inf, hi=np.inf):
+    """df/du by a 5-point stencil that calls f only on [lo, hi]; f maps (5,) + u.shape.
+
+    The step is 1e-3 (1 + |u|), at most (hi - lo) / 6, and the stencil is
+    one-sided within two steps of an end; across a kink it blends both sides.
+    """
+    d = np.where(hi > lo, np.minimum(1e-3 * (1.0 + np.abs(u)), (hi - lo) / 6.0), 1e-3)
+    side = np.where(u - 2.0 * d < lo, 2, np.where(u + 2.0 * d > hi, 0, 1))  # forward, backward
+    steps = (np.arange(-2.0, 3.0).reshape((5,) + (1,) * np.ndim(u)) + 2.0 * (side - 1)) * d
+    return np.sum(np.moveaxis(_STENCILS[side], -1, 0) * f(u + steps), axis=0) / d
 
 
 def spread_mass(grid: np.ndarray, points: np.ndarray, masses: np.ndarray) -> np.ndarray:
@@ -286,35 +306,21 @@ def spread_mass(grid: np.ndarray, points: np.ndarray, masses: np.ndarray) -> np.
     return out
 
 
-def _gaussian_tent_masses(grid: np.ndarray, mean: np.ndarray, std: np.ndarray, g=None):
-    """Landing rows of N(mean, std^2) on ``grid``: exact hat-function masses.
+def _tent_blocks(grid: np.ndarray, mean: np.ndarray, std: np.ndarray):
+    """N(mean, std^2) on the nodes within ``TENT_WINDOW`` stds of each mean; mean/std (R,).
 
-    mean/std have shape (R,); returns rows (R, len(grid)) and the clamped
-    tail mass (R,), which goes to the end nodes.  In z-units, z_k = (x_k -
-    mean) / std, cell k holds the mass P_k and sends A_k = (z_{k+1} P_k +
-    phi_{k+1} - phi_k) / (z_{k+1} - z_k) to its left node, P_k - A_k to its
-    right.  One exp per entry gives phi, and the normal tail
-    ``noise.normal_tail`` is phi times a rational in |z|.  Only nodes within
-    ``TENT_WINDOW`` stds of each mean are computed, in blocks of about
-    ``TENT_BLOCK`` entries over rows sorted by window width, which also
-    give the clamped tails at the grid's two ends.  A block is node-major,
-    (width, rows), so each step is a pass over contiguous lines.  It is
-    clipped at 0, normalised by each row's sum taken left to right (line
-    by line, or by ``np.add.accumulate`` down the block when it holds
-    fewer rows than nodes; ``np.add.reduce`` would sum a lone row
-    pairwise) and floored, so rows equal the same arithmetic over the
-    whole grid, bit for bit, and do not depend on the batch.
-    Given per-row ``g`` (R, len(grid)), it returns d/dmean and d/dstd of
-    each row @ g instead, (2, R): sum_k P_k dg_k and sum_k (phi_k -
-    phi_{k+1}) dg_k, dg_k the slope of g on cell k, P_k the mass of cell k.
+    Yields, per block of about ``TENT_BLOCK`` entries over rows sorted by
+    window width, (rows, start, z, phi, P, lo_tail, hi_tail, spare): the
+    first window node, z = (x - mean) / std and phi(z) node-major (width,
+    rows), so each step is a pass over contiguous lines, the cell masses P,
+    the normal mass below the grid and above it, and a spare array shaped
+    like z.  One exp per entry gives phi, and the normal tail
+    ``noise.normal_tail`` is phi times a rational in |z|.
     """
     n = grid.size
     first = np.maximum(np.searchsorted(grid, mean - TENT_WINDOW * std) - 2, 0)
     stop = np.minimum(np.searchsorted(grid, mean + TENT_WINDOW * std) + 2, n)
     order = np.argsort(first - stop, kind="stable")  # widest window first
-    out = np.zeros((mean.size, n)) if g is None else np.empty((2, mean.size))
-    clamp = np.empty(mean.size)
-    flat = out.reshape(-1)
     i0 = 0
     while i0 < order.size:
         width = stop[order[i0]] - first[order[i0]]
@@ -333,7 +339,6 @@ def _gaussian_tent_masses(grid: np.ndarray, mean: np.ndarray, std: np.ndarray, g
         # Phi(z) at the first node and Phi(-z) at the last, each from the smaller tail.
         lo_tail = np.where(zx[width] > 0.0, 1.0 - lo, lo)
         hi_tail = np.where(zx[width + 1] < 0.0, 1.0 - hi, hi)
-        clamp[rows] = lo_tail + hi_tail
         # Cell masses from the smaller tail, so their rounding is relative:
         # block = -Phi(z) below the mean and 1 - Phi(z) from it on.
         np.copysign(block, z, out=block)
@@ -341,13 +346,30 @@ def _gaussian_tent_masses(grid: np.ndarray, mean: np.ndarray, std: np.ndarray, g
         c = np.searchsorted(grid, mean[rows]) - start  # window nodes below the mean
         turn = (c > 0) & (c < width)
         P[c[turn] - 1, turn] += 1.0  # the cell that holds the mean
-        if g is not None:
-            dg = np.diff(_sliding(g.reshape(-1), width)[rows * n + start].T, axis=0)
-            dg /= _sliding(np.diff(grid), width - 1)[start].T
-            out[:, rows] = (np.einsum("kr,kr->r", P, dg),
-                            np.einsum("kr,kr->r", phi[:width - 1] - phi[1:width], dg))
-            continue
-        A = (z[1:] * P + phi[1:width] - phi[:width - 1]) / (z[1:] - z[:-1])
+        yield rows, start, z, phi[:width], P, lo_tail, hi_tail, block
+
+
+def _gaussian_tent_masses(grid: np.ndarray, mean: np.ndarray, std: np.ndarray):
+    """Landing rows of N(mean, std^2) on ``grid``: exact hat-function masses.
+
+    mean/std have shape (R,); returns rows (R, len(grid)) and the clamped
+    tail mass (R,), which goes to the end nodes.  In z-units, z_k = (x_k -
+    mean) / std, cell k holds the mass P_k and sends A_k = (z_{k+1} P_k +
+    phi_{k+1} - phi_k) / (z_{k+1} - z_k) to its left node, P_k - A_k to its
+    right.  Each block of ``_tent_blocks`` is clipped at 0, normalised by each
+    row's sum taken left to right (line by line, or by ``np.add.accumulate``
+    down the block when it holds fewer rows than nodes; ``np.add.reduce``
+    would sum a lone row pairwise) and floored, so rows equal the same
+    arithmetic over the whole grid, bit for bit, and do not depend on the batch.
+    """
+    n = grid.size
+    out = np.zeros((mean.size, n))
+    clamp = np.empty(mean.size)
+    flat = out.reshape(-1)
+    for rows, start, z, phi, P, lo_tail, hi_tail, block in _tent_blocks(grid, mean, std):
+        width = z.shape[0]
+        clamp[rows] = lo_tail + hi_tail
+        A = (z[1:] * P + phi[1:] - phi[:-1]) / (z[1:] - z[:-1])
         P -= A
         block[0], block[-1] = A[0], P[-1]
         np.add(A[1:], P[:-1], out=block[1:-1])
@@ -358,7 +380,8 @@ def _gaussian_tent_masses(grid: np.ndarray, mean: np.ndarray, std: np.ndarray, g
                   if rows.size > width else np.add.accumulate(block, axis=0)[-1])
         # Window k of the flat view is flat[k:k + width]; those written lie in distinct rows.
         _sliding(flat, width)[rows * n + start] = _floor(block).T
-    return (out, clamp) if g is None else out
+        del z, phi, P, A, block  # freed before the next block is built: peak memory
+    return out, clamp
 
 
 def _sliding(a: np.ndarray, width: int) -> np.ndarray:

@@ -72,7 +72,7 @@ class Costs:
     broadcasts against their arguments: ``mixer=lambda s, y, h: 0.0``, or
     a terminal cost that ignores y.  Each is wrapped with ``broadcasting``
     once, so ``costs.running`` and the others return float arrays of the
-    arguments' broadcast shape.
+    arguments' broadcast shape.  Refinement differentiates running in u and mixer in h.
     """
 
     running: Callable
@@ -160,6 +160,12 @@ class AssumptionReport:
     sigma_floor: str
     compact_controls: str
     notes: List[str] = field(default_factory=list)
+
+    @property
+    def all_pass(self) -> bool:
+        return all(v == "pass" for v in
+                   (self.nonnegativity, self.mixer_monotone,
+                    self.sigma_floor, self.compact_controls))
 
 
 def validate_assumptions(model: Model, samples: int = 10_000,

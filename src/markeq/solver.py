@@ -254,7 +254,8 @@ def _objective_slope(model: Model, dk: DiscretizedKernel, aux: AuxiliaryBundle,
     rows = dk.node_rows(t, nodes, u)
     g_h = derivative(lambda h: model.costs.mixer(s, x, h), _row_dot(rows, aux.h_next))
     return (_assemble(model, aux, t, nodes, u[:, None], rows[:, None])[:, 0],
-            derivative(lambda w: model.costs.running(t, s, x, x, w), u)
+            derivative(lambda w: model.costs.running(t, s, x, x, w), u,
+                       *dk.controls[t][nodes][:, [0, -1]].T)
             + dk.node_slopes(t, nodes, u, aux.btot[nodes] + g_h[:, None] * aux.h_next))
 
 

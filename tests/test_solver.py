@@ -322,8 +322,9 @@ def _bowls(c):
 
 
 def test_refine_bowls_tie_keeps_grid_node():
-    # A flat objective: its slope is 0 at u = 0, so the search stays there.
-    flat = lambda r, u: (np.ones(np.shape(u)), np.zeros(np.shape(u)))
+    # A flat value with a slope that leads the search to u = 0.5: it ends
+    # far from u = 0 at the same value, which is not strictly lower.
+    flat = lambda r, u: (np.ones(np.shape(u)), u - 0.5)
     j, u, v, refined = refine_bowls(None, np.array([[2.0, 1.0, 2.0]]), U3, flat)
     assert (j[0], u[0], v[0], refined.size) == (1, 0.0, 1.0, 0)
 
@@ -418,6 +419,53 @@ def test_solve_refines_across_the_mean_variance_scale_kink():
         np.testing.assert_array_equal(
             solution.values[t],
             objective_nodes(model, dk, aux, t, np.arange(L.shape[0]), solution.policy.controls[t]))
+
+
+def test_refinement_slopes_stay_inside_the_control_interval():
+    # Scale 0.3 + max(|u|, 1e-6) kinks at u = 0, the lower end of [0, 4e-3],
+    # and 1e4 (u - 1.2e-3)^2 puts every optimum inside the bracket [0, 2e-3].
+    # A stencil of step 1e-3 centred there would reach across the kink and
+    # take the scale's slope as 1.17, not 1: the controls then missed the
+    # optimum by 4.7e-6 and the values by 2.2e-7.  One-sided stencils keep
+    # the search within 1e-8 of a scalar golden_section at tol 1e-12.
+    kernel = AdditiveNoise(drift=lambda t, x, u: x + u,
+                           scale=lambda t, x, u: 0.3 + np.maximum(np.abs(u), 1e-6),
+                           noise=GaussianNoise(), sigma_floor=0.3)
+    zeros = lambda *a: np.zeros(np.broadcast(*(np.asarray(v) for v in a)).shape)
+    costs = Costs(running=lambda t, s, y, x, u: 1e4 * (u - 1.2e-3) ** 2 + zeros(s, y, x),
+                  terminal=lambda s, y, xT: xT ** 2 + zeros(s, y),
+                  terminal_stat=lambda xT: np.zeros_like(xT),
+                  mixer=lambda s, y, h: zeros(s, y, h))
+    model = Model(T=2, grids=[np.linspace(-1, 1, 21), np.linspace(-4, 4, 161)],
+                  constraints=[ControlConstraint.interval(0.0, 4e-3, 5)],
+                  kernel=kernel, costs=costs)
+    dk = discretize(model.kernel, model.grids, model.constraints)
+    solution = solve(model, dk)
+    aux = build_aux(model, dk, None, 0)
+    assert np.all(objective_grid(model, dk, aux, 0).argmin(axis=1) == 1)
+    for i in range(21):
+        u_ref, v_ref = golden_section(lambda u: objective_L(model, dk, aux, 0, i, u),
+                                      0.0, 2e-3, tol=1e-12)
+        assert abs(solution.policy.controls[0][i] - u_ref) <= 1e-8
+        assert solution.values[0][i] <= v_ref + 1e-12
+
+
+def test_derivative_calls_f_inside_its_interval_only():
+    # MV's scale max(|u|, 1e-6) is linear on [1e-6, 4e-3]: one-sided stencils
+    # near the ends give its slope 1 to rounding, and f never sees a control
+    # outside [0, hi], even where that is narrower than a default step.
+    from markeq.kernels import derivative
+    seen = []
+
+    def scale(v):
+        seen.append(v)
+        return np.maximum(np.abs(v), 1e-6)
+
+    for hi in (4e-3, 1e-4):
+        u = np.array([1e-6, 1e-5, 0.5 * hi, hi - 1e-5, hi])
+        seen.clear()
+        np.testing.assert_allclose(derivative(scale, u, 0.0, hi), 1.0, rtol=1e-9)
+        assert np.min(seen) >= 0.0 and np.max(seen) <= hi
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, 0.0])

@@ -1,8 +1,7 @@
 """Replay the Gaussian tent-mass calls of a pipeline against a baseline copy of markeq.
 
 For each instance this records every ``kernels._gaussian_tent_masses``
-call that ``discretize``, ``solve`` and ``verify_equilibrium`` make to
-build rows (not the calls that pass ``g`` for the rows' slopes), then
+call that ``discretize``, ``solve`` and ``verify_equilibrium`` make, then
 replays the recorded calls through this checkout's function and through
 the same function of a second copy of the package.  That copy is loaded
 from ``--baseline DIR`` (a checkout holding ``src/markeq``, for example
@@ -59,14 +58,13 @@ def load_baseline(root: Path):
 
 
 def record(build):
-    """(grid, mean, std) of every row-building tent-mass call of discretize, solve and verify."""
+    """(grid, mean, std) of every tent-mass call of discretize, solve and verify."""
     calls = []
     real = kernels._gaussian_tent_masses
 
-    def recording(grid, mean, std, g=None):
-        if g is None:
-            calls.append((grid.copy(), mean.copy(), std.copy()))
-        return real(grid, mean, std, g)
+    def recording(grid, mean, std):
+        calls.append((grid.copy(), mean.copy(), std.copy()))
+        return real(grid, mean, std)
 
     kernels._gaussian_tent_masses = recording
     try:
