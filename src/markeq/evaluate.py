@@ -38,12 +38,16 @@ def _plan_objective(model: Model, dk: DiscretizedKernel, t: int, nodes,
     state dependence.  ``controls[k]`` has shape (1, n_k), one policy
     shared by every plan, or (P, n_k), one per plan; a 1-d array is one
     shared row.  ``rows``, column blocks (P, Q_b, n_{t+1}), are the first
-    probes' first-step rows; the rest come from ``dk.node_rows``.  Rows
-    propagate forward, one matmul per step with the tail's ``node_rows``
-    (``steps[k]`` if given), from whichever is fewer: the P * Q first-step
-    rows, or the identity on the n_{t+1} landing nodes once per distinct
-    tail.  Those yield each plan's tail cost v and the mean h of H per
-    landing node; the probe with first-step row d costs c_t + d.v, mean d.h.
+    probes' first-step rows; the rest come from ``dk.node_rows``, as do
+    tail steps not in ``steps``.  When every tail row is shared, (1, n_k),
+    and the n_{t+1} landing nodes are fewer than the P * Q probes, the
+    tail's law d (n_{t+1}, n_k) from each landing node is pushed forward
+    once, from the first tail step, and each step's cost reaches all plans
+    in one GEMM: each plan's tail cost v and mean h of H per landing node.
+    Each first-step row d_1 is then contracted once, on its own, against
+    [v, h]: the probe costs c_t + d_1.v, mean d_1.h, whatever column block
+    holds it.  Otherwise the P * Q first-step rows propagate forward, one
+    matmul per step.
     """
     def at(k):
         if controls[k] is None:
@@ -62,20 +66,31 @@ def _plan_objective(model: Model, dk: DiscretizedKernel, t: int, nodes,
     if q < probes.shape[1]:
         first.append(dk.node_rows(t, nodes, probes[:, q:]))
     tails = [at(k) for k in range(t + 1, model.T - 1)]
-    n1 = model.grids[t + 1].size
-    landing = max((u.shape[0] for u in tails), default=1) * n1 < probes.size
-    d, J = (np.eye(n1)[None], 0.0) if landing else (np.concatenate(first, axis=1), c0)
-    for k, uk in enumerate(tails, start=t + 1):
-        J = J + d @ model.costs.running(k, t, y, model.grids[k], uk)[..., None]
-        step = dk.node_rows(k, np.arange(uk.shape[1]), uk.T) if steps is None else steps[k]
-        d = d @ step.transpose(1, 0, 2)
-    xT = model.grids[-1]
-    J = J + d @ model.costs.terminal(t, y, xT)[..., None]
-    m = d @ model.costs.terminal_stat(xT)
-    if landing:
-        J = c0 + np.concatenate([b @ J for b in first], axis=1)
-        m = np.concatenate([b @ m[..., None] for b in first], axis=1)[..., 0]
-    return J[..., 0] + model.costs.mixer(t, y, m), m
+    xT, n1 = model.grids[-1], model.grids[t + 1].size
+    if n1 < probes.size and all(u.shape[0] == 1 for u in tails):
+        J, d = 0.0, None  # d: the tail's law (n_{t+1}, n_k) from each landing node
+        for k, uk in enumerate(tails, start=t + 1):
+            r = model.costs.running(k, t, y, model.grids[k], uk)
+            step = (dk.node_rows(k, np.arange(uk.shape[1]), uk.T) if steps is None
+                    else steps[k])[:, 0]
+            J, d = (r, step) if d is None else (J + r @ d.T, d @ step)
+        F, H = model.costs.terminal(t, y, xT), model.costs.terminal_stat(xT)
+        if d is not None:
+            F, H = F @ d.T, d @ H
+        Jh = np.empty((nodes.size, n1, 2))
+        Jh[..., 0], Jh[..., 1] = J + F, H
+        # Row by row, so a probe's value does not depend on its column block.
+        Jh = np.concatenate([(b[..., None, :] @ Jh[:, None])[..., 0, :] for b in first], axis=1)
+        J, m = c0[..., 0] + Jh[..., 0], Jh[..., 1]
+    else:
+        d, J = np.concatenate(first, axis=1), c0
+        for k, uk in enumerate(tails, start=t + 1):
+            J = J + d @ model.costs.running(k, t, y, model.grids[k], uk)[..., None]
+            step = dk.node_rows(k, np.arange(uk.shape[1]), uk.T) if steps is None else steps[k]
+            d = d @ step.transpose(1, 0, 2)
+        J = (J + d @ model.costs.terminal(t, y, xT)[..., None])[..., 0]
+        m = d @ model.costs.terminal_stat(xT)
+    return J + model.costs.mixer(t, y, m), m
 
 
 def eval_objective_exact(model: Model, dk: DiscretizedKernel, policy: Policy,

@@ -673,11 +673,13 @@ def save_kernel_cache(dk: DiscretizedKernel, path):
         fh.write(np.ascontiguousarray(dk.grids[-1], dtype="<f8").tobytes())
 
 
-def _read(fh, path, size: int, what: str) -> bytes:
-    data = fh.read(size)
-    if len(data) < size:
+def _read(fh, path, size: int, what: str, into=None):
+    """``size`` bytes of fh, or the array ``into`` of that size filled in place."""
+    data = fh.read(size) if into is None else into
+    got = len(data) if into is None else fh.readinto(memoryview(into).cast("B"))
+    if got < size:
         raise KernelError(f"truncated kernel cache {path}: {what} needs {size} bytes, "
-                          f"found {len(data)}")
+                          f"found {got}")
     return data
 
 
@@ -695,8 +697,7 @@ def load_kernel_cache(path, spec: Optional[KernelSpec] = None) -> DiscretizedKer
     """
 
     def floats(shape, what):
-        data = _read(fh, path, 8 * int(np.prod(shape)), what)
-        arr = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+        arr = _read(fh, path, 8 * int(np.prod(shape)), what, into=np.empty(shape, dtype="<f8"))
         if not np.all(np.isfinite(arr)):
             raise KernelError(f"kernel cache {path}: non-finite {what}")
         return arr

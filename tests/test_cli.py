@@ -168,6 +168,32 @@ def test_verify_corrupted_values_fails_with_location(tmp_path, capsys):
     assert "(t=1, node=9)" in err
 
 
+@pytest.mark.parametrize("doc", [
+    pytest.param({"family": "lq", "state_grid": {"lo": -6, "hi": 6, "nodes": 21},
+                  "control": {"lo": -5, "hi": 5, "nodes": 11}}, id="lq-21x11"),
+    pytest.param({"family": "lq"}, id="lq-default"),
+])
+def test_verify_tol_zero_allows_only_rounding_in_values(tmp_path, capsys, doc):
+    # values.csv holds the solver's backward V and the certificate sums
+    # forward, so the two differ in the last bits: --tol 0 passes on them,
+    # and a V moved by 1e-9 still fails.  On the default LQ the policy's
+    # control is also a grid probe, whose gap must be exactly 0.
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "run"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    verify = ["verify", "--config", cfg, "--solution", str(out), "--tol", "0"]
+    assert main(verify) == 0
+    assert "certified: worst gap 0.000e+00" in capsys.readouterr().out
+    rows = read_rows(out / "values.csv")
+    rows[15]["V"] = repr(float(rows[15]["V"]) + 1e-9)  # t=0, node 15
+    with open(out / "values.csv", "w", newline="") as fh:
+        w = csv.DictWriter(fh, fieldnames=["t", "node", "state", "V"])
+        w.writeheader()
+        w.writerows(rows)
+    assert main(verify) == 4
+    assert "values.csv mismatch" in capsys.readouterr().err
+
+
 def test_verify_nonfinite_deviation_objective_exits_4(tmp_path, capsys, monkeypatch):
     import markeq.cli
     from markeq import Costs, Model

@@ -222,13 +222,14 @@ def test_deviation_csv_matches_row_writer(instance, per_node, request, tmp_path)
     pytest.param("chain_small", None, id="chain_small"),
     pytest.param("lq_small", 7, id="lq_small-7"),
     pytest.param("chain_small", 7, id="chain_small-7"),
+    pytest.param("mv_t5_small", None, id="mv_t5_small"),
 ])
 def test_deviation_probes_match_exact_evaluation(instance, per_node, request):
     # J_dev of probe (t, i, u) is the policy with controls[t][i] set to u.
     # Default probes take their rows from dk.weights[t], K evenly spaced
     # probes from node_rows; eval_objective_exact always uses node_rows.
-    model, dk = request.getfixturevalue(instance)[:2]
-    policy = solve(model, dk).policy
+    # The T=3 instances have 1-step tails, mv_t5_small up to 3 steps.
+    model, dk, policy = _solved(instance, request)
     report = deviation_report(model, dk, policy, probe_controls_per_node=per_node)
     for t in range(model.T - 1):
         n = model.grids[t].size
@@ -257,15 +258,35 @@ def test_deviation_report_values(instance, request):
         np.testing.assert_array_equal(v, w)
 
 
+def _instance(name, request):
+    """(model, dk) of a fixture instance or of a small MV / exp-utility model."""
+    if name in ("lq_small", "chain_small"):
+        return request.getfixturevalue(name)[:2]
+    model = (mv_model(MeanVarianceParams(T=5), n_x=41, n_u=11) if name == "mv_t5_small"
+             else exp_utility_model(ExpUtilityParams(), n_x=31, n_u=21))
+    return model, discretize(model.kernel, model.grids, model.constraints)
+
+
 def _solved(instance, request):
-    """(model, dk, policy) of a fixture instance or of a small MV / exp-utility model."""
-    if instance in ("lq_small", "chain_small"):
-        model, dk = request.getfixturevalue(instance)[:2]
-    else:
-        model = (mv_model(MeanVarianceParams(T=5), n_x=41, n_u=11) if instance == "mv_t5_small"
-                 else exp_utility_model(ExpUtilityParams(), n_x=31, n_u=21))
-        dk = discretize(model.kernel, model.grids, model.constraints)
+    """(model, dk, policy) of ``_instance`` with its solved equilibrium policy."""
+    model, dk = _instance(instance, request)
     return model, dk, solve(model, dk).policy
+
+
+@pytest.mark.parametrize("instance", ["lq_small", "mv_t5_small"])
+def test_deviation_probe_value_independent_of_column_block(instance, request):
+    # A probe's value depends on its first-step row only, not on the column
+    # block holding it: under a policy that plays control node j0 everywhere,
+    # grid probe j0 (rows read from dk.weights) and the policy's own probe
+    # (rows from node_rows, the same bits) give the same J_dev, bit for bit.
+    model, dk = _instance(instance, request)
+    M = dk.controls[0].shape[1]
+    for j0 in (0, 1, M // 3, M // 2, M - 2, M - 1):
+        policy = Policy(controls=[U[:, j0].copy() for U in dk.controls])
+        report = deviation_report(model, dk, policy)
+        for t, (u, J) in enumerate(zip(report.probes, report.J_dev)):
+            np.testing.assert_array_equal(u[:, j0], u[:, -1])
+            np.testing.assert_array_equal(J[:, j0], J[:, -1], err_msg=f"j0={j0}, t={t}")
 
 
 def _corrupted(dk, policy, t, i):

@@ -474,6 +474,26 @@ def test_kernel_cache_reload_rebuilds_rows_like_the_saved_kernel(tmp_path):
         load_kernel_cache(path)
 
 
+def test_kernel_cache_load_holds_each_tensor_once(tmp_path):
+    # Tensors are read in place, so beyond what the loaded kernel keeps, the
+    # load's traced peak is a fraction of the largest weight tensor (reading
+    # into bytes and then copying held each tensor twice: 1.1x here).
+    import tracemalloc
+    model = exp_utility_model()
+    dk = discretize(model.kernel, model.grids, model.constraints)
+    path = tmp_path / "kernel.bin"
+    save_kernel_cache(dk, path)
+    largest = max(W.nbytes for W in dk.weights)
+    del dk
+    tracemalloc.start()
+    try:
+        back = load_kernel_cache(path, spec=model.kernel)  # noqa: F841 (kept while measured)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - kept <= 0.25 * largest
+
+
 def test_kernel_cache_loaded_with_another_spec_raises(tmp_path):
     # Loaded with the default LQ kernel, an exp_utility cache gave rows at
     # its own node controls 0.19 away from its weights.
