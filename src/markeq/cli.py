@@ -70,9 +70,10 @@ def _prepare(args):
     """The config (with --controls applied), its model and discretized kernel."""
     config = load_config(args.config)
     if args.controls is not None:
-        if "lo" not in config.setdefault("control", {}):
-            raise ConfigError("--controls needs a control window in the config")
-        config["control"]["nodes"] = args.controls
+        window = config.get("control")
+        if not (isinstance(window, dict) and "lo" in window):
+            raise ConfigError("--controls needs a control window (lo, hi) in the config")
+        window["nodes"] = args.controls
     model = build_model(config)
     return config, model, discretize(model.kernel, model.grids, model.constraints)
 

@@ -307,13 +307,27 @@ def _check_keys(doc: dict, known, where: str):
 
 
 def _windows(config: dict) -> dict:
+    """Builder keywords from the state_grid and control windows, mappings of lo, hi, nodes.
+
+    A bad window or entry raises ConfigError naming it (e.g. ``control.lo``).
+    """
     out = {}
-    for key, (lo, hi, n) in (("state_grid", ("x_lo", "x_hi", "n_x")),
-                             ("control", ("u_lo", "u_hi", "n_u"))):
+    for key, names in (("state_grid", ("x_lo", "x_hi", "n_x")),
+                       ("control", ("u_lo", "u_hi", "n_u"))):
         win = config.get(key)
-        if win:
-            _check_keys(win, ("lo", "hi", "nodes"), key)
-            out[lo], out[hi], out[n] = float(win["lo"]), float(win["hi"]), int(win["nodes"])
+        if win is not None and not isinstance(win, dict):
+            raise ConfigError(f"{key} must be a mapping of lo, hi and nodes")
+        if not win:
+            continue
+        _check_keys(win, ("lo", "hi", "nodes"), key)
+        for entry, name, cast in zip(("lo", "hi", "nodes"), names, (float, float, int)):
+            if entry not in win:
+                raise ConfigError(f"{key}.{entry} is missing")
+            try:
+                out[name] = cast(win[entry])
+            except (TypeError, ValueError):
+                kind = "an integer" if cast is int else "a number"
+                raise ConfigError(f"{key}.{entry} must be {kind}, got {win[entry]!r}") from None
     return out
 
 

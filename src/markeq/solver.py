@@ -32,103 +32,71 @@ U_TOL = 1e-9  # refinement tolerance: a search ending this close to its grid nod
 NOISE = 64.0 * np.finfo(float).eps  # relative noise floor of objective values
 
 
-def golden_section(f, lo, hi, tol: float = U_TOL):
-    """Minimize f on [lo, hi]; returns (argmin, min).  Deterministic.
+def golden_section(f, lo: float, hi: float, tol: float = U_TOL):
+    """Minimize a scalar f on [lo, hi]; returns (argmin, min) as floats.  Deterministic.
 
     Brent's method (Brent, 1973, *Algorithms for Minimization without
     Derivatives*, ch. 5): a parabola through the three best points so far
     sets each step, and a golden-section step replaces it whenever it
     falls outside the bracket or fails to halve the step before last.
-    Steps are at least ``tol / 4`` long.  A 9-point least-squares parabola
-    over [lo, hi], ends reused from the first call, then polishes the result.
-
-    ``lo`` and ``hi`` are floats, or arrays of shape (k,) holding k
-    independent brackets.  In the batched form f maps an array of
-    controls of shape (k,) or (k, P) to values of the same shape, row r
-    belonging to bracket r; all brackets advance in lockstep.  A bracket
-    is frozen once its width is within ``tol``, or once the values at its
-    two ends and at its best point agree to the noise floor
-    ``NOISE * (|f| + 1)``: it is then flat, and only the polish can
-    locate its minimum.  Frozen brackets and unused polish vertices come
-    to f as NaN rows of u, whose values (and invalid-value warnings) are
-    ignored.  A scalar call takes a scalar f and returns floats.
+    Steps are at least ``tol / 4`` long, and the search stops once the
+    bracket is within ``tol``.  A 9-point least-squares parabola over
+    [lo, hi] then polishes the result.
     """
-    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
-    if scalar:
-        f = np.vectorize(f, otypes=[float])
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    # x is the best point, w the second best and v the previous w; the
-    # bracket ends a and b are always evaluated points, fa and fb their values.
-    a, b = lo, hi
-    x = a + GOLDEN * (b - a)
-    fa, fx, fb = f(np.stack([a, x, b], axis=1)).T
-    f_lo, f_hi = fa, fb
-    w, fw, v, fv = x, fx, x, fx
-    d = e = np.zeros_like(x)
+    a, b = lo, hi = float(lo), float(hi)
+    # x is the best point, w the second best and v the previous w.
+    x = w = v = a + GOLDEN * (b - a)
+    fx = fw = fv = float(f(x))
+    d = e = 0.0
     step = 0.25 * tol
     for _ in range(GOLDEN_MAX_ITER):
-        flat = np.ptp(np.stack([fa, fx, fb]), axis=0) <= NOISE * (np.abs(fx) + 1.0)
-        active = (b - a > tol) & ~flat
-        if not np.any(active):
+        if b - a <= tol:
             break
         mid = 0.5 * (a + b)
         r = (x - w) * (fx - fv)
         q = (x - v) * (fx - fw)
         p = (x - v) * q - (x - w) * r
         q = 2.0 * (q - r)
-        p = np.where(q > 0.0, -p, p)
-        q = np.abs(q)
-        para = ((np.abs(e) > step) & (np.abs(p) < np.abs(0.5 * q * e))
-                & (p > q * (a - x)) & (p < q * (b - x)))
-        dp = p / np.where(para, q, 1.0)
-        # A parabolic point within 2 * step of an end moves step toward the middle.
-        toward_mid = np.where(mid >= x, step, -step)
-        dp = np.where((x + dp - a < 2.0 * step) | (b - x - dp < 2.0 * step), toward_mid, dp)
-        eg = np.where(x >= mid, a - x, b - x)
-        d, e = np.where(para, dp, GOLDEN * eg), np.where(para, d, eg)
-        u = x + np.where(np.abs(d) >= step, d, np.where(d >= 0.0, step, -step))
-        with np.errstate(invalid="ignore"):
-            fu = f(np.where(active, u, np.nan))  # frozen brackets: NaN, not evaluated
-        better = active & (fu <= fx)
-        worse = active & ~better
-        right = u >= x
+        p, q = (-p if q > 0.0 else p), abs(q)
+        if abs(e) > step and abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+            e, d = d, p / q
+            # A parabolic point within 2 * step of an end moves step toward the middle.
+            if x + d - a < 2.0 * step or b - x - d < 2.0 * step:
+                d = step if mid >= x else -step
+        else:
+            e = (a if x >= mid else b) - x
+            d = GOLDEN * e
+        u = x + (d if abs(d) >= step else (step if d >= 0.0 else -step))
+        fu = float(f(u))
         # The bracket shrinks to the side of x (better) or of u (worse) that holds the minimum.
-        a, fa = (np.where(better & right, x, np.where(worse & ~right, u, a)),
-                 np.where(better & right, fx, np.where(worse & ~right, fu, fa)))
-        b, fb = (np.where(better & ~right, x, np.where(worse & right, u, b)),
-                 np.where(better & ~right, fx, np.where(worse & right, fu, fb)))
-        second = worse & ((fu <= fw) | (w == x))
-        third = worse & ~second & ((fu <= fv) | (v == x) | (v == w))
-        v, fv = (np.where(better | second, w, np.where(third, u, v)),
-                 np.where(better | second, fw, np.where(third, fu, fv)))
-        w, fw = (np.where(better, x, np.where(second, u, w)),
-                 np.where(better, fx, np.where(second, fu, fw)))
-        x, fx = np.where(better, u, x), np.where(better, fu, fx)
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (a, u) if u >= x else (u, b)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
     # Parabolic polish: near the minimum the objective differences sit at
-    # the floating-point noise floor, so the steps above alone wander by
-    # ~sqrt(eps/curvature).  A least-squares parabola over the whole
-    # bracket averages that noise out and is exact for quadratic
-    # objectives; its vertex is kept only if it does not raise the value.
-    # The 9 points sit at offsets z * h, z = -4..4, so the fit of
-    # f ~ c0 + c1 z + c2 z^2 has a closed form.
-    xs = np.linspace(lo, hi, 9, axis=-1)
-    fs = np.column_stack([f_lo, f(xs[:, 1:-1]), f_hi])
-    d = fs - fs[:, 4:5]  # drop the common level before summing
+    # the noise floor, so the steps above wander by ~sqrt(eps/curvature).
+    # A least-squares parabola over the bracket averages that noise out and
+    # is exact for quadratics.  Its 9 points sit at offsets z * h, z = -4..4,
+    # so the fit of f ~ c0 + c1 z + c2 z^2 has a closed form.
+    xs = np.linspace(lo, hi, 9)
+    fs = np.array([f(u) for u in xs], dtype=float)
+    dv = fs - fs[4]  # drop the common level before summing
     z = np.arange(-4.0, 5.0)
-    c1 = d @ z / 60.0
-    c2 = (9.0 * (d @ (z * z)) - 60.0 * d.sum(axis=1)) / 2772.0
-    curved = c2 > 0.0
-    xv = xs[:, 4] - 0.5 * (hi - lo) / 8.0 * c1 / np.where(curved, c2, 1.0)
-    xv = np.where(curved, np.clip(xv, lo, hi), np.nan)
-    with np.errstate(invalid="ignore"):
-        fv = f(xv) if curved.any() else xv
-    # The search's value can sit spuriously below the true minimum by the
-    # evaluation noise floor; allow the vertex that much slack, and
-    # always return the value actually evaluated at the returned point.
-    take = curved & (fv <= fx + NOISE * (np.max(np.abs(fs), axis=1) + 1.0))
-    x, fx = np.where(take, xv, x), np.where(take, fv, fx)
-    return (float(x[0]), float(fx[0])) if scalar else (x, fx)
+    c1 = dv @ z / 60.0
+    c2 = (9.0 * (dv @ (z * z)) - 60.0 * dv.sum()) / 2772.0
+    if c2 > 0.0:
+        xv = min(max(float(xs[4] - 0.5 * (hi - lo) / 8.0 * c1 / c2), lo), hi)
+        fv = float(f(xv))
+        # The search's value can sit below the true minimum by the noise
+        # floor: the vertex gets that much slack.  fx is always f(x).
+        if fv <= fx + NOISE * (np.max(np.abs(fs)) + 1.0):
+            x, fx = xv, fv
+    return x, fx
 
 
 def slope_search(f, U3: np.ndarray, L3: np.ndarray, tol: float = U_TOL):

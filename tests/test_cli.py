@@ -96,6 +96,24 @@ def test_solve_chain_config_missing_kernel_key_exits_2(tmp_path, capsys, missing
     assert err.startswith("config error:") and f"kernel.{missing}" in err
 
 
+@pytest.mark.parametrize("command", ["solve", "verify", "compare"])
+@pytest.mark.parametrize("window, controls, field", [
+    ({"control": {"lo": "a", "hi": 5.0, "nodes": 41}}, [], "control.lo"),
+    ({"state_grid": {"lo": -6.0, "hi": 6.0, "nodes": "many"}}, [], "state_grid.nodes"),
+    ({"control": {"lo": -5.0, "nodes": 41}}, [], "control.hi"),
+    ({"control": "lo"}, [], "control must be a mapping"),
+    ({"control": "lo"}, ["--controls", "5"], "control window")],
+    ids=["lo-text", "nodes-text", "hi-missing", "not-mapping", "not-mapping-controls"])
+def test_malformed_window_exits_2_naming_the_field(tmp_path, capsys, command, window,
+                                                    controls, field):
+    # Each command reports a bad grid window as a config error, not a traceback.
+    cfg = write_config(tmp_path, {**LQ_CONFIG, **window})
+    where = "--solution" if command == "verify" else "--out"
+    assert main([command, "--config", cfg, where, str(tmp_path / "o"), *controls]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err, err
+
+
 def test_solve_missing_config_file(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")]) == 2

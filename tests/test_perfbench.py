@@ -83,3 +83,32 @@ def test_traced_verify_counts_probes():
     proc = subprocess.run([sys.executable, "-c", TRACED_VERIFY, str(ROOT / "perfbench")],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+TRACED_CLOSED_FORM = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import spans
+from markeq import MeanVarianceParams, families
+
+params = MeanVarianceParams(T=5)
+plain = families.mv_closed_form(params)
+tracer = spans.Tracer()
+spans.install(tracer)
+traced = families.mv_closed_form(params)
+assert np.array_equal(plain.controls, traced.controls)
+evals = [(attrs or {}).get("evals", 0) for name, _, _, _, attrs in tracer.spans
+         if name == "solver.golden_section"]
+assert len(evals) == params.T - 1 and min(evals) > 0, evals
+"""
+
+
+def test_traced_closed_form_counts_golden_section_evals():
+    # mv_closed_form's cross-check is the benchmark's last golden_section
+    # caller: the wrapper must pass a scalar objective through and count
+    # its evaluations, without changing the controls.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", TRACED_CLOSED_FORM, str(ROOT / "perfbench")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
