@@ -2,9 +2,9 @@
 
 Everything here evaluates objectives by *forward* propagation of state
 distributions (or Monte Carlo simulation of the true noise), independent
-of the solver's backward tabulation; the deviation test pushes each
-landing node's law forward once per decision time.  The time-consistent
-baselines, precommitment and naive, show where dynamic programming fails.
+of the solver's backward tabulation: ``_probe_objective`` for the deviation
+test's shared tail, ``_plan_objective`` for plans that play their own
+controls.  The baselines, precommitment and naive, show where DP fails.
 """
 
 from __future__ import annotations
@@ -27,27 +27,43 @@ M_TOL = 1e-10
 MAX_EXPAND = 60
 
 
-def _plan_objective(model: Model, dk: DiscretizedKernel, t: int, nodes,
-                    controls, probes=None, rows=(), steps=None) -> tuple:
-    """J_t and E[H(x_T)], each (P, Q), of plans from the time-t nodes ``nodes`` (P,).
+def _probe_objective(model: Model, dk: DiscretizedKernel, t: int, nodes, controls,
+                     probes, rows, steps) -> tuple:
+    """J_t and E[H(x_T)], each (P, Q), of one-step deviations from the time-t nodes ``nodes`` (P,).
 
-    Plan p plays ``probes[p, q]`` (shape (P, Q)) at time t and ``controls``
-    afterwards: the one-step deviations of the equilibrium test.  Without
-    ``probes`` it plays its own ``controls[t]``, and Q = 1.  The (s, y)
-    cost arguments stay frozen at (t, x_node) throughout -- the source of
-    state dependence.  ``controls[k]`` has shape (1, n_k), one policy
-    shared by every plan, or (P, n_k), one per plan; a 1-d array is one
-    shared row.  ``rows``, column blocks (P, Q_b, n_{t+1}), are the first
-    probes' first-step rows; the rest come from ``dk.node_rows``, as do
-    tail steps not in ``steps``.  When every tail row is shared, (1, n_k),
-    and the n_{t+1} landing nodes are fewer than the P * Q probes, the
-    tail's law d (n_{t+1}, n_k) from each landing node is pushed forward
-    once, from the first tail step, and each step's cost reaches all plans
-    in one GEMM: each plan's tail cost v and mean h of H per landing node.
-    Each first-step row d_1 is then contracted once, on its own, against
-    [v, h]: the probe costs c_t + d_1.v, mean d_1.h, whatever column block
-    holds it.  Otherwise the P * Q first-step rows propagate forward, one
-    matmul per step.
+    Plan p plays ``probes[p, q]`` (shape (P, Q)) at t, with first-step rows
+    ``rows`` (column blocks (P, Q_b, n_{t+1}) covering the Q probes), then
+    the policy ``controls`` (``controls[k]`` (n_k,)) with landing rows
+    ``steps[k]`` (n_k, 1, n_{k+1}); ``dk`` is not read, as every row comes
+    built.  The (s, y) cost arguments stay frozen at (t, x_node).  The
+    tail's law from each landing node is pushed forward once, each step's
+    cost reaching all plans in one GEMM, for the tail cost v and mean h of H
+    per landing node; each first-step row d_1 is then contracted on its own
+    against [v, h], so a probe's value does not depend on its column block.
+    """
+    nodes = np.asarray(nodes, dtype=np.intp)
+    y = model.grids[t][nodes][:, None]
+    J, d = 0.0, None  # d: the tail's law (n_{t+1}, n_k) from each landing node
+    for k in range(t + 1, model.T - 1):
+        r = model.costs.running(k, t, y, model.grids[k], controls[k])
+        J, d = (r, steps[k][:, 0]) if d is None else (J + r @ d.T, d @ steps[k][:, 0])
+    xT = model.grids[-1]
+    F, H = model.costs.terminal(t, y, xT), model.costs.terminal_stat(xT)
+    if d is not None:
+        F, H = F @ d.T, d @ H
+    Jh = np.empty((nodes.size, model.grids[t + 1].size, 2))
+    Jh[..., 0], Jh[..., 1] = J + F, H
+    Jh = np.concatenate([(b[..., None, :] @ Jh[:, None])[..., 0, :] for b in rows], axis=1)
+    J, m = model.costs.running(t, t, y, y, probes) + Jh[..., 0], Jh[..., 1]
+    return J + model.costs.mixer(t, y, m), m
+
+
+def _plan_objective(model: Model, dk: DiscretizedKernel, t: int, nodes, controls) -> tuple:
+    """J_t and E[H(x_T)], each (P,), of the plans from the time-t nodes ``nodes`` (P,).
+
+    Plan p plays row p of ``controls[k]``, (P, n_k), or its one shared row,
+    (1, n_k) or 1-d, at every k >= t, with (s, y) frozen at (t, x_node).
+    Each plan's own first-step row is pushed forward, one matmul per step.
     """
     def at(k):
         if controls[k] is None:
@@ -56,41 +72,17 @@ def _plan_objective(model: Model, dk: DiscretizedKernel, t: int, nodes,
 
     nodes = np.asarray(nodes, dtype=np.intp)
     y = model.grids[t][nodes][:, None]
-    if probes is None:
-        probes = np.broadcast_to(at(t), (nodes.size, model.grids[t].size))[
-            np.arange(nodes.size), nodes][:, None]
-    probes = np.asarray(probes, dtype=float)
-    c0 = model.costs.running(t, t, y, y, probes)[..., None]
-    first = list(rows)  # first-step rows, (P, Q, n_{t+1}) in column blocks
-    q = sum(b.shape[1] for b in first)
-    if q < probes.shape[1]:
-        first.append(dk.node_rows(t, nodes, probes[:, q:]))
-    tails = [at(k) for k in range(t + 1, model.T - 1)]
-    xT, n1 = model.grids[-1], model.grids[t + 1].size
-    if n1 < probes.size and all(u.shape[0] == 1 for u in tails):
-        J, d = 0.0, None  # d: the tail's law (n_{t+1}, n_k) from each landing node
-        for k, uk in enumerate(tails, start=t + 1):
-            r = model.costs.running(k, t, y, model.grids[k], uk)
-            step = (dk.node_rows(k, np.arange(uk.shape[1]), uk.T) if steps is None
-                    else steps[k])[:, 0]
-            J, d = (r, step) if d is None else (J + r @ d.T, d @ step)
-        F, H = model.costs.terminal(t, y, xT), model.costs.terminal_stat(xT)
-        if d is not None:
-            F, H = F @ d.T, d @ H
-        Jh = np.empty((nodes.size, n1, 2))
-        Jh[..., 0], Jh[..., 1] = J + F, H
-        # Row by row, so a probe's value does not depend on its column block.
-        Jh = np.concatenate([(b[..., None, :] @ Jh[:, None])[..., 0, :] for b in first], axis=1)
-        J, m = c0[..., 0] + Jh[..., 0], Jh[..., 1]
-    else:
-        d, J = np.concatenate(first, axis=1), c0
-        for k, uk in enumerate(tails, start=t + 1):
-            J = J + d @ model.costs.running(k, t, y, model.grids[k], uk)[..., None]
-            step = dk.node_rows(k, np.arange(uk.shape[1]), uk.T) if steps is None else steps[k]
-            d = d @ step.transpose(1, 0, 2)
-        J = (J + d @ model.costs.terminal(t, y, xT)[..., None])[..., 0]
-        m = d @ model.costs.terminal_stat(xT)
-    return J + model.costs.mixer(t, y, m), m
+    u = np.broadcast_to(at(t), (nodes.size, model.grids[t].size))[
+        np.arange(nodes.size), nodes][:, None]
+    J, d = model.costs.running(t, t, y, y, u)[..., None], dk.node_rows(t, nodes, u)
+    for k in range(t + 1, model.T - 1):
+        uk = at(k)
+        J = J + d @ model.costs.running(k, t, y, model.grids[k], uk)[..., None]
+        d = d @ dk.node_rows(k, np.arange(uk.shape[1]), uk.T).transpose(1, 0, 2)
+    xT = model.grids[-1]
+    J = (J + d @ model.costs.terminal(t, y, xT)[..., None])[..., 0]
+    m = d @ model.costs.terminal_stat(xT)
+    return (J + model.costs.mixer(t, y, m))[:, 0], m[:, 0]
 
 
 def eval_objective_exact(model: Model, dk: DiscretizedKernel, policy: Policy,
@@ -100,9 +92,9 @@ def eval_objective_exact(model: Model, dk: DiscretizedKernel, policy: Policy,
     The policy must supply controls for times t..T-2.
     """
     J, _ = _plan_objective(model, dk, t, [i], policy.controls)
-    if not np.isfinite(J[0, 0]):
+    if not np.isfinite(J[0]):
         raise ModelError("objective accumulation is non-finite")
-    return float(J[0, 0])
+    return float(J[0])
 
 
 @dataclass
@@ -219,36 +211,40 @@ def deviation_report(model: Model, dk: DiscretizedKernel, policy: Policy,
                      tol: float = 1e-6) -> DeviationReport:
     """Probe one-step deviations (u, tail) at every (t, node).
 
-    Default probes are the full control grid plus the policy's own control
-    (so refined off-grid controls are always included); the grid's landing
-    rows are read in place from ``dk.weights[t]``, and the policy's own rows are
-    built once per t, for its column and the tails.  ``probe_controls_per_node``
-    replaces the grid by that many evenly spaced controls per node, all
-    rebuilt through ``dk.node_rows``.  All probes at t share the policy's
-    tail, pushed forward once from the landing nodes (``_plan_objective``).
-    ``values`` are the claimed J_t(x; policy) per node; when omitted, the
-    policy's own probe supplies them.  The gap at (t, i, u) is
-    V_t(x_i) - J_t(x_i; (u, tail)); positive gaps mean a profitable
-    deviation, and a non-finite J_dev or V raises ModelError naming
-    (t, node, control).  Certification holds at the probe resolution only.
-    ``tol`` must be a finite number >= 0; otherwise ModelError.
+    Default probes are the full control grid plus the policy's own control (so
+    refined off-grid controls are always included); the grid's landing rows are
+    read in place from ``dk.weights[t]``, and the policy's own rows are built once
+    per t, for its column and the tails.  ``probe_controls_per_node`` replaces the
+    grid by that many evenly spaced controls per node, their rows built through
+    ``dk.node_rows``.  All probes at t share the policy's tail, pushed forward
+    once from the landing nodes (``_probe_objective``).  ``values``, the claimed
+    J_t(x; policy), are one (n_t,) array per t; when omitted, the policy's own
+    probe supplies them.  The gap at (t, i, u) is V_t(x_i) - J_t(x_i; (u, tail));
+    positive gaps mean a profitable deviation.  Bad ``values``, a non-finite J_dev
+    or V (named by (t, node, control)), or a ``tol`` that is not a finite number
+    >= 0 raise ModelError.  Certification holds at the probe resolution only.
     """
     if not (np.isfinite(tol) and tol >= 0.0):
         raise ModelError(f"certification tolerance must be a finite number >= 0, got {tol!r}")
     policy.check_feasible(model)
+    if values is not None and len(values) != model.T - 1:
+        raise ModelError(f"values need one array per time t=0..{model.T - 2}, got {len(values)}")
     per_time, per_arg, used, all_probes, all_J = [], [], [], [], []
     own = [dk.node_rows(t, np.arange(u.size), u[:, None]) for t, u in enumerate(policy.controls)]
     for t in range(model.T - 1):
         nodes = np.arange(model.grids[t].size)
         if probe_controls_per_node is None:
-            grid, first = dk.controls[t], [dk.weights[t], own[t]]
+            grid, first = dk.controls[t], dk.weights[t]
         else:
             lo, hi = model.constraints[t].bounds(model.grids[t])
             frac = np.linspace(0.0, 1.0, probe_controls_per_node)
-            grid, first = lo[:, None] + (hi - lo)[:, None] * frac, ()
+            grid = lo[:, None] + (hi - lo)[:, None] * frac
+            first = dk.node_rows(t, nodes, grid)
         probes = np.concatenate([grid, policy.controls[t][:, None]], axis=1)
-        J, _ = _plan_objective(model, dk, t, nodes, policy.controls, probes, first, own)
+        J, _ = _probe_objective(model, dk, t, nodes, policy.controls, probes, [first, own[t]], own)
         v = J[:, -1].copy() if values is None else np.asarray(values[t], dtype=float)
+        if v.shape != nodes.shape:
+            raise ModelError(f"values at t={t} have shape {v.shape}, expected {nodes.shape}")
         gaps = v[:, None] - J
         bad = np.argwhere(~np.isfinite(gaps))
         if bad.size:
@@ -348,7 +344,7 @@ def _precommit(model: Model, dk: DiscretizedKernel, t0: int, nodes):
         y = ys[idx]
         lam = (model.costs.mixer(t0, y, m + dm) - model.costs.mixer(t0, y, m - dm)) / (2 * dm)
         ctrl = _dp_linear(model, dk, t0, nodes[idx], lam)
-        J, mean = (v[:, 0] for v in _plan_objective(model, dk, t0, nodes[idx], ctrl))
+        J, mean = _plan_objective(model, dk, t0, nodes[idx], ctrl)
         win = J < best_J[idx]  # strict: a tie keeps the earlier candidate
         for bk, ck in zip(best[t0:], ctrl[t0:]):
             bk[idx[win]] = ck[win]
@@ -356,7 +352,7 @@ def _precommit(model: Model, dk: DiscretizedKernel, t0: int, nodes):
         return mean
 
     best = _dp_linear(model, dk, t0, nodes, np.zeros(ys.size))
-    best_J, m0 = (v[:, 0] for v in _plan_objective(model, dk, t0, nodes, best))
+    best_J, m0 = _plan_objective(model, dk, t0, nodes, best)
     act = np.flatnonzero(_mixer_depends_on_h(model, t0, ys))
     if act.size == 0:
         return best, best_J

@@ -101,10 +101,10 @@ class Policy:
                 return t
         raise ModelError("empty policy")
 
-    def check_feasible(self, model: "Model", t_from: int = 0):
+    def check_feasible(self, model: "Model"):
         for t, c in enumerate(self.controls):
             if c is None:
-                if t >= t_from and t >= self.start_time():
+                if t >= self.start_time():
                     raise ModelError(f"policy missing controls at t={t}")
                 continue
             lo, hi = model.constraints[t].bounds(model.grids[t])
@@ -332,12 +332,14 @@ def _windows(config: dict) -> dict:
 
 
 def _chain_from_config(config: dict) -> Model:
-    kernel_doc = config.get("kernel") or {}
-    missing = [k for k in _CHAIN_BLOCKS["kernel"] if k not in kernel_doc]
-    if missing:
-        raise ConfigError(f"discrete_chain config needs kernel.{missing[0]}")
     for key, known in _CHAIN_BLOCKS.items():
+        if not isinstance(config.get(key, {}), dict):
+            raise ConfigError(f"{key} must be a mapping of {', '.join(known)}")
         _check_keys(config.get(key, {}), known, key)
+    kernel_doc = config.get("kernel", {})
+    for key in _CHAIN_BLOCKS["kernel"]:
+        if not isinstance(kernel_doc.get(key), (list, tuple)):
+            raise ConfigError(f"discrete_chain config needs kernel.{key} as a list")
     grids = [np.asarray(g, dtype=float) for g in kernel_doc["state_grids"]]
     if config.get("horizon") not in (None, len(grids)):
         raise ConfigError(f"horizon {config['horizon']} disagrees with {len(grids)} state grids")

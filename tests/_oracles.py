@@ -254,7 +254,7 @@ def bisection_precommit(model, dk, t0, nodes):
         lam = (np.asarray(model.costs.mixer(t0, y, m + dm), dtype=float)
                - np.asarray(model.costs.mixer(t0, y, m - dm), dtype=float)) / (2 * dm)
         ctrl = ev._dp_linear(model, dk, t0, nodes[idx], np.broadcast_to(lam, idx.shape))
-        J, mean = (v[:, 0] for v in ev._plan_objective(model, dk, t0, nodes[idx], ctrl))
+        J, mean = ev._plan_objective(model, dk, t0, nodes[idx], ctrl)
         win = J < best_J[idx]
         for bk, ck in zip(best[t0:], ctrl[t0:]):
             bk[idx[win]] = ck[win]
@@ -262,7 +262,7 @@ def bisection_precommit(model, dk, t0, nodes):
         return mean
 
     best = ev._dp_linear(model, dk, t0, nodes, np.zeros(ys.size))
-    best_J, m0 = (v[:, 0] for v in ev._plan_objective(model, dk, t0, nodes, best))
+    best_J, m0 = ev._plan_objective(model, dk, t0, nodes, best)
     act = np.flatnonzero(ev._mixer_depends_on_h(model, t0, ys))
     if act.size == 0:
         return best, best_J
@@ -296,7 +296,7 @@ def bisection_precommit(model, dk, t0, nodes):
 
 def probe_row_plan_objective(model, dk, t, nodes, controls, probes=None, rows=(),
                              steps=None):
-    """``evaluate._plan_objective`` that always pushes every probe's own row.
+    """``evaluate._probe_objective`` that always pushes every probe's own row.
 
     The first-step rows of all P * Q probes are assembled in one array and
     each is propagated through every later step, one broadcast matmul per

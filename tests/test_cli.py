@@ -97,6 +97,26 @@ def test_solve_chain_config_missing_kernel_key_exits_2(tmp_path, capsys, missing
 
 
 @pytest.mark.parametrize("command", ["solve", "verify", "compare"])
+@pytest.mark.parametrize("block, field", [
+    ({"costs": 5}, "costs must be a mapping"),
+    ({"costs": ["running"]}, "costs must be a mapping"),
+    ({"kernel": "state_grids matrices control_values"}, "kernel must be a mapping"),
+    ({"kernel": {**CHAIN_CONFIG["kernel"], "state_grids": 5}}, "kernel.state_grids"),
+    ({"kernel": {**CHAIN_CONFIG["kernel"], "matrices": 5}}, "kernel.matrices"),
+    ({"kernel": {**CHAIN_CONFIG["kernel"], "control_values": "ab"}}, "kernel.control_values")],
+    ids=["costs-int", "costs-list", "kernel-text", "grids-int", "matrices-int",
+         "controls-text"])
+def test_chain_block_of_wrong_type_exits_2_naming_it(tmp_path, capsys, command, block, field):
+    # A chain block of the wrong type used to end in a traceback (exit 1),
+    # and a kernel given as text passed the missing-key test by substring.
+    cfg = write_config(tmp_path, {**CHAIN_CONFIG, **block})
+    where = "--solution" if command == "verify" else "--out"
+    assert main([command, "--config", cfg, where, str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err, err
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "compare"])
 @pytest.mark.parametrize("window, controls, field", [
     ({"control": {"lo": "a", "hi": 5.0, "nodes": 41}}, [], "control.lo"),
     ({"state_grid": {"lo": -6.0, "hi": 6.0, "nodes": "many"}}, [], "state_grid.nodes"),

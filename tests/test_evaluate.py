@@ -1,5 +1,7 @@
 """Objective evaluation, deviation certification, and baseline policies."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -223,6 +225,8 @@ def test_deviation_csv_matches_row_writer(instance, per_node, request, tmp_path)
     pytest.param("lq_small", 7, id="lq_small-7"),
     pytest.param("chain_small", 7, id="chain_small-7"),
     pytest.param("mv_t5_small", None, id="mv_t5_small"),
+    pytest.param("wide_next_grid", None, id="wide_next_grid"),
+    pytest.param("wide_next_grid", 7, id="wide_next_grid-7"),
 ])
 def test_deviation_probes_match_exact_evaluation(instance, per_node, request):
     # J_dev of probe (t, i, u) is the policy with controls[t][i] set to u.
@@ -244,6 +248,19 @@ def test_deviation_probes_match_exact_evaluation(instance, per_node, request):
                 assert report.J_dev[t][i, p] == pytest.approx(j, abs=1e-12)
 
 
+@pytest.mark.parametrize("values, where", [
+    (lambda v: [np.append(v[0], 0.0), v[1]], "values at t=0 have shape"),
+    (lambda v: v[:1], "one array per time t=0..1, got 1"),
+    (lambda v: [v[0][:, None], v[1]], "values at t=0 have shape")],
+    ids=["long", "one-time", "column"])
+def test_deviation_report_rejects_values_of_the_wrong_shape(lq_small, values, where):
+    # These raised numpy's broadcast error, an IndexError, or broadcast the
+    # gaps to (n, n, P) and failed further on.
+    model, dk, solution = lq_small
+    with pytest.raises(ModelError, match=re.escape(where)):
+        deviation_report(model, dk, solution.policy, values=values(solution.values))
+
+
 @pytest.mark.parametrize("instance", ["lq_small", "chain_small"])
 def test_deviation_report_values(instance, request):
     model, dk = request.getfixturevalue(instance)[:2]
@@ -259,11 +276,17 @@ def test_deviation_report_values(instance, request):
 
 
 def _instance(name, request):
-    """(model, dk) of a fixture instance or of a small MV / exp-utility model."""
+    """(model, dk) of a fixture instance or of a small MV / exp-utility / LQ model."""
     if name in ("lq_small", "chain_small"):
         return request.getfixturevalue(name)[:2]
-    model = (mv_model(MeanVarianceParams(T=5), n_x=41, n_u=11) if name == "mv_t5_small"
-             else exp_utility_model(ExpUtilityParams(), n_x=31, n_u=21))
+    if name == "wide_next_grid":
+        # 3 nodes at t=0 with M=3: 12 probes at t=0, fewer than the 41 landing nodes.
+        base = lq_model(LQParams(T=3), n_x=41, n_u=3)
+        model = Model(T=3, grids=[base.grids[0][::20], *base.grids[1:]],
+                      constraints=base.constraints, kernel=base.kernel, costs=base.costs)
+    else:
+        model = (mv_model(MeanVarianceParams(T=5), n_x=41, n_u=11) if name == "mv_t5_small"
+                 else exp_utility_model(ExpUtilityParams(), n_x=31, n_u=21))
     return model, discretize(model.kernel, model.grids, model.constraints)
 
 
@@ -298,7 +321,8 @@ def _corrupted(dk, policy, t, i):
 
 
 @pytest.mark.parametrize("per_node", [None, 7], ids=["grid", "7"])
-@pytest.mark.parametrize("instance", ["lq_small", "chain_small", "mv_t5_small", "exp_small"])
+@pytest.mark.parametrize("instance", ["lq_small", "chain_small", "mv_t5_small", "exp_small",
+                                      "wide_next_grid"])
 def test_deviation_report_matches_probe_row_propagation(instance, per_node, request,
                                                         monkeypatch):
     # The certificate pushes each landing node's law forward once per t;
@@ -313,7 +337,7 @@ def test_deviation_report_matches_probe_row_propagation(instance, per_node, requ
     for pol in (policy, bad):
         ours = deviation_report(model, dk, pol, probe_controls_per_node=per_node)
         with monkeypatch.context() as mp:
-            mp.setattr(ev, "_plan_objective", probe_row_plan_objective)
+            mp.setattr(ev, "_probe_objective", probe_row_plan_objective)
             ref = deviation_report(model, dk, pol, probe_controls_per_node=per_node)
         scale = 1.0 + max(np.max(np.abs(J)) for J in ref.J_dev)
         for a, b, va, vb in zip(ours.J_dev, ref.J_dev, ours.values, ref.values):
@@ -326,8 +350,8 @@ def test_deviation_report_matches_probe_row_propagation(instance, per_node, requ
 def test_certificate_builds_each_policy_matrix_once(monkeypatch):
     # The own-control column at t is also the tail step at t of every
     # earlier decision time: T - 1 node_rows calls where there were 10.
-    # Sharing them leaves J_dev bit for bit as one _plan_objective call per
-    # t that rebuilds its own column and tail computes it.
+    # Sharing them leaves J_dev bit for bit as one _probe_objective call per
+    # t on freshly rebuilt own-control rows computes it.
     import markeq.evaluate as ev
     from markeq.kernels import DiscretizedKernel
     model = mv_model(MeanVarianceParams(T=5), n_x=41, n_u=11)
@@ -344,11 +368,13 @@ def test_certificate_builds_each_policy_matrix_once(monkeypatch):
         mp.setattr(DiscretizedKernel, "node_rows", counted)
         report = verify_equilibrium(model, dk, solution)
     assert calls[0] == model.T - 1
+    own = [dk.node_rows(t, np.arange(u.size), u[:, None])
+           for t, u in enumerate(solution.policy.controls)]
     for t in range(model.T - 1):
         nodes = np.arange(model.grids[t].size)
         probes = np.concatenate([dk.controls[t], solution.policy.controls[t][:, None]], axis=1)
-        J, _ = ev._plan_objective(model, dk, t, nodes, solution.policy.controls, probes,
-                                  [dk.weights[t]])
+        J, _ = ev._probe_objective(model, dk, t, nodes, solution.policy.controls, probes,
+                                   [dk.weights[t], own[t]], own)
         assert np.array_equal(report.J_dev[t], J)
 
 

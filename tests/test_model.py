@@ -65,7 +65,7 @@ def test_policy_allows_leading_gaps():
     model = lq_model(LQParams(T=3), n_x=21, n_u=11)
     tail = Policy(controls=[None, np.zeros(21)])
     assert tail.start_time() == 1
-    tail.check_feasible(model, t_from=1)
+    tail.check_feasible(model)
 
 
 def test_config_hash_stable_under_key_order():

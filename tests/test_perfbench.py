@@ -1,9 +1,13 @@
-"""The traced benchmark can still wrap every markeq entry point it names."""
+"""The benchmark's workloads pass their gates, and the traced benchmark can still wrap
+every markeq entry point it names."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -112,3 +116,19 @@ def test_traced_closed_form_counts_golden_section_evals():
     proc = subprocess.run([sys.executable, "-c", TRACED_CLOSED_FORM, str(ROOT / "perfbench")],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("workload", ["mv_t5", "cli_mix"])
+def test_workload_gates_pass(workload, tmp_path):
+    # Each benchmark run checks its outputs against the fixed acceptance
+    # bounds; a gate broken by a change to markeq fails here, not only when
+    # the benchmark is run.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    result = tmp_path / "result.json"
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "workload.py"),
+                           "--workload", workload, "--seed", "0", "--trace", "0",
+                           "--work", str(tmp_path / "work"), "--result", str(result)],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    gates = json.loads(result.read_text())["gates"]
+    assert gates and all(gates.values()), gates
