@@ -227,6 +227,8 @@ def deviation_report(model: Model, dk: DiscretizedKernel, policy: Policy,
     if not (np.isfinite(tol) and tol >= 0.0):
         raise ModelError(f"certification tolerance must be a finite number >= 0, got {tol!r}")
     policy.check_feasible(model)
+    if policy.controls[0] is None:  # check_feasible allows leading gaps only
+        raise ModelError("the certificate needs controls at every t; the policy has none at t=0")
     if values is not None and len(values) != model.T - 1:
         raise ModelError(f"values need one array per time t=0..{model.T - 2}, got {len(values)}")
     per_time, per_arg, used, all_probes, all_J = [], [], [], [], []

@@ -45,6 +45,7 @@ TENT_WINDOW = 12.0
 # Entries per block of tent masses: the block's temporaries stay in cache.
 TENT_BLOCK = 60_000
 CHAIN_ROW_TOL = 1e-12
+QUAD_ORDER = 41  # noise quadrature points per landing row of non-Gaussian noise
 # Largest difference between a cached row and the same row rebuilt from the
 # spec passed to ``load_kernel_cache``; a cache from this spec rebuilds exactly.
 CACHE_SPEC_TOL = 1e-12
@@ -125,6 +126,8 @@ class DiscreteChain:
     control_values: Sequence[np.ndarray]
 
     def __post_init__(self):
+        if (n := len(self.matrices)) != (m := len(self.control_values)):
+            raise KernelError(f"chain has {n} matrices but {m} control_values entries")
         for t, P in enumerate(self.matrices):
             P = np.asarray(P, dtype=float)
             if P.ndim != 3:
@@ -148,10 +151,9 @@ KernelSpec = Union[AdditiveNoise, DiscreteChain]
 class DiscretizedKernel:
     """Per-time weight tensors W[t][i, j, m] and control node values U[t][i, j].
 
-    When built from an additive-noise kernel, the kernel and build method
-    are retained so that rows at off-node controls can be re-discretized
-    exactly instead of blended (control blending is only piecewise linear
-    in u, which misplaces interior minima of curved objectives).
+    With an additive-noise ``spec``, off-node rows are built by the rule that
+    built the node rows, not blended (blending is only piecewise linear in
+    u, which misplaces interior minima of curved objectives).
     """
 
     weights: List[np.ndarray]
@@ -159,8 +161,13 @@ class DiscretizedKernel:
     grids: List[np.ndarray]
     clamped: List[np.ndarray] = field(default_factory=list)  # clamp mass per (i, j)
     spec: Optional["KernelSpec"] = None
-    build_method: str = "blend"      # "exact" | "quadrature" | "blend"
-    quad_order: int = 41
+
+    @property
+    def build_method(self) -> str:
+        """The spec's row rule: "blend" without ``AdditiveNoise``, else "exact" or "quadrature"."""
+        if not isinstance(self.spec, AdditiveNoise):
+            return "blend"
+        return "exact" if isinstance(self.spec.noise, GaussianNoise) else "quadrature"
 
     @property
     def horizon(self) -> int:
@@ -214,8 +221,7 @@ class DiscretizedKernel:
         if self.spec is None or isinstance(self.spec, DiscreteChain):
             return self._blend(t, nodes, U).reshape(shape)
         mu, sc = self.spec.landing_params(t, self.grids[t][nodes][:, None], U)
-        W, _ = _landing_rows(self.grids[t + 1], mu, sc, self.spec.noise,
-                             self.build_method == "exact", self.quad_order)
+        W, _ = _landing_rows(self.grids[t + 1], mu, sc, self.spec.noise)
         return W.reshape(shape)
 
     def node_slopes(self, t: int, nodes, U, g) -> np.ndarray:
@@ -240,7 +246,7 @@ class DiscretizedKernel:
         ends = self.controls[t][nodes][:, [0, -1]].T  # the stencils stay in each interval
         mu_u, sc_u = (derivative(lambda v: f(t, x, v), u, *ends)
                       for f in (spec.drift, spec.scale))
-        if self.build_method == "exact":  # d/dmean, d/dstd: sum_k (P_k, phi_k - phi_k+1) dg_k
+        if isinstance(noise, GaussianNoise):  # d/dmean, d/dstd: sum_k (P_k, phi_k - phi_k+1) dg_k
             dm, ds = np.empty((2, u.size))
             for rows, start, z, phi, P, *_ in _tent_blocks(grid, mu + sc * noise.mean,
                                                            sc * noise.std):
@@ -249,7 +255,7 @@ class DiscretizedKernel:
                 dm[rows] = np.einsum("kr,kr->r", P, dg)
                 ds[rows] = np.einsum("kr,kr->r", phi[:-1] - phi[1:], dg)
             return ((mu_u + sc_u * noise.mean) * dm + sc_u * noise.std * ds).reshape(shape)
-        wq, omega = noise.quadrature(self.quad_order)
+        wq, omega = noise.quadrature(QUAD_ORDER)
         landing = mu[:, None] + sc[:, None] * wq  # g' is 0 off the grid
         j = np.clip(np.searchsorted(grid, landing, side="right"), 1, grid.size - 1)
         dg = np.take_along_axis(g, j, -1) - np.take_along_axis(g, j - 1, -1)
@@ -389,21 +395,19 @@ def _sliding(a: np.ndarray, width: int) -> np.ndarray:
     return as_strided(a, (a.size - width + 1, width), a.strides * 2)
 
 
-def _landing_rows(grid: np.ndarray, mu: np.ndarray, sc: np.ndarray, noise: Noise,
-                  exact: bool, quad_order: int):
+def _landing_rows(grid: np.ndarray, mu: np.ndarray, sc: np.ndarray, noise: Noise):
     """Landing rows mu.shape + (len(grid),) for the laws mu + sc * W, and their clamped mass.
 
-    ``mu`` and ``sc`` are float arrays of one shape.  ``exact`` integrates
-    the hat functions against Gaussian noise in closed form; otherwise the
-    noise quadrature's points are spread onto the grid.  Normalised
-    weights below ``WEIGHT_FLOOR`` are set to 0.
+    ``mu`` and ``sc`` are float arrays of one shape.  Gaussian noise gets
+    closed-form hat-function masses; other noise spreads its ``QUAD_ORDER``
+    quadrature points onto the grid.  Weights below ``WEIGHT_FLOOR`` become 0.
     """
     shape = mu.shape
-    if exact:
+    if isinstance(noise, GaussianNoise):
         W, clamp = _gaussian_tent_masses(grid, (mu + sc * noise.mean).reshape(-1),
                                          (sc * noise.std).reshape(-1))
         return W.reshape(shape + grid.shape), clamp.reshape(shape)
-    wq, omega = noise.quadrature(quad_order)
+    wq, omega = noise.quadrature(QUAD_ORDER)
     if not (np.all(np.isfinite(wq)) and np.all(np.isfinite(omega))):
         raise KernelError("non-finite quadrature rule")
     landing = mu[..., None] + sc[..., None] * wq
@@ -421,60 +425,46 @@ def _floor(W: np.ndarray) -> np.ndarray:
     return W
 
 
-def discretize(kernel: KernelSpec, grids: Sequence[np.ndarray], constraints,
-               quad_order: int = 41, method: str = "auto") -> DiscretizedKernel:
+def discretize(kernel: KernelSpec, grids: Sequence[np.ndarray],
+               constraints) -> DiscretizedKernel:
     """Tabulate landing weights for every (time, state node, control node).
 
-    ``method``: "auto" uses closed-form hat-function masses for Gaussian
-    noise (zero quadrature error) and noise quadrature otherwise;
-    "quadrature" forces node spreading from the declared quadrature rule.
-    DiscreteChain matrices pass through with their rows re-verified.
-    Every weight below ``WEIGHT_FLOOR`` is set to 0, chain weights included,
-    so a kernel reloaded from its cache equals the one saved.
+    The kernel alone picks the rule (``build_method``): closed-form
+    hat-function masses for Gaussian noise, the noise's ``QUAD_ORDER``-point
+    quadrature spread onto the nodes otherwise.  DiscreteChain matrices, one
+    per decision time, pass through with their rows re-verified.  Every
+    weight below ``WEIGHT_FLOOR`` is set to 0, chain weights included, so a
+    kernel reloaded from its cache equals the one saved.
     """
     grids = [np.asarray(g, dtype=float) for g in grids]
     T = len(grids)
     if isinstance(kernel, DiscreteChain):
+        if len(kernel.matrices) != T - 1:
+            raise KernelError(f"chain has {len(kernel.matrices)} matrices for {T - 1} times")
         weights, controls, clamped = [], [], []
-        for t in range(T - 1):
-            P = np.asarray(kernel.matrices[t], dtype=float)
+        for t, (P, u) in enumerate(zip(kernel.matrices, kernel.control_values)):
+            P = np.asarray(P, dtype=float)
             if P.shape[0] != grids[t].size or P.shape[2] != grids[t + 1].size:
                 raise KernelError(f"chain matrix shape mismatch at t={t}")
             weights.append(_floor(P.copy()))
-            uvals = np.asarray(kernel.control_values[t], dtype=float)
-            controls.append(np.tile(uvals, (grids[t].size, 1)))
+            controls.append(np.tile(np.asarray(u, dtype=float), (grids[t].size, 1)))
             clamped.append(np.zeros(P.shape[:2]))
         dk = DiscretizedKernel(weights, controls, grids, clamped, spec=kernel)
         dk.check_rows(CHAIN_ROW_TOL)
         return dk
-
-    if quad_order < 2:
-        raise KernelError("quad_order must be >= 2")
-    if method not in ("auto", "quadrature"):
-        raise KernelError(f"unknown discretization method {method!r}")
-    build_method = _auto_method(kernel) if method == "auto" else "quadrature"
 
     weights, controls, clamped = [], [], []
     for t in range(T - 1):
         x = grids[t]
         U = constraints[t].nodes(x)  # (n, M)
         mu, sc = kernel.landing_params(t, x[:, None], U)
-        W, clamp = _landing_rows(grids[t + 1], mu, sc, kernel.noise,
-                                 build_method == "exact", quad_order)
+        W, clamp = _landing_rows(grids[t + 1], mu, sc, kernel.noise)
         weights.append(W)
         controls.append(U)
         clamped.append(clamp)
-    dk = DiscretizedKernel(weights, controls, grids, clamped, spec=kernel,
-                           build_method=build_method, quad_order=quad_order)
+    dk = DiscretizedKernel(weights, controls, grids, clamped, spec=kernel)
     dk.check_rows()
     return dk
-
-
-def _auto_method(kernel: Optional[KernelSpec]) -> str:
-    """Build method of ``discretize(method="auto")``: closed form for Gaussian noise."""
-    if not isinstance(kernel, AdditiveNoise):
-        return "blend"
-    return "exact" if isinstance(kernel.noise, GaussianNoise) else "quadrature"
 
 
 def policy_matrix(dk: DiscretizedKernel, t: int, controls: np.ndarray) -> np.ndarray:
@@ -640,8 +630,8 @@ def setwise_continuity_probe(kernel: AdditiveNoise, t: int, x: float, u: float,
 # Layout (little-endian):
 #   magic b"MKEQDK02"
 #   uint32 T
-#   uint32 build method: 0 blend, 1 exact, 2 quadrature
-#   uint32 quadrature order
+#   uint32 build method: 0 blend, 1 exact, 2 quadrature (``build_method``)
+#   uint32 quadrature order (``QUAD_ORDER``)
 #   per t in 0..T-2:
 #     uint32 n_t, uint32 M_u, uint32 n_next
 #     float64[n_t]                 state grid at t
@@ -658,8 +648,7 @@ _METHODS = ("blend", "exact", "quadrature")
 def save_kernel_cache(dk: DiscretizedKernel, path):
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<III", dk.horizon, _METHODS.index(dk.build_method),
-                             dk.quad_order))
+        fh.write(struct.pack("<III", dk.horizon, _METHODS.index(dk.build_method), QUAD_ORDER))
         for t in range(dk.horizon - 1):
             W = np.ascontiguousarray(dk.weights[t], dtype="<f8")
             U = np.ascontiguousarray(dk.controls[t], dtype="<f8")
@@ -686,9 +675,8 @@ def _read(fh, path, size: int, what: str, into=None):
 def load_kernel_cache(path, spec: Optional[KernelSpec] = None) -> DiscretizedKernel:
     """Load a cached kernel; pass the original spec to restore exact off-node rows.
 
-    Off-node rows are rebuilt with the recorded build method and order, so
-    they match the cached node rows.  Version-1 files record neither and
-    take the method ``discretize(method="auto")`` picks for ``spec``, order 41.
+    Off-node rows are built by the spec's rule, as in ``discretize``; the
+    build fields of a version-2 header are read only to reject unknown codes.
     Weights below ``WEIGHT_FLOOR`` are set to 0, as ``discretize`` does.
     With an ``AdditiveNoise`` spec, the rows of the first and last state
     node at every cached control are rebuilt from it; rows off by more
@@ -709,12 +697,10 @@ def load_kernel_cache(path, spec: Optional[KernelSpec] = None) -> DiscretizedKer
         (T,) = struct.unpack("<I", _read(fh, path, 4, "horizon"))
         if T < 2:
             raise KernelError(f"kernel cache {path} declares horizon {T} < 2")
-        build_method, quad_order = _auto_method(spec), 41
         if magic == _MAGIC:
-            code, quad_order = struct.unpack("<II", _read(fh, path, 8, "build header"))
+            code, _ = struct.unpack("<II", _read(fh, path, 8, "build header"))
             if code >= len(_METHODS):
                 raise KernelError(f"kernel cache {path} names unknown build method {code}")
-            build_method = _METHODS[code]
         weights, controls, grids, clamped = [], [], [], []
         nn = None
         for t in range(T - 1):
@@ -724,8 +710,7 @@ def load_kernel_cache(path, spec: Optional[KernelSpec] = None) -> DiscretizedKer
             weights.append(_floor(floats((n, M, nn), f"weights at t={t}")))
             clamped.append(floats((n, M), f"clamped mass at t={t}"))
         grids.append(floats((nn,), "terminal state grid"))
-    dk = DiscretizedKernel(weights, controls, grids, clamped, spec=spec,
-                           build_method=build_method, quad_order=quad_order)
+    dk = DiscretizedKernel(weights, controls, grids, clamped, spec=spec)
     try:
         dk.check_rows()
     except KernelError as exc:

@@ -337,42 +337,54 @@ def _chain_from_config(config: dict) -> Model:
             raise ConfigError(f"{key} must be a mapping of {', '.join(known)}")
         _check_keys(config.get(key, {}), known, key)
     kernel_doc = config.get("kernel", {})
+    tables = []
     for key in _CHAIN_BLOCKS["kernel"]:
         if not isinstance(kernel_doc.get(key), (list, tuple)):
             raise ConfigError(f"discrete_chain config needs kernel.{key} as a list")
-    grids = [np.asarray(g, dtype=float) for g in kernel_doc["state_grids"]]
-    if config.get("horizon") not in (None, len(grids)):
-        raise ConfigError(f"horizon {config['horizon']} disagrees with {len(grids)} state grids")
-    matrices = [np.asarray(P, dtype=float) for P in kernel_doc["matrices"]]
-    control_values = [np.asarray(u, dtype=float) for u in kernel_doc["control_values"]]
+        tables.append([_numeric(a, f"kernel.{key}[{t}]") for t, a in enumerate(kernel_doc[key])])
+    grids, matrices, control_values = tables
+    if len(grids) < 2 or config.get("horizon") not in (None, len(grids)):
+        raise ConfigError(f"horizon {config.get('horizon') or '>= 2'} disagrees with "
+                          f"{len(grids)} state grids")
     chain = DiscreteChain(matrices=matrices, control_values=control_values)
     constraints = [ControlConstraint.interval(float(u[0]), float(u[-1]), u.size)
                    for u in control_values]
     costs = _tabulated_costs(config.get("costs", {}), grids, control_values)
-    return Model(T=len(grids), grids=grids, constraints=constraints,
-                 kernel=chain, costs=costs)
+    return Model(T=len(grids), grids=grids, constraints=constraints, kernel=chain, costs=costs)
+
+
+def _numeric(value, where: str, shape=None) -> np.ndarray:
+    """``value`` as a float array, of ``shape`` if given; else ConfigError naming ``where``."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} must be a numeric, non-ragged array") from None
+    if shape is not None and arr.shape != shape:
+        raise ConfigError(f"{where} has shape {arr.shape}, expected {shape}")
+    return arr
 
 
 def _tabulated_costs(doc: dict, grids, control_values) -> Costs:
     """Costs interpolated from tables over (state node, control node).
 
-    running tables: one (n_t, M_u) array per decision time; terminal /
-    terminal_stat: arrays over the last grid.  mixer: name from
-    {zero, square, neg_square}.  All tables are (s, y)-independent.
+    running: one (n_t, M_u) table per decision time; terminal, terminal_stat:
+    one entry per node of the last grid (else ConfigError).  mixer: one of
+    zero, square, neg_square.  All tables are (s, y)-independent.
     """
-    T = len(grids)
-    running_tabs = [np.asarray(a, dtype=float) for a in
-                    doc.get("running", [np.zeros((g.size, u.size))
-                                        for g, u in zip(grids[:-1], control_values)])]
-    term_tab = np.asarray(doc.get("terminal", np.zeros(grids[-1].size)), dtype=float)
-    stat_tab = np.asarray(doc.get("terminal_stat", np.zeros(grids[-1].size)), dtype=float)
+    shapes = [(g.size, u.size) for g, u in zip(grids[:-1], control_values)]
+    tables = doc.get("running", [np.zeros(s) for s in shapes])
+    if not isinstance(tables, (list, tuple)) or len(tables) != len(grids) - 1:
+        raise ConfigError(f"costs.running needs {len(grids) - 1} tables, one per decision time")
+    running_tabs = [_numeric(a, f"costs.running[{t}]", s)
+                    for t, (a, s) in enumerate(zip(tables, shapes))]
+    term_tab, stat_tab = (_numeric(doc.get(key, np.zeros(grids[-1].size)), f"costs.{key}",
+                                   grids[-1].shape) for key in ("terminal", "terminal_stat"))
     mixer_name = doc.get("mixer", "zero")
     mixers = {"zero": lambda s, y, h: 0.0,
               "square": lambda s, y, h: np.square(h),
               "neg_square": lambda s, y, h: -np.square(h)}
-    if mixer_name not in mixers:
+    if not isinstance(mixer_name, str) or mixer_name not in mixers:
         raise ConfigError(f"unknown mixer {mixer_name!r}")
-    mixer = mixers[mixer_name]
 
     def running(t, s, y, x, u):
         x_b, u_b = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(u, dtype=float))
@@ -389,7 +401,7 @@ def _tabulated_costs(doc: dict, grids, control_values) -> Costs:
     return Costs(running=running,
                  terminal=lambda s, y, xT: term_tab[_nearest(grids[-1], xT)],
                  terminal_stat=lambda xT: stat_tab[_nearest(grids[-1], xT)],
-                 mixer=mixer, assume_nonneg=nonneg)
+                 mixer=mixers[mixer_name], assume_nonneg=nonneg)
 
 
 def _nearest(grid: np.ndarray, x) -> np.ndarray:

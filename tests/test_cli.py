@@ -116,6 +116,42 @@ def test_chain_block_of_wrong_type_exits_2_naming_it(tmp_path, capsys, command, 
     assert err.startswith("config error:") and field in err, err
 
 
+_K, _C = CHAIN_CONFIG["kernel"], CHAIN_CONFIG["costs"]
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "compare"])
+@pytest.mark.parametrize("block, field", [
+    ({"kernel": {**_K, "control_values": _K["control_values"][:1]}}, "control_values entries"),
+    ({"kernel": {**_K, "matrices": _K["matrices"][:1]}}, "1 matrices"),
+    ({"kernel": {**_K, "state_grids": [[0.0, 1.0], "ab", [0.0, 1.0]]}}, "kernel.state_grids[1]"),
+    ({"kernel": {**_K, "matrices": [_K["matrices"][0], "P"]}}, "kernel.matrices[1]"),
+    ({"kernel": {**_K, "state_grids": [[0.0, 1.0], [0.0, [1.0]], [0.0, 1.0]]}},
+     "kernel.state_grids[1]"),
+    ({"kernel": {"state_grids": [], "matrices": [], "control_values": []}},
+     "horizon >= 2 disagrees with 0 state grids"),
+    ({"costs": {**_C, "running": _C["running"][:1]}}, "costs.running needs 2 tables"),
+    ({"costs": {**_C, "running": [[[0.4], [0.3]], _C["running"][1]]}},
+     "costs.running[0] has shape (2, 1), expected (2, 2)"),
+    ({"costs": {**_C, "running": [_C["running"][0], [["a", 0.5], [0.1, 0.9]]]}},
+     "costs.running[1]"),
+    ({"costs": {**_C, "terminal": [1.0]}}, "costs.terminal has shape (1,)"),
+    ({"costs": {**_C, "terminal": [1.0, 2.0, 3.0]}}, "costs.terminal has shape (3,)"),
+    ({"costs": {**_C, "terminal_stat": 5.0}}, "costs.terminal_stat has shape ()"),
+    ({"costs": {**_C, "mixer": ["zero"]}}, "unknown mixer ['zero']")],
+    ids=["one-control-values", "one-matrix", "grid-text", "matrix-text", "grid-ragged",
+         "no-grids", "one-running", "running-2x1", "running-text", "terminal-short", "terminal-long",
+         "terminal-stat-scalar", "mixer-list"])
+def test_chain_table_of_wrong_length_or_shape_exits_2_naming_it(tmp_path, capsys, command,
+                                                                 block, field):
+    # These ended in an IndexError, ValueError or TypeError traceback (exit 1),
+    # and a terminal table longer than the grid was cut to it without a word.
+    cfg = write_config(tmp_path, {**CHAIN_CONFIG, **block})
+    where = "--solution" if command == "verify" else "--out"
+    assert main([command, "--config", cfg, where, str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err, err
+
+
 @pytest.mark.parametrize("command", ["solve", "verify", "compare"])
 @pytest.mark.parametrize("window, controls, field", [
     ({"control": {"lo": "a", "hi": 5.0, "nodes": 41}}, [], "control.lo"),

@@ -261,6 +261,18 @@ def test_deviation_report_rejects_values_of_the_wrong_shape(lq_small, values, wh
         deviation_report(model, dk, solution.policy, values=values(solution.values))
 
 
+def test_deviation_report_rejects_a_policy_with_leading_gaps():
+    # check_feasible and eval_objective_exact accept a policy that starts at
+    # t=1; the certificate died on it with an AttributeError on None.
+    model = lq_model(LQParams(), n_x=21, n_u=11)
+    dk = discretize(model.kernel, model.grids, model.constraints)
+    tail = Policy(controls=[None, np.zeros(21)])
+    tail.check_feasible(model)
+    assert np.isfinite(eval_objective_exact(model, dk, tail, 1, 10))
+    with pytest.raises(ModelError, match="has none at t=0"):
+        deviation_report(model, dk, tail)
+
+
 @pytest.mark.parametrize("instance", ["lq_small", "chain_small"])
 def test_deviation_report_values(instance, request):
     model, dk = request.getfixturevalue(instance)[:2]

@@ -76,35 +76,23 @@ def test_gaussian_moments_match():
     assert abs(var - 1.0) <= 1e-3
 
 
-def test_quadrature_method_close_to_exact():
-    k = _gauss_kernel()
-    grids = _grids(2, -8, 8, 201)
-    cons = _constraints(2, -1, 1, 9)
-    exact = discretize(k, grids, cons, method="auto")
-    quad = discretize(k, grids, cons, quad_order=81, method="quadrature")
-    v = grids[1] ** 2
-    # compare rows whose landing mass stays far from the grid boundary
-    sl = slice(88, 114)  # |x| <= 1, so |mean| <= 2 with 6 sigma inside
-    assert np.max(np.abs(exact.weights[0][sl] @ v - quad.weights[0][sl] @ v)) < 2e-3
-
-
-def _density_gauss_kernel(sampler=None):
-    """_gauss_kernel() with its standard normal noise given as a generic density."""
-    k = _gauss_kernel()
+def _density_gauss_kernel(k=None):
+    """``k`` (default _gauss_kernel()) with its standard normal noise given as a generic density."""
+    k = k or _gauss_kernel()
     return AdditiveNoise(drift=k.drift, scale=k.scale,
-                         noise=DensityNoise(density=norm.pdf, radius=9.0, cdf_fn=norm.cdf,
-                                            sampler=sampler),
+                         noise=DensityNoise(density=norm.pdf, radius=9.0, cdf_fn=norm.cdf),
                          sigma_floor=k.sigma_floor)
 
 
 def test_density_noise_discretizes_close_to_exact():
     grids = _grids(2, -8, 8, 201)
     cons = _constraints(2, -1, 1, 9)
-    exact = discretize(_gauss_kernel(), grids, cons, method="auto")
-    dens = discretize(_density_gauss_kernel(), grids, cons, method="auto")
+    exact = discretize(_gauss_kernel(), grids, cons)
+    dens = discretize(_density_gauss_kernel(), grids, cons)
     assert dens.build_method == "quadrature"
     v = grids[1] ** 2
-    sl = slice(88, 114)  # as in test_quadrature_method_close_to_exact
+    # compare rows whose landing mass stays far from the grid boundary
+    sl = slice(88, 114)  # |x| <= 1, so |mean| <= 2 with 6 sigma inside
     assert np.max(np.abs(exact.weights[0][sl] @ v - dens.weights[0][sl] @ v)) < 2e-3
 
 
@@ -138,11 +126,12 @@ def _tiny(W):
     return np.count_nonzero((W > 0) & (W < WEIGHT_FLOOR))
 
 
-@pytest.mark.parametrize("method", ["auto", "quadrature"])
-def test_no_weight_below_floor(method):
+@pytest.mark.parametrize("density", [False, True], ids=["auto", "quadrature"])
+def test_no_weight_below_floor(density):
     # sigma 0.3 on [-8, 8]: most tent masses of a row are far beyond 11 sigma
     k = _gauss_kernel(a=1.0, b=1.0, sigma=0.3)
-    dk = discretize(k, _grids(2, -8, 8, 161), _constraints(2, -2, 2, 9), method=method)
+    k = _density_gauss_kernel(k) if density else k
+    dk = discretize(k, _grids(2, -8, 8, 161), _constraints(2, -2, 2, 9))
     assert _tiny(dk.weights[0]) == 0
     assert np.count_nonzero(dk.weights[0] == 0) > dk.weights[0].size // 2
     rows = dk.node_rows(0, np.arange(161), np.full((161, 3), [-1.3, 0.01, 1.77]))
@@ -153,7 +142,7 @@ def test_no_weight_below_floor(method):
 def _tent_rows(grid, mean, std):
     """Windowed tent masses, asserted equal bit for bit to the dense form."""
     mean, std = np.broadcast_arrays(np.asarray(mean, dtype=float), std)
-    W, clamp = _landing_rows(grid, mean, std, GaussianNoise(), True, 41)
+    W, clamp = _landing_rows(grid, mean, std, GaussianNoise())
     Wd, cd = dense_landing_rows(grid, mean.reshape(-1), std.reshape(-1))
     assert np.array_equal(W.reshape(Wd.shape), Wd)
     assert np.array_equal(clamp.reshape(cd.shape), cd)
@@ -204,7 +193,7 @@ def test_tent_masses_mixed_widths_across_blocks_equal_dense(rng):
     widths = np.count_nonzero(W, axis=1)
     assert widths.min() <= 4 and widths.max() == grid.size
     for m, s, w in zip(mean.ravel(), std.ravel(), W):
-        alone, _ = _landing_rows(grid, np.array([m]), np.array([s]), GaussianNoise(), True, 41)
+        alone, _ = _landing_rows(grid, np.array([m]), np.array([s]), GaussianNoise())
         assert np.array_equal(alone[0], w)
 
 
@@ -222,18 +211,12 @@ def test_tent_masses_accuracy_against_mpmath():
         for std in 0.1 * np.array([1e-3, 0.3, 3.0, 30.0, 600.0]):
             for mean in (0.37, 1.98, grid[0] - 3.0 * std, grid[-1] + 3.0 * std):
                 exact = exact_tent_masses(grid, mean, std)
-                W, _ = _landing_rows(grid, np.array(mean), np.array(std), GaussianNoise(), True, 41)
+                W, _ = _landing_rows(grid, np.array(mean), np.array(std), GaussianNoise())
                 errors.append((np.max(np.abs(W - exact)),
                                np.max(np.abs(moment_landing_rows(grid, mean, std) - exact))))
     ours, moment = np.array(errors).T
     assert ours.max() <= 1e-11
     assert ours.max() <= moment.max()
-
-
-def test_discretize_rejects_bad_quad_order():
-    k = _gauss_kernel()
-    with pytest.raises(KernelError):
-        discretize(k, _grids(2, -6, 6, 21), _constraints(2, -1, 1, 3), quad_order=1)
 
 
 # ---------------------------------------------------------------------------
@@ -248,16 +231,25 @@ def test_policy_matrix_at_node_equals_weights():
     np.testing.assert_allclose(Q, dk.weights[0][:, 2], atol=1e-13)
 
 
-@pytest.mark.parametrize("kind", ["exact", "quadrature", "chain_small"])
+@pytest.mark.parametrize("kind", [
+    "exact", "quadrature", "chain_small", "lq", "nonlinear_lq", "mean_variance", "exp_utility"])
 def test_node_rows_at_node_controls_reproduce_weights(kind, request):
     # deviation_report reads the grid probes' rows from dk.weights[t]
     # in place of node_rows, which is sound only if the two agree bit for bit.
+    families = {"lq": lambda: lq_model(LQParams(), n_x=31, n_u=11),
+                "nonlinear_lq": lambda: nonlinear_lq_variant(LQParams(), n_x=31, n_u=11),
+                "mean_variance": lambda: mv_model(MeanVarianceParams(T=4), n_x=41, n_u=11),
+                "exp_utility": lambda: exp_utility_model(n_x=31, n_u=11)}
     if kind == "chain_small":
         dk = request.getfixturevalue(kind)[1]
+    elif kind in families:
+        model = families[kind]()
+        dk = discretize(model.kernel, model.grids, model.constraints)
+        assert dk.build_method == "exact"
     else:
-        dk = discretize(_gauss_kernel(a=0.9, b=1.3, sigma=0.4), _grids(3, -8, 8, 81),
-                        _constraints(3, -2, 2, 9), quad_order=21,
-                        method="auto" if kind == "exact" else "quadrature")
+        k = _gauss_kernel(a=0.9, b=1.3, sigma=0.4)
+        dk = discretize(k if kind == "exact" else _density_gauss_kernel(k),
+                        _grids(3, -8, 8, 81), _constraints(3, -2, 2, 9))
         assert dk.build_method == kind
     for t, W in enumerate(dk.weights):
         n = dk.grids[t].size
@@ -457,17 +449,17 @@ def test_kernel_cache_reload_rebuilds_rows_like_the_saved_kernel(tmp_path):
     u = dk.controls[0][60, 50]
     back = load_kernel_cache(path, spec=model.kernel)
     np.testing.assert_allclose(back.row(0, 60, u), dk.weights[0][60, 50], rtol=0, atol=1e-12)
-    # version 1 (no build fields) takes the method discretize(method="auto") picks
+    # version 1 (no build fields) builds rows by the spec's rule too
     data = path.read_bytes()
     path.write_bytes(b"MKEQDK01" + data[8:12] + data[20:])
     v1 = load_kernel_cache(path, spec=model.kernel)
-    assert (v1.build_method, v1.quad_order) == ("exact", 41)
+    assert v1.build_method == "exact"
     np.testing.assert_allclose(v1.row(0, 60, u), dk.weights[0][60, 50], rtol=0, atol=1e-12)
-    quad = discretize(_gauss_kernel(), _grids(2, -6, 6, 31), _constraints(2, -2, 2, 7),
-                      quad_order=81, method="quadrature")
+    dens = _density_gauss_kernel()
+    quad = discretize(dens, _grids(2, -6, 6, 31), _constraints(2, -2, 2, 7))
     save_kernel_cache(quad, path)
-    back = load_kernel_cache(path, spec=_gauss_kernel())
-    assert (back.build_method, back.quad_order) == ("quadrature", 81)
+    back = load_kernel_cache(path, spec=dens)
+    assert back.build_method == "quadrature"
     data = path.read_bytes()
     path.write_bytes(data[:12] + struct.pack("<I", 7) + data[16:])
     with pytest.raises(KernelError, match="unknown build method 7"):
@@ -518,6 +510,15 @@ def test_chain_weight_below_floor_is_zeroed_and_survives_cache(tmp_path):
     save_kernel_cache(dk, path)
     back = load_kernel_cache(path, spec=chain)
     assert np.array_equal(back.weights[0], dk.weights[0])
+
+
+def test_chain_of_the_wrong_length_raises_kernel_error():
+    P = np.full((2, 2, 2), 0.5)
+    with pytest.raises(KernelError, match="chain has 2 matrices but 1 control_values entries"):
+        DiscreteChain(matrices=[P, P], control_values=[np.array([-1.0, 1.0])])
+    one = DiscreteChain(matrices=[P], control_values=[np.array([-1.0, 1.0])])
+    with pytest.raises(KernelError, match="chain has 1 matrices for 2 times"):
+        discretize(one, [np.array([0.0, 1.0])] * 3, None)
 
 
 def test_kernel_cache_rejects_nan_weight(tmp_path):
