@@ -89,8 +89,10 @@ def eval_objective_exact(model: Model, dk: DiscretizedKernel, policy: Policy,
                          t: int, i: int) -> float:
     """J_t(x_i; policy) by forward propagation of the node distribution.
 
-    The policy must supply controls for times t..T-2.
+    The policy must hold one entry per decision time and supply controls
+    for times t..T-2.
     """
+    policy.check_length(model)
     J, _ = _plan_objective(model, dk, t, [i], policy.controls)
     if not np.isfinite(J[0]):
         raise ModelError("objective accumulation is non-finite")
@@ -181,12 +183,26 @@ class DeviationReport:
         return [u.shape[1] for u in self.probes]
 
     def to_csv(self, path):
-        """One row per (t, node, probe), every float written as %.17g."""
-        write_csv(path, ["t", "node_index", "state", "control", "J_dev", "V", "gap"],
-                  "%d,%d" + ",%.17g" * 5,
-                  ((t, np.arange(y.size)[:, None], y[:, None], u, J, v[:, None], v[:, None] - J)
-                   for t, (y, u, J, v) in enumerate(zip(self.states, self.probes,
-                                                        self.J_dev, self.values))))
+        """The certificate, one row per (t, node): the node's worst probe and its gap.
+
+        The worst probe has the largest V - J_dev, the first one on ties;
+        ``probes`` is the node's probe count P_t.  Floats are written as %.17g.
+        """
+        def rows(t, y, u, J, v):
+            r = np.arange(y.size)
+            k = np.argmax(v[:, None] - J, axis=1)
+            return t, r, y, v, u[r, k], J[r, k], v - J[r, k], u.shape[1]
+
+        write_csv(path, ["t", "node_index", "state", "V", "control", "J_dev", "gap", "probes"],
+                  "%d,%d" + ",%.17g" * 5 + ",%d",
+                  (rows(t, *arrays) for t, arrays in enumerate(zip(
+                      self.states, self.probes, self.J_dev, self.values))))
+
+    def probes_to_csv(self, path):
+        """Every probe, one row per (t, node, probe): its control and J_dev as %.17g."""
+        write_csv(path, ["t", "node_index", "control", "J_dev"], "%d,%d,%.17g,%.17g",
+                  ((t, np.arange(u.shape[0])[:, None], u, J)
+                   for t, (u, J) in enumerate(zip(self.probes, self.J_dev))))
 
 
 def write_csv(path, header, fmt, blocks):

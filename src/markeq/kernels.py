@@ -646,20 +646,17 @@ _METHODS = ("blend", "exact", "quadrature")
 
 
 def save_kernel_cache(dk: DiscretizedKernel, path):
+    def floats(X):  # the array's own buffer when it is already contiguous <f8
+        fh.write(memoryview(np.ascontiguousarray(X, dtype="<f8")))
+
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<III", dk.horizon, _METHODS.index(dk.build_method), QUAD_ORDER))
         for t in range(dk.horizon - 1):
-            W = np.ascontiguousarray(dk.weights[t], dtype="<f8")
-            U = np.ascontiguousarray(dk.controls[t], dtype="<f8")
-            C = np.ascontiguousarray(dk.clamped[t], dtype="<f8")
-            n, M, nn = W.shape
-            fh.write(struct.pack("<III", n, M, nn))
-            fh.write(np.ascontiguousarray(dk.grids[t], dtype="<f8").tobytes())
-            fh.write(U.tobytes())
-            fh.write(W.tobytes())
-            fh.write(C.tobytes())
-        fh.write(np.ascontiguousarray(dk.grids[-1], dtype="<f8").tobytes())
+            fh.write(struct.pack("<III", *dk.weights[t].shape))
+            for X in (dk.grids[t], dk.controls[t], dk.weights[t], dk.clamped[t]):
+                floats(X)
+        floats(dk.grids[-1])
 
 
 def _read(fh, path, size: int, what: str, into=None):

@@ -101,7 +101,14 @@ class Policy:
                 return t
         raise ModelError("empty policy")
 
+    def check_length(self, model: "Model"):
+        """ModelError unless there is one control entry per decision time."""
+        if len(self.controls) != model.T - 1:
+            raise ModelError(f"policy controls cover {len(self.controls)} times; the model "
+                             f"has {model.T - 1} decision times, t=0..{model.T - 2}")
+
     def check_feasible(self, model: "Model"):
+        self.check_length(model)
         for t, c in enumerate(self.controls):
             if c is None:
                 if t >= self.start_time():

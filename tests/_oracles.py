@@ -218,18 +218,37 @@ def flow_product_aux(model, dk, policy, t, eval_time=None):
     return btot, h_next
 
 
-def deviation_csv_bytes(report):
-    """``DeviationReport.to_csv``'s file, written one row at a time by ``csv.writer``."""
+def deviation_summary_bytes(report):
+    """``DeviationReport.to_csv``'s file, written one row at a time by ``csv.writer``.
+
+    Each (t, node) row carries the probe with the largest gap, the first of
+    equal gaps, found by a plain loop over the node's probes.
+    """
     buf = io.StringIO(newline="")
     w = csv.writer(buf)
-    w.writerow(["t", "node_index", "state", "control", "J_dev", "V", "gap"])
+    w.writerow(["t", "node_index", "state", "V", "control", "J_dev", "gap", "probes"])
     for t, (ys, U, J, v) in enumerate(zip(report.states, report.probes, report.J_dev,
                                           report.values)):
         for i in range(J.shape[0]):
+            p = 0
+            for q in range(1, J.shape[1]):
+                if v[i] - J[i, q] > v[i] - J[i, p]:
+                    p = q
+            gap = v[i] - J[i, p]
+            w.writerow([t, i] + [f"{float(c):.17g}" for c in (ys[i], v[i], U[i, p], J[i, p], gap)]
+                       + [J.shape[1]])
+    return buf.getvalue().encode()
+
+
+def probe_table_bytes(report):
+    """``DeviationReport.probes_to_csv``'s file, written one row at a time by ``csv.writer``."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(["t", "node_index", "control", "J_dev"])
+    for t, (U, J) in enumerate(zip(report.probes, report.J_dev)):
+        for i in range(J.shape[0]):
             for p in range(J.shape[1]):
-                gap = v[i] - J[i, p]
-                w.writerow([t, i] + [f"{float(c):.17g}"
-                                     for c in (ys[i], U[i, p], J[i, p], v[i], gap)])
+                w.writerow([t, i, f"{float(U[i, p]):.17g}", f"{float(J[i, p]):.17g}"])
     return buf.getvalue().encode()
 
 

@@ -1,5 +1,6 @@
 """Objective evaluation, deviation certification, and baseline policies."""
 
+import io
 import re
 
 import numpy as np
@@ -13,7 +14,7 @@ from markeq import (Costs, ExpUtilityParams, LQParams, MeanVarianceParams, Model
                     solve_precommitment, verify_equilibrium)
 
 from _oracles import (bisection_precommit, brute_force_equilibrium, chain_config,
-                      deviation_csv_bytes, probe_row_plan_objective)
+                      deviation_summary_bytes, probe_row_plan_objective, probe_table_bytes)
 
 
 # ---------------------------------------------------------------------------
@@ -193,17 +194,46 @@ def test_deviation_report_csv_roundtrip(lq_small, tmp_path):
     path = tmp_path / "deviation.csv"
     report.to_csv(path)
     with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert rows and set(rows[0]) == {"t", "node_index", "state", "control",
-                                     "J_dev", "V", "gap"}
-    assert len(rows) == sum(J.size for J in report.J_dev)
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert reader.fieldnames == ["t", "node_index", "state", "V", "control", "J_dev", "gap",
+                                 "probes"]
+    assert [(int(r["t"]), int(r["node_index"])) for r in rows] == [
+        (t, i) for t in range(model.T - 1) for i in range(model.grids[t].size)]
+    assert all(int(r["probes"]) == report.probe_resolution[int(r["t"])] for r in rows)
     worst = max(float(r["gap"]) for r in rows)
-    assert worst == pytest.approx(report.worst_gap, abs=1e-15)
-    r = rows[-1]  # last probe of the last node at the last decision time
-    t, i = model.T - 2, model.grids[model.T - 2].size - 1
-    assert (int(r["t"]), int(r["node_index"])) == (t, i)
-    assert float(r["control"]) == report.probes[t][i, -1]
-    assert float(r["J_dev"]) == report.J_dev[t][i, -1]
+    assert worst == report.worst_gap
+    for t, (i, u) in enumerate(report.per_time_argmax):
+        r = next(r for r in rows if (int(r["t"]), int(r["node_index"])) == (t, i))
+        assert float(r["gap"]) == report.per_time_gap[t]
+        assert float(r["control"]) == u
+
+
+def test_deviation_summary_rebuilds_from_probe_table(lq_small, tmp_path):
+    # Every probe's J_dev from deviation_probes.csv, with each node's state
+    # and V, gives back deviation.csv: the worst probe is the first largest gap.
+    import csv
+    model, dk, solution = lq_small
+    step = float(np.diff(dk.controls[0][0]).max())
+    bad = [c.copy() for c in solution.policy.controls]
+    bad[0][7] += 2.0 * step  # so that some gaps are far from the rounding level
+    report = deviation_report(model, dk, Policy(controls=bad))
+    report.to_csv(tmp_path / "deviation.csv")
+    report.probes_to_csv(tmp_path / "deviation_probes.csv")
+    probes = {}
+    with open(tmp_path / "deviation_probes.csv", newline="") as fh:
+        for r in csv.DictReader(fh):
+            probes.setdefault((int(r["t"]), int(r["node_index"])), []).append(
+                (float(r["control"]), float(r["J_dev"])))
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(["t", "node_index", "state", "V", "control", "J_dev", "gap", "probes"])
+    for (t, i), probed in probes.items():
+        v = report.values[t][i]
+        u, j = max(probed, key=lambda uj: v - uj[1])  # max keeps the first of ties
+        w.writerow([t, i] + [f"{float(c):.17g}" for c in (report.states[t][i], v, u, j, v - j)]
+                   + [len(probed)])
+    assert (tmp_path / "deviation.csv").read_bytes() == buf.getvalue().encode()
 
 
 @pytest.mark.parametrize("instance, per_node", [
@@ -216,7 +246,9 @@ def test_deviation_csv_matches_row_writer(instance, per_node, request, tmp_path)
     report = deviation_report(model, dk, solve(model, dk).policy,
                               probe_controls_per_node=per_node)
     report.to_csv(tmp_path / "deviation.csv")
-    assert (tmp_path / "deviation.csv").read_bytes() == deviation_csv_bytes(report)
+    report.probes_to_csv(tmp_path / "deviation_probes.csv")
+    assert (tmp_path / "deviation.csv").read_bytes() == deviation_summary_bytes(report)
+    assert (tmp_path / "deviation_probes.csv").read_bytes() == probe_table_bytes(report)
 
 
 @pytest.mark.parametrize("instance, per_node", [

@@ -61,6 +61,19 @@ def test_policy_feasibility_check():
         wrong_shape.check_feasible(model)
 
 
+def test_policy_of_the_wrong_length_is_rejected():
+    from markeq import deviation_report, eval_objective_exact
+    model = lq_model(LQParams(T=3), n_x=21, n_u=11)
+    dk = discretize(model.kernel, model.grids, model.constraints)
+    for n in (1, 3):
+        policy = Policy(controls=[np.zeros(21)] * n)
+        for check in (lambda: policy.check_feasible(model),
+                      lambda: deviation_report(model, dk, policy),
+                      lambda: eval_objective_exact(model, dk, policy, 0, 10)):
+            with pytest.raises(ModelError, match=f"cover {n} times; the model has 2"):
+                check()
+
+
 def test_policy_allows_leading_gaps():
     model = lq_model(LQParams(T=3), n_x=21, n_u=11)
     tail = Policy(controls=[None, np.zeros(21)])
