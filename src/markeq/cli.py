@@ -4,10 +4,9 @@ Each command loads and discretizes its config (a failure exits 2, "config
 error"), runs (3, "solver failure"; verify exits 4, "certification
 failed"), and writes CSVs through one writer, ``evaluate.write_csv``, plus
 a JSON run manifest.  ``verify`` writes the certificate, ``deviation.csv``,
-one row per (t, node) with the node's worst probe; ``--probe-table`` also
-writes every probe to ``deviation_probes.csv``.  Re-running a command with
-an identical config reproduces byte-identical CSV bodies regardless of
---workers (reductions are always in node order).  --workers and --seed
+one row per (t, node) with the node's worst probe.  Re-running a command
+with an identical config reproduces byte-identical CSV bodies regardless
+of --workers (reductions are always in node order).  --workers and --seed
 are only recorded in the manifest: no thread cap is applied, and nothing
 in solve, verify or compare is random.
 """
@@ -176,15 +175,8 @@ def cmd_verify(args) -> int:
     with _phase(4, "certification failed", ModelError):  # a non-finite deviation objective
         report = ev.deviation_report(model, dk, policy, tol=args.tol)
     timings = {"verify": time.perf_counter() - t0}
-    artifacts = [out / "deviation.csv"]
-    report.to_csv(artifacts[0])
-    probe_table = out / "deviation_probes.csv"
-    if args.probe_table:
-        report.probes_to_csv(probe_table)
-        artifacts.append(probe_table)
-    else:  # a table left by an earlier run would not match this certificate
-        probe_table.unlink(missing_ok=True)
-    _manifest(out, config, args, timings, artifacts, deviation_format=2)
+    report.to_csv(out / "deviation.csv")
+    _manifest(out, config, args, timings, [out / "deviation.csv"], deviation_format=2)
     if not report.certified:
         t, i, u = report.argmax
         raise _Exit(4, f"certification failed: worst gap {report.worst_gap:.3e} at "
@@ -280,9 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="certification tolerance on the deviation gap and on values.csv "
                         f"(which also allows {NOISE:.1e} (1 + |V|) of rounding)")
     p.add_argument("--solution", required=True, help="directory holding policy.csv")
-    p.add_argument("--probe-table", action="store_true", dest="probe_table",
-                   help="also write every probe's control and J_dev to deviation_probes.csv "
-                        "(deviation.csv holds only each node's worst probe)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("compare", help="equilibrium vs precommitment vs naive")

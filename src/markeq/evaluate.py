@@ -163,7 +163,8 @@ class DeviationReport:
 
     Per time t: ``states`` (n_t,), the probe controls ``probes`` and the
     deviation objectives ``J_dev``, both (n_t, P_t), and ``values`` (n_t,);
-    the gap at (t, i, p) is values[t][i] - J_dev[t][i, p].
+    the gap at (t, i, p) is values[t][i] - J_dev[t][i, p].  ``worst_probe``
+    (n_t,) holds each node's largest-gap probe index, the first on ties.
     """
 
     worst_gap: float
@@ -176,6 +177,7 @@ class DeviationReport:
     states: List[np.ndarray]
     probes: List[np.ndarray]
     J_dev: List[np.ndarray]
+    worst_probe: List[np.ndarray]
 
     @property
     def probe_resolution(self) -> List[int]:
@@ -185,18 +187,17 @@ class DeviationReport:
     def to_csv(self, path):
         """The certificate, one row per (t, node): the node's worst probe and its gap.
 
-        The worst probe has the largest V - J_dev, the first one on ties;
-        ``probes`` is the node's probe count P_t.  Floats are written as %.17g.
+        The worst probe is ``worst_probe``; ``probes`` is the node's probe
+        count P_t.  Floats are written as %.17g.
         """
-        def rows(t, y, u, J, v):
+        def rows(t, y, u, J, v, k):
             r = np.arange(y.size)
-            k = np.argmax(v[:, None] - J, axis=1)
             return t, r, y, v, u[r, k], J[r, k], v - J[r, k], u.shape[1]
 
         write_csv(path, ["t", "node_index", "state", "V", "control", "J_dev", "gap", "probes"],
                   "%d,%d" + ",%.17g" * 5 + ",%d",
                   (rows(t, *arrays) for t, arrays in enumerate(zip(
-                      self.states, self.probes, self.J_dev, self.values))))
+                      self.states, self.probes, self.J_dev, self.values, self.worst_probe))))
 
     def probes_to_csv(self, path):
         """Every probe, one row per (t, node, probe): its control and J_dev as %.17g."""
@@ -247,7 +248,7 @@ def deviation_report(model: Model, dk: DiscretizedKernel, policy: Policy,
         raise ModelError("the certificate needs controls at every t; the policy has none at t=0")
     if values is not None and len(values) != model.T - 1:
         raise ModelError(f"values need one array per time t=0..{model.T - 2}, got {len(values)}")
-    per_time, per_arg, used, all_probes, all_J = [], [], [], [], []
+    per_time, per_arg, used, all_probes, all_J, worst = [], [], [], [], [], []
     own = [dk.node_rows(t, np.arange(u.size), u[:, None]) for t, u in enumerate(policy.controls)]
     for t in range(model.T - 1):
         nodes = np.arange(model.grids[t].size)
@@ -269,17 +270,20 @@ def deviation_report(model: Model, dk: DiscretizedKernel, policy: Policy,
             i, p = bad[0]
             raise ModelError(f"non-finite deviation objective at (t={t}, node={i}, "
                              f"control={probes[i, p]:.17g}): J_dev {J[i, p]}, V {v[i]}")
-        i, p = np.unravel_index(np.argmax(gaps), gaps.shape)
-        per_time.append(float(gaps[i, p]))
-        per_arg.append((int(i), float(probes[i, p])))
+        k = gaps.argmax(axis=1)  # each node's worst probe, the first on ties
+        i = int(np.argmax(gaps[nodes, k]))
+        per_time.append(float(gaps[i, k[i]]))
+        per_arg.append((i, float(probes[i, k[i]])))
         used.append(v)
         all_probes.append(probes)
         all_J.append(J)
+        worst.append(k)
     t = int(np.argmax(per_time))  # the first t on ties
     return DeviationReport(worst_gap=per_time[t], argmax=(t, *per_arg[t]),
                            per_time_gap=per_time, per_time_argmax=per_arg, tol=tol,
                            certified=per_time[t] <= tol, values=used,
-                           states=model.grids[:model.T - 1], probes=all_probes, J_dev=all_J)
+                           states=model.grids[:model.T - 1], probes=all_probes, J_dev=all_J,
+                           worst_probe=worst)
 
 
 def verify_equilibrium(model: Model, dk: DiscretizedKernel,

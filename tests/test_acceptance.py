@@ -277,11 +277,10 @@ def test_criterion_8_determinism(tmp_path):
                      "--workers", workers])
         assert code == 0
         code = main(["verify", "--config", str(cfg), "--solution", str(out),
-                     "--workers", workers, "--probe-table"])
+                     "--workers", workers])
         assert code == 0
         outs.append(out)
     same = all((outs[0] / n).read_bytes() == (outs[1] / n).read_bytes()
-               for n in ("policy.csv", "values.csv", "diagnostics.csv", "deviation.csv",
-                         "deviation_probes.csv"))
+               for n in ("policy.csv", "values.csv", "diagnostics.csv", "deviation.csv"))
     _report(8, "byte-identical reruns across --workers", same)
     assert same

@@ -210,23 +210,18 @@ def test_verify_certifies_solved_run(tmp_path, capsys):
     assert (out / "deviation.csv").exists()
 
 
-def test_verify_probe_table_on_request(tmp_path, capsys):
+def test_verify_writes_one_row_per_node(tmp_path, capsys):
     cfg = write_config(tmp_path, CHAIN_CONFIG)
     out = tmp_path / "run"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
-    assert main(["verify", "--config", cfg, "--solution", str(out), "--probe-table"]) == 0
-    table = out / "deviation_probes.csv"
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["deviation_format"] == 2
-    assert manifest["artifacts"] == sorted([str(out / "deviation.csv"), str(table)])
-    assert len(read_rows(out / "deviation.csv")) == 4  # one per (t, node)
-    assert len(read_rows(table)) == 4 * 3  # two grid controls and the policy's own
-    # Without the flag only the certificate is written, and no older table is left.
     assert main(["verify", "--config", cfg, "--solution", str(out)]) == 0
-    assert not table.exists()
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["artifacts"] == [str(out / "deviation.csv")]
     assert manifest["deviation_format"] == 2
+    assert manifest["artifacts"] == [str(out / "deviation.csv")]
+    rows = read_rows(out / "deviation.csv")
+    assert [(r["t"], r["node_index"]) for r in rows] == [
+        ("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")]
+    assert {r["probes"] for r in rows} == {"3"}  # two grid controls and the policy's own
 
 
 def test_verify_corrupted_policy_fails_with_location(tmp_path, capsys):
