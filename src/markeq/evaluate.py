@@ -32,14 +32,15 @@ def _probe_objective(model: Model, dk: DiscretizedKernel, t: int, nodes, control
     """J_t and E[H(x_T)], each (P, Q), of one-step deviations from the time-t nodes ``nodes`` (P,).
 
     Plan p plays ``probes[p, q]`` (shape (P, Q)) at t, with first-step rows
-    ``rows`` (column blocks (P, Q_b, n_{t+1}) covering the Q probes), then
-    the policy ``controls`` (``controls[k]`` (n_k,)) with landing rows
-    ``steps[k]`` (n_k, 1, n_{k+1}); ``dk`` is not read, as every row comes
-    built.  The (s, y) cost arguments stay frozen at (t, x_node).  The
-    tail's law from each landing node is pushed forward once, each step's
-    cost reaching all plans in one GEMM, for the tail cost v and mean h of H
-    per landing node; each first-step row d_1 is then contracted on its own
-    against [v, h], so a probe's value does not depend on its column block.
+    ``rows`` (column blocks (P, Q_b, n_{t+1}) covering the Q probes: dense,
+    or ``dk.grid_rows(t)``), then the policy ``controls`` (``controls[k]``
+    (n_k,)) with landing rows ``steps[k]`` (n_k, 1, n_{k+1}).  The (s, y)
+    cost arguments stay frozen at (t, x_node).  The tail's law from each
+    landing node is pushed forward once, each step's cost reaching all plans
+    in one GEMM, for the tail cost v and mean h of H per landing node; each
+    block is then contracted against [v, h] by ``dk.expect``, whose value
+    for a row depends on that row alone, so a probe's value does not depend
+    on its column block.
     """
     nodes = np.asarray(nodes, dtype=np.intp)
     y = model.grids[t][nodes][:, None]
@@ -51,10 +52,10 @@ def _probe_objective(model: Model, dk: DiscretizedKernel, t: int, nodes, control
     F, H = model.costs.terminal(t, y, xT), model.costs.terminal_stat(xT)
     if d is not None:
         F, H = F @ d.T, d @ H
-    Jh = np.empty((nodes.size, model.grids[t + 1].size, 2))
-    Jh[..., 0], Jh[..., 1] = J + F, H
-    Jh = np.concatenate([(b[..., None, :] @ Jh[:, None])[..., 0, :] for b in rows], axis=1)
-    J, m = model.costs.running(t, t, y, y, probes) + Jh[..., 0], Jh[..., 1]
+    Jh = np.empty((2, nodes.size, model.grids[t + 1].size))
+    Jh[0], Jh[1] = J + F, H
+    J, m = np.concatenate([dk.expect(t, Jh, b) for b in rows], axis=-1)
+    J = model.costs.running(t, t, y, y, probes) + J
     return J + model.costs.mixer(t, y, m), m
 
 
@@ -230,8 +231,8 @@ def deviation_report(model: Model, dk: DiscretizedKernel, policy: Policy,
 
     Default probes are the full control grid plus the policy's own control (so
     refined off-grid controls are always included); the grid's landing rows are
-    read in place from ``dk.weights[t]``, and the policy's own rows are built once
-    per t, for its column and the tails.  ``probe_controls_per_node`` replaces the
+    the kernel's stored bands (``dk.grid_rows(t)``), and the policy's own rows are
+    built once per t, for its column and the tails.  ``probe_controls_per_node`` replaces the
     grid by that many evenly spaced controls per node, their rows built through
     ``dk.node_rows``.  All probes at t share the policy's tail, pushed forward
     once from the landing nodes (``_probe_objective``).  ``values``, the claimed
@@ -253,7 +254,7 @@ def deviation_report(model: Model, dk: DiscretizedKernel, policy: Policy,
     for t in range(model.T - 1):
         nodes = np.arange(model.grids[t].size)
         if probe_controls_per_node is None:
-            grid, first = dk.controls[t], dk.weights[t]
+            grid, first = dk.controls[t], dk.grid_rows(t)
         else:
             lo, hi = model.constraints[t].bounds(model.grids[t])
             frac = np.linspace(0.0, 1.0, probe_controls_per_node)
@@ -327,10 +328,9 @@ def _dp_linear(model: Model, dk: DiscretizedKernel, t0: int, nodes: np.ndarray,
     controls: List[Optional[np.ndarray]] = [None] * (model.T - 1)
     P = ys.size
     for k in range(model.T - 2, t0 - 1, -1):
-        xk, U, W = model.grids[k], dk.controls[k], dk.weights[k]
-        n, M, nn = W.shape
-        c = model.costs.running(k, t0, ys[:, None, None], xk[:, None], U)
-        Lk = c + (W.reshape(n * M, nn) @ V.T).T.reshape(P, n, M)
+        xk, U = model.grids[k], dk.controls[k]
+        n, M = U.shape
+        Lk = model.costs.running(k, t0, ys[:, None, None], xk[:, None], U) + dk.expect(k, V)
 
         def f(r, u):  # row r = p * n + i: plan p at node i; (value, slope) at u (k,)
             p, i = np.divmod(r, n)

@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import functools
 import operator
+import os
 import struct
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Union
+from collections.abc import Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -44,6 +46,10 @@ WEIGHT_FLOOR = 1e-30
 TENT_WINDOW = 12.0
 # Entries per block of tent masses: the block's temporaries stay in cache.
 TENT_BLOCK = 60_000
+# Band widths are multiples of this (see DiscretizedKernel), unless a band spans its row.
+BAND_ALIGN = 16
+# Entries per chunk of rows: band gathers, cache reads and writes stay this small.
+BAND_CHUNK = 1 << 16
 CHAIN_ROW_TOL = 1e-12
 QUAD_ORDER = 41  # noise quadrature points per landing row of non-Gaussian noise
 # Largest difference between a cached row and the same row rebuilt from the
@@ -147,20 +153,44 @@ class DiscreteChain:
 KernelSpec = Union[AdditiveNoise, DiscreteChain]
 
 
-@dataclass
 class DiscretizedKernel:
-    """Per-time weight tensors W[t][i, j, m] and control node values U[t][i, j].
+    """Landing rows W[t][i, j] on the time-(t+1) grid, and control nodes U[t][i, j].
+
+    Slice t holds one row per (state node i, control node j), stored as a
+    band: the row's values from its first nonzero on, over its nonzero
+    width rounded up to a multiple of ``BAND_ALIGN`` (at most the whole
+    row; a band that would run past the row's end starts early enough to
+    end there).  Bands of one width share one contiguous array.  The rule
+    reads a row's values alone, so a row built twice is banded alike, and
+    ``expect``, the contraction for every hot path, sums it in the same
+    order wherever it came from.  ``weights`` builds dense slices on
+    access, for inspection and tests.
 
     With an additive-noise ``spec``, off-node rows are built by the rule that
     built the node rows, not blended (blending is only piecewise linear in
-    u, which misplaces interior minima of curved objectives).
+    u, which misplaces interior minima of curved objectives).  ``weights``
+    may be given dense, one (n_t, M, n_{t+1}) array per t, and are banded
+    as they are, without the weight floor.
     """
 
-    weights: List[np.ndarray]
-    controls: List[np.ndarray]
-    grids: List[np.ndarray]
-    clamped: List[np.ndarray] = field(default_factory=list)  # clamp mass per (i, j)
-    spec: Optional["KernelSpec"] = None
+    def __init__(self, weights, controls, grids, clamped=(), spec: Optional[KernelSpec] = None):
+        self._bands = [W if isinstance(W, _Bands) else _dense_bands(np.asarray(W, dtype=float))
+                       for W in weights]
+        self.controls = list(controls)
+        self.grids = list(grids)
+        self.clamped = list(clamped)  # clamp mass per (i, j)
+        self.spec = spec
+
+    @property
+    def weights(self) -> Sequence[np.ndarray]:
+        """Read-only sequence of the dense slices W[t], each built when read and not kept."""
+        return _Slices(self._bands)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the kernel stores: bands with their row indices and starts, grids, controls, clamp."""
+        return sum(B.nbytes for B in self._bands) + sum(
+            a.nbytes for a in (*self.controls, *self.grids, *self.clamped))
 
     @property
     def build_method(self) -> str:
@@ -171,13 +201,41 @@ class DiscretizedKernel:
 
     @property
     def horizon(self) -> int:
-        return len(self.weights) + 1
+        return len(self._bands) + 1
+
+    def grid_rows(self, t: int):
+        """The stored rows of slice t, (n_t, M, n_{t+1}), as ``expect`` takes them.
+
+        An array-like: ``np.asarray`` builds the dense slice.
+        """
+        return self._bands[t]
+
+    def expect(self, t: int, v, rows=None) -> np.ndarray:
+        """Landing rows at t dotted with vectors ``v`` on the time-(t+1) grid.
+
+        ``rows`` are the stored ones (``grid_rows(t)``) when None, or dense
+        rows (k, ..., n_{t+1}) such as ``node_rows`` builds.  With ``v``
+        (c, k, n_{t+1}), c vectors per node, node r's rows meet v[:, r]:
+        each band meets its window of them in one einsum, so a row's value
+        depends on that row alone, bit for bit, wherever it is stored and
+        whatever batch holds it.  With ``v`` (c, n_{t+1}), shared by every
+        row, the rows meet it in one GEMM, on a transient dense slice for
+        the stored rows: the fast form for many columns.  Returns (c,) +
+        the rows' leading shape.
+        """
+        rows = self._bands[t] if rows is None else rows
+        v = np.asarray(v, dtype=float)
+        if v.ndim == 2:
+            D = np.asarray(rows)
+            return (D.reshape(-1, D.shape[-1]) @ v.T).T.reshape(v.shape[:1] + D.shape[:-1])
+        return (rows if isinstance(rows, _Bands) else _dense_bands(np.asarray(rows))).dot(v)
 
     def check_rows(self, tol: float = ROW_SUM_TOL):
-        for t, W in enumerate(self.weights):
-            rows = W.sum(axis=-1)  # a NaN weight fails both comparisons
-            if not (np.all(np.abs(rows - 1.0) <= tol) and np.all(W >= -tol)):
-                raise KernelError(f"discretized rows at t={t} are not stochastic")
+        for t, B in enumerate(self._bands):
+            for _, _, band in B.groups:
+                rows = band.sum(axis=-1)  # a NaN weight fails both comparisons
+                if not (np.all(np.abs(rows - 1.0) <= tol) and np.all(band >= -tol)):
+                    raise KernelError(f"discretized rows at t={t} are not stochastic")
 
     def _feasible(self, t: int, nodes: np.ndarray, U: np.ndarray) -> np.ndarray:
         """Check U (k, P) against each node's control interval; clip within FEAS_TOL."""
@@ -200,9 +258,8 @@ class DiscretizedKernel:
         jl = np.where(exact, j, j - 1)
         theta = np.divide(U - Uk[r, jl], Uk[r, j] - Uk[r, jl],
                           out=np.zeros_like(U), where=~exact)
-        W = self.weights[t]
-        rows = nodes[:, None]
-        return (1.0 - theta)[..., None] * W[rows, jl] + theta[..., None] * W[rows, j]
+        B, rows = self._bands[t], nodes[:, None] * Uk.shape[1]
+        return (1.0 - theta)[..., None] * B.take(rows + jl) + theta[..., None] * B.take(rows + j)
 
     def node_rows(self, t: int, nodes, U) -> np.ndarray:
         """Landing weights for state nodes ``nodes`` (k,) at controls U, (k,) or (k, P).
@@ -238,7 +295,7 @@ class DiscretizedKernel:
         if self.spec is None or isinstance(self.spec, DiscreteChain):
             Uk, k = self.controls[t][nodes], np.arange(u.size)
             j = np.clip(np.sum(Uk < u[:, None], axis=-1), 1, Uk.shape[1] - 1)
-            W = self.weights[t][nodes, np.stack([j - 1, j])]
+            W = self._bands[t].take(nodes * Uk.shape[1] + np.stack([j - 1, j]))
             return (np.einsum("kn,kn->k", W[1] - W[0], g)
                     / (Uk[k, j] - Uk[k, j - 1])).reshape(shape)
         spec, x, noise = self.spec, self.grids[t][nodes], self.spec.noise
@@ -358,41 +415,202 @@ def _tent_blocks(grid: np.ndarray, mean: np.ndarray, std: np.ndarray):
 def _gaussian_tent_masses(grid: np.ndarray, mean: np.ndarray, std: np.ndarray):
     """Landing rows of N(mean, std^2) on ``grid``: exact hat-function masses.
 
-    mean/std have shape (R,); returns rows (R, len(grid)) and the clamped
-    tail mass (R,), which goes to the end nodes.  In z-units, z_k = (x_k -
-    mean) / std, cell k holds the mass P_k and sends A_k = (z_{k+1} P_k +
-    phi_{k+1} - phi_k) / (z_{k+1} - z_k) to its left node, P_k - A_k to its
-    right.  Each block of ``_tent_blocks`` is clipped at 0, normalised by each
-    row's sum taken left to right (line by line, or by ``np.add.accumulate``
-    down the block when it holds fewer rows than nodes; ``np.add.reduce``
-    would sum a lone row pairwise) and floored, so rows equal the same
-    arithmetic over the whole grid, bit for bit, and do not depend on the batch.
+    mean/std have shape (R,); returns the rows as bands (``_Bands``, (R,
+    len(grid))) and the clamped tail mass (R,), which goes to the end
+    nodes.  In z-units, z_k = (x_k - mean) / std, cell k holds the mass P_k
+    and sends A_k = (z_{k+1} P_k + phi_{k+1} - phi_k) / (z_{k+1} - z_k) to
+    its left node, P_k - A_k to its right.  Each block of ``_tent_blocks``
+    is clipped at 0, normalised by each row's sum taken left to right (line
+    by line, or by ``np.add.accumulate`` down the block when it holds fewer
+    rows than nodes; ``np.add.reduce`` would sum a lone row pairwise) and
+    floored, so rows equal the same arithmetic over the whole grid, bit for
+    bit, and do not depend on the batch.  The bands are cut from the
+    floored blocks; no dense row is built.
     """
     n = grid.size
-    out = np.zeros((mean.size, n))
     clamp = np.empty(mean.size)
-    flat = out.reshape(-1)
-    for rows, start, z, phi, P, lo_tail, hi_tail, block in _tent_blocks(grid, mean, std):
-        width = z.shape[0]
-        clamp[rows] = lo_tail + hi_tail
-        A = (z[1:] * P + phi[1:] - phi[:-1]) / (z[1:] - z[:-1])
-        P -= A
-        block[0], block[-1] = A[0], P[-1]
-        np.add(A[1:], P[:-1], out=block[1:-1])
-        block[0] += np.where(start == 0, lo_tail, 0.0)
-        block[-1] += np.where(start + width == n, hi_tail, 0.0)
-        np.maximum(block, 0.0, out=block)
-        block /= (functools.reduce(operator.iadd, block[1:], block[0].copy())
-                  if rows.size > width else np.add.accumulate(block, axis=0)[-1])
-        # Window k of the flat view is flat[k:k + width]; those written lie in distinct rows.
-        _sliding(flat, width)[rows * n + start] = _floor(block).T
-        del z, phi, P, A, block  # freed before the next block is built: peak memory
-    return out, clamp
+
+    def windows():
+        for rows, start, z, phi, P, lo_tail, hi_tail, block in _tent_blocks(grid, mean, std):
+            width = z.shape[0]
+            clamp[rows] = lo_tail + hi_tail
+            A = (z[1:] * P + phi[1:] - phi[:-1]) / (z[1:] - z[:-1])
+            P -= A
+            block[0], block[-1] = A[0], P[-1]
+            np.add(A[1:], P[:-1], out=block[1:-1])
+            block[0] += np.where(start == 0, lo_tail, 0.0)
+            block[-1] += np.where(start + width == n, hi_tail, 0.0)
+            np.maximum(block, 0.0, out=block)
+            block /= (functools.reduce(operator.iadd, block[1:], block[0].copy())
+                      if rows.size > width else np.add.accumulate(block, axis=0)[-1])
+            yield rows, start, _floor(block).T
+            del z, phi, P, A, block  # freed before the next block is built: peak memory
+
+    return _banded((mean.size,), n, windows()), clamp
 
 
 def _sliding(a: np.ndarray, width: int) -> np.ndarray:
-    """``sliding_window_view`` of a contiguous 1-d array, writeable if it is, without its checks."""
-    return as_strided(a, (a.size - width + 1, width), a.strides * 2)
+    """``sliding_window_view`` of a 1-d array, writeable if it is, without its checks."""
+    shape, strides = (a.size - width + 1, width), a.strides * 2
+    if a.flags.c_contiguous:  # a view on its buffer costs a fifth of as_strided's
+        return np.ndarray(shape, a.dtype, a, 0, strides)
+    return as_strided(a, shape, strides)
+
+
+class _Bands:
+    """Rows of shape ``shape`` stored as bands, by the rule in ``DiscretizedKernel``.
+
+    ``groups`` holds, per band width W, the flat indices of its rows (r,),
+    the node each band starts at (r,) and the bands (r, W).  An array-like:
+    ``np.asarray`` gives the dense rows.
+    """
+
+    def __init__(self, shape, groups):
+        self.shape, self.groups = tuple(shape), groups
+
+    def __array__(self, dtype=None, copy=None):
+        return self.dense() if dtype is None else self.dense().astype(dtype, copy=False)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for group in self.groups for a in group)
+
+    def reshape(self, shape) -> "_Bands":
+        """The same rows under the leading shape ``shape``."""
+        if np.prod(shape) != np.prod(self.shape[:-1]):
+            raise ValueError(f"cannot give rows {self.shape} the leading shape {shape}")
+        return _Bands(tuple(shape) + self.shape[-1:], self.groups)
+
+    @functools.cached_property
+    def _where(self):
+        """Group and position within it of every row."""
+        gid, pos = np.empty((2, int(np.prod(self.shape[:-1]))), dtype=np.intp)
+        for g, (rows, _, _) in enumerate(self.groups):
+            gid[rows], pos[rows] = g, np.arange(rows.size)
+        return gid, pos
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        flat, n = out.reshape(-1), self.shape[-1]
+        for rows, start, band in self.groups:
+            # Window k of the flat view is flat[k:k + W]; those written lie in distinct rows.
+            _sliding(flat, band.shape[1])[rows * n + start] = band
+        return out
+
+    def take(self, idx) -> np.ndarray:
+        """Dense rows at the flat row indices ``idx``: idx.shape + (n,)."""
+        idx = np.asarray(idx, dtype=np.intp)
+        n, (gid, pos) = self.shape[-1], self._where
+        out = np.zeros((idx.size, n))
+        flat, at = out.reshape(-1), idx.reshape(-1)
+        for g, (_, start, band) in enumerate(self.groups):
+            r = np.flatnonzero(gid[at] == g)
+            if r.size:
+                p = pos[at[r]]
+                _sliding(flat, band.shape[1])[r * n + start[p]] = band[p]
+        return out.reshape(idx.shape + (n,))
+
+    def dot(self, v: np.ndarray) -> np.ndarray:
+        """Row r of node k against each v[:, k], v (c, K, n) with K the leading size: (c,) + rows."""
+        c, K, n = v.shape
+        if K != self.shape[0] or n != self.shape[-1]:
+            raise ValueError(f"vectors of shape {v.shape} do not fit rows {self.shape}")
+        flat = np.ascontiguousarray(v).reshape(c, K * n)
+        per = int(np.prod(self.shape[1:-1]))  # rows per node
+        out = np.empty((c, K * per))
+        for rows, start, band in self.groups:
+            W = band.shape[1]
+            # Each window of W floats is one item of a 1-d view, so the gather is a plain take.
+            windows = [np.ndarray((K * n - W + 1,), (np.void, 8 * W), f, 0, (8,)) for f in flat]
+            off = rows // per * n + start
+            step = max(1, BAND_CHUNK // W)  # the gather stays in cache
+            for a in range(0, rows.size, step):
+                b, r = band[a:a + step], rows[a:a + step]
+                for j, w in enumerate(windows):
+                    out[j, r] = np.einsum("rk,rk->r", b, w[off[a:a + step]].view(float).reshape(-1, W))
+        return out.reshape((c,) + self.shape[:-1])
+
+
+def _banded(shape, n: int, windows) -> _Bands:
+    """Bands of rows ``shape`` + (n,) given as ``windows``: (rows, start, win) items.
+
+    win (r, w) holds flat rows ``rows`` on nodes start .. start + w - 1; the
+    rows are zero elsewhere.  Bands of one width are gathered per item, then
+    joined one width at a time.
+    """
+    pieces = {}
+    for rows, start, win in windows:
+        r, w = win.shape
+        p = 0 if w == n else BAND_ALIGN  # room for bands that overhang their window
+        if p or not win.flags.c_contiguous:
+            pad = np.zeros((r, w + 2 * p))
+            pad[:, p:p + w] = win
+        else:
+            pad = win
+        nz = pad != 0.0
+        has = nz.any(axis=1)
+        first = np.where(has, nz.argmax(axis=1), p)
+        last = np.where(has, w + 2 * p - 1 - nz[:, ::-1].argmax(axis=1), p)
+        width = np.minimum(-(-(last - first + 1) // BAND_ALIGN) * BAND_ALIGN, n)
+        node0 = start - p  # the node of pad's first column
+        begin = np.minimum(node0 + first, n - width)
+        off = np.arange(r) * (w + 2 * p) + begin - node0
+        flat = pad.reshape(-1)
+        for W in np.unique(width).tolist():
+            sel = np.flatnonzero(width == W)
+            pieces.setdefault(W, []).append((rows[sel], begin[sel], _sliding(flat, W)[off[sel]]))
+        del pad, nz, flat
+    groups = []
+    for W in sorted(pieces):  # rows in increasing order, so a gather walks its vectors forward
+        parts = pieces.pop(W)
+        if len(parts) == 1:
+            rows, begin, band = parts.pop()
+            if np.any(rows[1:] < rows[:-1]):
+                order = np.argsort(rows)
+                rows, begin, band = rows[order], begin[order], band[order]
+            groups.append((rows, begin, band))
+            continue
+        rows = np.concatenate([part[0] for part in parts])
+        order = np.argsort(rows)
+        dest = np.empty_like(order)
+        dest[order] = np.arange(order.size)
+        begin, band, at = np.empty_like(rows), np.empty((rows.size, W)), 0
+        while parts:
+            r, b, v = parts.pop(0)
+            begin[dest[at:at + r.size]], band[dest[at:at + r.size]] = b, v
+            at += r.size
+        groups.append((rows[order], begin, band))
+    return _Bands(tuple(shape) + (n,), groups)
+
+
+def _dense_bands(D: np.ndarray, floor: bool = False) -> _Bands:
+    """Bands of dense rows D (..., n), read in chunks of rows; ``floor`` applies ``_floor`` to a copy."""
+    n = D.shape[-1]
+    flat = D.reshape(-1, n)
+    step = max(1, BAND_CHUNK // n)
+
+    def windows():
+        for a in range(0, flat.shape[0], step):
+            win = flat[a:a + step]
+            yield (np.arange(a, a + win.shape[0]), np.zeros(win.shape[0], dtype=np.intp),
+                   _floor(win.copy()) if floor else win)
+
+    return _banded(D.shape[:-1], n, windows())
+
+
+class _Slices(Sequence):
+    """The dense slices W[t] (n_t, M, n_{t+1}) of a kernel's bands, each built when read; none is kept."""
+
+    def __init__(self, bands):
+        self._bands = bands
+
+    def __len__(self):
+        return len(self._bands)
+
+    def __getitem__(self, t):
+        if isinstance(t, slice):
+            return [B.dense() for B in self._bands[t]]
+        return self._bands[t].dense()
 
 
 def _landing_rows(grid: np.ndarray, mu: np.ndarray, sc: np.ndarray, noise: Noise):
@@ -402,21 +620,50 @@ def _landing_rows(grid: np.ndarray, mu: np.ndarray, sc: np.ndarray, noise: Noise
     closed-form hat-function masses; other noise spreads its ``QUAD_ORDER``
     quadrature points onto the grid.  Weights below ``WEIGHT_FLOOR`` become 0.
     """
+    if isinstance(noise, GaussianNoise):
+        B, clamp = _landing_bands(grid, mu, sc, noise)
+        return B.dense(), clamp
+    landing, omega, clamp = _quadrature_landing(grid, mu, sc, noise)
+    return _spread(grid, landing, omega).reshape(mu.shape + grid.shape), clamp
+
+
+def _landing_bands(grid: np.ndarray, mu: np.ndarray, sc: np.ndarray, noise: Noise):
+    """``_landing_rows`` as ``_Bands``, built without a dense slice.
+
+    Quadrature rows are spread a chunk of about ``BAND_CHUNK`` entries at a time.
+    """
     shape = mu.shape
     if isinstance(noise, GaussianNoise):
-        W, clamp = _gaussian_tent_masses(grid, (mu + sc * noise.mean).reshape(-1),
+        B, clamp = _gaussian_tent_masses(grid, (mu + sc * noise.mean).reshape(-1),
                                          (sc * noise.std).reshape(-1))
-        return W.reshape(shape + grid.shape), clamp.reshape(shape)
+        return B.reshape(shape), clamp.reshape(shape)
+    landing, omega, clamp = _quadrature_landing(grid, mu, sc, noise)
+    step = max(1, BAND_CHUNK // grid.size)
+
+    def windows():
+        for a in range(0, landing.shape[0], step):
+            W = _spread(grid, landing[a:a + step], omega)
+            yield np.arange(a, a + W.shape[0]), np.zeros(W.shape[0], dtype=np.intp), W
+
+    return _banded(shape, grid.size, windows()), clamp
+
+
+def _quadrature_landing(grid: np.ndarray, mu: np.ndarray, sc: np.ndarray, noise: Noise):
+    """The ``QUAD_ORDER`` landing points per law, (mu.size, Q), their weights and clamped mass."""
     wq, omega = noise.quadrature(QUAD_ORDER)
     if not (np.all(np.isfinite(wq)) and np.all(np.isfinite(omega))):
         raise KernelError("non-finite quadrature rule")
     landing = mu[..., None] + sc[..., None] * wq
     inside = (landing >= grid[0]) & (landing <= grid[-1])
-    clamp = np.sum(np.where(inside, 0.0, omega), axis=-1)
+    return landing.reshape(-1, wq.size), omega, np.sum(np.where(inside, 0.0, omega), axis=-1)
+
+
+def _spread(grid: np.ndarray, landing: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """Rows (R, len(grid)) of the points ``landing`` (R, Q) weighted by ``omega``: normalised, floored."""
     W = spread_mass(grid, landing, omega)
     np.maximum(W, 0.0, out=W)
     W /= W.sum(axis=-1, keepdims=True)
-    return _floor(W), clamp
+    return _floor(W)
 
 
 def _floor(W: np.ndarray) -> np.ndarray:
@@ -434,7 +681,8 @@ def discretize(kernel: KernelSpec, grids: Sequence[np.ndarray],
     quadrature spread onto the nodes otherwise.  DiscreteChain matrices, one
     per decision time, pass through with their rows re-verified.  Every
     weight below ``WEIGHT_FLOOR`` is set to 0, chain weights included, so a
-    kernel reloaded from its cache equals the one saved.
+    kernel reloaded from its cache equals the one saved.  Rows are stored as
+    bands (see ``DiscretizedKernel``), and checked there.
     """
     grids = [np.asarray(g, dtype=float) for g in grids]
     T = len(grids)
@@ -446,7 +694,7 @@ def discretize(kernel: KernelSpec, grids: Sequence[np.ndarray],
             P = np.asarray(P, dtype=float)
             if P.shape[0] != grids[t].size or P.shape[2] != grids[t + 1].size:
                 raise KernelError(f"chain matrix shape mismatch at t={t}")
-            weights.append(_floor(P.copy()))
+            weights.append(_dense_bands(P, floor=True))
             controls.append(np.tile(np.asarray(u, dtype=float), (grids[t].size, 1)))
             clamped.append(np.zeros(P.shape[:2]))
         dk = DiscretizedKernel(weights, controls, grids, clamped, spec=kernel)
@@ -458,8 +706,8 @@ def discretize(kernel: KernelSpec, grids: Sequence[np.ndarray],
         x = grids[t]
         U = constraints[t].nodes(x)  # (n, M)
         mu, sc = kernel.landing_params(t, x[:, None], U)
-        W, clamp = _landing_rows(grids[t + 1], mu, sc, kernel.noise)
-        weights.append(W)
+        B, clamp = _landing_bands(grids[t + 1], mu, sc, kernel.noise)
+        weights.append(B)
         controls.append(U)
         clamped.append(clamp)
     dk = DiscretizedKernel(weights, controls, grids, clamped, spec=kernel)
@@ -638,8 +886,10 @@ def setwise_continuity_probe(kernel: AdditiveNoise, t: int, x: float, u: float,
 #     float64[n_t * M_u]           control nodes, row-major
 #     float64[n_t * M_u * n_next]  weights, row-major
 #     float64[n_t * M_u]           clamped mass, row-major
-#   float64[n_T]                   terminal state grid
+#   float64[n_T]                   terminal state grid, then the end of the file
 # Version 1 (magic b"MKEQDK01") has no build fields: see load_kernel_cache.
+# The weights are dense in the file and banded in memory: both ways they
+# move a chunk of ``BAND_CHUNK`` entries' rows at a time.
 
 _MAGIC = b"MKEQDK02"
 _METHODS = ("blend", "exact", "quadrature")
@@ -652,10 +902,15 @@ def save_kernel_cache(dk: DiscretizedKernel, path):
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<III", dk.horizon, _METHODS.index(dk.build_method), QUAD_ORDER))
-        for t in range(dk.horizon - 1):
-            fh.write(struct.pack("<III", *dk.weights[t].shape))
-            for X in (dk.grids[t], dk.controls[t], dk.weights[t], dk.clamped[t]):
-                floats(X)
+        for t, B in enumerate(dk._bands):
+            n, M, nn = B.shape
+            fh.write(struct.pack("<III", n, M, nn))
+            floats(dk.grids[t])
+            floats(dk.controls[t])
+            step = max(1, BAND_CHUNK // nn)
+            for a in range(0, n * M, step):
+                floats(B.take(np.arange(a, min(a + step, n * M))))
+            floats(dk.clamped[t])
         floats(dk.grids[-1])
 
 
@@ -674,20 +929,40 @@ def load_kernel_cache(path, spec: Optional[KernelSpec] = None) -> DiscretizedKer
 
     Off-node rows are built by the spec's rule, as in ``discretize``; the
     build fields of a version-2 header are read only to reject unknown codes.
-    Weights below ``WEIGHT_FLOOR`` are set to 0, as ``discretize`` does.
-    With an ``AdditiveNoise`` spec, the rows of the first and last state
-    node at every cached control are rebuilt from it; rows off by more
+    Weights below ``WEIGHT_FLOOR`` are set to 0, as ``discretize`` does, and
+    are read a chunk of rows at a time into bands.  The header is not
+    trusted: every dimension must be at least 1, each section's bytes must
+    fit in what is left of the file before it is allocated, each slice must
+    start on the grid the one before it lands on, and the file must end
+    with the terminal state grid; otherwise KernelError names t and the
+    section.  With an ``AdditiveNoise`` spec, the rows of the first and last
+    state node at every cached control are rebuilt from it; rows off by more
     than ``CACHE_SPEC_TOL`` mean the cache came from another kernel, and
     raise KernelError rather than mix the two.
     """
 
+    def fit(size, what):
+        left = end - fh.tell()
+        if size > left:
+            raise KernelError(f"truncated kernel cache {path}: {what} needs {size} bytes, "
+                              f"found {left}")
+
     def floats(shape, what):
+        fit(8 * int(np.prod(shape)), what)
         arr = _read(fh, path, 8 * int(np.prod(shape)), what, into=np.empty(shape, dtype="<f8"))
         if not np.all(np.isfinite(arr)):
             raise KernelError(f"kernel cache {path}: non-finite {what}")
         return arr
 
+    def rows(n, M, nn, what):
+        fit(8 * n * M * nn, what)
+        step = max(1, BAND_CHUNK // nn)
+        for a in range(0, n * M, step):
+            W = floats((min(step, n * M - a), nn), what)
+            yield np.arange(a, a + W.shape[0]), np.zeros(W.shape[0], dtype=np.intp), _floor(W)
+
     with open(path, "rb") as fh:
+        end = os.fstat(fh.fileno()).st_size
         magic = fh.read(8)
         if magic not in (_MAGIC, b"MKEQDK01"):
             raise KernelError("not a kernel cache file")
@@ -701,21 +976,33 @@ def load_kernel_cache(path, spec: Optional[KernelSpec] = None) -> DiscretizedKer
         weights, controls, grids, clamped = [], [], [], []
         nn = None
         for t in range(T - 1):
-            n, M, nn = struct.unpack("<III", _read(fh, path, 12, f"shape header at t={t}"))
+            shape = struct.unpack("<III", _read(fh, path, 12, f"shape header at t={t}"))
+            if min(shape) < 1:
+                raise KernelError(f"kernel cache {path}: shape header at t={t} has a zero "
+                                  f"dimension: {shape}")
+            if nn is not None and shape[0] != nn:
+                raise KernelError(f"kernel cache {path}: shape header at t={t} has {shape[0]} "
+                                  f"state nodes, but the rows at t={t - 1} land on {nn}")
+            n, M, nn = shape
             grids.append(floats((n,), f"state grid at t={t}"))
             controls.append(floats((n, M), f"control nodes at t={t}"))
-            weights.append(_floor(floats((n, M, nn), f"weights at t={t}")))
+            weights.append(_banded((n, M), nn, rows(n, M, nn, f"weights at t={t}")))
             clamped.append(floats((n, M), f"clamped mass at t={t}"))
         grids.append(floats((nn,), "terminal state grid"))
+        if fh.tell() != end:
+            raise KernelError(f"kernel cache {path}: {end - fh.tell()} bytes follow the terminal "
+                              f"state grid, which ends the slices t=0..{T - 2}")
     dk = DiscretizedKernel(weights, controls, grids, clamped, spec=spec)
     try:
         dk.check_rows()
     except KernelError as exc:
         raise KernelError(f"kernel cache {path}: {exc}") from None
     if isinstance(spec, AdditiveNoise):
-        for t, W in enumerate(weights):
-            ends = [0, W.shape[0] - 1]
-            d = np.max(np.abs(dk.node_rows(t, ends, controls[t][ends]) - W[ends]))
+        for t, B in enumerate(weights):
+            n, M, _ = B.shape
+            ends = np.array([0, n - 1])
+            d = np.max(np.abs(dk.node_rows(t, ends, controls[t][ends])
+                              - B.take(ends[:, None] * M + np.arange(M))))
             if not d <= CACHE_SPEC_TOL:
                 raise KernelError(f"kernel cache {path} was not built from this kernel: "
                                   f"rows at t={t} differ by {d:.3e}")

@@ -172,25 +172,24 @@ def build_aux(model: Model, dk: DiscretizedKernel, tail_policy: Optional[Policy]
 
 
 def _assemble(model: Model, aux: AuxiliaryBundle, t: int, nodes: np.ndarray,
-              U: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """L = C + E[sum b_k + f] + G(E[h]) at controls U (k, P) with landing rows (k, P, nn)."""
+              U: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """L = C + E[sum b_k + f] + G(E[h]) at controls U (k, P), with e = ``_expect``'s (2, k, P)."""
     x = model.grids[t][nodes][:, None]
     c = model.costs.running(t, aux.eval_time, x, x, U)
-    e_b = _row_dot(rows, aux.btot[nodes][:, None])
-    e_h = _row_dot(rows, aux.h_next)
-    g = model.costs.mixer(aux.eval_time, x, e_h)
-    return c + e_b + g
+    return c + e[0] + model.costs.mixer(aux.eval_time, x, e[1])
 
 
-def _row_dot(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Each landing row (..., m) dotted with v (m,) or its own v (..., m).
+def _expect(dk: DiscretizedKernel, aux: AuxiliaryBundle, t: int, nodes: np.ndarray,
+            rows=None) -> np.ndarray:
+    """(E[sum b_k + f], E[h]) under the rows of ``nodes`` (k,): ``dk.expect`` per node.
 
-    Each value is the dot of two vectors alone, whatever the batch (a
-    stacked matmul or einsum may sum in another order for another batch
-    shape), so L on the grid is objective_nodes at the same controls, bit
-    for bit.
+    ``rows`` (k, P, n_{t+1}), or the stored rows when None.  A row's value
+    depends on that row alone, so L on the grid is objective_nodes at the
+    same controls, bit for bit, whatever the batch.
     """
-    return (rows[..., None, :] @ v[..., None])[..., 0, 0]
+    v = np.empty((2, nodes.size, aux.h_next.size))
+    v[0], v[1] = aux.btot[nodes], aux.h_next
+    return dk.expect(t, v, rows)
 
 
 def objective_grid(model: Model, dk: DiscretizedKernel, aux: AuxiliaryBundle,
@@ -200,7 +199,7 @@ def objective_grid(model: Model, dk: DiscretizedKernel, aux: AuxiliaryBundle,
     Requires aux built at eval_time = t (the Bellman case).
     """
     nodes = np.arange(model.grids[t].size)
-    return _assemble(model, aux, t, nodes, dk.controls[t], dk.weights[t])
+    return _assemble(model, aux, t, nodes, dk.controls[t], _expect(dk, aux, t, nodes))
 
 
 def objective_nodes(model: Model, dk: DiscretizedKernel, aux: AuxiliaryBundle,
@@ -212,16 +211,17 @@ def objective_nodes(model: Model, dk: DiscretizedKernel, aux: AuxiliaryBundle,
     nodes = np.asarray(nodes, dtype=np.intp).reshape(-1)
     u = np.asarray(u, dtype=float)
     U = u.reshape(nodes.size, -1)
-    return _assemble(model, aux, t, nodes, U, dk.node_rows(t, nodes, U)).reshape(u.shape)
+    e = _expect(dk, aux, t, nodes, dk.node_rows(t, nodes, U))
+    return _assemble(model, aux, t, nodes, U, e).reshape(u.shape)
 
 
 def _objective_slope(model: Model, dk: DiscretizedKernel, aux: AuxiliaryBundle,
                      t: int, nodes: np.ndarray, u: np.ndarray) -> tuple:
     """(L, dL/du) at nodes (k,), controls u (k,); dL/du = c_u + rows_u . (btot_i + G' h)."""
     x, s = model.grids[t][nodes], aux.eval_time
-    rows = dk.node_rows(t, nodes, u)
-    g_h = derivative(lambda h: model.costs.mixer(s, x, h), _row_dot(rows, aux.h_next))
-    return (_assemble(model, aux, t, nodes, u[:, None], rows[:, None])[:, 0],
+    e = _expect(dk, aux, t, nodes, dk.node_rows(t, nodes, u[:, None]))
+    g_h = derivative(lambda h: model.costs.mixer(s, x, h), e[1][:, 0])
+    return (_assemble(model, aux, t, nodes, u[:, None], e)[:, 0],
             derivative(lambda w: model.costs.running(t, s, x, x, w), u,
                        *dk.controls[t][nodes][:, [0, -1]].T)
             + dk.node_slopes(t, nodes, u, aux.btot[nodes] + g_h[:, None] * aux.h_next))
@@ -401,8 +401,8 @@ def levelset_probe(model: Model, dk: DiscretizedKernel, aux: AuxiliaryBundle,
                                                                  float(window[1]))
     us = np.linspace(lo, hi, LEVELSET_PROBES)
     nodes = np.full(LEVELSET_PROBES, i)
-    rows = dk.node_rows(t, nodes, np.clip(us, U[0], U[-1]))
-    vals = _assemble(model, aux, t, nodes, us[:, None], rows[:, None])[:, 0]
+    rows = dk.node_rows(t, nodes, np.clip(us, U[0], U[-1])[:, None])
+    vals = _assemble(model, aux, t, nodes, us[:, None], _expect(dk, aux, t, nodes, rows))[:, 0]
     inside = vals <= r
     # Runs of probes inside the set start at the +1 and end at the -1 edges.
     edges = np.flatnonzero(np.diff(np.concatenate(([0], inside.astype(int), [0]))))

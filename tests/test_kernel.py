@@ -14,7 +14,7 @@ from markeq import (AdditiveNoise, ControlConstraint, DensityNoise, DiscreteChai
                     exact_expectation, exp_utility_model,
                     load_kernel_cache, mv_chain_model, mv_model, nonlinear_lq_variant,
                     policy_matrix, save_kernel_cache, setwise_continuity_probe, tv_distance)
-from markeq.kernels import TENT_BLOCK, WEIGHT_FLOOR, _landing_rows
+from markeq.kernels import TENT_BLOCK, WEIGHT_FLOOR, DiscretizedKernel, _landing_rows
 
 from _oracles import dense_landing_rows, exact_tent_masses, moment_landing_rows
 
@@ -432,8 +432,10 @@ def test_kernel_cache_roundtrip(tmp_path):
 def test_kernel_cache_load_floors_tiny_weights(tmp_path):
     # A cache written before the weight floor may hold subnormal weights.
     dk = discretize(_gauss_kernel(sigma=0.3), _grids(2, -6, 6, 31), _constraints(2, -2, 2, 7))
-    W = dk.weights[0].copy()
-    dk.weights[0][15, 3, 0] = 1e-310  # 20 sigma below the landing mean
+    W = dk.weights[0]
+    tiny = W.copy()
+    tiny[15, 3, 0] = 1e-310  # 20 sigma below the landing mean
+    dk = DiscretizedKernel([tiny], dk.controls, dk.grids, dk.clamped)  # weights read only
     path = tmp_path / "kernel.bin"
     save_kernel_cache(dk, path)
     back = load_kernel_cache(path)
@@ -524,7 +526,9 @@ def test_chain_of_the_wrong_length_raises_kernel_error():
 def test_kernel_cache_rejects_nan_weight(tmp_path):
     model = lq_model(LQParams(), n_x=11, n_u=5)
     dk = discretize(model.kernel, model.grids, model.constraints)
-    dk.weights[1][4, 2, 5] = np.nan
+    W = list(dk.weights)
+    W[1][4, 2, 5] = np.nan
+    dk = DiscretizedKernel(W, dk.controls, dk.grids, dk.clamped)  # weights read only
     with pytest.raises(KernelError, match="t=1 are not stochastic"):
         dk.check_rows()
     path = tmp_path / "kernel.bin"
@@ -537,7 +541,9 @@ def test_kernel_cache_rejects_nan_weight(tmp_path):
 def test_kernel_cache_rejects_non_stochastic_row(tmp_path):
     model = lq_model(LQParams(), n_x=11, n_u=5)
     dk = discretize(model.kernel, model.grids, model.constraints)
-    dk.weights[0][3, 1] *= 0.5
+    W = list(dk.weights)
+    W[0][3, 1] *= 0.5
+    dk = DiscretizedKernel(W, dk.controls, dk.grids, dk.clamped)  # weights read only
     path = tmp_path / "kernel.bin"
     save_kernel_cache(dk, path)
     with pytest.raises(KernelError, match="t=0 are not stochastic") as info:
