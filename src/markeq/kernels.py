@@ -490,11 +490,18 @@ class _Bands:
         return gid, pos
 
     def dense(self) -> np.ndarray:
-        out = np.zeros(self.shape)
-        flat, n = out.reshape(-1), self.shape[-1]
+        return self.dense_rows(0, int(np.prod(self.shape[:-1]))).reshape(self.shape)
+
+    def dense_rows(self, a: int, b: int) -> np.ndarray:
+        """The dense rows of flat indices a..b-1, (b - a, n)."""
+        n = self.shape[-1]
+        out = np.zeros((b - a, n))
+        flat = out.reshape(-1)
         for rows, start, band in self.groups:
-            # Window k of the flat view is flat[k:k + W]; those written lie in distinct rows.
-            _sliding(flat, band.shape[1])[rows * n + start] = band
+            lo, hi = np.searchsorted(rows, (a, b))  # a group's rows are in increasing order
+            if hi > lo:
+                # Window k of the flat view is flat[k:k + W]; those written lie in distinct rows.
+                _sliding(flat, band.shape[1])[(rows[lo:hi] - a) * n + start[lo:hi]] = band[lo:hi]
         return out
 
     def take(self, idx) -> np.ndarray:
@@ -909,7 +916,7 @@ def save_kernel_cache(dk: DiscretizedKernel, path):
             floats(dk.controls[t])
             step = max(1, BAND_CHUNK // nn)
             for a in range(0, n * M, step):
-                floats(B.take(np.arange(a, min(a + step, n * M))))
+                floats(B.dense_rows(a, min(a + step, n * M)))
             floats(dk.clamped[t])
         floats(dk.grids[-1])
 
@@ -1002,7 +1009,7 @@ def load_kernel_cache(path, spec: Optional[KernelSpec] = None) -> DiscretizedKer
             n, M, _ = B.shape
             ends = np.array([0, n - 1])
             d = np.max(np.abs(dk.node_rows(t, ends, controls[t][ends])
-                              - B.take(ends[:, None] * M + np.arange(M))))
+                              - np.stack([B.dense_rows(i * M, i * M + M) for i in ends])))
             if not d <= CACHE_SPEC_TOL:
                 raise KernelError(f"kernel cache {path} was not built from this kernel: "
                                   f"rows at t={t} differ by {d:.3e}")

@@ -51,6 +51,7 @@ def path_objective(model, dk, t, i, j0, tail_jidx):
     y = float(model.grids[t][i])
     total = 0.0
     hmean = 0.0
+    weights = list(dk.weights)  # each read of dk.weights builds a dense slice
 
     def rec(k, m, prob, acc):
         nonlocal total, hmean
@@ -63,7 +64,7 @@ def path_objective(model, dk, t, i, j0, tail_jidx):
         j = j0 if k == t else int(tail_jidx[k][m])
         u = float(dk.controls[k][m, j])
         c = float(model.costs.running(k, t, y, float(model.grids[k][m]), u))
-        row = dk.weights[k][m, j]
+        row = weights[k][m, j]
         for m2 in range(row.size):
             if row[m2] > 0.0:
                 rec(k + 1, m2, prob * row[m2], acc + c)

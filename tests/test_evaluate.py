@@ -328,6 +328,16 @@ def _instance(name, request):
         base = lq_model(LQParams(T=3), n_x=41, n_u=3)
         model = Model(T=3, grids=[base.grids[0][::20], *base.grids[1:]],
                       constraints=base.constraints, kernel=base.kernel, costs=base.costs)
+    elif name == "density_small":  # LQ with its normal noise as a generic density
+        from scipy.stats import norm
+
+        from markeq import AdditiveNoise, DensityNoise
+        base = lq_model(LQParams(T=3), n_x=21, n_u=11)
+        k = base.kernel
+        kernel = AdditiveNoise(drift=k.drift, scale=k.scale, sigma_floor=k.sigma_floor,
+                               noise=DensityNoise(density=norm.pdf, radius=9.0))
+        model = Model(T=base.T, grids=base.grids, constraints=base.constraints,
+                      kernel=kernel, costs=base.costs)
     else:
         model = (mv_model(MeanVarianceParams(T=5), n_x=41, n_u=11) if name == "mv_t5_small"
                  else exp_utility_model(ExpUtilityParams(), n_x=31, n_u=21))
@@ -340,11 +350,12 @@ def _solved(instance, request):
     return model, dk, solve(model, dk).policy
 
 
-@pytest.mark.parametrize("instance", ["lq_small", "mv_t5_small"])
+@pytest.mark.parametrize("instance", ["lq_small", "mv_t5_small", "exp_small", "chain_small",
+                                      "density_small"])
 def test_deviation_probe_value_independent_of_column_block(instance, request):
     # A probe's value depends on its first-step row only, not on the column
     # block holding it: under a policy that plays control node j0 everywhere,
-    # grid probe j0 (rows read from dk.weights) and the policy's own probe
+    # grid probe j0 (the kernel's stored rows) and the policy's own probe
     # (rows from node_rows, the same bits) give the same J_dev, bit for bit.
     model, dk = _instance(instance, request)
     M = dk.controls[0].shape[1]

@@ -576,6 +576,57 @@ def test_kernel_cache_truncated_names_file_and_section(tmp_path, keep, section):
     assert section in str(info.value)
 
 
+def _lq_cache(tmp_path):
+    """A saved LQ T=4, 21x11 kernel cache (version 2): its path and bytes."""
+    model = lq_model(LQParams(T=4), n_x=21, n_u=11)
+    path = tmp_path / "kernel.bin"
+    save_kernel_cache(discretize(model.kernel, model.grids, model.constraints), path)
+    return path, path.read_bytes()
+
+
+def test_kernel_cache_rejects_a_slice_larger_than_the_file(tmp_path):
+    # A header of (2^30, 2^10, 2^10) asked for an 8 GiB state grid: MemoryError.
+    path, data = _lq_cache(tmp_path)
+    path.write_bytes(data[:20] + struct.pack("<III", 2 ** 30, 2 ** 10, 2 ** 10) + data[32:])
+    with pytest.raises(KernelError, match="state grid at t=0 needs 8589934592 bytes"):
+        load_kernel_cache(path)
+
+
+@pytest.mark.parametrize("shape", [(0, 3, 0), (3, 0, 3)])
+def test_kernel_cache_rejects_a_zero_dimension(tmp_path, shape):
+    # A zero dimension raised TypeError from memoryview.cast.
+    path, data = _lq_cache(tmp_path)
+    path.write_bytes(data[:20] + struct.pack("<III", *shape) + data[32:])
+    with pytest.raises(KernelError, match=r"shape header at t=0 has a zero dimension"):
+        load_kernel_cache(path)
+
+
+def test_kernel_cache_rejects_a_horizon_shorter_than_its_slices(tmp_path):
+    # With horizon 2 in a T=4 cache, t=1's header and grid loaded as the terminal grid.
+    path, data = _lq_cache(tmp_path)
+    path.write_bytes(data[:8] + struct.pack("<I", 2) + data[12:])
+    with pytest.raises(KernelError, match="bytes follow the terminal state grid"):
+        load_kernel_cache(path)
+
+
+def test_kernel_cache_rejects_bytes_after_the_terminal_grid(tmp_path):
+    path, data = _lq_cache(tmp_path)
+    path.write_bytes(data + bytes(8))
+    with pytest.raises(KernelError, match="8 bytes follow the terminal state grid"):
+        load_kernel_cache(path)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: mv_model(MeanVarianceParams(T=5), n_x=201, n_u=41), exp_utility_model],
+    ids=["mv_t5", "exp_utility"])
+def test_banded_kernel_stores_under_two_fifths_of_the_dense_bytes(build):
+    # Dense slices held 53.0 MB (mv_t5) and 35.5 MB (exp_utility), about 80 % zeros.
+    model = build()
+    dk = discretize(model.kernel, model.grids, model.constraints)
+    dense = sum(8 * U.size * g.size for U, g in zip(dk.controls, model.grids[1:]))
+    assert dk.nbytes <= 0.4 * dense, (dk.nbytes, dense)
+
+
 def test_node_rows_match_row_per_node():
     k = _gauss_kernel(a=0.9, b=1.3, sigma=0.7)
     dk = discretize(k, _grids(2, -8, 8, 81), _constraints(2, -2, 2, 9))

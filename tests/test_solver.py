@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from markeq import (ControlConstraint, Costs, GaussianNoise, LQParams,
+from markeq import (ControlConstraint, Costs, DensityNoise, ExpUtilityParams, GaussianNoise,
+                    LQParams,
                     MeanVarianceParams, Model, Policy, SolveOptions,
                     bellman_step, build_aux, build_model,
-                    discretize, eval_objective_exact, golden_section,
+                    discretize, eval_objective_exact, exp_utility_model, golden_section,
                     levelset_probe, lq_model, mv_chain_model, mv_closed_form,
                     mv_model, nonlinear_lq_variant, objective_L, solve,
                     value_identity_check)
@@ -501,20 +502,36 @@ def test_incremental_flows_match_scratch_off_grid_tail():
 # objective_L / bellman_step
 # ---------------------------------------------------------------------------
 
+def _density_lq(n_x, n_u):
+    """Default LQ with its normal noise given as a generic density (quadrature rows)."""
+    from scipy.stats import norm
+    base = lq_model(LQParams(T=3), n_x=n_x, n_u=n_u)
+    k = base.kernel
+    kernel = AdditiveNoise(drift=k.drift, scale=k.scale, sigma_floor=k.sigma_floor,
+                           noise=DensityNoise(density=norm.pdf, radius=9.0))
+    return Model(T=base.T, grids=base.grids, constraints=base.constraints, kernel=kernel,
+                 costs=base.costs)
+
+
 def test_objective_grid_equals_objective_nodes_bit_for_bit(lq_small):
     # The bracket ends refine_bowls takes from L are the values a search
-    # would compute there, whatever the batch.
-    model, dk, solution = lq_small
-    for t in range(model.T - 1):
-        aux = build_aux(model, dk, solution.policy if t < model.T - 2 else None, t)
-        L = objective_grid(model, dk, aux, t)
-        U = dk.controls[t]
-        nodes = np.arange(U.shape[0])
-        assert np.array_equal(objective_nodes(model, dk, aux, t, nodes, U), L)
-        assert np.array_equal(objective_nodes(model, dk, aux, t, nodes[::7], U[::7, 3]),
-                              L[::7, 3])
-        assert np.array_equal(objective_nodes(model, dk, aux, t, nodes[5:9], U[5:9, 10:17]),
-                              L[5:9, 10:17])
+    # would compute there, whatever the batch: for tent, quadrature and
+    # chain rows alike.
+    models = [exp_utility_model(ExpUtilityParams(), n_x=31, n_u=21),
+              mv_chain_model(MeanVarianceParams(T=3), n_x=21, n_u=21), _density_lq(41, 21)]
+    solved = [lq_small] + [(m, dk, solve(m, dk)) for m, dk in
+                           ((m, discretize(m.kernel, m.grids, m.constraints)) for m in models)]
+    for model, dk, solution in solved:
+        for t in range(model.T - 1):
+            aux = build_aux(model, dk, solution.policy if t < model.T - 2 else None, t)
+            L = objective_grid(model, dk, aux, t)
+            U = dk.controls[t]
+            nodes = np.arange(U.shape[0])
+            assert np.array_equal(objective_nodes(model, dk, aux, t, nodes, U), L)
+            assert np.array_equal(objective_nodes(model, dk, aux, t, nodes[::7], U[::7, 3]),
+                                  L[::7, 3])
+            assert np.array_equal(objective_nodes(model, dk, aux, t, nodes[5:9],
+                                                  U[5:9, 10:17]), L[5:9, 10:17])
 
 
 @pytest.mark.parametrize("build", [

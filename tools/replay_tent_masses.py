@@ -1,13 +1,16 @@
 """Replay the Gaussian tent-mass calls of a pipeline against a baseline copy of markeq.
 
 For each instance this records every ``kernels._gaussian_tent_masses``
-call that ``discretize``, ``solve`` and ``verify_equilibrium`` make, then
-replays the recorded calls through this checkout's function and through
-the same function of a second copy of the package.  That copy is loaded
-from ``--baseline DIR`` (a checkout holding ``src/markeq``, for example
-a ``git worktree`` of the parent commit) under the module name
-``markeq_baseline``.  Every call must give ``np.array_equal`` rows and
-clamped masses in both copies; the first mismatch exits with status 1.
+call that ``discretize``, ``solve`` and ``verify_equilibrium`` make (the
+kernel's stored bands and every row ``node_rows`` builds come from it),
+then replays the recorded calls through this checkout's function and
+through the same function of a second copy of the package.  That copy is
+loaded from ``--baseline DIR`` (a checkout holding ``src/markeq``, for
+example a ``git worktree`` of the parent commit) under the module name
+``markeq_baseline``.  The function may return its rows dense or as bands
+(``np.asarray`` gives their dense rows); every call must give
+``np.array_equal`` dense rows and clamped masses in both copies, and the
+first mismatch exits with status 1.
 
 Both copies are timed interleaved in one process, call by call, the
 order alternating each round, and the median over rounds of each batch
@@ -81,6 +84,7 @@ def replay(name, calls, base, rounds):
     here = kernels._gaussian_tent_masses
     for c, args in enumerate(calls):
         (w1, k1), (w0, k0) = here(*args), base(*args)
+        w1, w0 = np.asarray(w1), np.asarray(w0)  # dense rows of either form
         if not (np.array_equal(w1, w0) and np.array_equal(k1, k0)):
             diff = np.max(np.abs(w1 - w0), initial=0.0)
             print(f"{name}: call {c} ({args[1].size} rows) differs from the baseline "
