@@ -228,7 +228,9 @@ class DiscretizedKernel:
         if v.ndim == 2:
             D = np.asarray(rows)
             return (D.reshape(-1, D.shape[-1]) @ v.T).T.reshape(v.shape[:1] + D.shape[:-1])
-        return (rows if isinstance(rows, _Bands) else _dense_bands(np.asarray(rows))).dot(v)
+        if v.shape[1:] != (rows.shape[0], rows.shape[-1]):
+            raise ValueError(f"vectors of shape {v.shape} do not fit rows {rows.shape}")
+        return rows.dot(v) if isinstance(rows, _Bands) else _dense_dot(np.asarray(rows), v)
 
     def check_rows(self, tol: float = ROW_SUM_TOL):
         for t, B in enumerate(self._bands):
@@ -412,20 +414,21 @@ def _tent_blocks(grid: np.ndarray, mean: np.ndarray, std: np.ndarray):
         yield rows, start, z, phi[:width], P, lo_tail, hi_tail, block
 
 
-def _gaussian_tent_masses(grid: np.ndarray, mean: np.ndarray, std: np.ndarray):
+def _gaussian_tent_masses(grid: np.ndarray, mean: np.ndarray, std: np.ndarray,
+                          banded: bool = False):
     """Landing rows of N(mean, std^2) on ``grid``: exact hat-function masses.
 
-    mean/std have shape (R,); returns the rows as bands (``_Bands``, (R,
-    len(grid))) and the clamped tail mass (R,), which goes to the end
-    nodes.  In z-units, z_k = (x_k - mean) / std, cell k holds the mass P_k
-    and sends A_k = (z_{k+1} P_k + phi_{k+1} - phi_k) / (z_{k+1} - z_k) to
-    its left node, P_k - A_k to its right.  Each block of ``_tent_blocks``
-    is clipped at 0, normalised by each row's sum taken left to right (line
-    by line, or by ``np.add.accumulate`` down the block when it holds fewer
+    mean/std have shape (R,); returns the rows, dense (R, len(grid)) or,
+    ``banded``, as ``_Bands`` cut from the floored blocks without a dense
+    row, and the clamped tail mass (R,), which goes to the end nodes.  In
+    z-units, z_k = (x_k - mean) / std, cell k holds the mass P_k and sends
+    A_k = (z_{k+1} P_k + phi_{k+1} - phi_k) / (z_{k+1} - z_k) to its left
+    node, P_k - A_k to its right.  Each block of ``_tent_blocks`` is
+    clipped at 0, normalised by each row's sum taken left to right (line by
+    line, or by ``np.add.accumulate`` down the block when it holds fewer
     rows than nodes; ``np.add.reduce`` would sum a lone row pairwise) and
     floored, so rows equal the same arithmetic over the whole grid, bit for
-    bit, and do not depend on the batch.  The bands are cut from the
-    floored blocks; no dense row is built.
+    bit, and do not depend on the batch.
     """
     n = grid.size
     clamp = np.empty(mean.size)
@@ -446,7 +449,14 @@ def _gaussian_tent_masses(grid: np.ndarray, mean: np.ndarray, std: np.ndarray):
             yield rows, start, _floor(block).T
             del z, phi, P, A, block  # freed before the next block is built: peak memory
 
-    return _banded((mean.size,), n, windows()), clamp
+    if banded:
+        return _banded((mean.size,), n, windows()), clamp
+    out = np.zeros((mean.size, n))
+    flat = out.reshape(-1)
+    for rows, start, win in windows():
+        # Window k of the flat view is flat[k:k + width]; those written lie in distinct rows.
+        _sliding(flat, win.shape[1])[rows * n + start] = win
+    return out, clamp
 
 
 def _sliding(a: np.ndarray, width: int) -> np.ndarray:
@@ -518,24 +528,59 @@ class _Bands:
         return out.reshape(idx.shape + (n,))
 
     def dot(self, v: np.ndarray) -> np.ndarray:
-        """Row r of node k against each v[:, k], v (c, K, n) with K the leading size: (c,) + rows."""
+        """Rows of node k against each v[:, k], v (c, K, n) with K the leading size: (c,) + rows."""
         c, K, n = v.shape
-        if K != self.shape[0] or n != self.shape[-1]:
-            raise ValueError(f"vectors of shape {v.shape} do not fit rows {self.shape}")
         flat = np.ascontiguousarray(v).reshape(c, K * n)
         per = int(np.prod(self.shape[1:-1]))  # rows per node
         out = np.empty((c, K * per))
         for rows, start, band in self.groups:
-            W = band.shape[1]
-            # Each window of W floats is one item of a 1-d view, so the gather is a plain take.
-            windows = [np.ndarray((K * n - W + 1,), (np.void, 8 * W), f, 0, (8,)) for f in flat]
-            off = rows // per * n + start
-            step = max(1, BAND_CHUNK // W)  # the gather stays in cache
-            for a in range(0, rows.size, step):
-                b, r = band[a:a + step], rows[a:a + step]
-                for j, w in enumerate(windows):
-                    out[j, r] = np.einsum("rk,rk->r", b, w[off[a:a + step]].view(float).reshape(-1, W))
+            _band_dot(out, rows, rows // per * n + start, band, flat)
         return out.reshape((c,) + self.shape[:-1])
+
+
+def _band_dot(out, rows, off, band, flat):
+    """out[:, rows] = each band (r, W) dotted with the window at ``off`` of each line of flat (c, L).
+
+    One einsum per chunk of rows and line: a row's sum runs in an order set
+    by W alone.
+    """
+    W = band.shape[1]
+    # Each window of W floats is one item of a 1-d view, so the gather is a plain take.
+    windows = [np.ndarray((f.size - W + 1,), (np.void, 8 * W), f, 0, (8,)) for f in flat]
+    step = max(1, BAND_CHUNK // W)  # the gather stays in cache
+    for a in range(0, rows.size, step):
+        b, r, o = band[a:a + step], rows[a:a + step], off[a:a + step]
+        for j, w in enumerate(windows):
+            out[j, r] = np.einsum("rk,rk->r", b, w[o].view(float).reshape(-1, W))
+
+
+def _dense_dot(D: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``_Bands.dot`` of dense rows D (K, ..., n), banded by the same rule on the way in."""
+    c, K, n = v.shape
+    D2 = np.ascontiguousarray(D, dtype=float).reshape(-1, n)
+    width, begin, off = _cut(D2, 0, 0, n)
+    flat, per = np.ascontiguousarray(v).reshape(c, K * n), D2.shape[0] // K
+    out = np.empty((c, D2.shape[0]))
+    for W in np.flatnonzero(np.bincount(width)).tolist():
+        r = np.flatnonzero(width == W)
+        _band_dot(out, r, r // per * n + begin[r], _sliding(D2.reshape(-1), W)[off[r]], flat)
+    return out.reshape((c,) + D.shape[:-1])
+
+
+def _cut(pad: np.ndarray, p: int, start, n: int):
+    """Each row's band by the rule in ``DiscretizedKernel``: (width, first node, offset in pad).
+
+    Row r of ``pad`` (r, w + 2p) holds its row's nodes from start[r] - p on;
+    a row of zeros gets a band from start[r].
+    """
+    nz = pad != 0.0
+    has = nz.any(axis=1)
+    first = np.where(has, nz.argmax(axis=1), p)
+    last = np.where(has, pad.shape[1] - 1 - nz[:, ::-1].argmax(axis=1), p)
+    width = np.minimum(-(-(last - first + 1) // BAND_ALIGN) * BAND_ALIGN, n)
+    node0 = start - p  # the node of pad's first column
+    begin = np.minimum(node0 + first, n - width)
+    return width, begin, np.arange(pad.shape[0]) * pad.shape[1] + begin - node0
 
 
 def _banded(shape, n: int, windows) -> _Bands:
@@ -554,19 +599,12 @@ def _banded(shape, n: int, windows) -> _Bands:
             pad[:, p:p + w] = win
         else:
             pad = win
-        nz = pad != 0.0
-        has = nz.any(axis=1)
-        first = np.where(has, nz.argmax(axis=1), p)
-        last = np.where(has, w + 2 * p - 1 - nz[:, ::-1].argmax(axis=1), p)
-        width = np.minimum(-(-(last - first + 1) // BAND_ALIGN) * BAND_ALIGN, n)
-        node0 = start - p  # the node of pad's first column
-        begin = np.minimum(node0 + first, n - width)
-        off = np.arange(r) * (w + 2 * p) + begin - node0
+        width, begin, off = _cut(pad, p, start, n)
         flat = pad.reshape(-1)
-        for W in np.unique(width).tolist():
+        for W in np.flatnonzero(np.bincount(width)).tolist():
             sel = np.flatnonzero(width == W)
             pieces.setdefault(W, []).append((rows[sel], begin[sel], _sliding(flat, W)[off[sel]]))
-        del pad, nz, flat
+        del pad, flat
     groups = []
     for W in sorted(pieces):  # rows in increasing order, so a gather walks its vectors forward
         parts = pieces.pop(W)
@@ -628,8 +666,9 @@ def _landing_rows(grid: np.ndarray, mu: np.ndarray, sc: np.ndarray, noise: Noise
     quadrature points onto the grid.  Weights below ``WEIGHT_FLOOR`` become 0.
     """
     if isinstance(noise, GaussianNoise):
-        B, clamp = _landing_bands(grid, mu, sc, noise)
-        return B.dense(), clamp
+        W, clamp = _gaussian_tent_masses(grid, (mu + sc * noise.mean).reshape(-1),
+                                         (sc * noise.std).reshape(-1))
+        return W.reshape(mu.shape + grid.shape), clamp.reshape(mu.shape)
     landing, omega, clamp = _quadrature_landing(grid, mu, sc, noise)
     return _spread(grid, landing, omega).reshape(mu.shape + grid.shape), clamp
 
@@ -642,7 +681,7 @@ def _landing_bands(grid: np.ndarray, mu: np.ndarray, sc: np.ndarray, noise: Nois
     shape = mu.shape
     if isinstance(noise, GaussianNoise):
         B, clamp = _gaussian_tent_masses(grid, (mu + sc * noise.mean).reshape(-1),
-                                         (sc * noise.std).reshape(-1))
+                                         (sc * noise.std).reshape(-1), banded=True)
         return B.reshape(shape), clamp.reshape(shape)
     landing, omega, clamp = _quadrature_landing(grid, mu, sc, noise)
     step = max(1, BAND_CHUNK // grid.size)

@@ -7,10 +7,12 @@ then replays the recorded calls through this checkout's function and
 through the same function of a second copy of the package.  That copy is
 loaded from ``--baseline DIR`` (a checkout holding ``src/markeq``, for
 example a ``git worktree`` of the parent commit) under the module name
-``markeq_baseline``.  The function may return its rows dense or as bands
-(``np.asarray`` gives their dense rows); every call must give
-``np.array_equal`` dense rows and clamped masses in both copies, and the
-first mismatch exits with status 1.
+``markeq_baseline``.  Each call is replayed here with the keywords it
+was made with (``banded=True`` from ``discretize``, whose rows come back
+as bands) and in the baseline with the positional arguments only; every
+call must give ``np.array_equal`` dense rows (``np.asarray`` of either
+form) and clamped masses in both copies, and the first mismatch exits
+with status 1.
 
 Both copies are timed interleaved in one process, call by call, the
 order alternating each round, and the median over rounds of each batch
@@ -65,9 +67,9 @@ def record(build):
     calls = []
     real = kernels._gaussian_tent_masses
 
-    def recording(grid, mean, std):
-        calls.append((grid.copy(), mean.copy(), std.copy()))
-        return real(grid, mean, std)
+    def recording(grid, mean, std, **form):
+        calls.append(((grid.copy(), mean.copy(), std.copy()), form))
+        return real(grid, mean, std, **form)
 
     kernels._gaussian_tent_masses = recording
     try:
@@ -82,8 +84,8 @@ def record(build):
 def replay(name, calls, base, rounds):
     """Check every call bit for bit, then print the per-class median times."""
     here = kernels._gaussian_tent_masses
-    for c, args in enumerate(calls):
-        (w1, k1), (w0, k0) = here(*args), base(*args)
+    for c, (args, form) in enumerate(calls):
+        (w1, k1), (w0, k0) = here(*args, **form), base(*args)
         w1, w0 = np.asarray(w1), np.asarray(w0)  # dense rows of either form
         if not (np.array_equal(w1, w0) and np.array_equal(k1, k0)):
             diff = np.max(np.abs(w1 - w0), initial=0.0)
@@ -94,19 +96,19 @@ def replay(name, calls, base, rounds):
     print(f"  {'batch class':<12} {'calls':>5} {'rows':>7}  {'baseline ms':>11} "
           f"{'this ms':>9} {'ratio':>6}")
     for label, lo, hi in CLASSES:
-        group = [a for a in calls if lo <= a[1].size and (hi is None or a[1].size <= hi)]
+        group = [(a, f) for a, f in calls if lo <= a[1].size and (hi is None or a[1].size <= hi)]
         if not group:
             print(f"  {label:<12} {0:>5} {0:>7}  {'-':>11} {'-':>9} {'-':>6}")
             continue
         times = {here: np.zeros(rounds), base: np.zeros(rounds)}
         for r in range(rounds):
-            for args in group:  # call by call, so both copies see the same cache and heap
+            for args, form in group:  # call by call, so both copies see the same cache and heap
                 for fn in ((here, base) if r % 2 == 0 else (base, here)):
                     t0 = time.perf_counter()
-                    fn(*args)
+                    fn(*args, **(form if fn is here else {}))
                     times[fn][r] += time.perf_counter() - t0
         t_base, t_here = (1e3 * float(np.median(times[f])) for f in (base, here))
-        print(f"  {label:<12} {len(group):>5} {sum(a[1].size for a in group):>7}  "
+        print(f"  {label:<12} {len(group):>5} {sum(a[1].size for a, _ in group):>7}  "
               f"{t_base:>11.2f} {t_here:>9.2f} {t_here / t_base:>6.3f}")
     return True
 
