@@ -260,8 +260,9 @@ class DiscretizedKernel:
         jl = np.where(exact, j, j - 1)
         theta = np.divide(U - Uk[r, jl], Uk[r, j] - Uk[r, jl],
                           out=np.zeros_like(U), where=~exact)
-        B, rows = self._bands[t], nodes[:, None] * Uk.shape[1]
-        return (1.0 - theta)[..., None] * B.take(rows + jl) + theta[..., None] * B.take(rows + j)
+        rows = nodes[:, None] * Uk.shape[1]
+        left, right = self._bands[t].take(np.stack([rows + jl, rows + j]))
+        return (1.0 - theta)[..., None] * left + theta[..., None] * right
 
     def node_rows(self, t: int, nodes, U) -> np.ndarray:
         """Landing weights for state nodes ``nodes`` (k,) at controls U, (k,) or (k, P).
@@ -485,20 +486,6 @@ class _Bands:
     def nbytes(self) -> int:
         return sum(a.nbytes for group in self.groups for a in group)
 
-    def reshape(self, shape) -> "_Bands":
-        """The same rows under the leading shape ``shape``."""
-        if np.prod(shape) != np.prod(self.shape[:-1]):
-            raise ValueError(f"cannot give rows {self.shape} the leading shape {shape}")
-        return _Bands(tuple(shape) + self.shape[-1:], self.groups)
-
-    @functools.cached_property
-    def _where(self):
-        """Group and position within it of every row."""
-        gid, pos = np.empty((2, int(np.prod(self.shape[:-1]))), dtype=np.intp)
-        for g, (rows, _, _) in enumerate(self.groups):
-            gid[rows], pos[rows] = g, np.arange(rows.size)
-        return gid, pos
-
     def dense(self) -> np.ndarray:
         return self.dense_rows(0, int(np.prod(self.shape[:-1]))).reshape(self.shape)
 
@@ -517,15 +504,8 @@ class _Bands:
     def take(self, idx) -> np.ndarray:
         """Dense rows at the flat row indices ``idx``: idx.shape + (n,)."""
         idx = np.asarray(idx, dtype=np.intp)
-        n, (gid, pos) = self.shape[-1], self._where
-        out = np.zeros((idx.size, n))
-        flat, at = out.reshape(-1), idx.reshape(-1)
-        for g, (_, start, band) in enumerate(self.groups):
-            r = np.flatnonzero(gid[at] == g)
-            if r.size:
-                p = pos[at[r]]
-                _sliding(flat, band.shape[1])[r * n + start[p]] = band[p]
-        return out.reshape(idx.shape + (n,))
+        lo, hi = (int(idx.min()), int(idx.max()) + 1) if idx.size else (0, 0)
+        return self.dense_rows(lo, hi)[idx - lo]
 
     def dot(self, v: np.ndarray) -> np.ndarray:
         """Rows of node k against each v[:, k], v (c, K, n) with K the leading size: (c,) + rows."""
@@ -653,8 +633,6 @@ class _Slices(Sequence):
         return len(self._bands)
 
     def __getitem__(self, t):
-        if isinstance(t, slice):
-            return [B.dense() for B in self._bands[t]]
         return self._bands[t].dense()
 
 
@@ -682,7 +660,7 @@ def _landing_bands(grid: np.ndarray, mu: np.ndarray, sc: np.ndarray, noise: Nois
     if isinstance(noise, GaussianNoise):
         B, clamp = _gaussian_tent_masses(grid, (mu + sc * noise.mean).reshape(-1),
                                          (sc * noise.std).reshape(-1), banded=True)
-        return B.reshape(shape), clamp.reshape(shape)
+        return _Bands(shape + grid.shape, B.groups), clamp.reshape(shape)
     landing, omega, clamp = _quadrature_landing(grid, mu, sc, noise)
     step = max(1, BAND_CHUNK // grid.size)
 
