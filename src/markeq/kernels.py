@@ -164,7 +164,10 @@ class DiscretizedKernel:
     reads a row's values alone, so a row built twice is banded alike, and
     ``expect``, the contraction for every hot path, sums it in the same
     order wherever it came from.  ``weights`` builds dense slices on
-    access, for inspection and tests.
+    access, for inspection and tests.  A kernel whose rows blend between
+    control nodes (``build_method`` "blend": chains, caches loaded without a
+    spec) also keeps a read-only dense copy of each slice that a blend or a
+    shared-vector contraction has read.
 
     With an additive-noise ``spec``, off-node rows are built by the rule that
     built the node rows, not blended (blending is only piecewise linear in
@@ -180,6 +183,7 @@ class DiscretizedKernel:
         self.grids = list(grids)
         self.clamped = list(clamped)  # clamp mass per (i, j)
         self.spec = spec
+        self._kept = [None] * len(self._bands)  # see _dense
 
     @property
     def weights(self) -> Sequence[np.ndarray]:
@@ -219,18 +223,32 @@ class DiscretizedKernel:
         each band meets its window of them in one einsum, so a row's value
         depends on that row alone, bit for bit, wherever it is stored and
         whatever batch holds it.  With ``v`` (c, n_{t+1}), shared by every
-        row, the rows meet it in one GEMM, on a transient dense slice for
-        the stored rows: the fast form for many columns.  Returns (c,) +
-        the rows' leading shape.
+        row, the rows meet it in one GEMM, on a dense slice for the stored
+        rows (see ``_dense``): the fast form for many columns.  Returns
+        (c,) + the rows' leading shape.
         """
-        rows = self._bands[t] if rows is None else rows
         v = np.asarray(v, dtype=float)
         if v.ndim == 2:
-            D = np.asarray(rows)
+            D = self._dense(t) if rows is None else np.asarray(rows)
             return (D.reshape(-1, D.shape[-1]) @ v.T).T.reshape(v.shape[:1] + D.shape[:-1])
+        rows = self._bands[t] if rows is None else rows
         if v.shape[1:] != (rows.shape[0], rows.shape[-1]):
             raise ValueError(f"vectors of shape {v.shape} do not fit rows {rows.shape}")
         return rows.dot(v) if isinstance(rows, _Bands) else _dense_dot(np.asarray(rows), v)
+
+    def _dense(self, t: int) -> np.ndarray:
+        """Dense slice t for blending and shared-vector contractions.
+
+        Kept, read-only, for kernels whose rows blend between control nodes
+        (``build_method`` "blend"), where every off-node row reads two stored
+        rows; built afresh, and dropped by the caller, otherwise.
+        """
+        if self.build_method != "blend":
+            return self._bands[t].dense()
+        if self._kept[t] is None:
+            self._kept[t] = self._bands[t].dense()
+            self._kept[t].flags.writeable = False
+        return self._kept[t]
 
     def check_rows(self, tol: float = ROW_SUM_TOL):
         for t, B in enumerate(self._bands):
@@ -260,9 +278,9 @@ class DiscretizedKernel:
         jl = np.where(exact, j, j - 1)
         theta = np.divide(U - Uk[r, jl], Uk[r, j] - Uk[r, jl],
                           out=np.zeros_like(U), where=~exact)
-        rows = nodes[:, None] * Uk.shape[1]
-        left, right = self._bands[t].take(np.stack([rows + jl, rows + j]))
-        return (1.0 - theta)[..., None] * left + theta[..., None] * right
+        W = self._dense(t)
+        rows = nodes[:, None]
+        return (1.0 - theta)[..., None] * W[rows, jl] + theta[..., None] * W[rows, j]
 
     def node_rows(self, t: int, nodes, U) -> np.ndarray:
         """Landing weights for state nodes ``nodes`` (k,) at controls U, (k,) or (k, P).
@@ -298,7 +316,7 @@ class DiscretizedKernel:
         if self.spec is None or isinstance(self.spec, DiscreteChain):
             Uk, k = self.controls[t][nodes], np.arange(u.size)
             j = np.clip(np.sum(Uk < u[:, None], axis=-1), 1, Uk.shape[1] - 1)
-            W = self._bands[t].take(nodes * Uk.shape[1] + np.stack([j - 1, j]))
+            W = self._dense(t)[nodes, np.stack([j - 1, j])]
             return (np.einsum("kn,kn->k", W[1] - W[0], g)
                     / (Uk[k, j] - Uk[k, j - 1])).reshape(shape)
         spec, x, noise = self.spec, self.grids[t][nodes], self.spec.noise
@@ -500,12 +518,6 @@ class _Bands:
                 # Window k of the flat view is flat[k:k + W]; those written lie in distinct rows.
                 _sliding(flat, band.shape[1])[(rows[lo:hi] - a) * n + start[lo:hi]] = band[lo:hi]
         return out
-
-    def take(self, idx) -> np.ndarray:
-        """Dense rows at the flat row indices ``idx``: idx.shape + (n,)."""
-        idx = np.asarray(idx, dtype=np.intp)
-        lo, hi = (int(idx.min()), int(idx.max()) + 1) if idx.size else (0, 0)
-        return self.dense_rows(lo, hi)[idx - lo]
 
     def dot(self, v: np.ndarray) -> np.ndarray:
         """Rows of node k against each v[:, k], v (c, K, n) with K the leading size: (c,) + rows."""
