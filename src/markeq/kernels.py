@@ -507,10 +507,13 @@ class _Bands:
     def dense(self) -> np.ndarray:
         return self.dense_rows(0, int(np.prod(self.shape[:-1]))).reshape(self.shape)
 
-    def dense_rows(self, a: int, b: int) -> np.ndarray:
-        """The dense rows of flat indices a..b-1, (b - a, n)."""
+    def dense_rows(self, a: int, b: int, out=None) -> np.ndarray:
+        """The dense rows of flat indices a..b-1, (b - a, n), written into ``out`` if given."""
         n = self.shape[-1]
-        out = np.zeros((b - a, n))
+        if out is None:
+            out = np.zeros((b - a, n))
+        else:
+            out[...] = 0.0
         flat = out.reshape(-1)
         for rows, start, band in self.groups:
             lo, hi = np.searchsorted(rows, (a, b))  # a group's rows are in increasing order
@@ -944,8 +947,10 @@ def save_kernel_cache(dk: DiscretizedKernel, path):
             floats(dk.grids[t])
             floats(dk.controls[t])
             step = max(1, BAND_CHUNK // nn)
+            chunk = np.empty((min(step, n * M), nn))  # one buffer for every chunk of rows
             for a in range(0, n * M, step):
-                floats(B.dense_rows(a, min(a + step, n * M)))
+                b = min(a + step, n * M)
+                floats(B.dense_rows(a, b, chunk[:b - a]))
             floats(dk.clamped[t])
         floats(dk.grids[-1])
 
@@ -983,9 +988,10 @@ def load_kernel_cache(path, spec: Optional[KernelSpec] = None) -> DiscretizedKer
             raise KernelError(f"truncated kernel cache {path}: {what} needs {size} bytes, "
                               f"found {left}")
 
-    def floats(shape, what):
+    def floats(shape, what, into=None):
         fit(8 * int(np.prod(shape)), what)
-        arr = _read(fh, path, 8 * int(np.prod(shape)), what, into=np.empty(shape, dtype="<f8"))
+        into = np.empty(shape, dtype="<f8") if into is None else into
+        arr = _read(fh, path, 8 * into.size, what, into=into)
         if not np.all(np.isfinite(arr)):
             raise KernelError(f"kernel cache {path}: non-finite {what}")
         return arr
@@ -993,8 +999,9 @@ def load_kernel_cache(path, spec: Optional[KernelSpec] = None) -> DiscretizedKer
     def rows(n, M, nn, what):
         fit(8 * n * M * nn, what)
         step = max(1, BAND_CHUNK // nn)
+        chunk = np.empty((min(step, n * M), nn), dtype="<f8")  # banded before the next read
         for a in range(0, n * M, step):
-            W = floats((min(step, n * M - a), nn), what)
+            W = floats((min(step, n * M - a), nn), what, into=chunk[:min(step, n * M - a)])
             yield np.arange(a, a + W.shape[0]), np.zeros(W.shape[0], dtype=np.intp), _floor(W)
 
     with open(path, "rb") as fh:
