@@ -192,7 +192,7 @@ class DiscretizedKernel:
 
     @property
     def nbytes(self) -> int:
-        """Bytes the kernel stores: bands with their row indices and starts, grids, controls, clamp."""
+        """Bytes the kernel stores: bands, their row indices and starts, grids, controls, clamp."""
         return sum(B.nbytes for B in self._bands) + sum(
             a.nbytes for a in (*self.controls, *self.grids, *self.clamped))
 
@@ -534,10 +534,10 @@ class _Bands:
 
 
 def _band_dot(out, rows, off, band, flat):
-    """out[:, rows] = each band (r, W) dotted with the window at ``off`` of each line of flat (c, L).
+    """out[:, rows] = each band (r, W) dotted with the window at ``off`` of each line of flat.
 
-    One einsum per chunk of rows and line: a row's sum runs in an order set
-    by W alone.
+    ``flat`` is (c, L); one einsum per chunk of rows and line: a row's sum
+    runs in an order set by W alone.
     """
     W = band.shape[1]
     # Each window of W floats is one item of a 1-d view, so the gather is a plain take.
@@ -624,7 +624,7 @@ def _banded(shape, n: int, windows) -> _Bands:
 
 
 def _dense_bands(D: np.ndarray, floor: bool = False) -> _Bands:
-    """Bands of dense rows D (..., n), read in chunks of rows; ``floor`` applies ``_floor`` to a copy."""
+    """Bands of dense rows D (..., n), a chunk of rows at a time; ``floor`` floors copies."""
     n = D.shape[-1]
     flat = D.reshape(-1, n)
     step = max(1, BAND_CHUNK // n)
@@ -639,7 +639,7 @@ def _dense_bands(D: np.ndarray, floor: bool = False) -> _Bands:
 
 
 class _Slices(Sequence):
-    """The dense slices W[t] (n_t, M, n_{t+1}) of a kernel's bands, each built when read; none is kept."""
+    """Dense slices W[t] (n_t, M, n_{t+1}) of a kernel's bands, each built when read, none kept."""
 
     def __init__(self, bands):
         self._bands = bands
@@ -698,7 +698,7 @@ def _quadrature_landing(grid: np.ndarray, mu: np.ndarray, sc: np.ndarray, noise:
 
 
 def _spread(grid: np.ndarray, landing: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """Rows (R, len(grid)) of the points ``landing`` (R, Q) weighted by ``omega``: normalised, floored."""
+    """Normalised, floored rows (R, len(grid)) of points ``landing`` (R, Q) weighing ``omega``."""
     W = spread_mass(grid, landing, omega)
     np.maximum(W, 0.0, out=W)
     W /= W.sum(axis=-1, keepdims=True)
