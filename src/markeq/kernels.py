@@ -164,10 +164,9 @@ class DiscretizedKernel:
     reads a row's values alone, so a row built twice is banded alike, and
     ``expect``, the contraction for every hot path, sums it in the same
     order wherever it came from.  ``weights`` builds dense slices on
-    access, for inspection and tests.  A kernel whose rows blend between
-    control nodes (``build_method`` "blend": chains, caches loaded without a
-    spec) also keeps a read-only dense copy of each slice that a blend or a
-    shared-vector contraction has read.
+    access, for inspection and tests.  A ``DiscreteChain`` kernel also keeps
+    a read-only dense copy of each slice that a blend or a shared-vector
+    contraction has read (see ``_dense``).
 
     With an additive-noise ``spec``, off-node rows are built by the rule that
     built the node rows, not blended (blending is only piecewise linear in
@@ -239,11 +238,11 @@ class DiscretizedKernel:
     def _dense(self, t: int) -> np.ndarray:
         """Dense slice t for blending and shared-vector contractions.
 
-        Kept, read-only, for kernels whose rows blend between control nodes
-        (``build_method`` "blend"), where every off-node row reads two stored
-        rows; built afresh, and dropped by the caller, otherwise.
+        Kept, read-only, for a ``DiscreteChain``, whose every off-node row
+        reads two stored rows and whose spec holds its matrices dense anyway;
+        built afresh, and dropped by the caller, otherwise.
         """
-        if self.build_method != "blend":
+        if not isinstance(self.spec, DiscreteChain):
             return self._bands[t].dense()
         if self._kept[t] is None:
             self._kept[t] = self._bands[t].dense()
