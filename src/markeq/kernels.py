@@ -485,6 +485,15 @@ def _sliding(a: np.ndarray, width: int) -> np.ndarray:
     return as_strided(a, shape, strides)
 
 
+def _items(a: np.ndarray, width: int) -> np.ndarray:
+    """The windows a[k:k + width] of a contiguous 1-d float array as the items of a 1-d view.
+
+    Indexing the view with k moves whole windows, one copy each, which beats
+    indexing ``_sliding``'s 2-d view; ``.view(float)`` of a gather gives its floats.
+    """
+    return np.ndarray((a.size - width + 1,), (np.void, 8 * width), a, 0, a.strides)
+
+
 class _Bands:
     """Rows of shape ``shape`` stored as bands, by the rule in ``DiscretizedKernel``.
 
@@ -517,8 +526,10 @@ class _Bands:
         for rows, start, band in self.groups:
             lo, hi = np.searchsorted(rows, (a, b))  # a group's rows are in increasing order
             if hi > lo:
-                # Window k of the flat view is flat[k:k + W]; those written lie in distinct rows.
-                _sliding(flat, band.shape[1])[(rows[lo:hi] - a) * n + start[lo:hi]] = band[lo:hi]
+                # Item k is flat[k:k + W]; those written lie in distinct rows.
+                W = band.shape[1]
+                _items(flat, W)[(rows[lo:hi] - a) * n + start[lo:hi]] = (
+                    band[lo:hi].view((np.void, 8 * W))[:, 0])
         return out
 
     def dot(self, v: np.ndarray) -> np.ndarray:
@@ -539,8 +550,7 @@ def _band_dot(out, rows, off, band, flat):
     runs in an order set by W alone.
     """
     W = band.shape[1]
-    # Each window of W floats is one item of a 1-d view, so the gather is a plain take.
-    windows = [np.ndarray((f.size - W + 1,), (np.void, 8 * W), f, 0, (8,)) for f in flat]
+    windows = [_items(f, W) for f in flat]
     step = max(1, BAND_CHUNK // W)  # the gather stays in cache
     for a in range(0, rows.size, step):
         b, r, o = band[a:a + step], rows[a:a + step], off[a:a + step]
@@ -552,29 +562,29 @@ def _dense_dot(D: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``_Bands.dot`` of dense rows D (K, ..., n), banded by the same rule on the way in."""
     c, K, n = v.shape
     D2 = np.ascontiguousarray(D, dtype=float).reshape(-1, n)
-    width, begin, off = _cut(D2, 0, 0, n)
+    width, begin, off = _cut(D2 != 0.0, 0, 0, n)
     flat, per = np.ascontiguousarray(v).reshape(c, K * n), D2.shape[0] // K
     out = np.empty((c, D2.shape[0]))
     for W in np.flatnonzero(np.bincount(width)).tolist():
         r = np.flatnonzero(width == W)
-        _band_dot(out, r, r // per * n + begin[r], _sliding(D2.reshape(-1), W)[off[r]], flat)
+        band = _items(D2.reshape(-1), W)[off[r]].view(float).reshape(-1, W)
+        _band_dot(out, r, r // per * n + begin[r], band, flat)
     return out.reshape((c,) + D.shape[:-1])
 
 
-def _cut(pad: np.ndarray, p: int, start, n: int):
+def _cut(nz: np.ndarray, p: int, start, n: int):
     """Each row's band by the rule in ``DiscretizedKernel``: (width, first node, offset in pad).
 
-    Row r of ``pad`` (r, w + 2p) holds its row's nodes from start[r] - p on;
-    a row of zeros gets a band from start[r].
+    Row r of the mask ``nz`` (r, w + 2p) marks the nonzero weights of its
+    row's nodes from start[r] - p on; a row of zeros gets a band from start[r].
     """
-    nz = pad != 0.0
     has = nz.any(axis=1)
     first = np.where(has, nz.argmax(axis=1), p)
-    last = np.where(has, pad.shape[1] - 1 - nz[:, ::-1].argmax(axis=1), p)
+    last = np.where(has, nz.shape[1] - 1 - nz[:, ::-1].argmax(axis=1), p)
     width = np.minimum(-(-(last - first + 1) // BAND_ALIGN) * BAND_ALIGN, n)
-    node0 = start - p  # the node of pad's first column
+    node0 = start - p  # the node of the mask's first column
     begin = np.minimum(node0 + first, n - width)
-    return width, begin, np.arange(pad.shape[0]) * pad.shape[1] + begin - node0
+    return width, begin, np.arange(nz.shape[0]) * nz.shape[1] + begin - node0
 
 
 def _banded(shape, n: int, windows) -> _Bands:
@@ -593,11 +603,12 @@ def _banded(shape, n: int, windows) -> _Bands:
             pad[:, p:p + w] = win
         else:
             pad = win
-        width, begin, off = _cut(pad, p, start, n)
+        width, begin, off = _cut(pad != 0.0, p, start, n)
         flat = pad.reshape(-1)
         for W in np.flatnonzero(np.bincount(width)).tolist():
             sel = np.flatnonzero(width == W)
-            pieces.setdefault(W, []).append((rows[sel], begin[sel], _sliding(flat, W)[off[sel]]))
+            pieces.setdefault(W, []).append(
+                (rows[sel], begin[sel], _items(flat, W)[off[sel]].view(float).reshape(-1, W)))
         del pad, flat
     groups = []
     for W in sorted(pieces):  # rows in increasing order, so a gather walks its vectors forward
@@ -623,18 +634,45 @@ def _banded(shape, n: int, windows) -> _Bands:
 
 
 def _dense_bands(D: np.ndarray, floor: bool = False) -> _Bands:
-    """Bands of dense rows D (..., n), a chunk of rows at a time; ``floor`` floors copies."""
+    """Bands of dense rows D (..., n), a chunk of rows at a time; see ``_reread`` for ``floor``."""
     n = D.shape[-1]
     flat = D.reshape(-1, n)
     step = max(1, BAND_CHUNK // n)
+    return _reread(D.shape[:-1], n, lambda first: (flat[a:a + step]
+                                                   for a in range(0, flat.shape[0], step)), floor)
 
-    def windows():
-        for a in range(0, flat.shape[0], step):
-            win = flat[a:a + step]
-            yield (np.arange(a, a + win.shape[0]), np.zeros(win.shape[0], dtype=np.intp),
-                   _floor(win.copy()) if floor else win)
 
-    return _banded(D.shape[:-1], n, windows())
+def _reread(shape, n: int, chunks, floor: bool = False) -> _Bands:
+    """Bands of dense rows ``shape`` + (n,) that ``chunks(first)`` yields as consecutive (r, n) blocks.
+
+    The rows are read twice, ``first`` true on the first read: once for each
+    row's band, then again into band arrays allocated at their final sizes,
+    so nothing built on the way outlives its chunk (``_banded`` keeps
+    pieces until every row is seen).  With ``floor``, weights below
+    ``WEIGHT_FLOOR`` count as zeros and are set to 0 in the bands.
+    """
+    width, begin = np.empty((2, int(np.prod(shape))), dtype=np.intp)
+    a = 0
+    for D in chunks(True):
+        width[a:a + len(D)], begin[a:a + len(D)], _ = _cut(
+            D >= WEIGHT_FLOOR if floor else D != 0.0, 0, 0, n)
+        a += len(D)
+    groups = [(rows, begin[rows], np.empty((rows.size, W))) for W, rows in
+              ((W, np.flatnonzero(width == W)) for W in np.flatnonzero(np.bincount(width)))]
+    del width, begin
+    a = 0
+    for D in chunks(False):
+        flat, b = np.ascontiguousarray(D).reshape(-1), a + len(D)
+        for rows, start, band in groups:
+            lo, hi = np.searchsorted(rows, (a, b))  # rows in increasing order
+            if hi > lo:
+                band[lo:hi] = _items(flat, band.shape[1])[(rows[lo:hi] - a) * n + start[lo:hi]
+                                                          ].view(float).reshape(hi - lo, -1)
+        a = b
+    if floor:
+        for _, _, band in groups:
+            _floor(band)
+    return _Bands(tuple(shape) + (n,), groups)
 
 
 class _Slices(Sequence):
@@ -927,7 +965,8 @@ def setwise_continuity_probe(kernel: AdditiveNoise, t: int, x: float, u: float,
 #   float64[n_T]                   terminal state grid, then the end of the file
 # Version 1 (magic b"MKEQDK01") has no build fields: see load_kernel_cache.
 # The weights are dense in the file and banded in memory: both ways they
-# move a chunk of ``BAND_CHUNK`` entries' rows at a time.
+# move a chunk of ``BAND_CHUNK`` entries' rows at a time, and loading reads
+# them twice (``_reread``).
 
 _MAGIC = b"MKEQDK02"
 _METHODS = ("blend", "exact", "quadrature")
@@ -996,12 +1035,19 @@ def load_kernel_cache(path, spec: Optional[KernelSpec] = None) -> DiscretizedKer
         return arr
 
     def rows(n, M, nn, what):
+        """The weights section as bands; it is read twice (``_reread``), from here."""
         fit(8 * n * M * nn, what)
-        step = max(1, BAND_CHUNK // nn)
-        chunk = np.empty((min(step, n * M), nn), dtype="<f8")  # banded before the next read
-        for a in range(0, n * M, step):
-            W = floats((min(step, n * M - a), nn), what, into=chunk[:min(step, n * M - a)])
-            yield np.arange(a, a + W.shape[0]), np.zeros(W.shape[0], dtype=np.intp), _floor(W)
+        step, at = max(1, BAND_CHUNK // nn), fh.tell()
+        chunk = np.empty((min(step, n * M), nn), dtype="<f8")  # used up before the next read
+
+        def chunks(first):
+            fh.seek(at)
+            for a in range(0, n * M, step):
+                W = chunk[:min(step, n * M - a)]
+                yield floats(W.shape, what, into=W) if first else _read(fh, path, 8 * W.size,
+                                                                        what, into=W)
+
+        return _reread((n, M), nn, chunks, floor=True)
 
     with open(path, "rb") as fh:
         end = os.fstat(fh.fileno()).st_size
@@ -1028,7 +1074,7 @@ def load_kernel_cache(path, spec: Optional[KernelSpec] = None) -> DiscretizedKer
             n, M, nn = shape
             grids.append(floats((n,), f"state grid at t={t}"))
             controls.append(floats((n, M), f"control nodes at t={t}"))
-            weights.append(_banded((n, M), nn, rows(n, M, nn, f"weights at t={t}")))
+            weights.append(rows(n, M, nn, f"weights at t={t}"))
             clamped.append(floats((n, M), f"clamped mass at t={t}"))
         grids.append(floats((nn,), "terminal state grid"))
         if fh.tell() != end:
