@@ -573,7 +573,7 @@ def _dense_dot(D: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _cut(nz: np.ndarray, p: int, start, n: int):
-    """Each row's band by the rule in ``DiscretizedKernel``: (width, first node, offset in pad).
+    """Each row's band by the rule in ``DiscretizedKernel``: (width, first node, flat offset).
 
     Row r of the mask ``nz`` (r, w + 2p) marks the nonzero weights of its
     row's nodes from start[r] - p on; a row of zeros gets a band from start[r].
@@ -638,14 +638,17 @@ def _dense_bands(D: np.ndarray, floor: bool = False) -> _Bands:
     n = D.shape[-1]
     flat = D.reshape(-1, n)
     step = max(1, BAND_CHUNK // n)
-    return _reread(D.shape[:-1], n, lambda first: (flat[a:a + step]
-                                                   for a in range(0, flat.shape[0], step)), floor)
+
+    def chunks(first):
+        return (flat[a:a + step] for a in range(0, flat.shape[0], step))
+
+    return _reread(D.shape[:-1], n, chunks, floor)
 
 
 def _reread(shape, n: int, chunks, floor: bool = False) -> _Bands:
-    """Bands of dense rows ``shape`` + (n,) that ``chunks(first)`` yields as consecutive (r, n) blocks.
+    """Bands of dense rows ``shape`` + (n,), which ``chunks(first)`` yields in (r, n) blocks.
 
-    The rows are read twice, ``first`` true on the first read: once for each
+    The blocks are read twice, ``first`` true on the first read: once for each
     row's band, then again into band arrays allocated at their final sizes,
     so nothing built on the way outlives its chunk (``_banded`` keeps
     pieces until every row is seen).  With ``floor``, weights below
