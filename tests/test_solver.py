@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markeq import (ControlConstraint, Costs, DensityNoise, ExpUtilityParams, GaussianNoise,
-                    LQParams,
-                    MeanVarianceParams, Model, Policy, SolveOptions,
+                    LQParams, MeanVarianceParams, Model, Policy, SolveOptions,
                     bellman_step, build_aux, build_model,
                     discretize, eval_objective_exact, exp_utility_model, golden_section,
                     levelset_probe, lq_model, mv_chain_model, mv_closed_form,
