@@ -5,10 +5,10 @@ error"), runs (3, "solver failure"; verify exits 4, "certification
 failed"), and writes CSVs through one writer, ``evaluate.write_csv``, plus
 a JSON run manifest.  ``verify`` writes the certificate, ``deviation.csv``,
 one row per (t, node) with the node's worst probe.  Re-running a command
-with an identical config reproduces byte-identical CSV bodies regardless
-of --workers (reductions are always in node order).  --workers and --seed
-are only recorded in the manifest: no thread cap is applied, and nothing
-in solve, verify or compare is random.
+with an identical config reproduces byte-identical CSV bodies, at one
+BLAS thread or two alike (reductions are always in node order).  --seed
+is only recorded in the manifest: nothing in solve, verify or compare is
+random.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ def _manifest(out_dir: Path, config: dict, args, timings: dict, artifacts, **ext
     doc = {
         "config_hash": config_hash(config),
         "options": {"u_tol": getattr(args, "u_tol", None), "tol": getattr(args, "tol", None),
-                    "controls": args.controls, "workers": args.workers},
+                    "controls": args.controls},
         "seed": args.seed,
         "timings_s": timings,
         "artifacts": sorted(str(a) for a in artifacts),
@@ -247,8 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", required=True, help="config document (JSON or YAML)")
-        p.add_argument("--workers", type=int, default=1,
-                       help="recorded in the manifest only; no thread cap is applied")
         p.add_argument("--seed", type=int, default=0,
                        help="recorded in the manifest only; nothing here is random")
         p.add_argument("--controls", type=int, default=None,

@@ -292,12 +292,9 @@ def verify_equilibrium(model: Model, dk: DiscretizedKernel,
                        probe_controls_per_node: Optional[int] = None,
                        tol: float = 1e-6) -> DeviationReport:
     """Deviation test for a solved equilibrium, using its reported values."""
-    report = deviation_report(model, dk, solution.policy,
-                              values=[np.asarray(v) for v in solution.values],
-                              probe_controls_per_node=probe_controls_per_node,
-                              tol=tol)
-    solution.diagnostics.deviation_gap = report.worst_gap
-    return report
+    return deviation_report(model, dk, solution.policy,
+                            values=[np.asarray(v) for v in solution.values],
+                            probe_controls_per_node=probe_controls_per_node, tol=tol)
 
 
 # ---------------------------------------------------------------------------

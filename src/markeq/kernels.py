@@ -216,19 +216,19 @@ class DiscretizedKernel:
     def expect(self, t: int, v, rows=None) -> np.ndarray:
         """Landing rows at t dotted with vectors ``v`` on the time-(t+1) grid.
 
-        ``rows`` are the stored ones (``grid_rows(t)``) when None, or dense
-        rows (k, ..., n_{t+1}) such as ``node_rows`` builds.  With ``v``
-        (c, k, n_{t+1}), c vectors per node, node r's rows meet v[:, r]:
-        each band meets its window of them in one einsum, so a row's value
+        With ``v`` (c, k, n_{t+1}), c vectors per node, node r's rows meet
+        v[:, r]: the stored rows (``grid_rows(t)``) when ``rows`` is None,
+        else dense rows (k, ..., n_{t+1}) such as ``node_rows`` builds.
+        Each band meets its window of them in one einsum, so a row's value
         depends on that row alone, bit for bit, wherever it is stored and
         whatever batch holds it.  With ``v`` (c, n_{t+1}), shared by every
-        row, the rows meet it in one GEMM, on a dense slice for the stored
-        rows (see ``_dense``): the fast form for many columns.  Returns
-        (c,) + the rows' leading shape.
+        row, the stored rows meet it in one GEMM on a dense slice (see
+        ``_dense``): the fast form for many columns.  Returns (c,) + the
+        rows' leading shape.
         """
         v = np.asarray(v, dtype=float)
-        if v.ndim == 2:
-            D = self._dense(t) if rows is None else np.asarray(rows)
+        if v.ndim == 2 and rows is None:
+            D = self._dense(t)
             return (D.reshape(-1, D.shape[-1]) @ v.T).T.reshape(v.shape[:1] + D.shape[:-1])
         rows = self._bands[t] if rows is None else rows
         if v.shape[1:] != (rows.shape[0], rows.shape[-1]):
@@ -368,25 +368,22 @@ def derivative(f, u, lo=-np.inf, hi=np.inf):
 def spread_mass(grid: np.ndarray, points: np.ndarray, masses: np.ndarray) -> np.ndarray:
     """Distribute point masses onto bracketing grid nodes (clamped at edges).
 
-    points/masses share shape (..., Q); returns (..., len(grid)).
+    points (..., Q) and masses broadcast to one shape; returns (..., len(grid)).
+    One ``np.bincount`` adds every point's left share, then every right
+    share, each in point order, so each node sums its shares in a fixed order.
     """
     points = np.asarray(points, dtype=float)
-    masses = np.asarray(masses, dtype=float)
-    n = grid.size
-    out = np.zeros(points.shape[:-1] + (n,))
+    n, lead = grid.size, points.shape[:-1]
+    R = int(np.prod(lead))
     clipped = np.clip(points, grid[0], grid[-1])
     j = np.clip(np.searchsorted(grid, clipped, side="right"), 1, n - 1)
-    left = grid[j - 1]
-    right = grid[j]
-    theta = (clipped - left) / (right - left)
-    flat_out = out.reshape(-1, n)
-    flat_j = j.reshape(-1, points.shape[-1])
-    flat_theta = theta.reshape(-1, points.shape[-1])
-    flat_m = np.broadcast_to(masses, points.shape).reshape(-1, points.shape[-1])
-    rows = np.repeat(np.arange(flat_out.shape[0]), points.shape[-1])
-    np.add.at(flat_out, (rows, (flat_j - 1).ravel()), ((1 - flat_theta) * flat_m).ravel())
-    np.add.at(flat_out, (rows, flat_j.ravel()), (flat_theta * flat_m).ravel())
-    return out
+    theta = (clipped - grid[j - 1]) / (grid[j] - grid[j - 1])
+    m = np.broadcast_to(np.asarray(masses, dtype=float), points.shape)
+    at = j + n * np.arange(R).reshape(lead + (1,))  # flat index of node j in the output
+    out = np.bincount(np.concatenate([(at - 1).ravel(), at.ravel()]),
+                      np.concatenate([((1 - theta) * m).ravel(), (theta * m).ravel()]),
+                      minlength=R * n)
+    return out.reshape(lead + (n,))
 
 
 def _tent_blocks(grid: np.ndarray, mean: np.ndarray, std: np.ndarray):
@@ -691,32 +688,24 @@ class _Slices(Sequence):
         return self._bands[t].dense()
 
 
-def _landing_rows(grid: np.ndarray, mu: np.ndarray, sc: np.ndarray, noise: Noise):
+def _landing_rows(grid: np.ndarray, mu: np.ndarray, sc: np.ndarray, noise: Noise,
+                  banded: bool = False):
     """Landing rows mu.shape + (len(grid),) for the laws mu + sc * W, and their clamped mass.
 
     ``mu`` and ``sc`` are float arrays of one shape.  Gaussian noise gets
     closed-form hat-function masses; other noise spreads its ``QUAD_ORDER``
     quadrature points onto the grid.  Weights below ``WEIGHT_FLOOR`` become 0.
+    The rows come dense, or ``banded`` as ``_Bands`` built without a dense
+    slice, the quadrature rows spread a chunk of about ``BAND_CHUNK`` entries at a time.
     """
+    shape = mu.shape + grid.shape
     if isinstance(noise, GaussianNoise):
         W, clamp = _gaussian_tent_masses(grid, (mu + sc * noise.mean).reshape(-1),
-                                         (sc * noise.std).reshape(-1))
-        return W.reshape(mu.shape + grid.shape), clamp.reshape(mu.shape)
+                                         (sc * noise.std).reshape(-1), banded=banded)
+        return (_Bands(shape, W.groups) if banded else W.reshape(shape)), clamp.reshape(mu.shape)
     landing, omega, clamp = _quadrature_landing(grid, mu, sc, noise)
-    return _spread(grid, landing, omega).reshape(mu.shape + grid.shape), clamp
-
-
-def _landing_bands(grid: np.ndarray, mu: np.ndarray, sc: np.ndarray, noise: Noise):
-    """``_landing_rows`` as ``_Bands``, built without a dense slice.
-
-    Quadrature rows are spread a chunk of about ``BAND_CHUNK`` entries at a time.
-    """
-    shape = mu.shape
-    if isinstance(noise, GaussianNoise):
-        B, clamp = _gaussian_tent_masses(grid, (mu + sc * noise.mean).reshape(-1),
-                                         (sc * noise.std).reshape(-1), banded=True)
-        return _Bands(shape + grid.shape, B.groups), clamp.reshape(shape)
-    landing, omega, clamp = _quadrature_landing(grid, mu, sc, noise)
+    if not banded:
+        return _spread(grid, landing, omega).reshape(shape), clamp
     step = max(1, BAND_CHUNK // grid.size)
 
     def windows():
@@ -724,7 +713,7 @@ def _landing_bands(grid: np.ndarray, mu: np.ndarray, sc: np.ndarray, noise: Nois
             W = _spread(grid, landing[a:a + step], omega)
             yield np.arange(a, a + W.shape[0]), np.zeros(W.shape[0], dtype=np.intp), W
 
-    return _banded(shape, grid.size, windows()), clamp
+    return _banded(mu.shape, grid.size, windows()), clamp
 
 
 def _quadrature_landing(grid: np.ndarray, mu: np.ndarray, sc: np.ndarray, noise: Noise):
@@ -785,7 +774,7 @@ def discretize(kernel: KernelSpec, grids: Sequence[np.ndarray],
         x = grids[t]
         U = constraints[t].nodes(x)  # (n, M)
         mu, sc = kernel.landing_params(t, x[:, None], U)
-        B, clamp = _landing_bands(grids[t + 1], mu, sc, kernel.noise)
+        B, clamp = _landing_rows(grids[t + 1], mu, sc, kernel.noise, banded=True)
         weights.append(B)
         controls.append(U)
         clamped.append(clamp)

@@ -311,7 +311,6 @@ def bellman_step(model: Model, dk: DiscretizedKernel, aux: AuxiliaryBundle,
 class Diagnostics:
     boundary_hits: List[tuple] = field(default_factory=list)   # (t, node)
     refined: List[tuple] = field(default_factory=list)
-    deviation_gap: Optional[float] = None
     clamped_mass: Optional[float] = None
 
 

@@ -132,6 +132,27 @@ def gaussian_tent_masses(grid, mean, std):
     return out, lo_tail + hi_tail
 
 
+def spread_mass_add_at(grid, points, masses):
+    """``kernels.spread_mass`` by two ``np.add.at`` passes: all left shares, then all right."""
+    points = np.asarray(points, dtype=float)
+    masses = np.asarray(masses, dtype=float)
+    n = grid.size
+    out = np.zeros(points.shape[:-1] + (n,))
+    clipped = np.clip(points, grid[0], grid[-1])
+    j = np.clip(np.searchsorted(grid, clipped, side="right"), 1, n - 1)
+    left = grid[j - 1]
+    right = grid[j]
+    theta = (clipped - left) / (right - left)
+    flat_out = out.reshape(-1, n)
+    flat_j = j.reshape(-1, points.shape[-1])
+    flat_theta = theta.reshape(-1, points.shape[-1])
+    flat_m = np.broadcast_to(masses, points.shape).reshape(-1, points.shape[-1])
+    rows = np.repeat(np.arange(flat_out.shape[0]), points.shape[-1])
+    np.add.at(flat_out, (rows, (flat_j - 1).ravel()), ((1 - flat_theta) * flat_m).ravel())
+    np.add.at(flat_out, (rows, flat_j.ravel()), (flat_theta * flat_m).ravel())
+    return out
+
+
 def dense_landing_rows(grid, mean, std):
     """Dense tent masses, clipped at 0, normalised left to right and floored as the library does."""
     W, clamp = gaussian_tent_masses(grid, mean, std)

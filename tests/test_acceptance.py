@@ -265,22 +265,27 @@ def test_criterion_7_levelset_diagnostics():
 
 
 def test_criterion_8_determinism(tmp_path):
+    # Each run is a child process, so its BLAS reads the thread count at load.
     import json
-    from markeq.cli import main
+    import os
+    import subprocess
+    from pathlib import Path
     config = {"family": "mean_variance", "horizon": 3}
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))
+    src = str(Path(__file__).resolve().parent.parent / "src")
     outs = []
-    for name, workers in (("a", "1"), ("b", "4")):
-        out = tmp_path / name
-        code = main(["solve", "--config", str(cfg), "--out", str(out),
-                     "--workers", workers])
-        assert code == 0
-        code = main(["verify", "--config", str(cfg), "--solution", str(out),
-                     "--workers", workers])
-        assert code == 0
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        for command in (["solve", "--out", str(out)], ["verify", "--solution", str(out)]):
+            proc = subprocess.run([sys.executable, "-m", "markeq.cli", command[0],
+                                   "--config", str(cfg), *command[1:]],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
         outs.append(out)
     same = all((outs[0] / n).read_bytes() == (outs[1] / n).read_bytes()
                for n in ("policy.csv", "values.csv", "diagnostics.csv", "deviation.csv"))
-    _report(8, "byte-identical reruns across --workers", same)
+    _report(8, "byte-identical reruns at 1 and 2 BLAS threads", same)
     assert same

@@ -175,16 +175,26 @@ def test_solve_missing_config_file(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
-def test_solve_reruns_byte_identical_across_workers(tmp_path):
+def test_solve_reruns_byte_identical(tmp_path):
     cfg = write_config(tmp_path, MV_CONFIG)
     outs = []
-    for name, workers in (("a", "1"), ("b", "4")):
+    for name in ("a", "b"):
         out = tmp_path / name
-        assert main(["solve", "--config", cfg, "--out", str(out),
-                     "--workers", workers]) == 0
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
         outs.append(out)
     for name in ("policy.csv", "values.csv", "diagnostics.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "compare"])
+def test_workers_flag_is_rejected(tmp_path, capsys, command):
+    # The flag set no thread count, so it is gone rather than kept as a no-op.
+    cfg = write_config(tmp_path, MV_CONFIG)
+    where = "--solution" if command == "verify" else "--out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, where, str(tmp_path / "o"), "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_solve_mv_policy_state_constant(tmp_path):

@@ -14,9 +14,11 @@ from markeq import (AdditiveNoise, ControlConstraint, DensityNoise, DiscreteChai
                     exact_expectation, exp_utility_model,
                     load_kernel_cache, mv_chain_model, mv_model, nonlinear_lq_variant,
                     policy_matrix, save_kernel_cache, setwise_continuity_probe, tv_distance)
-from markeq.kernels import TENT_BLOCK, WEIGHT_FLOOR, DiscretizedKernel, _landing_rows
+from markeq.kernels import (TENT_BLOCK, WEIGHT_FLOOR, DiscretizedKernel, _landing_rows,
+                            spread_mass)
 
-from _oracles import dense_landing_rows, exact_tent_masses, moment_landing_rows
+from _oracles import (dense_landing_rows, exact_tent_masses, moment_landing_rows,
+                      spread_mass_add_at)
 
 
 def _gauss_kernel(a=1.0, b=1.0, sigma=1.0, floor_frac=0.5):
@@ -147,6 +149,24 @@ def _tent_rows(grid, mean, std):
     assert np.array_equal(W.reshape(Wd.shape), Wd)
     assert np.array_equal(clamp.reshape(cd.shape), cd)
     return W
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (2, 4)])
+@pytest.mark.parametrize("per_point", [True, False])
+def test_spread_mass_equals_add_at_bit_for_bit(lead, per_point):
+    # Uneven nodes; points on nodes, between them and beyond both ends, so
+    # nodes collect shares from several points, left and right.
+    rng = np.random.default_rng(11)
+    grid = np.cumsum(rng.uniform(0.1, 1.0, 9)) - 3.0
+    Q = 24
+    points = rng.uniform(grid[0] - 2.0, grid[-1] + 2.0, lead + (Q,))
+    points[..., :9] = grid
+    points[..., 9:12] = grid[0] - np.array([0.0, 0.5, 7.0])
+    points[..., 12:15] = grid[-1] + np.array([0.0, 0.5, 7.0])
+    masses = rng.uniform(0.0, 1.0, lead + (Q,) if per_point else (Q,))
+    got = spread_mass(grid, points, masses)
+    assert got.shape == lead + grid.shape
+    assert np.array_equal(got, spread_mass_add_at(grid, points, masses))
 
 
 def test_tent_masses_narrow_window_equal_dense(rng):

@@ -7,12 +7,13 @@ then replays the recorded calls through this checkout's function and
 through the same function of a second copy of the package.  That copy is
 loaded from ``--baseline DIR`` (a checkout holding ``src/markeq``, for
 example a ``git worktree`` of the parent commit) under the module name
-``markeq_baseline``.  Each call is replayed here with the keywords it
-was made with (``banded=True`` from ``discretize``, whose rows come back
-as bands) and in the baseline with the positional arguments only; every
-call must give ``np.array_equal`` dense rows (``np.asarray`` of either
-form) and clamped masses in both copies, and the first mismatch exits
-with status 1.
+``markeq_baseline``.  Each call is replayed in both copies with the
+keywords it was made with (``banded=True`` from ``discretize``, whose
+rows come back as bands), except that the baseline gets only those its
+function accepts (``inspect.signature``), so both copies do like work
+wherever they can; every call must give ``np.array_equal`` dense rows
+(``np.asarray`` of either form) and clamped masses in both copies, and
+the first mismatch exits with status 1.
 
 Both copies are timed interleaved in one process, call by call, the
 order alternating each round, and the median over rounds of each batch
@@ -31,6 +32,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
+import inspect
 import sys
 import time
 from pathlib import Path
@@ -81,11 +83,17 @@ def record(build):
     return calls
 
 
+def accepted(fn, form):
+    """The keywords of ``form`` that ``fn`` takes."""
+    params = inspect.signature(fn).parameters
+    return {k: v for k, v in form.items() if k in params}
+
+
 def replay(name, calls, base, rounds):
     """Check every call bit for bit, then print the per-class median times."""
     here = kernels._gaussian_tent_masses
     for c, (args, form) in enumerate(calls):
-        (w1, k1), (w0, k0) = here(*args, **form), base(*args)
+        (w1, k1), (w0, k0) = here(*args, **form), base(*args, **accepted(base, form))
         w1, w0 = np.asarray(w1), np.asarray(w0)  # dense rows of either form
         if not (np.array_equal(w1, w0) and np.array_equal(k1, k0)):
             diff = np.max(np.abs(w1 - w0), initial=0.0)
@@ -96,16 +104,17 @@ def replay(name, calls, base, rounds):
     print(f"  {'batch class':<12} {'calls':>5} {'rows':>7}  {'baseline ms':>11} "
           f"{'this ms':>9} {'ratio':>6}")
     for label, lo, hi in CLASSES:
-        group = [(a, f) for a, f in calls if lo <= a[1].size and (hi is None or a[1].size <= hi)]
+        group = [(a, {here: f, base: accepted(base, f)}) for a, f in calls
+                 if lo <= a[1].size and (hi is None or a[1].size <= hi)]
         if not group:
             print(f"  {label:<12} {0:>5} {0:>7}  {'-':>11} {'-':>9} {'-':>6}")
             continue
         times = {here: np.zeros(rounds), base: np.zeros(rounds)}
         for r in range(rounds):
-            for args, form in group:  # call by call, so both copies see the same cache and heap
+            for args, forms in group:  # call by call, so both copies see the same cache and heap
                 for fn in ((here, base) if r % 2 == 0 else (base, here)):
                     t0 = time.perf_counter()
-                    fn(*args, **(form if fn is here else {}))
+                    fn(*args, **forms[fn])
                     times[fn][r] += time.perf_counter() - t0
         t_base, t_here = (1e3 * float(np.median(times[f])) for f in (base, here))
         print(f"  {label:<12} {len(group):>5} {sum(a[1].size for a, _ in group):>7}  "
