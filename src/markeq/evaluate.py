@@ -25,6 +25,9 @@ from .solver import EquilibriumSolution, refine_bowls
 # width M_TOL in no more DPs than bisection would take.
 M_TOL = 1e-10
 MAX_EXPAND = 60
+# Landing-row entries per step-objective call of the linear DPs: a batch's
+# rows, and the tent blocks kept for their slope, stay a few MB however many plans run.
+DP_CHUNK = 1 << 19
 
 
 def _probe_objective(model: Model, dk: DiscretizedKernel, t: int, nodes, controls,
@@ -328,12 +331,17 @@ def _dp_linear(model: Model, dk: DiscretizedKernel, t0: int, nodes: np.ndarray,
         xk, U = model.grids[k], dk.controls[k]
         n, M = U.shape
         Lk = model.costs.running(k, t0, ys[:, None, None], xk[:, None], U) + dk.expect(k, V)
+        step = max(1, DP_CHUNK // model.grids[k + 1].size)
 
         def f(r, u):  # row r = p * n + i: plan p at node i; (value, slope) at u (k,)
             p, i = np.divmod(r, n)
             cost = lambda w: model.costs.running(k, t0, ys[p], xk[i], w)
-            return (cost(u) + np.einsum("km,km->k", dk.node_rows(k, i, u), V[p]),
-                    derivative(cost, u, *U[i][:, [0, -1]].T) + dk.node_slopes(k, i, u, V[p]))
+            EV, dEV = np.empty((2, r.size))
+            for a in range(0, r.size, step):
+                c = slice(a, a + step)
+                (rows, slope), g = dk.node_rows_and_slope(k, i[c], u[c]), V[p[c]]
+                EV[c], dEV[c] = np.einsum("km,km->k", rows, g), slope(g)
+            return cost(u) + EV, derivative(cost, u, *U[i][:, [0, -1]].T) + dEV
         _, uk, vk, _ = refine_bowls(model.kernel, Lk.reshape(P * n, M),
                                     np.broadcast_to(U, (P, n, M)).reshape(P * n, M), f,
                                     rows=None if k > t0 else np.arange(P) * n + nodes,

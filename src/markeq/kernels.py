@@ -301,43 +301,61 @@ class DiscretizedKernel:
         W, _ = _landing_rows(self.grids[t + 1], mu, sc, self.spec.noise)
         return W.reshape(shape)
 
-    def node_slopes(self, t: int, nodes, U, g) -> np.ndarray:
-        """d/du of ``node_rows(t, nodes, U) @ g``, shape U.shape; g broadcasts to the rows.
+    def node_rows_and_slope(self, t: int, nodes, U):
+        """``node_rows(t, nodes, U)`` and a function ``slope(g)``: d/du of rows @ g, U.shape.
 
-        Drift and scale slopes from ``derivative`` within each node's control
-        interval move the tent block or the quadrature landings; blended rows
-        are linear between control nodes.
+        g broadcasts to the rows.  Drift and scale slopes from ``derivative``
+        within each node's control interval move the tent block or the
+        quadrature landings; blended rows are linear between control nodes.
+        Gaussian rows come from one tent pass, which keeps each block's cell
+        masses P and phi at its window nodes: per unit of mean and of std,
+        the slope is sum_k (P_k, phi_k - phi_k+1) times g's slope on cell k.
         """
         nodes, shape, grid = np.asarray(nodes, np.intp).reshape(-1), np.shape(U), self.grids[t + 1]
         U = self._feasible(t, nodes, np.asarray(U, dtype=float).reshape(nodes.size, -1))
-        nodes, u = np.repeat(nodes, U.shape[1]), U.reshape(-1)  # one row per control
-        g = np.broadcast_to(g, shape + grid.shape).reshape(u.size, grid.size)
+        i, u = np.repeat(nodes, U.shape[1]), U.reshape(-1)  # one row per control
+
+        def flat(g):
+            return np.broadcast_to(g, shape + grid.shape).reshape(u.size, grid.size)
+
         if self.spec is None or isinstance(self.spec, DiscreteChain):
-            Uk, k = self.controls[t][nodes], np.arange(u.size)
-            j = np.clip(np.sum(Uk < u[:, None], axis=-1), 1, Uk.shape[1] - 1)
-            W = self._dense(t)[nodes, np.stack([j - 1, j])]
-            return (np.einsum("kn,kn->k", W[1] - W[0], g)
-                    / (Uk[k, j] - Uk[k, j - 1])).reshape(shape)
-        spec, x, noise = self.spec, self.grids[t][nodes], self.spec.noise
+            def slope(g):
+                Uk, k = self.controls[t][i], np.arange(u.size)
+                j = np.clip(np.sum(Uk < u[:, None], axis=-1), 1, Uk.shape[1] - 1)
+                W = self._dense(t)[i, np.stack([j - 1, j])]
+                return (np.einsum("kn,kn->k", W[1] - W[0], flat(g))
+                        / (Uk[k, j] - Uk[k, j - 1])).reshape(shape)
+            return self._blend(t, nodes, U).reshape(shape + grid.shape), slope
+        spec, x, noise = self.spec, self.grids[t][i], self.spec.noise
         mu, sc = spec.landing_params(t, x, u)
-        ends = self.controls[t][nodes][:, [0, -1]].T  # the stencils stay in each interval
-        mu_u, sc_u = (derivative(lambda v: f(t, x, v), u, *ends)
-                      for f in (spec.drift, spec.scale))
-        if isinstance(noise, GaussianNoise):  # d/dmean, d/dstd: sum_k (P_k, phi_k - phi_k+1) dg_k
-            dm, ds = np.empty((2, u.size))
-            for rows, start, z, phi, P, *_ in _tent_blocks(grid, mu + sc * noise.mean,
-                                                           sc * noise.std):
-                dg = np.diff(_sliding(g.reshape(-1), len(z))[rows * grid.size + start].T, axis=0)
-                dg /= _sliding(np.diff(grid), len(z) - 1)[start].T  # the slope of g on cell k
-                dm[rows] = np.einsum("kr,kr->r", P, dg)
-                ds[rows] = np.einsum("kr,kr->r", phi[:-1] - phi[1:], dg)
-            return ((mu_u + sc_u * noise.mean) * dm + sc_u * noise.std * ds).reshape(shape)
-        wq, omega = noise.quadrature(QUAD_ORDER)
-        landing = mu[:, None] + sc[:, None] * wq  # g' is 0 off the grid
-        j = np.clip(np.searchsorted(grid, landing, side="right"), 1, grid.size - 1)
-        dg = np.take_along_axis(g, j, -1) - np.take_along_axis(g, j - 1, -1)
-        dg *= ((landing > grid[0]) & (landing < grid[-1])) / (grid[j] - grid[j - 1])
-        return ((mu_u[:, None] + sc_u[:, None] * wq) * dg @ omega / omega.sum()).reshape(shape)
+        ends = self.controls[t][i][:, [0, -1]].T  # the stencils stay in each interval
+        mu_u, sc_u = (derivative(lambda v: f(t, x, v), u, *ends) for f in (spec.drift, spec.scale))
+        if isinstance(noise, GaussianNoise):
+            blocks = []
+            W, _ = _gaussian_tent_masses(grid, mu + sc * noise.mean, sc * noise.std, keep=blocks)
+
+            def slope(g):
+                g, (dm, ds) = flat(g).reshape(-1), np.empty((2, u.size))
+                for rows, start, phi, P in blocks:
+                    dg = np.diff(_sliding(g, len(phi))[rows * grid.size + start].T, axis=0)
+                    dg /= _sliding(np.diff(grid), len(phi) - 1)[start].T  # the slope of g on cell k
+                    dm[rows] = np.einsum("kr,kr->r", P, dg)
+                    ds[rows] = np.einsum("kr,kr->r", phi[:-1] - phi[1:], dg)
+                return ((mu_u + sc_u * noise.mean) * dm + sc_u * noise.std * ds).reshape(shape)
+            return W.reshape(shape + grid.shape), slope
+
+        def slope(g):
+            (wq, omega), g = noise.quadrature(QUAD_ORDER), flat(g)
+            landing = mu[:, None] + sc[:, None] * wq  # g' is 0 off the grid
+            j = np.clip(np.searchsorted(grid, landing, side="right"), 1, grid.size - 1)
+            dg = np.take_along_axis(g, j, -1) - np.take_along_axis(g, j - 1, -1)
+            dg *= ((landing > grid[0]) & (landing < grid[-1])) / (grid[j] - grid[j - 1])
+            return ((mu_u[:, None] + sc_u[:, None] * wq) * dg @ omega / omega.sum()).reshape(shape)
+        return _landing_rows(grid, mu, sc, noise)[0].reshape(shape + grid.shape), slope
+
+    def node_slopes(self, t: int, nodes, U, g) -> np.ndarray:
+        """d/du of ``node_rows(t, nodes, U) @ g``, shape U.shape: see ``node_rows_and_slope``."""
+        return self.node_rows_and_slope(t, nodes, U)[1](g)
 
     def row(self, t: int, i: int, u: float) -> np.ndarray:
         """Landing weights at node i and an arbitrary feasible control."""
@@ -430,7 +448,7 @@ def _tent_blocks(grid: np.ndarray, mean: np.ndarray, std: np.ndarray):
 
 
 def _gaussian_tent_masses(grid: np.ndarray, mean: np.ndarray, std: np.ndarray,
-                          banded: bool = False):
+                          banded: bool = False, keep=None):
     """Landing rows of N(mean, std^2) on ``grid``: exact hat-function masses.
 
     mean/std have shape (R,); returns the rows, dense (R, len(grid)) or,
@@ -443,7 +461,9 @@ def _gaussian_tent_masses(grid: np.ndarray, mean: np.ndarray, std: np.ndarray,
     line, or by ``np.add.accumulate`` down the block when it holds fewer
     rows than nodes; ``np.add.reduce`` would sum a lone row pairwise) and
     floored, so rows equal the same arithmetic over the whole grid, bit for
-    bit, and do not depend on the batch.
+    bit, and do not depend on the batch.  ``keep``, a list if given, gets
+    each block's (rows, start, phi, P) once its rows are built, P still the
+    cell masses (``node_rows_and_slope``); without it no block outlives the next.
     """
     n = grid.size
     clamp = np.empty(mean.size)
@@ -453,15 +473,17 @@ def _gaussian_tent_masses(grid: np.ndarray, mean: np.ndarray, std: np.ndarray,
             width = z.shape[0]
             clamp[rows] = lo_tail + hi_tail
             A = (z[1:] * P + phi[1:] - phi[:-1]) / (z[1:] - z[:-1])
-            P -= A
-            block[0], block[-1] = A[0], P[-1]
-            np.add(A[1:], P[:-1], out=block[1:-1])
+            np.subtract(P, A, out=block[1:])  # the right shares; P is left as it is
+            block[0] = A[0]
+            block[1:-1] += A[1:]
             block[0] += np.where(start == 0, lo_tail, 0.0)
             block[-1] += np.where(start + width == n, hi_tail, 0.0)
             np.maximum(block, 0.0, out=block)
             block /= (functools.reduce(operator.iadd, block[1:], block[0].copy())
                       if rows.size > width else np.add.accumulate(block, axis=0)[-1])
             yield rows, start, _floor(block).T
+            if keep is not None:
+                keep.append((rows, start, phi, P))
             del z, phi, P, A, block  # freed before the next block is built: peak memory
 
     if banded:
@@ -889,6 +911,7 @@ class ProbeReport:
     bound_violated: bool
     converged: bool
     limit_values: np.ndarray  # E_u[V] per member of the family
+    rule: str                 # what judged ``converged``: "tv_bound" or "shrinkage"
 
 
 def setwise_continuity_probe(kernel: AdditiveNoise, t: int, x: float, u: float,
@@ -898,8 +921,11 @@ def setwise_continuity_probe(kernel: AdditiveNoise, t: int, x: float, u: float,
     """Check |E_{u_k}[V] - E_u[V]| <= M * TV(u_k, u) and gap decay along u_k -> u.
 
     Members of V_family must satisfy |V| <= M (spot-checked by sampling).
-    Degenerate (zero-scale) controls are admitted: TV bounds are skipped
-    there and only the gap decay is judged.
+    Where every u_k has a TV bound, the gaps converge when none exceeds its
+    bound and the bound at the nearest u_k is at most 5 % of the bound at
+    the farthest (rule "tv_bound"): the bounds prove the decay.  Degenerate
+    (zero-scale) controls are admitted: they have no TV bound, and then the
+    worst gap itself must shrink (rule "shrinkage").
     """
     rng = np.random.default_rng(seed)
     probe_pts = rng.uniform(-1e3, 1e3, size=samples)
@@ -923,20 +949,24 @@ def setwise_continuity_probe(kernel: AdditiveNoise, t: int, x: float, u: float,
     violated = bool(np.any(gaps[with_bound].max(axis=1, initial=0.0)
                            > tvb[with_bound] + 1e-6)) if with_bound.any() else False
 
-    # Shrinkage heuristic: as |u_k - u| halves, the worst gap must not grow
-    # by more than 10%, and the final gap must approach 0.
     dist = np.abs(u_seq - u)
     worst = gaps.max(axis=1)
     order = np.argsort(dist)[::-1]  # far to near
-    converged = True
-    for a, b in zip(order[:-1], order[1:]):
-        if dist[a] > 0 and dist[b] <= 0.5 * dist[a] + 1e-15:
-            if worst[b] > 1.1 * worst[a] + 1e-12:
-                converged = False
-    if worst[order[-1]] > max(0.05 * worst[order[0]], 1e-9):
-        converged = False
+    if with_bound.all():
+        rule = "tv_bound"
+        converged = not violated and bool(tvb[order[-1]] <= 0.05 * tvb[order[0]])
+    else:
+        # Shrinkage heuristic: as |u_k - u| halves, the worst gap must not grow
+        # by more than 10%, and the final gap must approach 0.
+        rule, converged = "shrinkage", True
+        for a, b in zip(order[:-1], order[1:]):
+            if dist[a] > 0 and dist[b] <= 0.5 * dist[a] + 1e-15:
+                if worst[b] > 1.1 * worst[a] + 1e-12:
+                    converged = False
+        if worst[order[-1]] > max(0.05 * worst[order[0]], 1e-9):
+            converged = False
     return ProbeReport(gaps=gaps, tv_bounds=tvb, bound_violated=violated,
-                       converged=converged, limit_values=limit)
+                       converged=converged, limit_values=limit, rule=rule)
 
 
 # ---------------------------------------------------------------------------

@@ -168,12 +168,6 @@ class AssumptionReport:
     compact_controls: str
     notes: List[str] = field(default_factory=list)
 
-    @property
-    def all_pass(self) -> bool:
-        return all(v == "pass" for v in
-                   (self.nonnegativity, self.mixer_monotone,
-                    self.sigma_floor, self.compact_controls))
-
 
 def validate_assumptions(model: Model, samples: int = 10_000,
                          seed: int = 0) -> AssumptionReport:

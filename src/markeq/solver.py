@@ -219,12 +219,13 @@ def _objective_slope(model: Model, dk: DiscretizedKernel, aux: AuxiliaryBundle,
                      t: int, nodes: np.ndarray, u: np.ndarray) -> tuple:
     """(L, dL/du) at nodes (k,), controls u (k,); dL/du = c_u + rows_u . (btot_i + G' h)."""
     x, s = model.grids[t][nodes], aux.eval_time
-    e = _expect(dk, aux, t, nodes, dk.node_rows(t, nodes, u[:, None]))
+    rows, slope = dk.node_rows_and_slope(t, nodes, u)
+    e = _expect(dk, aux, t, nodes, rows[:, None])
     g_h = derivative(lambda h: model.costs.mixer(s, x, h), e[1][:, 0])
     return (_assemble(model, aux, t, nodes, u[:, None], e)[:, 0],
             derivative(lambda w: model.costs.running(t, s, x, x, w), u,
                        *dk.controls[t][nodes][:, [0, -1]].T)
-            + dk.node_slopes(t, nodes, u, aux.btot[nodes] + g_h[:, None] * aux.h_next))
+            + slope(aux.btot[nodes] + g_h[:, None] * aux.h_next))
 
 
 def objective_L(model: Model, dk: DiscretizedKernel, aux: AuxiliaryBundle,

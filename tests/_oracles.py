@@ -132,6 +132,34 @@ def gaussian_tent_masses(grid, mean, std):
     return out, lo_tail + hi_tail
 
 
+def gaussian_node_slopes(dk, t, nodes, U, g):
+    """d/du of ``dk.node_rows(t, nodes, U) @ g``, U.shape, for Gaussian tent rows.
+
+    The slope from a tent pass of its own: each ``_tent_blocks`` block's
+    cell masses P and phi, against the slope of g on each cell, give d/dmean
+    and d/dstd (sum_k P_k dg_k and sum_k (phi_k - phi_k+1) dg_k), which the
+    drift and scale slopes of ``derivative`` carry to d/du.  g broadcasts to
+    the rows.
+    """
+    from markeq.kernels import _sliding, _tent_blocks, derivative
+
+    nodes, shape, grid = np.asarray(nodes, np.intp).reshape(-1), np.shape(U), dk.grids[t + 1]
+    U = dk._feasible(t, nodes, np.asarray(U, dtype=float).reshape(nodes.size, -1))
+    nodes, u = np.repeat(nodes, U.shape[1]), U.reshape(-1)  # one row per control
+    g = np.broadcast_to(g, shape + grid.shape).reshape(u.size, grid.size)
+    spec, x, noise = dk.spec, dk.grids[t][nodes], dk.spec.noise
+    mu, sc = spec.landing_params(t, x, u)
+    ends = dk.controls[t][nodes][:, [0, -1]].T
+    mu_u, sc_u = (derivative(lambda v: f(t, x, v), u, *ends) for f in (spec.drift, spec.scale))
+    dm, ds = np.empty((2, u.size))
+    for rows, start, z, phi, P, *_ in _tent_blocks(grid, mu + sc * noise.mean, sc * noise.std):
+        dg = np.diff(_sliding(g.reshape(-1), len(z))[rows * grid.size + start].T, axis=0)
+        dg /= _sliding(np.diff(grid), len(z) - 1)[start].T
+        dm[rows] = np.einsum("kr,kr->r", P, dg)
+        ds[rows] = np.einsum("kr,kr->r", phi[:-1] - phi[1:], dg)
+    return ((mu_u + sc_u * noise.mean) * dm + sc_u * noise.std * ds).reshape(shape)
+
+
 def spread_mass_add_at(grid, points, masses):
     """``kernels.spread_mass`` by two ``np.add.at`` passes: all left shares, then all right."""
     points = np.asarray(points, dtype=float)

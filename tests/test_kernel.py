@@ -10,15 +10,16 @@ from scipy.stats import norm
 
 from markeq import (AdditiveNoise, ControlConstraint, DensityNoise, DiscreteChain,
                     GaussianNoise, InfeasibleControlError, KernelError,
-                    LQParams, MeanVarianceParams, lq_model, PointIndicator, StepFunction, discretize,
+                    LQParams, MeanVarianceParams, Model, lq_model, PointIndicator, StepFunction,
+                    build_model, discretize,
                     exact_expectation, exp_utility_model,
                     load_kernel_cache, mv_chain_model, mv_model, nonlinear_lq_variant,
                     policy_matrix, save_kernel_cache, setwise_continuity_probe, tv_distance)
 from markeq.kernels import (TENT_BLOCK, WEIGHT_FLOOR, DiscretizedKernel, _landing_rows,
                             spread_mass)
 
-from _oracles import (dense_landing_rows, exact_tent_masses, moment_landing_rows,
-                      spread_mass_add_at)
+from _oracles import (dense_landing_rows, exact_tent_masses, gaussian_node_slopes,
+                      moment_landing_rows, spread_mass_add_at)
 
 
 def _gauss_kernel(a=1.0, b=1.0, sigma=1.0, floor_frac=0.5):
@@ -396,16 +397,22 @@ def test_exact_expectation_degenerate_point_mass():
     assert exact_expectation(k, 0, 0.0, 0.5, V) == 0.0
 
 
-def test_probe_step_functions_bounded_and_convergent(rng):
+def test_probe_step_functions_bounded_and_convergent():
+    # Each draw from its own generator, over 200 seeds: every u_k of the
+    # Gaussian kernel has a TV bound, so the bounds judge convergence.  The
+    # worst gap alone falls slower than linearly or rises between halvings
+    # on 36 of these draws, which the shrinkage rule called non-convergent.
     k = _gauss_kernel(a=1.0, b=1.0, sigma=1.0)
     M = 2.0
-    V = StepFunction(breaks=np.sort(rng.uniform(-2, 2, 3)),
-                     levels=rng.uniform(-M, M, 4))
     u_seq = 0.5 + np.array([0.8, 0.4, 0.2, 0.1, 0.05, 0.025])
-    report = setwise_continuity_probe(k, 0, 0.0, 0.5, u_seq, [V], M)
-    assert not report.bound_violated
-    assert report.converged
-    assert np.all(report.gaps.max(axis=1) <= report.tv_bounds + 1e-6)
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        V = StepFunction(breaks=np.sort(rng.uniform(-2, 2, 3)),
+                         levels=rng.uniform(-M, M, 4))
+        report = setwise_continuity_probe(k, 0, 0.0, 0.5, u_seq, [V], M)
+        assert not report.bound_violated, seed
+        assert report.converged and report.rule == "tv_bound", seed
+        assert np.all(report.gaps.max(axis=1) <= report.tv_bounds + 1e-6), seed
 
 
 def test_probe_counterexample_flags_discontinuity():
@@ -421,6 +428,19 @@ def test_probe_counterexample_flags_discontinuity():
     assert report.limit_values[0] == 1.0
     assert np.all(report.gaps == 1.0)
     assert not report.converged
+
+
+def test_probe_rule_names_the_judge():
+    # With a TV bound at every u_k the bounds judge; the degenerate scale of
+    # x' = u W at u = 0 leaves none, so the gaps' own shrinkage judges.
+    V = StepFunction(breaks=[0.0], levels=[0.0, 1.0])
+    gauss = setwise_continuity_probe(_gauss_kernel(), 0, 0.0, 0.5, [0.9, 0.7, 0.6], [V], 1.0)
+    degenerate = AdditiveNoise(drift=lambda t, x, u: 0.0 * np.asarray(x),
+                               scale=lambda t, x, u: np.abs(np.asarray(u, dtype=float)),
+                               noise=GaussianNoise(), sigma_floor=0.0)
+    shrink = setwise_continuity_probe(degenerate, 0, 0.0, 0.0, [0.5, 0.25], [V], 1.0)
+    assert (gauss.rule, shrink.rule) == ("tv_bound", "shrinkage")
+    assert np.isnan(shrink.tv_bounds).all()
 
 
 def test_probe_rejects_unbounded_family():
@@ -746,6 +766,45 @@ def test_node_slopes_of_blended_rows_are_their_segments_slopes(tmp_path):
         _assert_slopes(dk, 0, nodes, U, g, _central, 1e-3, 1e-10)
         left = (W[:, 4] - W[:, 3]) @ g / (Uk[:, 4] - Uk[:, 3])
         np.testing.assert_allclose(dk.node_slopes(0, nodes, Uk[:, 4], g), left, rtol=1e-14)
+
+
+def _density_lq():
+    base = lq_model(LQParams(), n_x=61, n_u=41)
+    k = base.kernel
+    kernel = AdditiveNoise(drift=k.drift, scale=k.scale, sigma_floor=k.sigma_floor,
+                           noise=DensityNoise(density=norm.pdf, radius=9.0))
+    return Model(T=base.T, grids=base.grids, constraints=base.constraints, kernel=kernel,
+                 costs=base.costs)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: mv_model(MeanVarianceParams(T=5), n_x=201, n_u=41),
+    lambda: build_model({"family": "exp_utility"}),
+    lambda: build_model({"family": "nonlinear_lq"}),
+    _density_lq,
+    lambda: mv_chain_model(n_x=31, n_u=21)],
+    ids=["mv_t5", "exp_utility", "nonlinear_lq", "density_lq", "mv_chain_31x21"])
+def test_node_rows_and_slope_equal_rows_and_reference_slopes(build):
+    # One evaluator gives a batch's rows and their slope.  Its rows are
+    # node_rows' bit for bit; the slope of Gaussian rows equals a second tent
+    # pass's (the reference), bit for bit, at off-grid controls and node controls.
+    model = build()
+    dk = discretize(model.kernel, model.grids, model.constraints)
+    rng = np.random.default_rng(11)
+    for t in range(model.T - 1):
+        Uk, grid = dk.controls[t], model.grids[t + 1]
+        nodes = np.arange(model.grids[t].size)
+        U = Uk[:, :1] + rng.uniform(0.0, 1.0, (nodes.size, 3)) * (Uk[:, -1:] - Uk[:, :1])
+        U[:, 0] = Uk[:, Uk.shape[1] // 2]
+        g = rng.normal(size=(nodes.size, 1, grid.size))
+        for sel, V in ((nodes, U), (nodes[::7], U[::7, 1])):
+            rows, slope = dk.node_rows_and_slope(t, sel, V)
+            np.testing.assert_array_equal(rows, dk.node_rows(t, sel, V))
+            gs = g[sel] if V.ndim == 2 else g[sel, 0]
+            ref = (gaussian_node_slopes(dk, t, sel, V, gs) if dk.build_method == "exact"
+                   else dk.node_slopes(t, sel, V, gs))
+            np.testing.assert_array_equal(slope(gs), ref)
+            assert slope(gs).shape == V.shape
 
 
 # ---------------------------------------------------------------------------

@@ -435,6 +435,57 @@ def test_step_minimiser_is_not_forked():
                 assert not called & step, (module.__name__, getattr(top, "name", None))
 
 
+def test_search_steps_build_rows_and_slope_in_one_call():
+    # The solver's and the baselines' step objectives take a batch's rows and
+    # their slope from node_rows_and_slope, never from node_slopes.
+    import ast
+    import markeq.evaluate
+    import markeq.solver
+    for module in (markeq.solver, markeq.evaluate):
+        with open(module.__file__) as fh:
+            tree = ast.parse(fh.read())
+        called = {getattr(n.func, "attr", getattr(n.func, "id", None))
+                  for n in ast.walk(tree) if isinstance(n, ast.Call)}
+        assert "node_slopes" not in called, module.__name__
+        assert "node_rows_and_slope" in called, module.__name__
+
+
+def test_search_step_objectives_run_one_tent_pass(monkeypatch):
+    # Each objective call of a search step, in the solve and in the linear
+    # DPs of the baselines, starts _tent_blocks once (twice with a rows
+    # pass and a slopes pass).
+    import markeq.evaluate
+    import markeq.kernels
+    import markeq.solver
+    model = nonlinear_lq_variant(LQParams(T=3), n_x=31, n_u=21)
+    dk = discretize(model.kernel, model.grids, model.constraints)
+    blocks, per_call = [], []
+    tent_blocks = markeq.kernels._tent_blocks
+    monkeypatch.setattr(markeq.kernels, "_tent_blocks",
+                        lambda *a: blocks.append(1) or tent_blocks(*a))
+
+    def counting(module):
+        real = module.refine_bowls
+
+        def refine(kernel, L, U, objective, *a, **kw):
+            def counted(r, u):
+                before = len(blocks)
+                out = objective(r, u)
+                per_call.append(len(blocks) - before)
+                return out
+            return real(kernel, L, U, counted, *a, **kw)
+        monkeypatch.setattr(module, "refine_bowls", refine)
+
+    for module, run in ((markeq.solver, lambda: solve(model, dk)),
+                        (markeq.evaluate,
+                         lambda: markeq.evaluate._dp_linear(model, dk, 0, np.array([0, 15, 30]),
+                                                            np.zeros(3)))):
+        counting(module)
+        per_call.clear()
+        run()
+        assert per_call and set(per_call) == {1}, module.__name__
+
+
 # ---------------------------------------------------------------------------
 # build_aux
 # ---------------------------------------------------------------------------

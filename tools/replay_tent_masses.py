@@ -2,15 +2,17 @@
 
 For each instance this records every ``kernels._gaussian_tent_masses``
 call that ``discretize``, ``solve`` and ``verify_equilibrium`` make (the
-kernel's stored bands and every row ``node_rows`` builds come from it),
-then replays the recorded calls through this checkout's function and
+kernel's stored bands, every row ``node_rows`` builds and every row of a
+search step's ``node_rows_and_slope`` come from it), then replays the recorded calls through this checkout's function and
 through the same function of a second copy of the package.  That copy is
 loaded from ``--baseline DIR`` (a checkout holding ``src/markeq``, for
 example a ``git worktree`` of the parent commit) under the module name
 ``markeq_baseline``.  Each call is replayed in both copies with the
 keywords it was made with (``banded=True`` from ``discretize``, whose
-rows come back as bands), except that the baseline gets only those its
-function accepts (``inspect.signature``), so both copies do like work
+rows come back as bands; the ``keep`` hook, through which a search step
+keeps its tent blocks for the slope, is passed on but not recorded),
+except that the baseline gets only those its function accepts
+(``inspect.signature``), so both copies do like work
 wherever they can; every call must give ``np.array_equal`` dense rows
 (``np.asarray`` of either form) and clamped masses in both copies, and
 the first mismatch exits with status 1.
@@ -69,9 +71,9 @@ def record(build):
     calls = []
     real = kernels._gaussian_tent_masses
 
-    def recording(grid, mean, std, **form):
+    def recording(grid, mean, std, keep=None, **form):
         calls.append(((grid.copy(), mean.copy(), std.copy()), form))
-        return real(grid, mean, std, **form)
+        return real(grid, mean, std, keep=keep, **form)
 
     kernels._gaussian_tent_masses = recording
     try:
