@@ -138,6 +138,8 @@ class DiscreteChain:
             P = np.asarray(P, dtype=float)
             if P.ndim != 3:
                 raise KernelError(f"chain matrix at t={t} must be 3-d")
+            if not np.all(np.isfinite(P)):  # NaN passes both tests below
+                raise KernelError(f"non-finite transition weight at t={t}")
             if np.any(P < 0):
                 raise KernelError(f"negative transition weight at t={t}")
             rows = P.sum(axis=-1)
@@ -146,6 +148,8 @@ class DiscreteChain:
             u = np.asarray(self.control_values[t], dtype=float)
             if u.ndim != 1 or u.size != P.shape[1]:
                 raise KernelError(f"control values at t={t} do not match matrix")
+            if not np.all(np.isfinite(u)):
+                raise KernelError(f"non-finite control value at t={t}")
             if u.size > 1 and np.any(np.diff(u) <= 0):
                 raise KernelError(f"control values at t={t} must be strictly increasing")
 
@@ -534,13 +538,10 @@ class _Bands:
     def dense(self) -> np.ndarray:
         return self.dense_rows(0, int(np.prod(self.shape[:-1]))).reshape(self.shape)
 
-    def dense_rows(self, a: int, b: int, out=None) -> np.ndarray:
-        """The dense rows of flat indices a..b-1, (b - a, n), written into ``out`` if given."""
+    def dense_rows(self, a: int, b: int) -> np.ndarray:
+        """The dense rows of flat indices a..b-1, (b - a, n)."""
         n = self.shape[-1]
-        if out is None:
-            out = np.zeros((b - a, n))
-        else:
-            out[...] = 0.0
+        out = np.zeros((b - a, n))
         flat = out.reshape(-1)
         for rows, start, band in self.groups:
             lo, hi = np.searchsorted(rows, (a, b))  # a group's rows are in increasing order
@@ -652,49 +653,18 @@ def _banded(shape, n: int, windows) -> _Bands:
     return _Bands(tuple(shape) + (n,), groups)
 
 
-def _dense_bands(D: np.ndarray, floor: bool = False) -> _Bands:
-    """Bands of dense rows D (..., n), a chunk of rows at a time; see ``_reread`` for ``floor``."""
+def _dense_bands(D: np.ndarray) -> _Bands:
+    """Bands of dense rows D (..., n), which ``_banded`` cuts a chunk of rows at a time."""
     n = D.shape[-1]
     flat = D.reshape(-1, n)
     step = max(1, BAND_CHUNK // n)
 
-    def chunks(first):
-        return (flat[a:a + step] for a in range(0, flat.shape[0], step))
+    def windows():
+        for a in range(0, flat.shape[0], step):
+            W = flat[a:a + step]
+            yield np.arange(a, a + len(W)), np.zeros(len(W), dtype=np.intp), W
 
-    return _reread(D.shape[:-1], n, chunks, floor)
-
-
-def _reread(shape, n: int, chunks, floor: bool = False) -> _Bands:
-    """Bands of dense rows ``shape`` + (n,), which ``chunks(first)`` yields in (r, n) blocks.
-
-    The blocks are read twice, ``first`` true on the first read: once for each
-    row's band, then again into band arrays allocated at their final sizes,
-    so nothing built on the way outlives its chunk (``_banded`` keeps
-    pieces until every row is seen).  With ``floor``, weights below
-    ``WEIGHT_FLOOR`` count as zeros and are set to 0 in the bands.
-    """
-    width, begin = np.empty((2, int(np.prod(shape))), dtype=np.intp)
-    a = 0
-    for D in chunks(True):
-        width[a:a + len(D)], begin[a:a + len(D)], _ = _cut(
-            D >= WEIGHT_FLOOR if floor else D != 0.0, 0, 0, n)
-        a += len(D)
-    groups = [(rows, begin[rows], np.empty((rows.size, W))) for W, rows in
-              ((W, np.flatnonzero(width == W)) for W in np.flatnonzero(np.bincount(width)))]
-    del width, begin
-    a = 0
-    for D in chunks(False):
-        flat, b = np.ascontiguousarray(D).reshape(-1), a + len(D)
-        for rows, start, band in groups:
-            lo, hi = np.searchsorted(rows, (a, b))  # rows in increasing order
-            if hi > lo:
-                band[lo:hi] = _items(flat, band.shape[1])[(rows[lo:hi] - a) * n + start[lo:hi]
-                                                          ].view(float).reshape(hi - lo, -1)
-        a = b
-    if floor:
-        for _, _, band in groups:
-            _floor(band)
-    return _Bands(tuple(shape) + (n,), groups)
+    return _banded(D.shape[:-1], n, windows())
 
 
 class _Slices(Sequence):
@@ -784,7 +754,7 @@ def discretize(kernel: KernelSpec, grids: Sequence[np.ndarray],
             P = np.asarray(P, dtype=float)
             if P.shape[0] != grids[t].size or P.shape[2] != grids[t + 1].size:
                 raise KernelError(f"chain matrix shape mismatch at t={t}")
-            weights.append(_dense_bands(P, floor=True))
+            weights.append(_dense_bands(_floor(P.copy())))
             controls.append(np.tile(np.asarray(u, dtype=float), (grids[t].size, 1)))
             clamped.append(np.zeros(P.shape[:2]))
         dk = DiscretizedKernel(weights, controls, grids, clamped, spec=kernel)
@@ -974,7 +944,7 @@ def setwise_continuity_probe(kernel: AdditiveNoise, t: int, x: float, u: float,
 # ---------------------------------------------------------------------------
 #
 # Layout (little-endian):
-#   magic b"MKEQDK02"
+#   magic b"MKEQDK03"
 #   uint32 T
 #   uint32 build method: 0 blend, 1 exact, 2 quadrature (``build_method``)
 #   uint32 quadrature order (``QUAD_ORDER``)
@@ -982,126 +952,152 @@ def setwise_continuity_probe(kernel: AdditiveNoise, t: int, x: float, u: float,
 #     uint32 n_t, uint32 M_u, uint32 n_next
 #     float64[n_t]                 state grid at t
 #     float64[n_t * M_u]           control nodes, row-major
-#     float64[n_t * M_u * n_next]  weights, row-major
 #     float64[n_t * M_u]           clamped mass, row-major
+#     uint32 G                     band groups, then per group (``_Bands.groups``):
+#       uint32 W, uint32 r         band width and row count
+#       int64[r]                   flat row indices (i * M_u + j), increasing
+#       int64[r]                   the node each band starts at
+#       float64[r * W]             the bands, row-major
 #   float64[n_T]                   terminal state grid, then the end of the file
-# Version 1 (magic b"MKEQDK01") has no build fields: see load_kernel_cache.
-# The weights are dense in the file and banded in memory: both ways they
-# move a chunk of ``BAND_CHUNK`` entries' rows at a time, and loading reads
-# them twice (``_reread``).
+# So a file holds ``dk.nbytes`` + 20 + sum over t of (16 + 8 G) bytes.
+# Versions 1 and 2 (magic b"MKEQDK01", b"MKEQDK02") hold each slice's rows
+# dense, n_t * M_u * n_next float64s between the controls and the clamp, and
+# version 1 has no build fields.  Their rows are cut into bands as they are
+# read, a chunk of ``BAND_CHUNK`` entries at a time (``_banded``).
 
-_MAGIC = b"MKEQDK02"
+_MAGIC = b"MKEQDK03"
 _METHODS = ("blend", "exact", "quadrature")
 
 
 def save_kernel_cache(dk: DiscretizedKernel, path):
-    def floats(X):  # the array's own buffer when it is already contiguous <f8
-        fh.write(memoryview(np.ascontiguousarray(X, dtype="<f8")))
+    """Write ``dk`` to ``path`` in the version-3 layout above: each slice's bands as stored."""
+    def raw(X, dtype="<f8"):  # the array's own buffer when it is already contiguous
+        fh.write(memoryview(np.ascontiguousarray(X, dtype=dtype)))
 
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<III", dk.horizon, _METHODS.index(dk.build_method), QUAD_ORDER))
         for t, B in enumerate(dk._bands):
-            n, M, nn = B.shape
-            fh.write(struct.pack("<III", n, M, nn))
-            floats(dk.grids[t])
-            floats(dk.controls[t])
-            step = max(1, BAND_CHUNK // nn)
-            chunk = np.empty((min(step, n * M), nn))  # one buffer for every chunk of rows
-            for a in range(0, n * M, step):
-                b = min(a + step, n * M)
-                floats(B.dense_rows(a, b, chunk[:b - a]))
-            floats(dk.clamped[t])
-        floats(dk.grids[-1])
-
-
-def _read(fh, path, size: int, what: str, into=None):
-    """``size`` bytes of fh, or the array ``into`` of that size filled in place."""
-    data = fh.read(size) if into is None else into
-    got = len(data) if into is None else fh.readinto(memoryview(into).cast("B"))
-    if got < size:
-        raise KernelError(f"truncated kernel cache {path}: {what} needs {size} bytes, "
-                          f"found {got}")
-    return data
+            fh.write(struct.pack("<III", *B.shape))
+            raw(dk.grids[t])
+            raw(dk.controls[t])
+            raw(dk.clamped[t])
+            fh.write(struct.pack("<I", len(B.groups)))
+            for rows, start, band in B.groups:
+                fh.write(struct.pack("<II", band.shape[1], band.shape[0]))
+                raw(rows, "<i8")
+                raw(start, "<i8")
+                raw(band)
+        raw(dk.grids[-1])
 
 
 def load_kernel_cache(path, spec: Optional[KernelSpec] = None) -> DiscretizedKernel:
     """Load a cached kernel; pass the original spec to restore exact off-node rows.
 
     Off-node rows are built by the spec's rule, as in ``discretize``; the
-    build fields of a version-2 header are read only to reject unknown codes.
-    Weights below ``WEIGHT_FLOOR`` are set to 0, as ``discretize`` does, and
-    are read a chunk of rows at a time into bands.  The header is not
-    trusted: every dimension must be at least 1, each section's bytes must
-    fit in what is left of the file before it is allocated, each slice must
-    start on the grid the one before it lands on, and the file must end
-    with the terminal state grid; otherwise KernelError names t and the
-    section.  With an ``AdditiveNoise`` spec, the rows of the first and last
-    state node at every cached control are rebuilt from it; rows off by more
-    than ``CACHE_SPEC_TOL`` mean the cache came from another kernel, and
-    raise KernelError rather than mix the two.
+    build fields of the header are read only to reject unknown codes.
+    Weights below ``WEIGHT_FLOOR`` are set to 0, as ``discretize`` does.
+    Each section is read once, into its final array; the dense rows of a
+    version-1 or version-2 file, and a slice whose bands the floor changed,
+    are cut into bands by ``_banded``.  The header is not trusted: every dimension must be at least 1, each
+    section's bytes must fit in what is left of the file before it is
+    allocated, each slice must start on the grid the one before it lands
+    on, each band group must hold bands of 1 to n_next nodes that lie in
+    the row, on rows in increasing order, every row in exactly one group,
+    and the file must end with the terminal state grid; otherwise
+    KernelError names t and the section.  With an ``AdditiveNoise`` spec,
+    the rows of the first and last state node at every cached control are
+    rebuilt from it; rows off by more than ``CACHE_SPEC_TOL`` mean the cache
+    came from another kernel, and raise KernelError rather than mix the two.
     """
+
+    def fail(msg):
+        raise KernelError(f"kernel cache {path}: {msg}")
 
     def fit(size, what):
         left = end - fh.tell()
         if size > left:
             raise KernelError(f"truncated kernel cache {path}: {what} needs {size} bytes, "
                               f"found {left}")
+        return size
 
-    def floats(shape, what, into=None):
-        fit(8 * int(np.prod(shape)), what)
-        into = np.empty(shape, dtype="<f8") if into is None else into
-        arr = _read(fh, path, 8 * into.size, what, into=into)
-        if not np.all(np.isfinite(arr)):
-            raise KernelError(f"kernel cache {path}: non-finite {what}")
+    def unpack(fmt, what):
+        return struct.unpack(fmt, fh.read(fit(struct.calcsize(fmt), what)))
+
+    def array(shape, what, dtype="<f8"):
+        size = fit(8 * int(np.prod(shape)), what)
+        arr = np.empty(shape, dtype=dtype)
+        if fh.readinto(memoryview(arr).cast("B")) < size:  # the file shrank since fit()
+            fail(f"{what} was cut short while it was read")
+        if dtype == "<f8" and not np.all(np.isfinite(arr)):
+            fail(f"non-finite {what}")
         return arr
 
-    def rows(n, M, nn, what):
-        """The weights section as bands; it is read twice (``_reread``), from here."""
+    def dense(n, M, nn, what):  # versions 1 and 2: (rows, start, win) windows for _banded
         fit(8 * n * M * nn, what)
-        step, at = max(1, BAND_CHUNK // nn), fh.tell()
-        chunk = np.empty((min(step, n * M), nn), dtype="<f8")  # used up before the next read
+        step = max(1, BAND_CHUNK // nn)
+        for a in range(0, n * M, step):
+            W = _floor(array((min(step, n * M - a), nn), what))
+            yield np.arange(a, a + len(W)), np.zeros(len(W), dtype=np.intp), W
 
-        def chunks(first):
-            fh.seek(at)
-            for a in range(0, n * M, step):
-                W = chunk[:min(step, n * M - a)]
-                yield floats(W.shape, what, into=W) if first else _read(fh, path, 8 * W.size,
-                                                                        what, into=W)
-
-        return _reread((n, M), nn, chunks, floor=True)
+    def bands(n, M, nn, t):
+        (G,) = unpack("<I", f"band group count at t={t}")
+        groups, seen, recut = [], np.zeros(n * M, dtype=bool), False
+        for g in range(G):
+            what = f"band group {g} at t={t}"
+            W, r = unpack("<II", f"header of {what}")
+            if not (1 <= W <= nn and r >= 1):
+                fail(f"{what} has {r} rows of width {W}; rows land on {nn} nodes")
+            rows, start = array(r, f"rows of {what}", "<i8"), array(r, f"starts of {what}", "<i8")
+            if not (rows[0] >= 0 and rows[-1] < n * M and np.all(rows[1:] > rows[:-1])):
+                fail(f"rows of {what} are not increasing indices below {n * M}")
+            if not (np.all(start >= 0) and np.all(start <= nn - W)):
+                fail(f"starts of {what} leave [0, {nn - W}]")
+            if np.any(seen[rows]):
+                fail(f"{what} holds row {rows[seen[rows]][0]}, which an earlier group holds")
+            seen[rows] = True
+            band = array((r, W), f"weights of {what}")
+            low = band < WEIGHT_FLOOR
+            if np.any(band[low]):  # the floor's zeros may end bands: cut them again, by the rule
+                recut, band[low] = True, 0.0
+            groups.append((rows, start, band))
+        if not seen.all():
+            fail(f"the {G} band groups at t={t} hold no row {np.argmin(seen)}")
+        return _banded((n, M), nn, groups) if recut else _Bands((n, M, nn), groups)
 
     with open(path, "rb") as fh:
         end = os.fstat(fh.fileno()).st_size
         magic = fh.read(8)
-        if magic not in (_MAGIC, b"MKEQDK01"):
+        if magic not in (_MAGIC, b"MKEQDK01", b"MKEQDK02"):
             raise KernelError("not a kernel cache file")
-        (T,) = struct.unpack("<I", _read(fh, path, 4, "horizon"))
+        (T,) = unpack("<I", "horizon")
         if T < 2:
             raise KernelError(f"kernel cache {path} declares horizon {T} < 2")
-        if magic == _MAGIC:
-            code, _ = struct.unpack("<II", _read(fh, path, 8, "build header"))
+        if magic != b"MKEQDK01":
+            code, _ = unpack("<II", "build header")
             if code >= len(_METHODS):
                 raise KernelError(f"kernel cache {path} names unknown build method {code}")
         weights, controls, grids, clamped = [], [], [], []
         nn = None
         for t in range(T - 1):
-            shape = struct.unpack("<III", _read(fh, path, 12, f"shape header at t={t}"))
+            shape = unpack("<III", f"shape header at t={t}")
             if min(shape) < 1:
-                raise KernelError(f"kernel cache {path}: shape header at t={t} has a zero "
-                                  f"dimension: {shape}")
+                fail(f"shape header at t={t} has a zero dimension: {shape}")
             if nn is not None and shape[0] != nn:
-                raise KernelError(f"kernel cache {path}: shape header at t={t} has {shape[0]} "
-                                  f"state nodes, but the rows at t={t - 1} land on {nn}")
+                fail(f"shape header at t={t} has {shape[0]} state nodes, but the rows at "
+                     f"t={t - 1} land on {nn}")
             n, M, nn = shape
-            grids.append(floats((n,), f"state grid at t={t}"))
-            controls.append(floats((n, M), f"control nodes at t={t}"))
-            weights.append(rows(n, M, nn, f"weights at t={t}"))
-            clamped.append(floats((n, M), f"clamped mass at t={t}"))
-        grids.append(floats((nn,), "terminal state grid"))
+            grids.append(array((n,), f"state grid at t={t}"))
+            controls.append(array((n, M), f"control nodes at t={t}"))
+            if magic != _MAGIC:
+                weights.append(_banded((n, M), nn, dense(n, M, nn, f"weights at t={t}")))
+            clamped.append(array((n, M), f"clamped mass at t={t}"))
+            if magic == _MAGIC:
+                weights.append(bands(n, M, nn, t))
+        grids.append(array((nn,), "terminal state grid"))
         if fh.tell() != end:
-            raise KernelError(f"kernel cache {path}: {end - fh.tell()} bytes follow the terminal "
-                              f"state grid, which ends the slices t=0..{T - 2}")
+            fail(f"{end - fh.tell()} bytes follow the terminal state grid, which ends the "
+                 f"slices t=0..{T - 2}")
     dk = DiscretizedKernel(weights, controls, grids, clamped, spec=spec)
     try:
         dk.check_rows()

@@ -96,6 +96,24 @@ def test_solve_chain_config_missing_kernel_key_exits_2(tmp_path, capsys, missing
     assert err.startswith("config error:") and f"kernel.{missing}" in err
 
 
+def test_chain_config_with_a_nan_weight_exits_2_naming_it(tmp_path, capsys):
+    # The NaN lies outside its row's band, which the two weights 0.5 set: it
+    # was dropped, the row summed to 1, and the solve wrote a policy.
+    row = [0.5, 0.5] + [0.0] * 38
+    matrix = [[row, row] for _ in range(40)]
+    matrix[0][0] = row[:-1] + [float("nan")]
+    grid = [float(k) for k in range(40)]
+    config = {"family": "discrete_chain",
+              "kernel": {"state_grids": [grid, grid], "matrices": [matrix],
+                         "control_values": [[-1.0, 1.0]]},
+              "costs": {"running": [[[0.0, 0.0]] * 40], "terminal": [0.0] * 40,
+                        "terminal_stat": [0.0] * 40, "mixer": "zero"}}
+    cfg = write_config(tmp_path, config)  # json writes the weight as NaN
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "non-finite transition weight at t=0" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "policy.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["solve", "verify", "compare"])
 @pytest.mark.parametrize("block, field", [
     ({"costs": 5}, "costs must be a mapping"),

@@ -19,7 +19,7 @@ from markeq.kernels import (TENT_BLOCK, WEIGHT_FLOOR, DiscretizedKernel, _landin
                             spread_mass)
 
 from _oracles import (dense_landing_rows, exact_tent_masses, gaussian_node_slopes,
-                      moment_landing_rows, spread_mass_add_at)
+                      moment_landing_rows, save_kernel_cache_v2, spread_mass_add_at)
 
 
 def _gauss_kernel(a=1.0, b=1.0, sigma=1.0, floor_frac=0.5):
@@ -492,6 +492,7 @@ def test_kernel_cache_reload_rebuilds_rows_like_the_saved_kernel(tmp_path):
     back = load_kernel_cache(path, spec=model.kernel)
     np.testing.assert_allclose(back.row(0, 60, u), dk.weights[0][60, 50], rtol=0, atol=1e-12)
     # version 1 (no build fields) builds rows by the spec's rule too
+    save_kernel_cache_v2(dk, path)
     data = path.read_bytes()
     path.write_bytes(b"MKEQDK01" + data[8:12] + data[20:])
     v1 = load_kernel_cache(path, spec=model.kernel)
@@ -563,6 +564,35 @@ def test_chain_of_the_wrong_length_raises_kernel_error():
         discretize(one, [np.array([0.0, 1.0])] * 3, None)
 
 
+@pytest.mark.parametrize("message", ["non-finite transition weight at t=0",
+                                     "non-finite control value at t=0"])
+def test_chain_rejects_non_finite_entries(message):
+    # NaN passed the sign, row-sum and ordering tests; a NaN weight outside
+    # its row's band was then dropped, leaving a row that summed to 1.
+    P = np.zeros((2, 2, 40))
+    P[..., :2] = 0.5
+    u = np.array([-1.0, 1.0])
+    (P[0, 0] if "weight" in message else u)[-1] = np.nan
+    with pytest.raises(KernelError, match=message):
+        DiscreteChain(matrices=[P], control_values=[u])
+
+
+def test_bands_are_cut_in_two_places_only():
+    # _cut is the band rule: _banded cuts every stored band with it, and
+    # _dense_dot the dense rows it contracts.  A third caller would be a
+    # second routine that cuts bands, whose bands could drift from the stored ones.
+    import ast
+    from pathlib import Path
+    import markeq
+    callers = set()
+    for path in Path(markeq.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            if any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_cut"
+                   for n in ast.walk(top)):
+                callers.add((path.name, top.name))
+    assert callers == {("kernels.py", "_banded"), ("kernels.py", "_dense_dot")}
+
+
 def test_kernel_cache_rejects_nan_weight(tmp_path):
     model = lq_model(LQParams(), n_x=11, n_u=5)
     dk = discretize(model.kernel, model.grids, model.constraints)
@@ -572,10 +602,12 @@ def test_kernel_cache_rejects_nan_weight(tmp_path):
     with pytest.raises(KernelError, match="t=1 are not stochastic"):
         dk.check_rows()
     path = tmp_path / "kernel.bin"
-    save_kernel_cache(dk, path)
-    with pytest.raises(KernelError, match="non-finite weights at t=1") as info:
-        load_kernel_cache(path, spec=model.kernel)
-    assert str(path) in str(info.value)
+    for save, what in ((save_kernel_cache, r"weights of band group \d+ at t=1"),
+                       (save_kernel_cache_v2, "weights at t=1")):
+        save(dk, path)
+        with pytest.raises(KernelError, match=f"non-finite {what}") as info:
+            load_kernel_cache(path, spec=model.kernel)
+        assert str(path) in str(info.value)
 
 
 def test_kernel_cache_rejects_non_stochastic_row(tmp_path):
@@ -598,11 +630,14 @@ def test_kernel_cache_rejects_wrong_magic(tmp_path):
         load_kernel_cache(path)
 
 
-# Offsets into a saved T=3, 31x7 cache: magic + horizon take 12 bytes, then
-# per t a 12-byte shape header, the state grid, controls, weights, clamp.
+# Offsets into a saved T=3, 31x7 cache: the header takes 20 bytes, then per t
+# a 12-byte shape header, the state grid, controls and clamp, the group count
+# and each group's 8-byte header, rows, starts and bands: at t=0 one group of
+# 217 rows of width 31.
 @pytest.mark.parametrize("keep, section", [
     (10, "horizon"),
-    (12 + 12 + 8 * 31 + 8 * 31 * 7 + 100, "weights at t=0"),
+    (20 + 12 + 8 * 31 + 2 * 8 * 31 * 7 + 4 + 8 + 2 * 8 * 217 + 100,
+     "weights of band group 0"),
     (-3, "terminal state grid"),
 ])
 def test_kernel_cache_truncated_names_file_and_section(tmp_path, keep, section):
@@ -617,7 +652,7 @@ def test_kernel_cache_truncated_names_file_and_section(tmp_path, keep, section):
 
 
 def _lq_cache(tmp_path):
-    """A saved LQ T=4, 21x11 kernel cache (version 2): its path and bytes."""
+    """A saved LQ T=4, 21x11 kernel cache (version 3): its path and bytes."""
     model = lq_model(LQParams(T=4), n_x=21, n_u=11)
     path = tmp_path / "kernel.bin"
     save_kernel_cache(discretize(model.kernel, model.grids, model.constraints), path)
@@ -654,6 +689,116 @@ def test_kernel_cache_rejects_bytes_after_the_terminal_grid(tmp_path):
     path.write_bytes(data + bytes(8))
     with pytest.raises(KernelError, match="8 bytes follow the terminal state grid"):
         load_kernel_cache(path)
+
+
+def _same_kernel(back, dk):
+    """True when ``back`` holds ``dk``'s band groups, controls, grids and clamp, array-equal."""
+    return (back.build_method == dk.build_method and back.horizon == dk.horizon
+            and all(B.shape == C.shape and len(B.groups) == len(C.groups)
+                    and all(np.array_equal(x, y) for g, h in zip(B.groups, C.groups)
+                            for x, y in zip(g, h))
+                    for B, C in zip(back._bands, dk._bands))
+            and all(len(getattr(back, f)) == len(getattr(dk, f))
+                    and all(np.array_equal(x, y) for x, y in zip(getattr(back, f), getattr(dk, f)))
+                    for f in ("controls", "grids", "clamped")))
+
+
+@pytest.mark.parametrize("build", [
+    exp_utility_model, lambda: _density_lq(), lambda: mv_chain_model(n_x=31, n_u=21)],
+    ids=["exp_utility", "density_lq", "mv_chain_31x21"])
+def test_kernel_cache_of_every_version_loads_the_discretized_kernel(tmp_path, build):
+    # Version 3 holds the bands as stored; versions 1 and 2, written by the
+    # reference legacy writer, hold dense rows, which load cuts by the same rule.
+    model = build()
+    dk = discretize(model.kernel, model.grids, model.constraints)
+    v3, v2, v1 = (tmp_path / f"v{k}.bin" for k in (3, 2, 1))
+    save_kernel_cache(dk, v3)
+    save_kernel_cache_v2(dk, v2)
+    data = v2.read_bytes()
+    v1.write_bytes(b"MKEQDK01" + data[8:12] + data[20:])
+    for path in (v3, v2, v1):
+        assert _same_kernel(load_kernel_cache(path, spec=model.kernel), dk), path.name
+    # Beyond what the kernel stores: the header, and per t the shape, the group count
+    # and each group's (W, r).
+    groups = sum(len(B.groups) for B in dk._bands)
+    assert v3.stat().st_size == dk.nbytes + 20 + 16 * (dk.horizon - 1) + 8 * groups
+
+
+def test_kernel_cache_load_cuts_floored_bands_by_the_rule(tmp_path):
+    # A weight below the floor at the start of a row's band widened it; floored
+    # in place, the band stayed wide, and expect summed the row in another order.
+    dk = discretize(_gauss_kernel(sigma=0.3), _grids(2, -6, 6, 101), _constraints(2, -2, 2, 7))
+    tiny = dk.weights[0].copy()
+    tiny[50, 3, 0] = 1e-310
+    path = tmp_path / "kernel.bin"
+    save_kernel_cache(DiscretizedKernel([tiny], dk.controls, dk.grids, dk.clamped), path)
+    assert _same_kernel(load_kernel_cache(path), DiscretizedKernel(
+        [dk.weights[0]], dk.controls, dk.grids, dk.clamped))
+
+
+def _v3_groups(data, n, M):
+    """(offset, W, r) of each band group of slice t=0 in version-3 cache bytes."""
+    at = 20 + 12 + 8 * n + 16 * n * M
+    (G,) = struct.unpack_from("<I", data, at)
+    out, at = [], at + 4
+    for _ in range(G):
+        W, r = struct.unpack_from("<II", data, at)
+        out.append((at, W, r))
+        at += 8 + 16 * r + 8 * r * W
+    return out
+
+
+def _corrupt(data, kind):
+    """Version-3 bytes of ``_lq_cache`` (n = 21, M = 11, two groups at t=0) broken one way."""
+    n, M = 21, 11
+    (a, W, r), (b, W1, r1) = _v3_groups(data, n, M)
+    rows0, rows1, starts0 = a + 8, b + 8, a + 8 + 8 * r
+    if kind == "zero-width":
+        struct.pack_into("<I", data, a, 0)
+    elif kind == "too-wide":
+        struct.pack_into("<I", data, a, n + 1)
+    elif kind == "no-rows":
+        struct.pack_into("<I", data, a + 4, 0)
+    elif kind == "unordered-rows":
+        struct.pack_into("<qq", data, rows0, 1, 0)
+    elif kind == "row-past-the-end":
+        struct.pack_into("<q", data, rows1 + 8 * (r1 - 1), n * M)
+    elif kind == "start-past-the-end":
+        struct.pack_into("<q", data, starts0, n - W + 1)
+    elif kind == "negative-start":
+        struct.pack_into("<q", data, starts0, -1)
+    elif kind == "row-in-two-groups":  # group 1's first row, 39, becomes group 0's row 38
+        struct.pack_into("<q", data, rows1, 38)
+    elif kind == "row-in-no-group":  # group 1 without its first row
+        end = b + 8 + 16 * r1 + 8 * r1 * W1
+        old = bytes(data)
+        rows = np.frombuffer(old, "<i8", r1, rows1)
+        starts = np.frombuffer(old, "<i8", r1, rows1 + 8 * r1)
+        band = np.frombuffer(old, "<f8", r1 * W1, rows1 + 16 * r1)
+        data[b:end] = (struct.pack("<II", W1, r1 - 1) + rows[1:].tobytes()
+                       + starts[1:].tobytes() + band[W1:].tobytes())
+    return data
+
+
+_MALFORMED = [
+    ("zero-width", r"band group 0 at t=0 has 216 rows of width 0"),
+    ("too-wide", r"band group 0 at t=0 has 216 rows of width 22; rows land on 21 nodes"),
+    ("no-rows", r"band group 0 at t=0 has 0 rows of width 16"),
+    ("unordered-rows", r"rows of band group 0 at t=0 are not increasing indices below 231"),
+    ("row-past-the-end", r"rows of band group 1 at t=0 are not increasing indices below 231"),
+    ("start-past-the-end", r"starts of band group 0 at t=0 leave \[0, 5\]"),
+    ("negative-start", r"starts of band group 0 at t=0 leave \[0, 5\]"),
+    ("row-in-two-groups", r"band group 1 at t=0 holds row 38, which an earlier group holds"),
+    ("row-in-no-group", r"the 2 band groups at t=0 hold no row 39")]
+
+
+@pytest.mark.parametrize("kind, message", _MALFORMED, ids=[k for k, _ in _MALFORMED])
+def test_kernel_cache_rejects_a_malformed_band_group(tmp_path, kind, message):
+    path, data = _lq_cache(tmp_path)
+    path.write_bytes(_corrupt(bytearray(data), kind))
+    with pytest.raises(KernelError, match=message) as info:
+        load_kernel_cache(path)
+    assert f"kernel cache {path}" in str(info.value)
 
 
 @pytest.mark.parametrize("build", [
