@@ -175,8 +175,9 @@ class DiscretizedKernel:
     With an additive-noise ``spec``, off-node rows are built by the rule that
     built the node rows, not blended (blending is only piecewise linear in
     u, which misplaces interior minima of curved objectives).  ``weights``
-    may be given dense, one (n_t, M, n_{t+1}) array per t, and are banded
-    as they are, without the weight floor.
+    may be given dense, one (n_t, M, n_{t+1}) array per t: they are floored
+    (``WEIGHT_FLOOR``) and banded a chunk of rows at a time, and the
+    caller's arrays are left as they are.
     """
 
     def __init__(self, weights, controls, grids, clamped=(), spec: Optional[KernelSpec] = None):
@@ -334,19 +335,20 @@ class DiscretizedKernel:
         mu, sc = spec.landing_params(t, x, u)
         ends = self.controls[t][i][:, [0, -1]].T  # the stencils stay in each interval
         mu_u, sc_u = (derivative(lambda v: f(t, x, v), u, *ends) for f in (spec.drift, spec.scale))
+        blocks = []
+        W = _landing_rows(grid, mu, sc, noise, keep=blocks)[0].reshape(shape + grid.shape)
         if isinstance(noise, GaussianNoise):
-            blocks = []
-            W, _ = _gaussian_tent_masses(grid, mu + sc * noise.mean, sc * noise.std, keep=blocks)
-
             def slope(g):
                 g, (dm, ds) = flat(g).reshape(-1), np.empty((2, u.size))
                 for rows, start, phi, P in blocks:
                     dg = np.diff(_sliding(g, len(phi))[rows * grid.size + start].T, axis=0)
                     dg /= _sliding(np.diff(grid), len(phi) - 1)[start].T  # the slope of g on cell k
-                    dm[rows] = np.einsum("kr,kr->r", P, dg)
-                    ds[rows] = np.einsum("kr,kr->r", phi[:-1] - phi[1:], dg)
+                    # Line by line, as rows are normalised: einsum sums a one-row block
+                    # in another order, and a row's slope would depend on its batch.
+                    dm[rows] = functools.reduce(operator.iadd, P * dg)
+                    ds[rows] = functools.reduce(operator.iadd, (phi[:-1] - phi[1:]) * dg)
                 return ((mu_u + sc_u * noise.mean) * dm + sc_u * noise.std * ds).reshape(shape)
-            return W.reshape(shape + grid.shape), slope
+            return W, slope
 
         def slope(g):
             (wq, omega), g = noise.quadrature(QUAD_ORDER), flat(g)
@@ -355,7 +357,7 @@ class DiscretizedKernel:
             dg = np.take_along_axis(g, j, -1) - np.take_along_axis(g, j - 1, -1)
             dg *= ((landing > grid[0]) & (landing < grid[-1])) / (grid[j] - grid[j - 1])
             return ((mu_u[:, None] + sc_u[:, None] * wq) * dg @ omega / omega.sum()).reshape(shape)
-        return _landing_rows(grid, mu, sc, noise)[0].reshape(shape + grid.shape), slope
+        return W, slope
 
     def node_slopes(self, t: int, nodes, U, g) -> np.ndarray:
         """d/du of ``node_rows(t, nodes, U) @ g``, shape U.shape: see ``node_rows_and_slope``."""
@@ -490,14 +492,7 @@ def _gaussian_tent_masses(grid: np.ndarray, mean: np.ndarray, std: np.ndarray,
                 keep.append((rows, start, phi, P))
             del z, phi, P, A, block  # freed before the next block is built: peak memory
 
-    if banded:
-        return _banded((mean.size,), n, windows()), clamp
-    out = np.zeros((mean.size, n))
-    flat = out.reshape(-1)
-    for rows, start, win in windows():
-        # Window k of the flat view is flat[k:k + width]; those written lie in distinct rows.
-        _sliding(flat, win.shape[1])[rows * n + start] = win
-    return out, clamp
+    return (_banded if banded else _scatter)((mean.size,), n, windows()), clamp
 
 
 def _sliding(a: np.ndarray, width: int) -> np.ndarray:
@@ -506,6 +501,28 @@ def _sliding(a: np.ndarray, width: int) -> np.ndarray:
     if a.flags.c_contiguous:  # a view on its buffer costs a fifth of as_strided's
         return np.ndarray(shape, a.dtype, a, 0, strides)
     return as_strided(a, shape, strides)
+
+
+def _scatter(shape, n: int, windows) -> np.ndarray:
+    """Dense rows ``shape`` + (n,) of ``windows``, (rows, start, win) items as ``_banded`` takes."""
+    out = np.zeros(tuple(shape) + (n,))
+    flat = out.reshape(-1)
+    for rows, start, win in windows:
+        # Window k of the flat view is flat[k:k + w]; those written lie in distinct rows.
+        _sliding(flat, win.shape[1])[rows * n + start] = win
+    return out
+
+
+def _chunks(R: int, n: int, rows):
+    """Full-width windows of R rows of n nodes, ``rows(a, b)`` giving rows a..b-1.
+
+    One window per chunk of about ``BAND_CHUNK`` entries, so no more than a
+    chunk of rows is built or copied at once.
+    """
+    step = max(1, BAND_CHUNK // n)
+    for a in range(0, R, step):
+        b = min(a + step, R)
+        yield np.arange(a, b), np.zeros(b - a, dtype=np.intp), rows(a, b)
 
 
 def _items(a: np.ndarray, width: int) -> np.ndarray:
@@ -540,17 +557,13 @@ class _Bands:
 
     def dense_rows(self, a: int, b: int) -> np.ndarray:
         """The dense rows of flat indices a..b-1, (b - a, n)."""
-        n = self.shape[-1]
-        out = np.zeros((b - a, n))
-        flat = out.reshape(-1)
-        for rows, start, band in self.groups:
-            lo, hi = np.searchsorted(rows, (a, b))  # a group's rows are in increasing order
-            if hi > lo:
-                # Item k is flat[k:k + W]; those written lie in distinct rows.
-                W = band.shape[1]
-                _items(flat, W)[(rows[lo:hi] - a) * n + start[lo:hi]] = (
-                    band[lo:hi].view((np.void, 8 * W))[:, 0])
-        return out
+        def windows():
+            for rows, start, band in self.groups:
+                lo, hi = np.searchsorted(rows, (a, b))  # a group's rows are in increasing order
+                if hi > lo:
+                    yield rows[lo:hi] - a, start[lo:hi], band[lo:hi]
+
+        return _scatter((b - a,), self.shape[-1], windows())
 
     def dot(self, v: np.ndarray) -> np.ndarray:
         """Rows of node k against each v[:, k], v (c, K, n) with K the leading size: (c,) + rows."""
@@ -654,17 +667,11 @@ def _banded(shape, n: int, windows) -> _Bands:
 
 
 def _dense_bands(D: np.ndarray) -> _Bands:
-    """Bands of dense rows D (..., n), which ``_banded`` cuts a chunk of rows at a time."""
+    """Bands of dense rows D (..., n), floored: ``_banded`` cuts a floored copy of each chunk."""
     n = D.shape[-1]
     flat = D.reshape(-1, n)
-    step = max(1, BAND_CHUNK // n)
-
-    def windows():
-        for a in range(0, flat.shape[0], step):
-            W = flat[a:a + step]
-            yield np.arange(a, a + len(W)), np.zeros(len(W), dtype=np.intp), W
-
-    return _banded(D.shape[:-1], n, windows())
+    floored = _chunks(flat.shape[0], n, lambda a, b: _floor(flat[a:b].copy()))
+    return _banded(D.shape[:-1], n, floored)
 
 
 class _Slices(Sequence):
@@ -681,31 +688,24 @@ class _Slices(Sequence):
 
 
 def _landing_rows(grid: np.ndarray, mu: np.ndarray, sc: np.ndarray, noise: Noise,
-                  banded: bool = False):
+                  banded: bool = False, keep=None):
     """Landing rows mu.shape + (len(grid),) for the laws mu + sc * W, and their clamped mass.
 
     ``mu`` and ``sc`` are float arrays of one shape.  Gaussian noise gets
-    closed-form hat-function masses; other noise spreads its ``QUAD_ORDER``
-    quadrature points onto the grid.  Weights below ``WEIGHT_FLOOR`` become 0.
-    The rows come dense, or ``banded`` as ``_Bands`` built without a dense
-    slice, the quadrature rows spread a chunk of about ``BAND_CHUNK`` entries at a time.
+    closed-form hat-function masses (``keep`` goes to ``_gaussian_tent_masses``);
+    other noise spreads its ``QUAD_ORDER`` quadrature points onto the grid, a
+    chunk of about ``BAND_CHUNK`` entries at a time.  Weights below
+    ``WEIGHT_FLOOR`` become 0.  The rows come dense, or ``banded`` as
+    ``_Bands`` built without a dense slice.
     """
     shape = mu.shape + grid.shape
     if isinstance(noise, GaussianNoise):
         W, clamp = _gaussian_tent_masses(grid, (mu + sc * noise.mean).reshape(-1),
-                                         (sc * noise.std).reshape(-1), banded=banded)
+                                         (sc * noise.std).reshape(-1), banded=banded, keep=keep)
         return (_Bands(shape, W.groups) if banded else W.reshape(shape)), clamp.reshape(mu.shape)
     landing, omega, clamp = _quadrature_landing(grid, mu, sc, noise)
-    if not banded:
-        return _spread(grid, landing, omega).reshape(shape), clamp
-    step = max(1, BAND_CHUNK // grid.size)
-
-    def windows():
-        for a in range(0, landing.shape[0], step):
-            W = _spread(grid, landing[a:a + step], omega)
-            yield np.arange(a, a + W.shape[0]), np.zeros(W.shape[0], dtype=np.intp), W
-
-    return _banded(mu.shape, grid.size, windows()), clamp
+    windows = _chunks(landing.shape[0], grid.size, lambda a, b: _spread(grid, landing[a:b], omega))
+    return (_banded if banded else _scatter)(mu.shape, grid.size, windows), clamp
 
 
 def _quadrature_landing(grid: np.ndarray, mu: np.ndarray, sc: np.ndarray, noise: Noise):
@@ -754,7 +754,7 @@ def discretize(kernel: KernelSpec, grids: Sequence[np.ndarray],
             P = np.asarray(P, dtype=float)
             if P.shape[0] != grids[t].size or P.shape[2] != grids[t + 1].size:
                 raise KernelError(f"chain matrix shape mismatch at t={t}")
-            weights.append(_dense_bands(_floor(P.copy())))
+            weights.append(P)  # floored and banded by DiscretizedKernel
             controls.append(np.tile(np.asarray(u, dtype=float), (grids[t].size, 1)))
             clamped.append(np.zeros(P.shape[:2]))
         dk = DiscretizedKernel(weights, controls, grids, clamped, spec=kernel)
@@ -959,11 +959,10 @@ def setwise_continuity_probe(kernel: AdditiveNoise, t: int, x: float, u: float,
 #       int64[r]                   the node each band starts at
 #       float64[r * W]             the bands, row-major
 #   float64[n_T]                   terminal state grid, then the end of the file
-# So a file holds ``dk.nbytes`` + 20 + sum over t of (16 + 8 G) bytes.
-# Versions 1 and 2 (magic b"MKEQDK01", b"MKEQDK02") hold each slice's rows
-# dense, n_t * M_u * n_next float64s between the controls and the clamp, and
-# version 1 has no build fields.  Their rows are cut into bands as they are
-# read, a chunk of ``BAND_CHUNK`` entries at a time (``_banded``).
+# So a file holds ``dk.nbytes`` + 20 + sum over t of (16 + 8 G) bytes.  Every
+# stored band is floored, so no weight in the file is nonzero and below
+# ``WEIGHT_FLOOR``.  Versions 1 and 2 (magic b"MKEQDK01", b"MKEQDK02"), which
+# held each slice's rows dense, are no longer read.
 
 _MAGIC = b"MKEQDK03"
 _METHODS = ("blend", "exact", "quadrature")
@@ -995,20 +994,20 @@ def load_kernel_cache(path, spec: Optional[KernelSpec] = None) -> DiscretizedKer
     """Load a cached kernel; pass the original spec to restore exact off-node rows.
 
     Off-node rows are built by the spec's rule, as in ``discretize``; the
-    build fields of the header are read only to reject unknown codes.
-    Weights below ``WEIGHT_FLOOR`` are set to 0, as ``discretize`` does.
-    Each section is read once, into its final array; the dense rows of a
-    version-1 or version-2 file, and a slice whose bands the floor changed,
-    are cut into bands by ``_banded``.  The header is not trusted: every dimension must be at least 1, each
-    section's bytes must fit in what is left of the file before it is
-    allocated, each slice must start on the grid the one before it lands
-    on, each band group must hold bands of 1 to n_next nodes that lie in
-    the row, on rows in increasing order, every row in exactly one group,
-    and the file must end with the terminal state grid; otherwise
-    KernelError names t and the section.  With an ``AdditiveNoise`` spec,
-    the rows of the first and last state node at every cached control are
-    rebuilt from it; rows off by more than ``CACHE_SPEC_TOL`` mean the cache
-    came from another kernel, and raise KernelError rather than mix the two.
+    build fields of the header are read only to reject unknown codes.  Only
+    version 3 is read, each section once, straight into its final array: the
+    bands are the kernel's as saved.  The header is not trusted: every
+    dimension must be at least 1, each section's bytes must fit in what is
+    left of the file before it is allocated, each slice must start on the
+    grid the one before it lands on, each band group must hold bands of 1
+    to n_next nodes that lie in the row, on rows in increasing order, every
+    row in exactly one group, with no weight that is nonzero and below
+    ``WEIGHT_FLOOR``, and the file must end with the terminal state grid;
+    otherwise KernelError names the file, t and the section.  With an
+    ``AdditiveNoise`` spec, the rows of the first and last state node at
+    every cached control are rebuilt from it; rows off by more than
+    ``CACHE_SPEC_TOL`` mean the cache came from another kernel, and raise
+    KernelError rather than mix the two.
     """
 
     def fail(msg):
@@ -1033,16 +1032,9 @@ def load_kernel_cache(path, spec: Optional[KernelSpec] = None) -> DiscretizedKer
             fail(f"non-finite {what}")
         return arr
 
-    def dense(n, M, nn, what):  # versions 1 and 2: (rows, start, win) windows for _banded
-        fit(8 * n * M * nn, what)
-        step = max(1, BAND_CHUNK // nn)
-        for a in range(0, n * M, step):
-            W = _floor(array((min(step, n * M - a), nn), what))
-            yield np.arange(a, a + len(W)), np.zeros(len(W), dtype=np.intp), W
-
     def bands(n, M, nn, t):
         (G,) = unpack("<I", f"band group count at t={t}")
-        groups, seen, recut = [], np.zeros(n * M, dtype=bool), False
+        groups, seen = [], np.zeros(n * M, dtype=bool)
         for g in range(G):
             what = f"band group {g} at t={t}"
             W, r = unpack("<II", f"header of {what}")
@@ -1057,26 +1049,27 @@ def load_kernel_cache(path, spec: Optional[KernelSpec] = None) -> DiscretizedKer
                 fail(f"{what} holds row {rows[seen[rows]][0]}, which an earlier group holds")
             seen[rows] = True
             band = array((r, W), f"weights of {what}")
-            low = band < WEIGHT_FLOOR
-            if np.any(band[low]):  # the floor's zeros may end bands: cut them again, by the rule
-                recut, band[low] = True, 0.0
+            low = band[(band < WEIGHT_FLOOR) & (band != 0.0)]
+            if low.size:
+                fail(f"weights of {what} hold {low[0]:.3e}, nonzero and below WEIGHT_FLOOR")
             groups.append((rows, start, band))
         if not seen.all():
             fail(f"the {G} band groups at t={t} hold no row {np.argmin(seen)}")
-        return _banded((n, M), nn, groups) if recut else _Bands((n, M, nn), groups)
+        return _Bands((n, M, nn), groups)
 
     with open(path, "rb") as fh:
         end = os.fstat(fh.fileno()).st_size
         magic = fh.read(8)
-        if magic not in (_MAGIC, b"MKEQDK01", b"MKEQDK02"):
-            raise KernelError("not a kernel cache file")
+        if magic in (b"MKEQDK01", b"MKEQDK02"):
+            fail(f"version {int(magic[6:])} is no longer read; save the kernel again")
+        if magic != _MAGIC:
+            fail("not a kernel cache file")
         (T,) = unpack("<I", "horizon")
         if T < 2:
             raise KernelError(f"kernel cache {path} declares horizon {T} < 2")
-        if magic != b"MKEQDK01":
-            code, _ = unpack("<II", "build header")
-            if code >= len(_METHODS):
-                raise KernelError(f"kernel cache {path} names unknown build method {code}")
+        code, _ = unpack("<II", "build header")
+        if code >= len(_METHODS):
+            raise KernelError(f"kernel cache {path} names unknown build method {code}")
         weights, controls, grids, clamped = [], [], [], []
         nn = None
         for t in range(T - 1):
@@ -1089,11 +1082,8 @@ def load_kernel_cache(path, spec: Optional[KernelSpec] = None) -> DiscretizedKer
             n, M, nn = shape
             grids.append(array((n,), f"state grid at t={t}"))
             controls.append(array((n, M), f"control nodes at t={t}"))
-            if magic != _MAGIC:
-                weights.append(_banded((n, M), nn, dense(n, M, nn, f"weights at t={t}")))
             clamped.append(array((n, M), f"clamped mass at t={t}"))
-            if magic == _MAGIC:
-                weights.append(bands(n, M, nn, t))
+            weights.append(bands(n, M, nn, t))
         grids.append(array((nn,), "terminal state grid"))
         if fh.tell() != end:
             fail(f"{end - fh.tell()} bytes follow the terminal state grid, which ends the "

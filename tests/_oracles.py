@@ -7,13 +7,12 @@ vectorized and windowed code paths, so agreement is meaningful.
 
 import csv
 import io
-import struct
 
 import numpy as np
 from scipy import special
 
 from markeq import Policy
-from markeq.kernels import QUAD_ORDER, WEIGHT_FLOOR, policy_matrix
+from markeq.kernels import WEIGHT_FLOOR, policy_matrix
 from markeq.noise import ndtr, normal_pdf, normal_tail
 
 
@@ -395,28 +394,3 @@ def probe_row_plan_objective(model, dk, t, nodes, controls, probes=None, rows=()
     J = J + d @ np.asarray(model.costs.terminal(t, y, xT), dtype=float)[..., None]
     m = d @ np.asarray(model.costs.terminal_stat(xT), dtype=float)
     return J[..., 0] + np.asarray(model.costs.mixer(t, y, m), dtype=float), m
-
-
-def save_kernel_cache_v2(dk, path):
-    """Write ``dk`` as a version-2 kernel cache (magic b"MKEQDK02"): every slice's rows dense.
-
-    The reference legacy writer: per t the shape (n, M, nn), the state grid,
-    the controls, the dense weights (n * M * nn float64s) and the clamp, after
-    a header of magic, horizon, build method and quadrature order; the
-    terminal grid ends the file.  A version-1 file is these bytes without
-    the two build fields (bytes 12 to 20).
-    """
-    def floats(X):
-        fh.write(np.ascontiguousarray(X, dtype="<f8").tobytes())
-
-    with open(path, "wb") as fh:
-        fh.write(b"MKEQDK02")
-        fh.write(struct.pack("<III", dk.horizon,
-                             ("blend", "exact", "quadrature").index(dk.build_method), QUAD_ORDER))
-        for t, W in enumerate(dk.weights):
-            fh.write(struct.pack("<III", *W.shape))
-            floats(dk.grids[t])
-            floats(dk.controls[t])
-            floats(W)
-            floats(dk.clamped[t])
-        floats(dk.grids[-1])

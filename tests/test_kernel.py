@@ -15,11 +15,11 @@ from markeq import (AdditiveNoise, ControlConstraint, DensityNoise, DiscreteChai
                     exact_expectation, exp_utility_model,
                     load_kernel_cache, mv_chain_model, mv_model, nonlinear_lq_variant,
                     policy_matrix, save_kernel_cache, setwise_continuity_probe, tv_distance)
-from markeq.kernels import (TENT_BLOCK, WEIGHT_FLOOR, DiscretizedKernel, _landing_rows,
-                            spread_mass)
+from markeq.kernels import (BAND_CHUNK, TENT_BLOCK, WEIGHT_FLOOR, DiscretizedKernel,
+                            _landing_rows, spread_mass)
 
 from _oracles import (dense_landing_rows, exact_tent_masses, gaussian_node_slopes,
-                      moment_landing_rows, save_kernel_cache_v2, spread_mass_add_at)
+                      moment_landing_rows, spread_mass_add_at)
 
 
 def _gauss_kernel(a=1.0, b=1.0, sigma=1.0, floor_frac=0.5):
@@ -216,6 +216,19 @@ def test_tent_masses_mixed_widths_across_blocks_equal_dense(rng):
     for m, s, w in zip(mean.ravel(), std.ravel(), W):
         alone, _ = _landing_rows(grid, np.array([m]), np.array([s]), GaussianNoise())
         assert np.array_equal(alone[0], w)
+
+
+def test_quadrature_rows_scattered_over_chunks_equal_the_banded_rows():
+    # Dense quadrature rows are spread and scattered a chunk at a time, as
+    # the banded rows are spread and cut; they were built in one shot.
+    k = _density_gauss_kernel(_gauss_kernel(sigma=0.3))
+    grid = np.linspace(-8.0, 8.0, 161)
+    mu, sc = k.landing_params(0, np.linspace(-6.0, 6.0, 61)[:, None], np.linspace(-2.0, 2.0, 21))
+    assert mu.size >= 3 * (BAND_CHUNK // grid.size)
+    W, clamp = _landing_rows(grid, mu, sc, k.noise)
+    B, clamp_b = _landing_rows(grid, mu, sc, k.noise, banded=True)
+    assert W.shape == B.shape == mu.shape + grid.shape
+    assert np.array_equal(W, np.asarray(B)) and np.array_equal(clamp, clamp_b)
 
 
 def test_tent_masses_accuracy_against_mpmath():
@@ -469,18 +482,17 @@ def test_kernel_cache_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.grids[-1], dk.grids[-1])
 
 
-def test_kernel_cache_load_floors_tiny_weights(tmp_path):
-    # A cache written before the weight floor may hold subnormal weights.
+def test_dense_weights_are_floored_on_the_way_in():
+    # A subnormal weight given dense was stored as it was, widening its
+    # row's band, and the cache loader had to floor and cut it again.
     dk = discretize(_gauss_kernel(sigma=0.3), _grids(2, -6, 6, 31), _constraints(2, -2, 2, 7))
     W = dk.weights[0]
     tiny = W.copy()
     tiny[15, 3, 0] = 1e-310  # 20 sigma below the landing mean
-    dk = DiscretizedKernel([tiny], dk.controls, dk.grids, dk.clamped)  # weights read only
-    path = tmp_path / "kernel.bin"
-    save_kernel_cache(dk, path)
-    back = load_kernel_cache(path)
-    assert back.weights[0][15, 3, 0] == 0.0
-    np.testing.assert_array_equal(back.weights[0], W)
+    given = DiscretizedKernel([tiny], dk.controls, dk.grids, dk.clamped)
+    assert tiny[15, 3, 0] == 1e-310  # the caller's array is left as it is
+    assert given.weights[0][15, 3, 0] == 0.0
+    assert _same_kernel(given, DiscretizedKernel([W], dk.controls, dk.grids, dk.clamped))
 
 
 def test_kernel_cache_reload_rebuilds_rows_like_the_saved_kernel(tmp_path):
@@ -490,14 +502,8 @@ def test_kernel_cache_reload_rebuilds_rows_like_the_saved_kernel(tmp_path):
     save_kernel_cache(dk, path)
     u = dk.controls[0][60, 50]
     back = load_kernel_cache(path, spec=model.kernel)
+    assert back.build_method == "exact"
     np.testing.assert_allclose(back.row(0, 60, u), dk.weights[0][60, 50], rtol=0, atol=1e-12)
-    # version 1 (no build fields) builds rows by the spec's rule too
-    save_kernel_cache_v2(dk, path)
-    data = path.read_bytes()
-    path.write_bytes(b"MKEQDK01" + data[8:12] + data[20:])
-    v1 = load_kernel_cache(path, spec=model.kernel)
-    assert v1.build_method == "exact"
-    np.testing.assert_allclose(v1.row(0, 60, u), dk.weights[0][60, 50], rtol=0, atol=1e-12)
     dens = _density_gauss_kernel()
     quad = discretize(dens, _grids(2, -6, 6, 31), _constraints(2, -2, 2, 7))
     save_kernel_cache(quad, path)
@@ -593,6 +599,32 @@ def test_bands_are_cut_in_two_places_only():
     assert callers == {("kernels.py", "_banded"), ("kernels.py", "_dense_dot")}
 
 
+def test_tent_masses_have_one_dispatcher_and_windows_one_dense_sink():
+    # Every landing row comes through _landing_rows, which picks the rule;
+    # node_rows_and_slope called _gaussian_tent_masses past it.  Windows end
+    # in _banded (bands) or _scatter (dense rows), the one writer of windows.
+    import ast
+    from pathlib import Path
+    import markeq
+
+    def calls(node, name):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+
+    tent, writes = set(), set()
+    for path in Path(markeq.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            for n in ast.walk(top):
+                if calls(n, "_gaussian_tent_masses"):
+                    tent.add((path.name, top.name))
+                if isinstance(n, (ast.Assign, ast.AugAssign)) and any(
+                        isinstance(s, ast.Subscript) and calls(s.value, "_sliding")
+                        for t in getattr(n, "targets", [getattr(n, "target", None)])
+                        for s in ast.walk(t)):
+                    writes.add((path.name, top.name))
+    assert tent == {("kernels.py", "_landing_rows")}
+    assert writes == {("kernels.py", "_scatter")}
+
+
 def test_kernel_cache_rejects_nan_weight(tmp_path):
     model = lq_model(LQParams(), n_x=11, n_u=5)
     dk = discretize(model.kernel, model.grids, model.constraints)
@@ -602,12 +634,10 @@ def test_kernel_cache_rejects_nan_weight(tmp_path):
     with pytest.raises(KernelError, match="t=1 are not stochastic"):
         dk.check_rows()
     path = tmp_path / "kernel.bin"
-    for save, what in ((save_kernel_cache, r"weights of band group \d+ at t=1"),
-                       (save_kernel_cache_v2, "weights at t=1")):
-        save(dk, path)
-        with pytest.raises(KernelError, match=f"non-finite {what}") as info:
-            load_kernel_cache(path, spec=model.kernel)
-        assert str(path) in str(info.value)
+    save_kernel_cache(dk, path)
+    with pytest.raises(KernelError, match=r"non-finite weights of band group \d+ at t=1") as info:
+        load_kernel_cache(path, spec=model.kernel)
+    assert str(path) in str(info.value)
 
 
 def test_kernel_cache_rejects_non_stochastic_row(tmp_path):
@@ -626,8 +656,20 @@ def test_kernel_cache_rejects_non_stochastic_row(tmp_path):
 def test_kernel_cache_rejects_wrong_magic(tmp_path):
     path = tmp_path / "bogus.bin"
     path.write_bytes(b"NOTMYFMT" + b"\x00" * 64)
-    with pytest.raises(KernelError):
+    with pytest.raises(KernelError, match="not a kernel cache file") as info:
         load_kernel_cache(path)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_kernel_cache_rejects_legacy_versions(tmp_path, version):
+    # Versions 1 and 2 held dense rows; only version 3 is written, and read.
+    path = tmp_path / "old.bin"
+    path.write_bytes(b"MKEQDK0%d" % version + bytes(64))
+    with pytest.raises(KernelError, match=f"version {version} is no longer read; save the "
+                       "kernel again") as info:
+        load_kernel_cache(path)
+    assert str(path) in str(info.value)
 
 
 # Offsets into a saved T=3, 31x7 cache: the header takes 20 bytes, then per t
@@ -707,33 +749,32 @@ def _same_kernel(back, dk):
     exp_utility_model, lambda: _density_lq(), lambda: mv_chain_model(n_x=31, n_u=21)],
     ids=["exp_utility", "density_lq", "mv_chain_31x21"])
 def test_kernel_cache_of_every_version_loads_the_discretized_kernel(tmp_path, build):
-    # Version 3 holds the bands as stored; versions 1 and 2, written by the
-    # reference legacy writer, hold dense rows, which load cuts by the same rule.
+    # Version 3, the one version read, holds the bands as stored.
     model = build()
     dk = discretize(model.kernel, model.grids, model.constraints)
-    v3, v2, v1 = (tmp_path / f"v{k}.bin" for k in (3, 2, 1))
+    v3 = tmp_path / "v3.bin"
     save_kernel_cache(dk, v3)
-    save_kernel_cache_v2(dk, v2)
-    data = v2.read_bytes()
-    v1.write_bytes(b"MKEQDK01" + data[8:12] + data[20:])
-    for path in (v3, v2, v1):
-        assert _same_kernel(load_kernel_cache(path, spec=model.kernel), dk), path.name
+    assert _same_kernel(load_kernel_cache(v3, spec=model.kernel), dk)
     # Beyond what the kernel stores: the header, and per t the shape, the group count
     # and each group's (W, r).
     groups = sum(len(B.groups) for B in dk._bands)
     assert v3.stat().st_size == dk.nbytes + 20 + 16 * (dk.horizon - 1) + 8 * groups
 
 
-def test_kernel_cache_load_cuts_floored_bands_by_the_rule(tmp_path):
-    # A weight below the floor at the start of a row's band widened it; floored
-    # in place, the band stayed wide, and expect summed the row in another order.
-    dk = discretize(_gauss_kernel(sigma=0.3), _grids(2, -6, 6, 101), _constraints(2, -2, 2, 7))
-    tiny = dk.weights[0].copy()
-    tiny[50, 3, 0] = 1e-310
-    path = tmp_path / "kernel.bin"
-    save_kernel_cache(DiscretizedKernel([tiny], dk.controls, dk.grids, dk.clamped), path)
-    assert _same_kernel(load_kernel_cache(path), DiscretizedKernel(
-        [dk.weights[0]], dk.controls, dk.grids, dk.clamped))
+def test_kernel_cache_rejects_a_weight_below_the_floor(tmp_path):
+    # No saved band holds a nonzero weight below the floor, so a file that
+    # does was not written by save_kernel_cache: loading it names the group.
+    path, data = _lq_cache(tmp_path)
+    data = bytearray(data)
+    (a, W, r), _ = _v3_groups(data, 21, 11)
+    at = a + 8 + 16 * r + 8 * (5 * W + 3)  # weight 3 of band 5 of group 0
+    assert struct.unpack_from("<d", data, at)[0] != 0.0
+    struct.pack_into("<d", data, at, 1e-310)
+    path.write_bytes(data)
+    with pytest.raises(KernelError, match=r"weights of band group 0 at t=0 hold 1\.000e-310, "
+                       "nonzero and below WEIGHT_FLOOR") as info:
+        load_kernel_cache(path)
+    assert str(path) in str(info.value)
 
 
 def _v3_groups(data, n, M):
@@ -920,6 +961,19 @@ def _density_lq():
                            noise=DensityNoise(density=norm.pdf, radius=9.0))
     return Model(T=base.T, grids=base.grids, constraints=base.constraints, kernel=kernel,
                  costs=base.costs)
+
+
+def test_gaussian_row_slope_does_not_depend_on_its_batch():
+    # einsum summed a one-row tent block in another order than a block of
+    # two or more rows: 151 of these 201 slopes, built one node at a time,
+    # differed from the batch's by up to 1.8e-14 relative.
+    model = mv_model(MeanVarianceParams(T=5), n_x=201, n_u=41)
+    dk = discretize(model.kernel, model.grids, model.constraints)
+    Uk, g, nodes = dk.controls[0], np.sin(model.grids[1]), np.arange(model.grids[0].size)
+    U = Uk[:, 0] + np.random.default_rng(2).uniform(0.0, 1.0, nodes.size) * (Uk[:, -1] - Uk[:, 0])
+    batch = dk.node_slopes(0, nodes, U, g)
+    alone = [dk.node_slopes(0, [i], U[i:i + 1], g)[0] for i in nodes]
+    assert np.array_equal(alone, batch)
 
 
 @pytest.mark.parametrize("build", [
