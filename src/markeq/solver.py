@@ -100,17 +100,25 @@ def golden_section(f, lo: float, hi: float, tol: float = U_TOL):
 
 
 def slope_search(f, U3: np.ndarray, L3: np.ndarray, tol: float = U_TOL):
-    """Minimize k objectives on [a, b] from x; U3 (k, 3) holds (a, x, b), L3 the values there.
+    """Minimize k objectives on [a, b] around x; U3 (k, 3) holds (a, x, b), L3 the values there.
 
-    ``f(i, u)`` gives (L, L') of objectives i at u (m,).  A Newton step on
-    L' at x and the curvature of the three values, then secant steps on L';
-    a step that would leave the sign bracket bisects it.  An objective stops
-    once a step or its bracket is under ``tol``, at its last point (or x).
+    ``f(i, u)`` gives (L, L') of objectives i at u (m,).  The first point of
+    every objective is the vertex of the parabola through its three values
+    (the midpoint of [a, b] if that parabola has no positive curvature or
+    its vertex is not strictly inside), even when the vertex is x itself:
+    L' at x is never taken.  A Newton step on the parabola's curvature
+    follows, then secant steps on L'; a step that would leave the sign
+    bracket (shrunk on evaluated slopes only) bisects it.  An objective
+    stops once a step or its bracket is under ``tol``, at its last point.
     """
-    (lo, u, hi), (fa, v, fb) = U3.T.copy(), L3.T.copy()  # u and v start at x
-    _, d = f(np.arange(u.size), u)
-    c2 = 2.0 * ((fb - v) / (hi - u) - (v - fa) / (u - lo)) / (hi - lo)
-    step = -d / np.where(c2 > 0.0, c2, np.nan)  # no curvature: bisect
+    (lo, x, hi), (fa, fx, fb) = U3.T, L3.T
+    sa = (fx - fa) / (x - lo)  # the chord slope left of x
+    c2 = 2.0 * ((fb - fx) / (hi - x) - sa) / (hi - lo)
+    c2 = np.where(c2 > 0.0, c2, np.nan)  # no curvature: bisect
+    u = 0.5 * (lo + x) - sa / c2  # the parabola's vertex
+    u = np.where((u > lo) & (u < hi), u, 0.5 * (lo + hi))
+    v, d = f(np.arange(u.size), u)
+    step = -d / c2
     for _ in range(SEARCH_MAX_ITER):
         lo, hi = np.where(d < 0.0, u, lo), np.where(d > 0.0, u, hi)
         live = np.flatnonzero(~(np.abs(step) < tol) & (hi - lo >= tol))

@@ -69,31 +69,35 @@ def _random_brackets(seed, k):
 
 
 @pytest.mark.parametrize("build, per_bracket", [
-    (lambda: mv_model(MeanVarianceParams(T=5), n_x=201, n_u=41), 4.0),
-    (lambda: lq_model(LQParams(a=0.5), n_x=61, n_u=41), 8.0),
-    (lambda: nonlinear_lq_variant(), 8.0)], ids=["mv_t5", "lq_a05", "nonlinear_lq"])
+    (lambda: mv_model(MeanVarianceParams(T=5), n_x=201, n_u=41), 2.0),
+    (lambda: lq_model(LQParams(a=0.5), n_x=61, n_u=41), 2.0),
+    (lambda: nonlinear_lq_variant(), 3.0)], ids=["mv_t5", "lq_a05", "nonlinear_lq"])
 def test_refinement_builds_few_landing_rows_per_bracket(monkeypatch, build, per_bracket):
-    # The slope search takes L' at the grid node, one Newton step on the
-    # grid parabola's curvature and secant steps after: an mv_t5-shaped
+    # The slope search starts at the vertex of the grid parabola, takes a
+    # Newton step on its curvature and secant steps after: an mv_t5-shaped
     # solve (MV T=5, 201x41) built 21.2 landing rows per searched bracket
-    # with golden-section searches.  Every node_rows call counts, the tail
-    # step matrices' included.
+    # with golden-section searches.  Rows from both builders count:
+    # node_rows_and_slope's for the searches and node_rows' for the tail
+    # step matrices.
     import markeq.solver
     from markeq.kernels import DiscretizedKernel
     model = build()
     dk = discretize(model.kernel, model.grids, model.constraints)
     rows, brackets = [0], [0]
-    node_rows, search = DiscretizedKernel.node_rows, markeq.solver.slope_search
+    search = markeq.solver.slope_search
 
-    def counted(self, t, nodes, U):
-        rows[0] += np.size(U)
-        return node_rows(self, t, nodes, U)
+    def counting(build_rows):
+        def counted(self, t, nodes, U):
+            rows[0] += np.size(U)
+            return build_rows(self, t, nodes, U)
+        return counted
 
     def searched(f, U3, L3, tol):
         brackets[0] += len(U3)
         return search(f, U3, L3, tol)
 
-    monkeypatch.setattr(DiscretizedKernel, "node_rows", counted)
+    for name in ("node_rows", "node_rows_and_slope"):
+        monkeypatch.setattr(DiscretizedKernel, name, counting(getattr(DiscretizedKernel, name)))
     monkeypatch.setattr(markeq.solver, "slope_search", searched)
     solution = solve(model, dk)
     assert brackets[0] > 0 and rows[0] <= per_bracket * brackets[0]
@@ -160,9 +164,10 @@ def test_golden_section_locates_minimum_above_noise_floor(curvature):
 
 
 def test_solve_refinement_stops_at_noise_floor(monkeypatch):
-    # On the MV objective L' reaches its rounding floor within a Newton
-    # step of most roots; a bracket must stop once its step falls under
-    # u_tol, not bisect on down to a u_tol-wide bracket (30 more calls).
+    # The MV objective is quadratic in u to rounding, so the grid
+    # parabola's vertex is each root and the Newton step after it falls
+    # under u_tol: one batched call per decision time.  A bracket must stop
+    # there, not bisect on down to a u_tol-wide bracket (30 more calls).
     # The value-only golden-section search took up to 45 calls here.
     import markeq.solver
     calls = [0]
@@ -179,7 +184,7 @@ def test_solve_refinement_stops_at_noise_floor(monkeypatch):
     model = mv_model(p, n_x=101, n_u=21)
     dk = discretize(model.kernel, model.grids, model.constraints)
     solution = solve(model, dk)
-    assert calls[0] <= 8
+    assert calls[0] <= model.T - 1
     cf = mv_closed_form(p)
     for t in range(model.T - 1):
         np.testing.assert_allclose(solution.policy.controls[t], cf.controls[t], atol=1e-9)
@@ -263,6 +268,22 @@ def test_refine_bowls_refines_a_tied_grid_minimum():
     _, v_golden = golden_section(lambda x: (x - 0.5) ** 2, -1.0, 1.0)
     assert (j[0], refined.tolist()) == (1, [0])
     assert abs(u[0] - 0.5) <= 1e-9 and v[0] <= v_golden
+
+
+def test_refine_bowls_evaluates_a_vertex_on_the_grid_node():
+    # 9 d^2 right of c = 0.5 and d^2 left of it: the grid values on
+    # (-1, 0, 1) are (2.25, 0.25, 2.25), so the grid parabola's vertex is
+    # the node itself, while the minimum is not.  The search must still
+    # evaluate there and go on to c, not stop at the node unevaluated.
+    def lopsided(r, u):
+        d = u - 0.5
+        return np.where(d > 0.0, 9.0 * d * d, d * d), np.where(d > 0.0, 18.0 * d, 2.0 * d)
+
+    L = lopsided(None, U3)[0]
+    np.testing.assert_array_equal(L, [[2.25, 0.25, 2.25]])
+    j, u, v, refined = refine_bowls(None, L, U3, lopsided)
+    assert (j[0], refined.tolist()) == (1, [0])
+    assert abs(u[0] - 0.5) <= 1e-8
 
 
 def test_refine_bowls_rows_limit_the_search():
