@@ -40,17 +40,23 @@ def _probe_objective(model: Model, dk: DiscretizedKernel, t: int, nodes, control
     (n_k,)) with landing rows ``steps[k]`` (n_k, 1, n_{k+1}).  The (s, y)
     cost arguments stay frozen at (t, x_node).  The tail's law from each
     landing node is pushed forward once, each step's cost reaching all plans
-    in one GEMM, for the tail cost v and mean h of H per landing node; each
-    block is then contracted against [v, h] by ``dk.expect``, whose value
-    for a row depends on that row alone, so a probe's value does not depend
-    on its column block.
+    in one GEMM, skipped where the cost is 0 everywhere (MV, exp_utility),
+    for the tail cost v and mean h of H per landing node; each block is then
+    contracted against [v, h] by ``dk.expect``, whose value for a row
+    depends on that row alone, so a probe's value does not depend on its
+    column block, and which skips h where H is 0 everywhere.
     """
     nodes = np.asarray(nodes, dtype=np.intp)
     y = model.grids[t][nodes][:, None]
     J, d = 0.0, None  # d: the tail's law (n_{t+1}, n_k) from each landing node
     for k in range(t + 1, model.T - 1):
         r = model.costs.running(k, t, y, model.grids[k], controls[k])
-        J, d = (r, steps[k][:, 0]) if d is None else (J + r @ d.T, d @ steps[k][:, 0])
+        if d is None:
+            J, d = r, steps[k][:, 0]
+            continue
+        if np.any(r):  # a NaN counts; a zero cost adds exact zeros
+            J = J + r @ d.T
+        d = d @ steps[k][:, 0]
     xT = model.grids[-1]
     F, H = model.costs.terminal(t, y, xT), model.costs.terminal_stat(xT)
     if d is not None:
@@ -234,8 +240,9 @@ def deviation_report(model: Model, dk: DiscretizedKernel, policy: Policy,
 
     Default probes are the full control grid plus the policy's own control (so
     refined off-grid controls are always included); the grid's landing rows are
-    the kernel's stored bands (``dk.grid_rows(t)``), and the policy's own rows are
-    built once per t, for its column and the tails.  ``probe_controls_per_node`` replaces the
+    the kernel's stored bands (``dk.grid_rows(t)``), and the policy's own rows come
+    once per t from ``dk.node_rows`` (stored rows at grid controls), for its column
+    and the tails.  ``probe_controls_per_node`` replaces the
     grid by that many evenly spaced controls per node, their rows built through
     ``dk.node_rows``.  All probes at t share the policy's tail, pushed forward
     once from the landing nodes (``_probe_objective``).  ``values``, the claimed

@@ -230,14 +230,27 @@ class DiscretizedKernel:
         row, the stored rows meet it in one GEMM on a dense slice (see
         ``_dense``): the fast form for many columns.  Returns (c,) + the
         rows' leading shape.
+
+        Per node, only the lines v[i] that hold a nonzero entry (NaN counts)
+        are contracted: the rows hold finite weights, so an all-zero line,
+        such as E[H] of a model without H, gets exact zeros.  The GEMM skips
+        only a ``v`` that is all zero, as a GEMM column can change in its
+        last bits with the number of columns (one column goes to a GEMV).
         """
         v = np.asarray(v, dtype=float)
-        if v.ndim == 2 and rows is None:
+        shared = v.ndim == 2 and rows is None
+        rows = self._bands[t] if rows is None else rows
+        if v.shape[1:] != ((rows.shape[-1],) if shared else (rows.shape[0], rows.shape[-1])):
+            raise ValueError(f"vectors of shape {v.shape} do not fit rows {rows.shape}")
+        live = np.flatnonzero(v.reshape(len(v), -1).any(axis=1))
+        if live.size < len(v) and not (shared and live.size):
+            out = np.zeros(v.shape[:1] + rows.shape[:-1])
+            if live.size:
+                out[live] = self.expect(t, v[live], rows)
+            return out
+        if shared:
             D = self._dense(t)
             return (D.reshape(-1, D.shape[-1]) @ v.T).T.reshape(v.shape[:1] + D.shape[:-1])
-        rows = self._bands[t] if rows is None else rows
-        if v.shape[1:] != (rows.shape[0], rows.shape[-1]):
-            raise ValueError(f"vectors of shape {v.shape} do not fit rows {rows.shape}")
         return rows.dot(v) if isinstance(rows, _Bands) else _dense_dot(np.asarray(rows), v)
 
     def _dense(self, t: int) -> np.ndarray:
@@ -273,37 +286,41 @@ class DiscretizedKernel:
                 f"node {nodes[r]}")
         return np.clip(U, lo, hi)
 
-    def _blend(self, t: int, nodes: np.ndarray, U: np.ndarray) -> np.ndarray:
-        """Rows blended linearly between bracketing control nodes; exact at nodes."""
-        Uk = self.controls[t][nodes]
-        r = np.arange(nodes.size)[:, None]
-        j = np.sum(Uk[:, None, :] < U[..., None], axis=-1)  # searchsorted, left
-        exact = Uk[r, j] == U
-        jl = np.where(exact, j, j - 1)
-        theta = np.divide(U - Uk[r, jl], Uk[r, j] - Uk[r, jl],
-                          out=np.zeros_like(U), where=~exact)
-        W = self._dense(t)
-        rows = nodes[:, None]
-        return (1.0 - theta)[..., None] * W[rows, jl] + theta[..., None] * W[rows, j]
+    def _blend(self, t: int, nodes: np.ndarray, u: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Rows at controls u (m,) blended linearly between control nodes j - 1 and j of nodes."""
+        C, W = self.controls[t], self._dense(t)
+        theta = ((u - C[nodes, j - 1]) / (C[nodes, j] - C[nodes, j - 1]))[:, None]
+        return (1.0 - theta) * W[nodes, j - 1] + theta * W[nodes, j]
 
     def node_rows(self, t: int, nodes, U) -> np.ndarray:
         """Landing weights for state nodes ``nodes`` (k,) at controls U, (k,) or (k, P).
 
-        Returns U.shape + (n_{t+1},); row r belongs to node nodes[r].
-        Additive-noise kernels re-discretize at each control exactly (the
-        rule that built the node tensors); discrete chains, and caches
-        loaded without a spec, blend between bracketing control nodes.
-        Either way node controls reproduce W[t][i, j] bit for bit.
-        ``row`` and ``row_block`` are thin wrappers over this one evaluator.
+        Returns U.shape + (n_{t+1},); row r belongs to node nodes[r].  A
+        control equal to one of its node's control nodes gets the stored row
+        W[t][i, j] (``_Bands.take``).  At the other controls, additive-noise
+        kernels re-discretize exactly (the rule that built the stored rows,
+        which gives them bit for bit at node controls); discrete chains, and
+        caches loaded without a spec, blend between bracketing control nodes.
+        A row does not depend on its batch.  ``row`` and ``row_block`` are
+        thin wrappers over this one evaluator.
         """
         nodes = np.asarray(nodes, dtype=np.intp).reshape(-1)
         U = np.asarray(U, dtype=float)
         shape = U.shape + (self.grids[t + 1].size,)
         U = self._feasible(t, nodes, U.reshape(nodes.size, -1))
+        Uk = self.controls[t][nodes]
+        j = np.sum(Uk[:, None, :] < U[..., None], axis=-1)  # searchsorted, left; U <= Uk[:, -1]
+        on = np.take_along_axis(Uk, j, 1) == U
+        stored = self._bands[t].take((nodes[:, None] * Uk.shape[1] + j)[on])
+        if on.all():
+            return stored.reshape(shape)
+        W, r = np.empty(U.shape + shape[-1:]), np.nonzero(~on)[0]
+        W[on] = stored
         if self.spec is None or isinstance(self.spec, DiscreteChain):
-            return self._blend(t, nodes, U).reshape(shape)
-        mu, sc = self.spec.landing_params(t, self.grids[t][nodes][:, None], U)
-        W, _ = _landing_rows(self.grids[t + 1], mu, sc, self.spec.noise)
+            W[~on] = self._blend(t, nodes[r], U[~on], j[~on])
+        else:
+            mu, sc = self.spec.landing_params(t, self.grids[t][nodes[r]], U[~on])
+            W[~on] = _landing_rows(self.grids[t + 1], mu, sc, self.spec.noise)[0]
         return W.reshape(shape)
 
     def node_rows_and_slope(self, t: int, nodes, U):
@@ -330,7 +347,7 @@ class DiscretizedKernel:
                 W = self._dense(t)[i, np.stack([j - 1, j])]
                 return (np.einsum("kn,kn->k", W[1] - W[0], flat(g))
                         / (Uk[k, j] - Uk[k, j - 1])).reshape(shape)
-            return self._blend(t, nodes, U).reshape(shape + grid.shape), slope
+            return self.node_rows(t, nodes, U).reshape(shape + grid.shape), slope
         spec, x, noise = self.spec, self.grids[t][i], self.spec.noise
         mu, sc = spec.landing_params(t, x, u)
         ends = self.controls[t][i][:, [0, -1]].T  # the stencils stay in each interval
@@ -553,17 +570,23 @@ class _Bands:
         return sum(a.nbytes for group in self.groups for a in group)
 
     def dense(self) -> np.ndarray:
-        return self.dense_rows(0, int(np.prod(self.shape[:-1]))).reshape(self.shape)
+        return self.take(np.arange(int(np.prod(self.shape[:-1])))).reshape(self.shape)
 
-    def dense_rows(self, a: int, b: int) -> np.ndarray:
-        """The dense rows of flat indices a..b-1, (b - a, n)."""
+    def take(self, rows) -> np.ndarray:
+        """The dense rows of flat indices ``rows`` (k,), in that order: (k, n)."""
+        rows = np.asarray(rows, dtype=np.intp)
+
         def windows():
-            for rows, start, band in self.groups:
-                lo, hi = np.searchsorted(rows, (a, b))  # a group's rows are in increasing order
-                if hi > lo:
-                    yield rows[lo:hi] - a, start[lo:hi], band[lo:hi]
+            for held, start, band in self.groups:
+                at = np.searchsorted(held, rows)  # a group's rows are in increasing order
+                hit = np.flatnonzero(held[np.minimum(at, held.size - 1)] == rows)
+                if hit.size:
+                    at = at[hit]
+                    if at[-1] - at[0] == at.size - 1 and np.all(at[1:] > at[:-1]):
+                        at = slice(at[0], at[-1] + 1)  # a run of the group: its bands as views
+                    yield hit, start[at], band[at]
 
-        return _scatter((b - a,), self.shape[-1], windows())
+        return _scatter(rows.shape, self.shape[-1], windows())
 
     def dot(self, v: np.ndarray) -> np.ndarray:
         """Rows of node k against each v[:, k], v (c, K, n) with K the leading size: (c,) + rows."""
@@ -776,7 +799,11 @@ def discretize(kernel: KernelSpec, grids: Sequence[np.ndarray],
 
 
 def policy_matrix(dk: DiscretizedKernel, t: int, controls: np.ndarray) -> np.ndarray:
-    """One-step transition matrix under the per-node control values at time t."""
+    """One-step transition matrix under the per-node control values at time t.
+
+    Its rows are ``node_rows``': stored rows where a control is on its node's
+    control grid, rows built by the kernel's row rule elsewhere.
+    """
     controls = np.asarray(controls, dtype=float)
     n = dk.grids[t].size
     if controls.shape != (n,):
@@ -1095,10 +1122,11 @@ def load_kernel_cache(path, spec: Optional[KernelSpec] = None) -> DiscretizedKer
         raise KernelError(f"kernel cache {path}: {exc}") from None
     if isinstance(spec, AdditiveNoise):
         for t, B in enumerate(weights):
-            n, M, _ = B.shape
+            n, M, nn = B.shape
             ends = np.array([0, n - 1])
-            d = np.max(np.abs(dk.node_rows(t, ends, controls[t][ends])
-                              - np.stack([B.dense_rows(i * M, i * M + M) for i in ends])))
+            mu, sc = spec.landing_params(t, grids[t][ends][:, None], controls[t][ends])
+            cached = B.take((ends[:, None] * M + np.arange(M)).ravel()).reshape(2, M, nn)
+            d = np.max(np.abs(_landing_rows(grids[t + 1], mu, sc, spec.noise)[0] - cached))
             if not d <= CACHE_SPEC_TOL:
                 raise KernelError(f"kernel cache {path} was not built from this kernel: "
                                   f"rows at t={t} differ by {d:.3e}")

@@ -432,6 +432,22 @@ def test_certificate_builds_each_policy_matrix_once(monkeypatch):
         assert np.array_equal(report.J_dev[t], J)
 
 
+def test_exp_utility_solve_and_certificate_run_no_tent_pass(monkeypatch):
+    # Every exp_utility control sits on the control grid, so node_rows reads
+    # each row from the stored bands; rebuilding them would take 2 tent
+    # passes in solve and 3 in the certificate.
+    from markeq import kernels
+    model = exp_utility_model()
+    dk = discretize(model.kernel, model.grids, model.constraints)
+    calls, real = [], kernels._gaussian_tent_masses
+    monkeypatch.setattr(kernels, "_gaussian_tent_masses",
+                        lambda *args, **kw: calls.append(args[1].size) or real(*args, **kw))
+    solution = solve(model, dk)
+    report = verify_equilibrium(model, dk, solution)
+    assert not solution.diagnostics.refined and report.certified
+    assert calls == []
+
+
 def _nan_running(base, where):
     """``base`` with a NaN running cost wherever ``where(t, x, u)`` holds."""
     c = base.costs

@@ -268,8 +268,9 @@ def test_policy_matrix_at_node_equals_weights():
 @pytest.mark.parametrize("kind", [
     "exact", "quadrature", "chain_small", "lq", "nonlinear_lq", "mean_variance", "exp_utility"])
 def test_node_rows_at_node_controls_reproduce_weights(kind, request):
-    # deviation_report reads the grid probes' rows from dk.weights[t]
-    # in place of node_rows, which is sound only if the two agree bit for bit.
+    # node_rows reads the stored row at a node control and runs the row rule
+    # elsewhere, and deviation_report reads the grid probes' rows from the
+    # bands: sound only if the rule rebuilds the stored rows bit for bit.
     families = {"lq": lambda: lq_model(LQParams(), n_x=31, n_u=11),
                 "nonlinear_lq": lambda: nonlinear_lq_variant(LQParams(), n_x=31, n_u=11),
                 "mean_variance": lambda: mv_model(MeanVarianceParams(T=4), n_x=41, n_u=11),
@@ -287,7 +288,70 @@ def test_node_rows_at_node_controls_reproduce_weights(kind, request):
         assert dk.build_method == kind
     for t, W in enumerate(dk.weights):
         n = dk.grids[t].size
-        assert np.array_equal(dk.node_rows(t, np.arange(n), dk.controls[t]), W)
+        if dk.build_method == "blend":  # the chain's matrices, floored
+            P = np.asarray(dk.spec.matrices[t], dtype=float)
+            rule = np.where(P >= WEIGHT_FLOOR, P, 0.0)
+        else:
+            mu, sc = dk.spec.landing_params(t, dk.grids[t][:, None], dk.controls[t])
+            rule, _ = _landing_rows(dk.grids[t + 1], mu, sc, dk.spec.noise)
+        assert np.array_equal(rule, W)
+
+
+@pytest.mark.parametrize("kind", ["exact", "quadrature", "chain"])
+def test_node_rows_mixing_grid_and_off_grid_controls_equal_per_entry_calls(kind):
+    # Grid controls read stored rows and the rest run the row rule; which
+    # entries share a batch must not change any row.
+    k = _gauss_kernel(a=0.9, b=1.3, sigma=0.7)
+    grids, cons = _grids(2, -8, 8, 81), _constraints(2, -2, 2, 9)
+    if kind == "chain":
+        W = discretize(k, grids, cons).weights[0]
+        spec = DiscreteChain(matrices=[W / W.sum(axis=-1, keepdims=True)],
+                             control_values=[cons[0].nodes(grids[0])[0]])
+        dk = discretize(spec, grids, None)
+    else:
+        dk = discretize(k if kind == "exact" else _density_gauss_kernel(k), grids, cons)
+    nodes = np.array([3, 40, 40, 77, 80])
+    U = np.array([[-2.0, 0.1, 1.5], [0.37, 2.0, -0.5], [-1.5, 1.25, 0.0],
+                  [1.9, -0.3, -2.0], [1.0, 1.0, 0.75]])
+    rows = dk.node_rows(0, nodes, U)
+    on = np.isin(U, dk.controls[0][0])
+    assert on.any() and not on.all()
+    for r, i in enumerate(nodes):
+        for p in range(U.shape[1]):
+            assert np.array_equal(rows[r, p], dk.node_rows(0, [i], [U[r, p]])[0])
+            if on[r, p]:
+                j = np.flatnonzero(dk.controls[0][i] == U[r, p])[0]
+                assert np.array_equal(rows[r, p], dk.weights[0][i, j])
+
+
+@pytest.mark.parametrize("stored", [True, False])
+def test_expect_contracts_only_lines_with_a_nonzero_entry(stored, monkeypatch):
+    from markeq import kernels
+    model = lq_model(LQParams(), n_x=21, n_u=7)
+    dk = discretize(model.kernel, model.grids, model.constraints)
+    nodes, n = np.arange(21), model.grids[1].size
+    rows = None if stored else dk.node_rows(0, nodes, dk.controls[0][:, :3] + 0.01)
+    v = np.zeros((3, 21, n))
+    v[1] = np.sin(np.arange(21 * n)).reshape(21, n)
+    lines, real = [], kernels._band_dot
+    monkeypatch.setattr(kernels, "_band_dot",
+                        lambda out, r, off, band, flat: (lines.append(flat.shape[0]),
+                                                         real(out, r, off, band, flat)))
+    got = dk.expect(0, v, rows)
+    assert lines and set(lines) == {1}  # the zero lines 0 and 2 reach no band contraction
+    assert np.array_equal(got[1], dk.expect(0, v[1:2], rows)[0])
+    assert np.array_equal(got[[0, 2]], np.zeros_like(got[[0, 2]]))
+    # bit for bit what contracting every line gives
+    assert np.array_equal(got, dk.grid_rows(0).dot(v) if stored else kernels._dense_dot(rows, v))
+    lines.clear()
+    assert not dk.expect(0, np.zeros_like(v), rows).any() and not lines
+    if stored:  # shared vectors: an all-zero v skips the GEMM and its dense slice
+        monkeypatch.setattr(DiscretizedKernel, "_dense", None)
+        assert np.array_equal(dk.expect(0, np.zeros((2, n))), np.zeros((2, 21, 7)))
+    v[2, 4] = np.nan  # NaN counts as nonzero and propagates
+    got = dk.expect(0, v, rows)
+    assert set(lines) == {2}  # lines 1 and 2, in one contraction
+    assert np.isnan(got[2, 4]).all() and not np.isnan(np.delete(got[2], 4, axis=0)).any()
 
 
 def test_chain_blend_is_linear(chain_small):

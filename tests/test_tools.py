@@ -68,3 +68,37 @@ def test_replay_passes_the_baseline_the_keywords_it_accepts():
         expected = (False, True) if base is with_banded else (None, None)
         # one checking pass, then one timed call per class
         assert seen == [(base.__name__, b) for b in expected * 2]
+
+
+def _bench_pairs():
+    path = ROOT / "tools" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_bench_pairs_summary_applies_the_win_and_spread_rule():
+    # Synthetic samples only: no benchmark run starts.
+    tool = _bench_pairs()
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+    fast = [p - 0.10 for p in parent]
+    pairs = [({"s": p, "mb": 50.0, "noisy": p}, {"s": c, "mb": 50.0, "noisy": p - 0.01})
+             for p, c in zip(parent, fast)]
+    rows = {r[0]: r for r in tool.summarize(pairs, {"s": "lower", "mb": "lower",
+                                                    "noisy": "lower"})}
+    name, qp, qc, wins, claim = rows["s"]
+    assert qp == tuple(np.percentile(parent, (25, 50, 75)))
+    assert qc == tuple(np.percentile(fast, (25, 50, 75)))
+    assert wins == 10 and claim
+    assert rows["mb"][3:] == (0, False)  # ties count for neither side
+    # wins every pair, but by less than the parent's interquartile range
+    assert rows["noisy"][3:] == (10, False)
+    # nine wins of ten still claim; eight do not
+    for lost, expect in ((1, True), (2, False)):
+        mixed = [(p, dict(c, s=p["s"] + 0.5) if i < lost else c)
+                 for i, (p, c) in enumerate(pairs)]
+        assert tool.summarize(mixed, {"s": "lower"})[0][3:] == (10 - lost, expect)
+    # "higher" is better: the same samples, mirrored
+    mirrored = [({"x": -p["s"]}, {"x": -c["s"]}) for p, c in pairs]
+    assert tool.summarize(mirrored, {"x": "higher"})[0][3:] == (10, True)
